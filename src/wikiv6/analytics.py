@@ -16,13 +16,13 @@ from ipaddress import IPv6Address, ip_network
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .ingest import EditRecord
-from .netaddr import Mac48, OuiDatabase, UNLISTED, parse_ip, resolve_vendor
+from .netaddr import OuiDatabase, UNLISTED, extract_mac, is_eui64, parse_ip, resolve_vendor
 from .ribstore import AttributedRecord
 
 V4 = "v4"
 V6 = "v6"
 
-DEFAULT_PREFIX_LENGTHS = (48, 56, 64, 128)
+PREFIX_LENGTHS = (48, 56, 64, 128)
 
 TABLE_NAMES = (
     "weekly_by_version",
@@ -36,10 +36,6 @@ TABLE_NAMES = (
     "vendor_counts",
     "hitlist_overlap",
 )
-
-
-class ConfigMismatch(Exception):
-    """Partial aggregates were built with different metric configurations."""
 
 
 class BadHitlistRow(ValueError):
@@ -143,11 +139,6 @@ class ReportTable:
         return json.dumps(rows, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class AggregateConfig:
-    prefix_lengths: tuple[int, ...] = DEFAULT_PREFIX_LENGTHS
-
-
 def _ip_key(record: Union[EditRecord, AttributedRecord]) -> tuple[str, bool, int]:
     text = str(record.ip)
     return text, record.ip.version == 6, int(record.ip)
@@ -156,8 +147,7 @@ def _ip_key(record: Union[EditRecord, AttributedRecord]) -> tuple[str, bool, int
 class PartialAggregate:
     """Mergeable per-shard aggregation state (sets and min/max maps only)."""
 
-    def __init__(self, config: AggregateConfig = AggregateConfig()):
-        self.config = config
+    def __init__(self):
         self.site_ips: set[tuple[str, str]] = set()
         self.weekly_ips: set[tuple[WeekBin, str]] = set()
         self.weekly_as_ips: set[tuple[WeekBin, str, str]] = set()
@@ -176,7 +166,7 @@ class PartialAggregate:
         else:
             self.first_last[ip_text] = (min(seen[0], record.timestamp), max(seen[1], record.timestamp))
         if is_v6:
-            for length in self.config.prefix_lengths:
+            for length in PREFIX_LENGTHS:
                 masked = (ip_int >> (128 - length)) << (128 - length)
                 key = (length, masked)
                 prev = self.prefix_first_week.get(key)
@@ -194,18 +184,13 @@ class PartialAggregate:
         return self
 
 
-def aggregate(
-    records: Iterable[Union[EditRecord, AttributedRecord]],
-    config: AggregateConfig = AggregateConfig(),
-) -> PartialAggregate:
-    return PartialAggregate(config).add_all(records)
+def aggregate(records: Iterable[Union[EditRecord, AttributedRecord]]) -> PartialAggregate:
+    return PartialAggregate().add_all(records)
 
 
 def merge(a: PartialAggregate, b: PartialAggregate) -> PartialAggregate:
     """Combine two shard aggregates; commutative, associative, idempotent."""
-    if a.config != b.config:
-        raise ConfigMismatch(f"{a.config} != {b.config}")
-    out = PartialAggregate(a.config)
+    out = PartialAggregate()
     out.site_ips = a.site_ips | b.site_ips
     out.weekly_ips = a.weekly_ips | b.weekly_ips
     out.weekly_as_ips = a.weekly_as_ips | b.weekly_as_ips
@@ -265,7 +250,7 @@ def _cumulative_by_week(agg: PartialAggregate) -> tuple[list[WeekBin], dict[int,
     weeks = _v6_weeks(agg)
     series: dict[int, list[int]] = {}
     week_pos = {week: i for i, week in enumerate(weeks)}
-    for length in agg.config.prefix_lengths:
+    for length in PREFIX_LENGTHS:
         births = [0] * (len(weeks) + 1)
         for (plen, _masked), first_week in agg.prefix_first_week.items():
             if plen == length:
@@ -283,7 +268,7 @@ def table_cumulative_prefixes(agg: PartialAggregate) -> ReportTable:
     weeks, series = _cumulative_by_week(agg)
     rows = []
     for i, week in enumerate(weeks):
-        for length in sorted(agg.config.prefix_lengths):
+        for length in PREFIX_LENGTHS:
             rows.append((str(week), length, series[length][i]))
     return ReportTable(
         "cumulative_prefixes",
@@ -294,9 +279,6 @@ def table_cumulative_prefixes(agg: PartialAggregate) -> ReportTable:
 
 
 def table_ratio_per_48(agg: PartialAggregate) -> ReportTable:
-    for needed in (48, 56, 64):
-        if needed not in agg.config.prefix_lengths:
-            raise ConfigMismatch(f"ratio_per_48 needs /{needed} in prefix_lengths")
     weeks, series = _cumulative_by_week(agg)
     rows = []
     for i, week in enumerate(weeks):
@@ -365,24 +347,24 @@ def table_weekly_by_as(agg: PartialAggregate, top_k: int) -> ReportTable:
 _UNCACHED = object()
 
 
-def _eui64_vendor(ip_text: str, db: OuiDatabase, cache: dict) -> Optional[str]:
-    """Resolved vendor for an EUI-64 address, None for non-EUI-64 v6."""
-    vendor = cache.get(ip_text, _UNCACHED)
-    if vendor is _UNCACHED:
-        packed = IPv6Address(ip_text).packed
-        if packed[11] == 0xFF and packed[12] == 0xFE:
-            mac = Mac48(bytes((packed[8] ^ 0x02, packed[9], packed[10], packed[13], packed[14], packed[15])))
-            vendor = resolve_vendor(mac, db)
+def _eui64_vendor(ip_text: str, db: OuiDatabase, cache: dict) -> Optional[tuple[bytes, str]]:
+    """(MAC octets, resolved vendor) for an EUI-64 address, None for non-EUI-64 v6."""
+    hit = cache.get(ip_text, _UNCACHED)
+    if hit is _UNCACHED:
+        ip = IPv6Address(ip_text)
+        if is_eui64(ip):
+            mac = extract_mac(ip)
+            hit = (mac.octets, resolve_vendor(mac, db))
         else:
-            vendor = None
-        cache[ip_text] = vendor
-    return vendor
+            hit = None
+        cache[ip_text] = hit
+    return hit
 
 
 def table_eui64_weekly(
     agg: PartialAggregate, db: OuiDatabase, top_vendors: int
 ) -> tuple[ReportTable, ReportTable]:
-    cache: dict[str, Optional[str]] = {}
+    cache: dict[str, Optional[tuple[bytes, str]]] = {}
     weekly_v6: dict[WeekBin, int] = {}
     weekly_eui: dict[WeekBin, int] = {}
     by_vendor_week: dict[tuple[WeekBin, str], set[str]] = {}
@@ -391,9 +373,10 @@ def table_eui64_weekly(
         if ":" not in ip_text:
             continue
         weekly_v6[week] = weekly_v6.get(week, 0) + 1
-        vendor = _eui64_vendor(ip_text, db, cache)
-        if vendor is None:
+        hit = _eui64_vendor(ip_text, db, cache)
+        if hit is None:
             continue
+        vendor = hit[1]
         weekly_eui[week] = weekly_eui.get(week, 0) + 1
         by_vendor_week.setdefault((week, vendor), set()).add(ip_text)
         all_time.setdefault(vendor, set()).add(ip_text)
@@ -428,17 +411,16 @@ def table_eui64_weekly(
 
 
 def table_vendor_counts(agg: PartialAggregate, db: OuiDatabase) -> ReportTable:
-    cache: dict[str, Optional[str]] = {}
+    cache: dict[str, Optional[tuple[bytes, str]]] = {}
     macs_by_vendor: dict[str, set[bytes]] = {}
     addrs_by_vendor: dict[str, set[str]] = {}
     all_macs: set[bytes] = set()
     all_addrs: set[str] = set()
     for ip_text in {t for _, t in agg.weekly_ips if ":" in t}:
-        vendor = _eui64_vendor(ip_text, db, cache)
-        if vendor is None:
+        hit = _eui64_vendor(ip_text, db, cache)
+        if hit is None:
             continue
-        packed = IPv6Address(ip_text).packed
-        mac = bytes((packed[8] ^ 0x02, packed[9], packed[10], packed[13], packed[14], packed[15]))
+        mac, vendor = hit
         macs_by_vendor.setdefault(vendor, set()).add(mac)
         addrs_by_vendor.setdefault(vendor, set()).add(ip_text)
         all_macs.add(mac)
@@ -505,24 +487,10 @@ def read_hitlist(lines: Iterable[str]) -> tuple[list[HitlistEntry], int]:
     return entries, bad
 
 
-def _coerce_hitlist(hitlist: Iterable) -> list[HitlistEntry]:
-    """Accept parsed entries or raw (date, address-or-prefix) pairs."""
-    entries = []
-    for item in hitlist:
-        if isinstance(item, HitlistEntry):
-            entries.append(item)
-            continue
-        date_text, target = item
-        entry = parse_hitlist_line(f"{date_text}\t{target}")
-        if entry is not None:
-            entries.append(entry)
-    return entries
-
-
-def table_hitlist_overlap(agg: PartialAggregate, hitlist: Iterable) -> ReportTable:
+def table_hitlist_overlap(agg: PartialAggregate, hitlist: Iterable[HitlistEntry]) -> ReportTable:
     exact: dict[MonthBin, set[int]] = {}
     shorter: dict[MonthBin, dict[int, set[int]]] = {}
-    for entry in _coerce_hitlist(hitlist):
+    for entry in hitlist:
         if entry.length >= 48:
             exact.setdefault(entry.month, set()).add((entry.prefix_int >> 80) << 80)
         else:
@@ -548,47 +516,3 @@ def table_hitlist_overlap(agg: PartialAggregate, hitlist: Iterable) -> ReportTab
     return ReportTable(
         "hitlist_overlap", ("month", "wikimedia_48s", "overlap_48s"), ("s", "d", "d"), rows
     )
-
-
-# One-shot helpers: build a fresh aggregate from a record stream and emit.
-
-def weekly_unique_by_version(records: Iterable[EditRecord]) -> ReportTable:
-    return table_weekly_by_version(aggregate(records))
-
-
-def site_ip_fraction(records: Iterable[EditRecord]) -> ReportTable:
-    return table_site_fraction(aggregate(records))
-
-
-def cumulative_prefixes(
-    records: Iterable[EditRecord], lengths: Iterable[int] = DEFAULT_PREFIX_LENGTHS
-) -> ReportTable:
-    config = AggregateConfig(prefix_lengths=tuple(sorted(set(lengths))))
-    return table_cumulative_prefixes(aggregate(records, config))
-
-
-def subnet_ratio_per_48(records: Iterable[EditRecord]) -> ReportTable:
-    return table_ratio_per_48(aggregate(records))
-
-
-def address_lifetimes(records: Iterable[EditRecord]) -> tuple[ReportTable, list[LifetimeStat]]:
-    return table_lifetimes(aggregate(records))
-
-
-def weekly_unique_by_as(records: Iterable[AttributedRecord], top_k: int) -> ReportTable:
-    return table_weekly_by_as(aggregate(records), top_k)
-
-
-def eui64_weekly(
-    records: Iterable[EditRecord], db: OuiDatabase, top_vendors: int
-) -> tuple[ReportTable, ReportTable]:
-    return table_eui64_weekly(aggregate(records), db, top_vendors)
-
-
-def vendor_counts(records: Iterable[EditRecord], db: OuiDatabase) -> ReportTable:
-    return table_vendor_counts(aggregate(records), db)
-
-
-def hitlist_overlap_by_month(records: Iterable[EditRecord], hitlist: Iterable) -> ReportTable:
-    """Monthly /48 overlap; `hitlist` holds HitlistEntry items or (date, target) pairs."""
-    return table_hitlist_overlap(aggregate(records), hitlist)

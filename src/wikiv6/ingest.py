@@ -160,14 +160,10 @@ class ParseStats:
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse a dump timestamp (ISO-8601, second resolution, Z suffix)."""
+    """Parse a dump timestamp: zero-padded ISO-8601 with a Z suffix or an explicit offset."""
     text = text.strip()
-    try:
-        return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
-    except ValueError:
-        pass
-    # Rare drift: explicit offsets instead of Z.
-    dt = datetime.fromisoformat(text)
+    # fromisoformat accepts a bare Z only from Python 3.11 on; RFC 3339 also allows "z".
+    dt = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text)
     if dt.tzinfo is None:
         raise ValueError(f"naive timestamp: {text!r}")
     return dt.astimezone(timezone.utc)
@@ -314,10 +310,6 @@ def parse_dump_stream(
             break
 
 
-class SinkFailure(Exception):
-    """Writing records to the output stream failed."""
-
-
 RECORD_COLUMNS = ("timestamp", "site", "ip")
 RECORD_HEADER = "\t".join(RECORD_COLUMNS)
 
@@ -333,13 +325,10 @@ def format_record(record: EditRecord) -> str:
 def write_records(records: Iterable[EditRecord], sink: BinaryIO) -> int:
     """Write the canonical record TSV (header + one row per record)."""
     count = 0
-    try:
-        sink.write((RECORD_HEADER + "\n").encode("utf-8"))
-        for record in records:
-            sink.write((format_record(record) + "\n").encode("utf-8"))
-            count += 1
-    except OSError as exc:
-        raise SinkFailure(str(exc)) from exc
+    sink.write((RECORD_HEADER + "\n").encode("utf-8"))
+    for record in records:
+        sink.write((format_record(record) + "\n").encode("utf-8"))
+        count += 1
     return count
 
 

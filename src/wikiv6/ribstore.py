@@ -25,7 +25,6 @@ TD2_RIB_IPV4_UNICAST = 2
 TD2_RIB_IPV6_UNICAST = 4
 
 BGP_ATTR_AS_PATH = 2
-BGP_ATTR_AS4_PATH = 17
 AS_SET = 1
 AS_SEQUENCE = 2
 

@@ -3,28 +3,18 @@ import json
 import random
 from ipaddress import ip_address
 
-import pytest
-
 import oracles
 from corpus import synth_corpus, synth_hitlist
 from wikiv6.analytics import (
-    AggregateConfig,
-    ConfigMismatch,
     MonthBin,
     PartialAggregate,
     ReportTable,
     WeekBin,
-    address_lifetimes,
     aggregate,
-    cumulative_prefixes,
-    eui64_weekly,
-    hitlist_overlap_by_month,
     merge,
     read_hitlist,
     round_fraction,
     round_percent,
-    site_ip_fraction,
-    subnet_ratio_per_48,
     table_cumulative_prefixes,
     table_eui64_weekly,
     table_hitlist_overlap,
@@ -34,9 +24,6 @@ from wikiv6.analytics import (
     table_vendor_counts,
     table_weekly_by_as,
     table_weekly_by_version,
-    vendor_counts,
-    weekly_unique_by_as,
-    weekly_unique_by_version,
 )
 from wikiv6.ingest import EditRecord, SiteId, parse_timestamp
 from wikiv6.netaddr import load_oui_database
@@ -99,12 +86,12 @@ class TestReportTable:
 class TestWeeklyByVersion:
     def test_distinctness_within_week(self):
         records = [rec("2015-06-01T10:00:00Z", "2001:db8::1")] * 3
-        table = weekly_unique_by_version(records)
+        table = table_weekly_by_version(aggregate(records))
         assert table.rows == [("2015-W23", "v6", 1)]
 
     def test_same_address_two_weeks(self):
         records = [rec("2015-06-01T10:00:00Z", "2001:db8::1"), rec("2015-06-08T10:00:00Z", "2001:db8::1")]
-        table = weekly_unique_by_version(records)
+        table = table_weekly_by_version(aggregate(records))
         assert table.rows == [("2015-W23", "v6", 1), ("2015-W24", "v6", 1)]
 
     def test_matches_naive_oracle(self):
@@ -112,24 +99,24 @@ class TestWeeklyByVersion:
         sink = io.StringIO()
         write_attributed(sorted(records, key=lambda r: r.timestamp), sink)
         rows = oracles.parse_records_tsv(sink.getvalue())
-        assert weekly_unique_by_version(records).to_csv() == oracles.oracle_weekly_by_version(rows)
+        table = table_weekly_by_version(aggregate(records))
+        assert table.to_csv() == oracles.oracle_weekly_by_version(rows)
 
 
 class TestSiteFraction:
     def test_v4_only_site(self):
-        table = site_ip_fraction([rec("2015-06-01T10:00:00Z", "10.0.0.1")])
+        table = table_site_fraction(aggregate([rec("2015-06-01T10:00:00Z", "10.0.0.1")]))
         assert table.rows == [("enwiki", 1, 0, 0.0, 0.0)]
 
     def test_fraction_rule_matches_published_rounding(self):
         # the display rule is what turns 8259/267377 into 0.03
         assert f"{round_fraction(8259 / 267377):.2f}" == "0.03"
-        table = site_ip_fraction(
-            [rec("2015-06-01T10:00:00Z", "10.0.0.1"), rec("2015-06-01T11:00:00Z", "2001:db8::1")]
-        )
+        records = [rec("2015-06-01T10:00:00Z", "10.0.0.1"), rec("2015-06-01T11:00:00Z", "2001:db8::1")]
+        table = table_site_fraction(aggregate(records))
         assert table.rows == [("enwiki", 1, 1, 0.5, 0.5)]
 
     def test_sites_without_records_omitted(self):
-        table = site_ip_fraction([rec("2015-06-01T10:00:00Z", "10.0.0.1")])
+        table = table_site_fraction(aggregate([rec("2015-06-01T10:00:00Z", "10.0.0.1")]))
         assert [row[0] for row in table.rows] == ["enwiki"]
 
 
@@ -139,14 +126,14 @@ class TestCumulativePrefixes:
             rec("2015-06-01T10:00:00Z", "2001:db8:1:2::a"),
             rec("2015-06-02T10:00:00Z", "2001:db8:1:2::b"),
         ]
-        table = cumulative_prefixes(records)
+        table = table_cumulative_prefixes(aggregate(records))
         by_len = {row[1]: row[2] for row in table.rows}
         assert by_len[64] == 1
         assert by_len[128] == 2
 
     def test_monotone_nondecreasing(self):
         records = synth_corpus(2000, seed=21)
-        table = cumulative_prefixes([r for r in records])
+        table = table_cumulative_prefixes(aggregate([r for r in records]))
         last = {}
         for _week, length, count in table.rows:
             assert count >= last.get(length, 0)
@@ -157,12 +144,13 @@ class TestCumulativePrefixes:
         sink = io.StringIO()
         write_attributed(sorted(records, key=lambda r: r.timestamp), sink)
         rows = oracles.parse_records_tsv(sink.getvalue())
-        assert cumulative_prefixes(records).to_csv() == oracles.oracle_cumulative_prefixes(rows)
+        table = table_cumulative_prefixes(aggregate(records))
+        assert table.to_csv() == oracles.oracle_cumulative_prefixes(rows)
 
 
 class TestRatioPer48:
     def test_single_address(self):
-        table = subnet_ratio_per_48([rec("2015-06-01T10:00:00Z", "2001:db8::1")])
+        table = table_ratio_per_48(aggregate([rec("2015-06-01T10:00:00Z", "2001:db8::1")]))
         assert table.rows == [("2015-W23", 1.0, 1.0)]
 
     def test_two_64s_same_56(self):
@@ -170,7 +158,7 @@ class TestRatioPer48:
             rec("2015-06-01T10:00:00Z", "2001:db8:1:2::a"),
             rec("2015-06-02T10:00:00Z", "2001:db8:1:3::b"),
         ]
-        table = subnet_ratio_per_48(records)
+        table = table_ratio_per_48(aggregate(records))
         assert table.rows == [("2015-W23", 1.0, 2.0)]
 
     def test_matches_naive_oracle(self):
@@ -178,18 +166,18 @@ class TestRatioPer48:
         sink = io.StringIO()
         write_attributed(sorted(records, key=lambda r: r.timestamp), sink)
         rows = oracles.parse_records_tsv(sink.getvalue())
-        assert subnet_ratio_per_48(records).to_csv() == oracles.oracle_ratio_per_48(rows)
+        assert table_ratio_per_48(aggregate(records)).to_csv() == oracles.oracle_ratio_per_48(rows)
 
 
 class TestLifetimes:
     def test_single_observation_is_zero(self):
-        table, stats = address_lifetimes([rec("2015-06-01T10:00:00Z", "2001:db8::1")])
+        table, stats = table_lifetimes(aggregate([rec("2015-06-01T10:00:00Z", "2001:db8::1")]))
         assert table.rows == [("v6", 0, 1)]
         assert stats[0].lifetime_days == 0
 
     def test_seven_days(self):
         records = [rec("2003-01-01T00:00:00Z", "10.0.0.1"), rec("2003-01-08T00:00:00Z", "10.0.0.1")]
-        table, stats = address_lifetimes(records)
+        table, stats = table_lifetimes(aggregate(records))
         assert table.rows == [("v4", 7, 1)]
         assert stats[0].lifetime_days == 7
 
@@ -198,7 +186,7 @@ class TestLifetimes:
             rec("2015-06-01T10:00:00Z", "2001:db8::1", SiteId.from_code("enwiki")),
             rec("2015-06-04T10:00:00Z", "2001:db8::1", SiteId.from_code("dewiki")),
         ]
-        table, stats = address_lifetimes(records)
+        table, stats = table_lifetimes(aggregate(records))
         assert len(stats) == 1
         assert stats[0].lifetime_days == 3
 
@@ -207,14 +195,14 @@ class TestLifetimes:
         sink = io.StringIO()
         write_attributed(sorted(records, key=lambda r: r.timestamp), sink)
         rows = oracles.parse_records_tsv(sink.getvalue())
-        table, _stats = address_lifetimes(records)
+        table, _stats = table_lifetimes(aggregate(records))
         assert table.to_csv() == oracles.oracle_lifetimes(rows)
 
 
 class TestWeeklyByAs:
     def test_single_asn_single_series(self):
         records = [arec("2015-06-01T10:00:00Z", "2001:db8::1", "64500")]
-        table = weekly_unique_by_as(records, top_k=5)
+        table = table_weekly_by_as(aggregate(records), top_k=5)
         assert table.rows == [("2015-W23", "64500", 1)]
 
     def test_top_k_zero_keeps_only_special_series(self):
@@ -223,19 +211,19 @@ class TestWeeklyByAs:
             arec("2015-06-01T11:00:00Z", "2001:db8::2", "unrouted"),
             arec("2015-06-01T12:00:00Z", "2001:db8::3", "set:1,2"),
         ]
-        table = weekly_unique_by_as(records, top_k=0)
+        table = table_weekly_by_as(aggregate(records), top_k=0)
         assert table.rows == [("2015-W23", "set", 1), ("2015-W23", "unrouted", 1)]
 
     def test_v4_excluded(self):
         records = [arec("2015-06-01T10:00:00Z", "10.0.0.1", "64500")]
-        assert weekly_unique_by_as(records, top_k=5).rows == []
+        assert table_weekly_by_as(aggregate(records), top_k=5).rows == []
 
     def test_matches_naive_group_by_oracle(self):
         records = synth_corpus(3000, seed=61)
         sink = io.StringIO()
         write_attributed(sorted(records, key=lambda r: r.timestamp), sink)
         rows = oracles.parse_records_tsv(sink.getvalue())
-        assert weekly_unique_by_as(records, 3).to_csv() == oracles.oracle_weekly_by_as(rows, 3)
+        assert table_weekly_by_as(aggregate(records), 3).to_csv() == oracles.oracle_weekly_by_as(rows, 3)
 
 
 class TestEui64Weekly:
@@ -248,7 +236,7 @@ class TestEui64Weekly:
             rec("2015-06-01T12:00:00Z", "2001:db8:0:2:250:56ff:fe8a:2"),
             rec("2015-06-01T13:00:00Z", "2001:db8:0:3:7e11:22ff:fe33:4455"),
         ]
-        weekly, fraction = eui64_weekly(records, db, top_vendors=8)
+        weekly, fraction = table_eui64_weekly(aggregate(records), db, top_vendors=8)
         assert fraction.rows == [("2015-W23", 0.03, 0.03)]
         assert ("2015-W23", "VMware, Inc.", 2) in weekly.rows
         assert ("2015-W23", "Unlisted", 1) in weekly.rows
@@ -260,7 +248,7 @@ class TestEui64Weekly:
             rec("2015-06-01T10:00:00Z", "2001:db8::5074:f2ff:feb1:a87f"),
             rec("2015-06-08T10:00:00Z", "2001:db8::7e11:22ff:fe33:4455"),
         ]
-        weekly, _fraction = eui64_weekly(records, OuiDatabase({}), top_vendors=8)
+        weekly, _fraction = table_eui64_weekly(aggregate(records), OuiDatabase({}), top_vendors=8)
         assert {row[1] for row in weekly.rows} == {"Unlisted"}
 
     def test_matches_naive_oracle(self, oui_csv):
@@ -273,7 +261,7 @@ class TestEui64Weekly:
         expected_weekly, expected_frac = oracles.oracle_eui64_pair(
             rows, oracles.load_oui_rows(oui_csv.read_text()), 4
         )
-        weekly, fraction = eui64_weekly(records, db, top_vendors=4)
+        weekly, fraction = table_eui64_weekly(aggregate(records), db, top_vendors=4)
         assert weekly.to_csv() == expected_weekly
         assert fraction.to_csv() == expected_frac
 
@@ -286,7 +274,7 @@ class TestVendorCounts:
             rec("2015-06-01T10:00:00Z", "2001:db8:0:1:250:56ff:fe8a:1"),
             rec("2016-06-01T10:00:00Z", "2001:db8:0:2:250:56ff:fe8a:1"),
         ]
-        table = vendor_counts(records, db)
+        table = table_vendor_counts(aggregate(records), db)
         assert table.rows == [("VMware, Inc.", 1, 2), ("total", 1, 2)]
 
     def test_hand_computed_golden(self, oui_csv):
@@ -302,7 +290,7 @@ class TestVendorCounts:
             prefix = ip_network((0x20010DB8 << 96 | i << 64, 64))
             ip = embed_mac(Mac48.parse(mac_text), prefix)
             records.append(EditRecord(parse_timestamp(f"2015-06-{i + 1:02d}T10:00:00Z"), SITE, ip))
-        table = vendor_counts(records, db)
+        table = table_vendor_counts(aggregate(records), db)
         assert table.to_csv() == (
             "vendor,distinct_macs,eui64_addresses\n"
             "Hewlett Packard,3,5\n"
@@ -318,7 +306,7 @@ class TestVendorCounts:
         write_attributed(sorted(records, key=lambda r: r.timestamp), sink)
         rows = oracles.parse_records_tsv(sink.getvalue())
         expected = oracles.oracle_vendor_counts(rows, oracles.load_oui_rows(oui_csv.read_text()))
-        assert vendor_counts(records, db).to_csv() == expected
+        assert table_vendor_counts(aggregate(records), db).to_csv() == expected
 
 
 class TestHitlistOverlap:
@@ -326,13 +314,13 @@ class TestHitlistOverlap:
         records = [rec("2021-09-03T10:00:00Z", "2001:db8:77::1")]
         entries, bad = read_hitlist(["2021-09-20\t2001:db8:77::/48\n"])
         assert bad == 0
-        table = hitlist_overlap_by_month(records, entries)
+        table = table_hitlist_overlap(aggregate(records), entries)
         assert table.rows == [("2021-09", 1, 1)]
 
     def test_different_month_no_match(self):
         records = [rec("2021-09-03T10:00:00Z", "2001:db8:77::1")]
         entries, _ = read_hitlist(["2021-10-20\t2001:db8:77::/48\n"])
-        table = hitlist_overlap_by_month(records, entries)
+        table = table_hitlist_overlap(aggregate(records), entries)
         assert table.rows == [("2021-09", 1, 0)]
 
     def test_short_prefix_contains(self):
@@ -342,13 +330,8 @@ class TestHitlistOverlap:
             rec("2021-09-05T10:00:00Z", "2a02:810::1"),
         ]
         entries, _ = read_hitlist(["2021-09-01\t2409:4042::/32\n"])
-        table = hitlist_overlap_by_month(records, entries)
+        table = table_hitlist_overlap(aggregate(records), entries)
         assert table.rows == [("2021-09", 3, 2)]
-
-    def test_raw_date_target_pairs_accepted(self):
-        records = [rec("2021-09-03T10:00:00Z", "2001:db8:77::1")]
-        table = hitlist_overlap_by_month(records, [("2021-09-20", "2001:db8:77::/48")])
-        assert table.rows == [("2021-09", 1, 1)]
 
     def test_bad_rows_counted(self):
         entries, bad = read_hitlist(
@@ -364,7 +347,7 @@ class TestHitlistOverlap:
         write_attributed(sorted(records, key=lambda r: r.timestamp), sink)
         rows = oracles.parse_records_tsv(sink.getvalue())
         entries, _bad = read_hitlist(hitlist_lines)
-        got = hitlist_overlap_by_month(records, entries).to_csv()
+        got = table_hitlist_overlap(aggregate(records), entries).to_csv()
         assert got == oracles.oracle_hitlist_overlap(rows, hitlist_lines)
 
 
@@ -372,7 +355,7 @@ class TestMerge:
     def test_identity(self):
         records = synth_corpus(500, seed=101)
         full = aggregate(records)
-        empty = PartialAggregate(full.config)
+        empty = PartialAggregate()
         merged = merge(full, empty)
         assert table_weekly_by_version(merged).to_csv() == table_weekly_by_version(full).to_csv()
 
@@ -394,13 +377,6 @@ class TestMerge:
         table, _ = table_lifetimes(merged)
         expected, _ = table_lifetimes(a)
         assert table.to_csv() == expected.to_csv()
-
-    def test_config_mismatch(self):
-        with pytest.raises(ConfigMismatch):
-            merge(
-                PartialAggregate(AggregateConfig(prefix_lengths=(48, 64))),
-                PartialAggregate(AggregateConfig()),
-            )
 
     def test_sharded_equals_single_pass(self, oui_csv, hitlist_tsv):
         records = synth_corpus(4000, seed=131)

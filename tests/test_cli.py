@@ -7,6 +7,7 @@ from ipaddress import ip_address, ip_network
 import pytest
 
 import oracles
+from wikiv6 import cli
 from wikiv6.cli import (
     ConfigError,
     PipelineConfig,
@@ -123,6 +124,17 @@ class TestExtract:
         out = tmp_path / "out"
         code = run_cli("extract", str(bad), "--out", str(out), "--stats", str(tmp_path / "s.json"))
         assert code == 1
+
+    def test_dump_read_error_fails_cleanly(self, tmp_path, fixture_dump, monkeypatch, capsys):
+        def failing_parse(xml, site, namespaces=None, stats=None):
+            raise OSError(5, "Input/output error")
+            yield
+
+        monkeypatch.setattr(cli, "parse_dump_stream", failing_parse)
+        out = tmp_path / "out"
+        code = run_cli("extract", str(fixture_dump), "--out", str(out), "--stats", str(tmp_path / "s.json"))
+        assert code == 1
+        assert f"extract: {fixture_dump}: [Errno 5] Input/output error" in capsys.readouterr().err
 
     def test_keep_going_past_failures(self, tmp_path, fixture_dump):
         bad = tmp_path / "npwiki-bad.xml"

@@ -1,5 +1,6 @@
 import io
 import json
+from datetime import datetime, timezone
 from ipaddress import ip_address
 
 import pytest
@@ -52,6 +53,41 @@ class TestSiteId:
     def test_invalid_codes(self, bad):
         with pytest.raises(ValueError):
             SiteId.from_code(bad)
+
+
+UTC_NOON = datetime(2015, 6, 1, 12, 0, 0, tzinfo=timezone.utc)
+
+
+class TestParseTimestamp:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2015-06-01T12:00:00Z",
+            "2015-06-01t12:00:00z",
+            "2015-06-01T14:00:00+02:00",
+            "2015-06-01T07:30:00-04:30",
+            "  2015-06-01T12:00:00Z\n",
+        ],
+    )
+    def test_accepted_as_utc(self, text):
+        ts = parse_timestamp(text)
+        assert ts == UTC_NOON
+        assert ts.tzinfo == timezone.utc
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2015-06-01T12:00:00",  # naive: no zone
+            "2015-6-1T12:0:0Z",  # fields not zero-padded
+            "2015-06-01T12:00:00 UTC",
+            "garbage",
+            "Z",
+            "",
+        ],
+    )
+    def test_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
 
 
 class TestClassify:
