@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .ingest import EditRecord, SiteId, classify_contributor, parse_dump_stream, write_records
+from .ingest import EditRecord, SiteId, parse_dump_stream, write_records
 from .netaddr import (
     Mac48,
     OuiDatabase,
@@ -13,7 +13,6 @@ from .netaddr import (
     load_oui_database,
     parse_ip,
     resolve_vendor,
-    truncate,
 )
 from .ribstore import (
     AttributedRecord,
@@ -24,7 +23,6 @@ from .ribstore import (
     attribute,
     build_lpm,
     load_prefix_table,
-    nearest_snapshot,
     parse_mrt_rib,
 )
 
@@ -32,7 +30,6 @@ __all__ = [
     "__version__",
     "EditRecord",
     "SiteId",
-    "classify_contributor",
     "parse_dump_stream",
     "write_records",
     "Mac48",
@@ -44,7 +41,6 @@ __all__ = [
     "load_oui_database",
     "parse_ip",
     "resolve_vendor",
-    "truncate",
     "AttributedRecord",
     "LpmIndex",
     "OriginAs",
@@ -53,6 +49,5 @@ __all__ = [
     "attribute",
     "build_lpm",
     "load_prefix_table",
-    "nearest_snapshot",
     "parse_mrt_rib",
 ]

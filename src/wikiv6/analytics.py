@@ -178,14 +178,12 @@ class PartialAggregate:
             if origin is not None:
                 self.weekly_as_ips.add((week, origin.text, ip_text))
 
-    def add_all(self, records: Iterable[Union[EditRecord, AttributedRecord]]) -> "PartialAggregate":
-        for record in records:
-            self.add(record)
-        return self
-
 
 def aggregate(records: Iterable[Union[EditRecord, AttributedRecord]]) -> PartialAggregate:
-    return PartialAggregate().add_all(records)
+    agg = PartialAggregate()
+    for record in records:
+        agg.add(record)
+    return agg
 
 
 def merge(a: PartialAggregate, b: PartialAggregate) -> PartialAggregate:

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,6 +35,7 @@ from .analytics import (
     table_weekly_by_version,
 )
 from .ingest import (
+    BadRow,
     ParseStats,
     RECORD_HEADER,
     SiteId,
@@ -42,10 +44,13 @@ from .ingest import (
     read_records,
     write_records,
 )
-from .netaddr import EMPTY_OUI_DATABASE, load_oui_database
+from .netaddr import EMPTY_OUI_DATABASE, BadCsv, load_oui_database
 from .ribstore import (
+    BadPrefixTable,
     EmptyTimeline,
+    MissingPeerIndex,
     RibTimeline,
+    TruncatedRecord,
     UnsortedInput,
     attribute,
     read_attributed,
@@ -194,45 +199,36 @@ def write_manifest(cfg: PipelineConfig, command: str, inputs: Sequence[str], out
 
 
 def external_sort_lines(sources: Sequence[str], sink_path: str, header: str, chunk_lines: int = 500_000) -> int:
-    """Merge-sort data lines from `sources` into `sink_path`, bounded memory."""
+    """Merge-sort data lines from `sources` into `sink_path`, bounded memory.
+
+    Full chunks spill to temp files, which are removed however the sort ends.
+    """
     spills: list[str] = []
     chunk: list[str] = []
-
-    def spill() -> None:
-        chunk.sort()
-        fd, name = tempfile.mkstemp(prefix="wikiv6-sort-", suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as tmp:
-            tmp.writelines(chunk)
-        spills.append(name)
-        chunk.clear()
-
     total = 0
-    for source in sources:
-        with open(source, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
-                if lineno == 0 and line.rstrip("\n") == header:
-                    continue
-                if not line.endswith("\n"):
-                    line += "\n"
-                chunk.append(line)
-                total += 1
-                if len(chunk) >= chunk_lines:
-                    spill()
     try:
-        with open(sink_path, "w", encoding="utf-8") as sink:
+        for source in sources:
+            with open(source, "r", encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh):
+                    if lineno == 0 and line.rstrip("\n") == header:
+                        continue
+                    if not line.endswith("\n"):
+                        line += "\n"
+                    chunk.append(line)
+                    total += 1
+                    if len(chunk) >= chunk_lines:
+                        chunk.sort()
+                        fd, name = tempfile.mkstemp(prefix="wikiv6-sort-", suffix=".tmp")
+                        spills.append(name)
+                        with os.fdopen(fd, "w", encoding="utf-8") as tmp:
+                            tmp.writelines(chunk)
+                        chunk.clear()
+        chunk.sort()
+        with ExitStack() as stack:
+            readers = [stack.enter_context(open(name, "r", encoding="utf-8")) for name in spills]
+            sink = stack.enter_context(open(sink_path, "w", encoding="utf-8"))
             sink.write(header + "\n")
-            if not spills:
-                chunk.sort()
-                sink.writelines(chunk)
-            else:
-                if chunk:
-                    spill()
-                readers = [open(name, "r", encoding="utf-8") for name in spills]
-                try:
-                    sink.writelines(heapq.merge(*readers))
-                finally:
-                    for reader in readers:
-                        reader.close()
+            sink.writelines(heapq.merge(*readers, chunk))
     finally:
         for name in spills:
             try:
@@ -334,7 +330,7 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
 
     def annotated():
         nonlocal unrouted, count
-        with open(records_path, "r", encoding="utf-8") as fh:
+        with open(records_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for rec in attribute(read_records(fh), timeline):
                 d = abs(rec.snapshot_delta_s)
                 delta_counts[d] = delta_counts.get(d, 0) + 1
@@ -348,6 +344,12 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
             write_attributed(annotated(), sink)
     except UnsortedInput as exc:
         print(f"attribute: {exc}; run extract's merge step first", file=sys.stderr)
+        return EXIT_RUNTIME
+    except BadRow as exc:
+        print(f"attribute: {records_path}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except (TruncatedRecord, MissingPeerIndex, BadPrefixTable, OSError) as exc:
+        print(f"attribute: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except EmptyTimeline as exc:
         print(f"attribute: {exc}", file=sys.stderr)
@@ -403,12 +405,19 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
 
     db = EMPTY_OUI_DATABASE
     if cfg.oui:
-        with open(cfg.oui, "rb") as fh:
-            db = load_oui_database(fh)
+        try:
+            with open(cfg.oui, "rb") as fh:
+                db = load_oui_database(fh)
+        except (BadCsv, OSError) as exc:
+            print(f"report: {cfg.oui}: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
 
-    with open(source, "r", encoding="utf-8") as fh:
-        reader = read_attributed(fh) if have_attributed else read_records(fh)
-        agg = aggregate(reader)
+    try:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            agg = aggregate(read_attributed(fh) if have_attributed else read_records(fh))
+    except (BadRow, OSError) as exc:
+        print(f"report: {source}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -435,8 +444,12 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
         elif name == "vendor_counts":
             tables[name] = table_vendor_counts(agg, db)
         elif name == "hitlist_overlap":
-            with open(cfg.hitlist, "r", encoding="utf-8") as fh:
-                entries, bad = read_hitlist(fh)
+            try:
+                with open(cfg.hitlist, "r", encoding="utf-8") as fh:
+                    entries, bad = read_hitlist(fh)
+            except OSError as exc:
+                print(f"report: {cfg.hitlist}: {exc}", file=sys.stderr)
+                return EXIT_RUNTIME
             if bad:
                 print(f"report: skipped {bad} malformed hitlist row(s)", file=sys.stderr)
             inputs.append(cfg.hitlist)

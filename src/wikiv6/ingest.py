@@ -8,10 +8,9 @@ username, page ns, siteinfo dbname); article text flows through untouched.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import BinaryIO, Iterable, Iterator, Optional
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 from xml.parsers import expat
 
 from .netaddr import IpAddress, NotAnIp, canonical_text, parse_ip
@@ -74,48 +73,6 @@ class EditRecord:
     ip: IpAddress
 
 
-ANONYMOUS = "anonymous"
-REGISTERED = "registered"
-DELETED = "deleted"
-
-
-@dataclass(frozen=True)
-class Contributor:
-    kind: str
-    text: str = ""
-
-
-def _classify(deleted: bool, ip_text: Optional[str], username: Optional[str]) -> Contributor:
-    if deleted:
-        return Contributor(DELETED)
-    if ip_text is not None:
-        return Contributor(ANONYMOUS, ip_text)
-    if username is not None:
-        return Contributor(REGISTERED, username)
-    # empty element or anything unrecognized
-    return Contributor(DELETED)
-
-
-def classify_contributor(fragment: str) -> Contributor:
-    """Classify a standalone ``<contributor>`` XML fragment.
-
-    The ``<ip>`` element is the sole trigger for IP extraction; usernames are
-    never parsed as addresses (wikis ban IP-shaped usernames).
-    """
-    import xml.etree.ElementTree as ET
-
-    try:
-        elem = ET.fromstring(fragment)
-    except ET.ParseError:
-        return Contributor(DELETED)
-    deleted = elem.get("deleted") is not None
-    ip_el = elem.find("ip")
-    user_el = elem.find("username")
-    ip_text = ip_el.text or "" if ip_el is not None else None
-    username = user_el.text or "" if user_el is not None else None
-    return _classify(deleted, ip_text, username)
-
-
 class StreamMalformed(Exception):
     """Ill-formed XML; parsing aborted at the reported position."""
 
@@ -154,9 +111,6 @@ class ParseStats:
             "skipped_namespace": self.skipped_namespace,
             "siteinfo_conflicts": self.siteinfo_conflicts,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -243,12 +197,14 @@ class _DumpHandler:
         if self.namespaces is not None and self._page_ns not in self.namespaces:
             stats.skipped_namespace += 1
             return
-        contributor = _classify(self._contrib_deleted, self._contrib_ip, self._contrib_username)
-        if contributor.kind == REGISTERED:
-            stats.skipped_registered += 1
-            return
-        if contributor.kind == DELETED:
+        # The <ip> element is the sole sign of an anonymous edit; usernames are
+        # never parsed as addresses (wikis ban IP-shaped usernames).
+        ip_text = self._contrib_ip
+        if self._contrib_deleted or (ip_text is None and self._contrib_username is None):
             stats.skipped_deleted += 1
+            return
+        if ip_text is None:
+            stats.skipped_registered += 1
             return
         if self._rev_timestamp is None:
             stats.skipped_missing_timestamp += 1
@@ -259,7 +215,7 @@ class _DumpHandler:
             stats.skipped_missing_timestamp += 1
             return
         try:
-            ip = parse_ip(contributor.text.strip())
+            ip = parse_ip(ip_text)
         except NotAnIp:
             stats.skipped_malformed_ip += 1
             return
@@ -332,15 +288,47 @@ def write_records(records: Iterable[EditRecord], sink: BinaryIO) -> int:
     return count
 
 
+class BadRow(ValueError):
+    """An interchange TSV row that does not decode; `lineno` is 1-based."""
+
+    def __init__(self, lineno: int, reason: str):
+        super().__init__(f"line {lineno}: {reason}")
+        self.lineno = lineno
+
+
+_Row = TypeVar("_Row")
+
+
+def read_rows(lines: Iterable[str], columns: Sequence[str], make: Callable[..., _Row]) -> Iterator[_Row]:
+    """Decode an interchange TSV whose first three columns are timestamp, site, ip.
+
+    A leading header line and blank lines are skipped. Each row becomes
+    ``make(timestamp, site, ip, *rest)``, with ``rest`` the remaining column
+    texts. A row with the wrong column count or a field that does not decode
+    (``make`` signals this with ValueError) raises BadRow. Read files with
+    ``errors="surrogateescape"``: a byte that is not UTF-8 then fails its
+    field's check and is reported on its own line.
+    """
+    header = "\t".join(columns)
+    sites: dict[str, SiteId] = {}
+    for lineno, line in enumerate(lines, 1):
+        line = line.rstrip("\n")
+        if not line or (lineno == 1 and line == header):
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(columns):
+            raise BadRow(lineno, f"expected {len(columns)} columns, got {len(fields)}")
+        ts_text, site_code, ip_text, *rest = fields
+        try:
+            site = sites.get(site_code)
+            if site is None:
+                site = sites[site_code] = SiteId.from_code(site_code)
+            row = make(parse_timestamp(ts_text), site, parse_ip(ip_text), *rest)
+        except ValueError as exc:
+            raise BadRow(lineno, str(exc)) from None
+        yield row
+
+
 def read_records(lines: Iterable[str]) -> Iterator[EditRecord]:
     """Inverse of write_records; accepts any iterable of text lines."""
-    sites: dict[str, SiteId] = {}
-    for lineno, line in enumerate(lines):
-        line = line.rstrip("\n")
-        if not line or (lineno == 0 and line == RECORD_HEADER):
-            continue
-        ts_text, site_code, ip_text = line.split("\t")
-        site = sites.get(site_code)
-        if site is None:
-            site = sites[site_code] = SiteId.from_code(site_code)
-        yield EditRecord(parse_timestamp(ts_text), site, parse_ip(ip_text))
+    return read_rows(lines, RECORD_COLUMNS, EditRecord)

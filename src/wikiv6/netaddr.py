@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network, ip_address, ip_network
-from typing import BinaryIO, Iterable, TextIO, Union
+from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network, ip_address
+from typing import BinaryIO, TextIO, Union
 
 IpAddress = Union[IPv4Address, IPv6Address]
 Prefix = Union[IPv4Network, IPv6Network]
@@ -56,14 +56,6 @@ def parse_ip(text: str) -> IpAddress:
 def canonical_text(ip: IpAddress) -> str:
     """Canonical text form: RFC 5952 for v6, dotted quad for v4."""
     return str(ip)
-
-
-def truncate(ip: IpAddress, length: int) -> Prefix:
-    """Zero all bits beyond `length` and return the resulting network."""
-    try:
-        return ip_network((ip, length), strict=False)
-    except (ValueError, TypeError) as exc:
-        raise BadLength(str(exc)) from None
 
 
 def is_eui64(ip: IpAddress) -> bool:
@@ -141,12 +133,6 @@ class OuiDatabase:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, oui: bytes) -> bool:
-        return oui in self._entries
-
-    def items(self) -> Iterable[tuple[bytes, str]]:
-        return self._entries.items()
 
 
 EMPTY_OUI_DATABASE = OuiDatabase({})

@@ -16,8 +16,8 @@ from datetime import datetime, timezone
 from ipaddress import ip_network
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
-from .ingest import EditRecord, SiteId, format_timestamp, parse_timestamp
-from .netaddr import IpAddress, Prefix, canonical_text, parse_ip
+from .ingest import EditRecord, SiteId, format_timestamp, parse_timestamp, read_rows
+from .netaddr import IpAddress, Prefix, canonical_text
 
 MRT_TABLE_DUMP_V2 = 13
 TD2_PEER_INDEX_TABLE = 1
@@ -112,6 +112,12 @@ class RibSnapshot:
     malformed_attributes: int = 0
     malformed_records: int = 0
     bad_rows: int = 0
+
+
+def _entry_order(pair: tuple[Prefix, object]) -> tuple[int, int, int]:
+    """Sort key for (prefix, ...) pairs: IP version, then address, then length."""
+    prefix = pair[0]
+    return (prefix.version, int(prefix.network_address), prefix.prefixlen)
 
 
 def _vote(candidates: Sequence[OriginAs]) -> OriginAs:
@@ -219,12 +225,7 @@ def parse_mrt_rib(stream: BinaryIO) -> RibSnapshot:
         raise MissingPeerIndex("stream contains no PEER_INDEX_TABLE")
     snapshot.captured_at = captured_at
     snapshot.peer_count = peer_count
-    snapshot.entries = [
-        (prefix, _vote(cands))
-        for prefix, cands in sorted(
-            votes.items(), key=lambda kv: (kv[0].version, int(kv[0].network_address), kv[0].prefixlen)
-        )
-    ]
+    snapshot.entries = [(prefix, _vote(cands)) for prefix, cands in sorted(votes.items(), key=_entry_order)]
     return snapshot
 
 
@@ -310,7 +311,7 @@ def load_prefix_table(lines: Iterable[str]) -> RibSnapshot:
         entries.append((prefix, origin))
     if captured_at is None:
         raise BadPrefixTable("missing '# captured_at=' header")
-    entries.sort(key=lambda e: (e[0].version, int(e[0].network_address), e[0].prefixlen))
+    entries.sort(key=_entry_order)
     return RibSnapshot(captured_at=captured_at, entries=entries, bad_rows=bad_rows)
 
 
@@ -318,9 +319,7 @@ def write_prefix_table(snapshot: RibSnapshot, sink: TextIO) -> int:
     """Dump a snapshot in load_prefix_table's format; returns rows written."""
     sink.write(f"{CAPTURED_AT_PREFIX}{format_timestamp(snapshot.captured_at)}\n")
     rows = 0
-    for prefix, origin in sorted(
-        snapshot.entries, key=lambda e: (e[0].version, int(e[0].network_address), e[0].prefixlen)
-    ):
+    for prefix, origin in sorted(snapshot.entries, key=_entry_order):
         sink.write(f"{prefix}\t{origin.text}\n")
         rows += 1
     return rows
@@ -459,18 +458,18 @@ def _peek_captured_at(path: str) -> datetime:
 
 def _file_loader(path: str) -> Callable[[], RibSnapshot]:
     def load() -> RibSnapshot:
-        if _is_prefix_table(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                return load_prefix_table(fh)
-        with open(path, "rb") as fh:
-            return parse_mrt_rib(fh)
+        try:
+            if _is_prefix_table(path):
+                with open(path, "r", encoding="utf-8") as fh:
+                    return load_prefix_table(fh)
+            with open(path, "rb") as fh:
+                return parse_mrt_rib(fh)
+        except (TruncatedRecord, MissingPeerIndex, BadPrefixTable) as exc:
+            # Loads happen lazily, mid-attribution: name the file, keep type and offset.
+            exc.args = (f"{path}: {exc}",)
+            raise
 
     return load
-
-
-def nearest_snapshot(timeline: RibTimeline, t: datetime) -> TimelineEntry:
-    """The timeline entry minimizing |captured_at - t|; ties pick the earlier."""
-    return timeline.entries[timeline.nearest_position(t)]
 
 
 @dataclass(frozen=True)
@@ -533,19 +532,9 @@ def write_attributed(records: Iterable[AttributedRecord], sink: TextIO) -> int:
 
 
 def read_attributed(lines: Iterable[str]) -> Iterator[AttributedRecord]:
-    sites: dict[str, SiteId] = {}
-    for lineno, line in enumerate(lines):
-        line = line.rstrip("\n")
-        if not line or (lineno == 0 and line == ATTRIBUTED_HEADER):
-            continue
-        ts_text, site_code, ip_text, origin_text, delta_text = line.split("\t")
-        site = sites.get(site_code)
-        if site is None:
-            site = sites[site_code] = SiteId.from_code(site_code)
-        yield AttributedRecord(
-            parse_timestamp(ts_text),
-            site,
-            parse_ip(ip_text),
-            OriginAs.parse(origin_text),
-            int(delta_text),
-        )
+    """Inverse of write_attributed; raises BadRow on a row that does not decode."""
+    return read_rows(
+        lines,
+        ATTRIBUTED_COLUMNS,
+        lambda ts, site, ip, origin, delta: AttributedRecord(ts, site, ip, OriginAs.parse(origin), int(delta)),
+    )

@@ -1,6 +1,8 @@
 import json
+import struct
 import subprocess
 import sys
+import tempfile
 from datetime import datetime, timedelta, timezone
 from ipaddress import ip_address, ip_network
 
@@ -86,6 +88,29 @@ class TestExternalSort:
         got = out.read_text(encoding="utf-8").splitlines()
         assert got[0] == "h"
         assert got[1:] == sorted(line.rstrip("\n") for line in lines)
+
+    @pytest.mark.parametrize("chunk_lines", [2000, 500, 64], ids=["no-spill", "exact-multiple", "many-spills"])
+    def test_chunk_sizes_merge_and_remove_spills(self, tmp_path, monkeypatch, chunk_lines):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        lines = [f"{i * 7919 % 1000:03d}\tsite\n" for i in range(1000)]
+        src_a = tmp_path / "a.tsv"
+        src_b = tmp_path / "b.tsv"
+        src_a.write_text("h\n" + "".join(lines[:600]), encoding="utf-8")
+        src_b.write_text("h\n" + "".join(lines[600:]), encoding="utf-8")
+        out = tmp_path / "merged.tsv"
+        assert external_sort_lines([str(src_a), str(src_b)], str(out), "h", chunk_lines=chunk_lines) == 1000
+        assert out.read_text(encoding="utf-8") == "h\n" + "".join(sorted(lines))
+        assert not list(tmp_path.glob("wikiv6-sort-*"))
+
+    def test_failing_source_removes_spills(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        good = tmp_path / "a.tsv"
+        good.write_text("h\n1\n2\n3\n4\n5\n", encoding="utf-8")
+        bad = tmp_path / "b.tsv"
+        bad.write_bytes(b"h\n\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            external_sort_lines([str(good), str(bad)], str(tmp_path / "merged.tsv"), "h", chunk_lines=2)
+        assert not list(tmp_path.glob("wikiv6-sort-*"))
 
 
 class TestExtract:
@@ -357,6 +382,71 @@ class TestReport:
         assert manifest["tool"] == "wikiv6"
         assert manifest["command"] == "report"
         assert all(digest.startswith("sha256:") for digest in manifest["inputs"].values())
+
+
+def _write_records(tmp_path, *extra_rows: bytes):
+    records = tmp_path / "records.tsv"
+    records.write_bytes(
+        b"timestamp\tsite\tip\n2015-06-01T12:00:00Z\tenwiki\t2001:db8::1\n"
+        + b"".join(row + b"\n" for row in extra_rows)
+    )
+    return records
+
+
+class TestMalformedInput:
+    """Unusable input ends in exit 1 and one stderr line naming the file."""
+
+    @pytest.mark.parametrize("stage", ["attribute", "report"])
+    @pytest.mark.parametrize(
+        "row",
+        [b"2015-06-02T12:00:00Z\tenwiki\tnot-an-ip", b"2015-06-02T12:00:00Z\tenwiki\t10.0.0.1\xff"],
+        ids=["not-an-ip", "not-utf8"],
+    )
+    def test_bad_record_row_names_its_line(self, tmp_path, capsys, stage, row):
+        records = _write_records(tmp_path, row)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"rib = {_write_ribs(tmp_path)[0]}\nrecords = {records}\nout = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        tables = ["weekly_by_version"] if stage == "report" else []
+        assert run_cli(stage, *tables, "--config", str(cfg), "--stats", str(tmp_path / "s.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{stage}: {records}: line 3: ")
+        assert err.count("\n") == 1
+
+    def test_truncated_snapshot_fails_cleanly(self, tmp_path, capsys):
+        rib = tmp_path / "rib.mrt"
+        rib.write_bytes(struct.pack(">IHHI", 1433160000, 13, 1, 100) + b"abc")  # 15 bytes
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"rib = {rib}\nrecords = {_write_records(tmp_path)}\nout = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        assert run_cli("attribute", "--config", str(cfg), "--stats", str(tmp_path / "a.json")) == 1
+        assert capsys.readouterr().err == f"attribute: {rib}: truncated MRT record at byte 0\n"
+
+    @pytest.mark.parametrize(
+        "key,table,make",
+        [
+            ("oui", "vendor_counts", lambda p: p.write_text("foo,bar\n1,2\n", encoding="utf-8")),
+            ("oui", "vendor_counts", lambda p: p.mkdir()),
+            ("hitlist", "hitlist_overlap", lambda p: p.mkdir()),
+        ],
+        ids=["oui-bad-header", "oui-directory", "hitlist-directory"],
+    )
+    def test_unusable_report_input(self, tmp_path, capsys, key, table, make):
+        bad = tmp_path / key
+        make(bad)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"{key} = {bad}\nrecords = {_write_records(tmp_path)}\nout = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        assert run_cli("report", table, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"report: {bad}: ")
+        assert err.count("\n") == 1
 
 
 def test_console_entrypoint_smoke():

@@ -7,17 +7,18 @@ import pytest
 
 from oracles import scan_dump_lines
 from wikiv6.ingest import (
-    Contributor,
+    RECORD_HEADER,
+    BadRow,
     EditRecord,
     ParseStats,
     SiteId,
     StreamMalformed,
-    classify_contributor,
     parse_dump_stream,
     parse_timestamp,
     read_records,
     write_records,
 )
+from wikiv6.ribstore import ATTRIBUTED_HEADER, read_attributed
 
 
 class TestSiteId:
@@ -90,24 +91,6 @@ class TestParseTimestamp:
             parse_timestamp(text)
 
 
-class TestClassify:
-    def test_deleted_attribute(self):
-        assert classify_contributor('<contributor deleted="deleted"/>') == Contributor("deleted")
-
-    def test_anonymous(self):
-        got = classify_contributor("<contributor><ip>192.0.2.7</ip></contributor>")
-        assert got == Contributor("anonymous", "192.0.2.7")
-
-    def test_username_never_ip_parsed(self):
-        got = classify_contributor("<contributor><username>2021 fan</username></contributor>")
-        assert got == Contributor("registered", "2021 fan")
-
-    def test_unknown_shapes_are_deleted(self):
-        assert classify_contributor("<contributor></contributor>").kind == "deleted"
-        assert classify_contributor("<contributor><id>9</id></contributor>").kind == "deleted"
-        assert classify_contributor("not xml at all").kind == "deleted"
-
-
 def _mini_dump(revisions: str) -> bytes:
     return (
         '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.11/">\n'
@@ -127,6 +110,29 @@ REV_REG = (
 
 
 class TestParseDumpStream:
+    @pytest.mark.parametrize(
+        "contributor,counter",
+        [
+            ('<contributor deleted="deleted"/>', "skipped_deleted"),
+            ("<contributor><ip>192.0.2.7</ip></contributor>", "anonymous"),
+            ("<contributor><username>Eve</username><ip>192.0.2.7</ip></contributor>", "anonymous"),
+            ("<contributor><username>192.0.2.7</username><id>9</id></contributor>", "skipped_registered"),
+            ("<contributor></contributor>", "skipped_deleted"),
+            ("<contributor><id>9</id></contributor>", "skipped_deleted"),
+        ],
+        ids=["deleted-attr", "ip", "ip-and-username", "ip-shaped-username", "empty", "id-only"],
+    )
+    def test_contributor_classification(self, contributor, counter):
+        rev = (
+            "    <revision><id>5</id><timestamp>2015-06-01T12:00:00Z</timestamp>"
+            f"{contributor}<text>x</text></revision>\n"
+        )
+        stats = ParseStats()
+        list(parse_dump_stream(io.BytesIO(_mini_dump(rev)), SiteId.from_code("enwiki"), stats=stats))
+        counts = stats.as_dict()
+        assert counts.pop("revisions") == 1
+        assert counts == {name: int(name == counter) for name in counts}
+
     def test_spec_examples(self):
         site = SiteId.from_code("enwiki")
         records = list(parse_dump_stream(io.BytesIO(_mini_dump(REV_ANON + REV_REG)), site))
@@ -287,3 +293,41 @@ class TestRecordTsv:
         write_records(records, sink)
         back = list(read_records(io.StringIO(sink.getvalue().decode())))
         assert back == records
+
+
+_TS = "2015-06-01T12:00:00Z"
+
+
+class TestReadRows:
+    @pytest.mark.parametrize(
+        "reader,row",
+        [
+            (read_records, f"{_TS}\tenwiki"),
+            (read_records, f"2015-13-01T12:00:00Z\tenwiki\t10.0.0.1"),
+            (read_records, f"{_TS}\tenwiki\tnot-an-ip"),
+            (read_records, f"{_TS}\tEN WIKI\t10.0.0.1"),
+            (read_records, f"{_TS}\tenwiki\t10.0.0.1\udcff"),
+            (read_attributed, f"{_TS}\tenwiki\t10.0.0.1\t64500"),
+            (read_attributed, f"2015-13-01T12:00:00Z\tenwiki\t10.0.0.1\t64500\t0"),
+            (read_attributed, f"{_TS}\tenwiki\tnot-an-ip\t64500\t0"),
+            (read_attributed, f"{_TS}\tEN WIKI\t10.0.0.1\t64500\t0"),
+            (read_attributed, f"{_TS}\tenwiki\t10.0.0.1\tAS64500\t0"),
+            (read_attributed, f"{_TS}\tenwiki\t10.0.0.1\t64500\t1.5"),
+        ],
+        ids=[
+            "records-columns", "records-timestamp", "records-ip", "records-site", "records-undecodable",
+            "attributed-columns", "attributed-timestamp", "attributed-ip", "attributed-site",
+            "attributed-origin", "attributed-delta",
+        ],
+    )
+    def test_bad_row_names_its_line(self, reader, row):
+        if reader is read_records:
+            header, good = RECORD_HEADER, f"{_TS}\tenwiki\t10.0.0.1"
+        else:
+            header, good = ATTRIBUTED_HEADER, f"{_TS}\tenwiki\t10.0.0.1\t64500\t0"
+        rows = reader(io.StringIO(f"{header}\n{good}\n{row}\n"))
+        assert next(rows).ip == ip_address("10.0.0.1")
+        with pytest.raises(BadRow) as err:
+            next(rows)
+        assert err.value.lineno == 3
+        assert str(err.value).startswith("line 3: ")

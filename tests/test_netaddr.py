@@ -19,7 +19,6 @@ from wikiv6.netaddr import (
     load_oui_database,
     parse_ip,
     resolve_vendor,
-    truncate,
 )
 
 
@@ -66,31 +65,6 @@ class TestCanonicalText:
 
                 ip = IPv4Address(rng.getrandbits(32))
             assert parse_ip(canonical_text(ip)) == ip
-
-
-class TestTruncate:
-    def test_spec_lengths(self):
-        ip = parse_ip("2001:db8:1:2::abcd")
-        assert str(truncate(ip, 48)) == "2001:db8:1::/48"
-        assert str(truncate(ip, 56)) == "2001:db8:1::/56"
-        assert str(truncate(ip, 64)) == "2001:db8:1:2::/64"
-
-    def test_bad_length(self):
-        with pytest.raises(BadLength):
-            truncate(parse_ip("192.0.2.1"), 48)
-        with pytest.raises(BadLength):
-            truncate(parse_ip("2001:db8::1"), 200)
-
-    def test_idempotent_and_monotone(self):
-        rng = random.Random(7)
-        for _ in range(500):
-            ip = IPv6Address(rng.getrandbits(128))
-            p48 = truncate(ip, 48)
-            assert truncate(p48.network_address, 48) == p48
-            p56 = truncate(ip, 56)
-            p64 = truncate(ip, 64)
-            assert p56.subnet_of(p48)
-            assert p64.subnet_of(p56)
 
 
 def _mac_oracle(ip: IPv6Address) -> str:

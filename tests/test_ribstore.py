@@ -21,7 +21,6 @@ from wikiv6.ribstore import (
     attribute,
     build_lpm,
     load_prefix_table,
-    nearest_snapshot,
     parse_mrt_rib,
     read_attributed,
     write_attributed,
@@ -297,17 +296,17 @@ class TestNearestSnapshot:
         t0 = parse_timestamp("2020-01-01T00:00:00Z")
         t1 = parse_timestamp("2020-01-01T02:00:00Z")
         timeline = _mk_timeline([t0, t1])
-        assert nearest_snapshot(timeline, parse_timestamp("2020-01-01T00:59:00Z")).captured_at == t0
+        assert timeline.nearest_position(parse_timestamp("2020-01-01T00:59:00Z")) == 0
 
     def test_tie_prefers_earlier(self):
         t0 = parse_timestamp("2020-01-01T00:00:00Z")
         t1 = parse_timestamp("2020-01-01T02:00:00Z")
         timeline = _mk_timeline([t0, t1])
-        assert nearest_snapshot(timeline, parse_timestamp("2020-01-01T01:00:00Z")).captured_at == t0
+        assert timeline.nearest_position(parse_timestamp("2020-01-01T01:00:00Z")) == 0
 
     def test_empty_timeline(self):
         with pytest.raises(EmptyTimeline):
-            nearest_snapshot(RibTimeline([]), parse_timestamp("2020-01-01T00:00:00Z"))
+            RibTimeline([]).nearest_position(parse_timestamp("2020-01-01T00:00:00Z"))
 
     def test_random_matches_exhaustive_scan(self):
         rng = random.Random(5)
@@ -316,7 +315,7 @@ class TestNearestSnapshot:
         timeline = _mk_timeline(times)
         for _ in range(1000):
             t = base + timedelta(seconds=rng.randrange(-100_000, 10_100_000))
-            got = nearest_snapshot(timeline, t).captured_at
+            got = times[timeline.nearest_position(t)]
             best = min(times, key=lambda s: (abs((s - t).total_seconds()), s))
             assert got == best
 
@@ -452,6 +451,5 @@ class TestTimelineFiles:
         )
         timeline = RibTimeline.from_files([str(table_path), str(mrt_path)])
         assert [e.captured_at.day for e in timeline.entries] == [10, 12]
-        entry = nearest_snapshot(timeline, parse_timestamp("2016-09-11T22:00:00Z"))
-        assert entry.captured_at.day == 12
-        assert entry.index().lookup(IPv6Address("2620:119::35")) == OriginAs.from_asn(36692)
+        assert timeline.nearest_position(parse_timestamp("2016-09-11T22:00:00Z")) == 1
+        assert timeline.entries[1].index().lookup(IPv6Address("2620:119::35")) == OriginAs.from_asn(36692)
