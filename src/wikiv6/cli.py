@@ -319,7 +319,7 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         timeline = RibTimeline.from_files(cfg.ribs)
-    except Exception as exc:
+    except (TruncatedRecord, BadPrefixTable, ValueError, OSError) as exc:
         print(f"attribute: cannot build timeline: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
@@ -408,7 +408,7 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
         try:
             with open(cfg.oui, "rb") as fh:
                 db = load_oui_database(fh)
-        except (BadCsv, OSError) as exc:
+        except (BadCsv, UnicodeDecodeError, OSError) as exc:
             print(f"report: {cfg.oui}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
 

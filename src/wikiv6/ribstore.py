@@ -10,10 +10,10 @@ plurality vote, lowest ASN on ties.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from ipaddress import ip_network
+from ipaddress import IPv4Network, IPv6Network, ip_network
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .ingest import EditRecord, SiteId, format_timestamp, parse_timestamp, read_rows
@@ -123,6 +123,9 @@ def _entry_order(pair: tuple[Prefix, object]) -> tuple[int, int, int]:
 def _vote(candidates: Sequence[OriginAs]) -> OriginAs:
     # Plurality across peers; ties go to the candidate with the lowest ASN
     # (tuple comparison: a 1-element (asn,) sorts by that asn).
+    first = candidates[0]
+    if candidates.count(first) == len(candidates):
+        return first
     tally: dict[OriginAs, int] = {}
     for origin in candidates:
         tally[origin] = tally.get(origin, 0) + 1
@@ -130,45 +133,49 @@ def _vote(candidates: Sequence[OriginAs]) -> OriginAs:
     return best[0]
 
 
-def _origin_from_as_path(data: bytes) -> Optional[OriginAs]:
-    """Origin per the final path segment; None when the attribute is malformed."""
+def _origin_from_as_path(data: bytes, origins: dict[int, OriginAs]) -> Optional[OriginAs]:
+    """Origin per the final path segment; None when the attribute is malformed.
+
+    `origins` holds one OriginAs per ASN seen so far in this parse.
+    """
     pos = 0
-    last: Optional[tuple[int, tuple[int, ...]]] = None
-    while pos < len(data):
-        if pos + 2 > len(data):
+    end = len(data)
+    last = -1
+    while pos < end:
+        if pos + 2 > end or data[pos + 1] == 0:
             return None
-        seg_type = data[pos]
-        count = data[pos + 1]
-        pos += 2
-        end = pos + 4 * count
-        if end > len(data) or count == 0:
+        last = pos
+        pos += 2 + 4 * data[pos + 1]
+    if last < 0 or pos > end:
+        return None
+    seg_type = data[last]
+    if seg_type == AS_SEQUENCE:
+        (asn,) = struct.unpack_from(">I", data, end - 4)
+        origin = origins.get(asn)
+        if origin is None:
+            if asn == 0:
+                return None
+            origin = origins[asn] = OriginAs.from_asn(asn)
+        return origin
+    if seg_type == AS_SET:
+        try:
+            return OriginAs.ambiguous(struct.unpack_from(f">{data[last + 1]}I", data, last + 2))
+        except ValueError:
             return None
-        asns = struct.unpack(f">{count}I", data[pos:end])
-        pos = end
-        last = (seg_type, asns)
-    if last is None:
-        return None
-    seg_type, asns = last
-    try:
-        if seg_type == AS_SEQUENCE:
-            return OriginAs.from_asn(asns[-1])
-        if seg_type == AS_SET:
-            return OriginAs.ambiguous(asns)
-    except ValueError:
-        return None
     return None
 
 
-def _peer_origin(attrs: bytes) -> Optional[OriginAs]:
+def _peer_origin(attrs: bytes, origins: dict[int, OriginAs]) -> Optional[OriginAs]:
     """Scan a BGP attribute blob for AS_PATH and extract the origin."""
     pos = 0
-    while pos < len(attrs):
-        if pos + 3 > len(attrs):
+    size = len(attrs)
+    while pos < size:
+        if pos + 3 > size:
             return None
         flags = attrs[pos]
         attr_type = attrs[pos + 1]
         if flags & 0x10:  # extended length
-            if pos + 4 > len(attrs):
+            if pos + 4 > size:
                 return None
             (length,) = struct.unpack_from(">H", attrs, pos + 2)
             data_start = pos + 4
@@ -176,10 +183,10 @@ def _peer_origin(attrs: bytes) -> Optional[OriginAs]:
             length = attrs[pos + 2]
             data_start = pos + 3
         data_end = data_start + length
-        if data_end > len(attrs):
+        if data_end > size:
             return None
         if attr_type == BGP_ATTR_AS_PATH:
-            return _origin_from_as_path(attrs[data_start:data_end])
+            return _origin_from_as_path(attrs[data_start:data_end], origins)
         pos = data_end
     return None
 
@@ -194,7 +201,10 @@ def parse_mrt_rib(stream: BinaryIO) -> RibSnapshot:
     offset = 0
     captured_at: Optional[datetime] = None
     peer_count: Optional[int] = None
-    votes: dict[Prefix, list[OriginAs]] = {}
+    # (subtype, network int, prefix length) -> peer origins; subtype 2 (v4)
+    # sorts before 4 (v6), so the sorted keys follow _entry_order.
+    votes: dict[tuple[int, int, int], list[OriginAs]] = {}
+    origins: dict[int, OriginAs] = {}
     snapshot = RibSnapshot(captured_at=datetime.fromtimestamp(0, timezone.utc), entries=[])
 
     while True:
@@ -216,7 +226,7 @@ def parse_mrt_rib(stream: BinaryIO) -> RibSnapshot:
         elif subtype in (TD2_RIB_IPV4_UNICAST, TD2_RIB_IPV6_UNICAST):
             if peer_count is None:
                 raise MissingPeerIndex(f"RIB record at byte {offset} before PEER_INDEX_TABLE")
-            _parse_rib_record(body, subtype, votes, snapshot)
+            _parse_rib_record(body, subtype, votes, origins, snapshot)
         else:
             snapshot.skipped_subtypes += 1
         offset += _HEADER.size + length
@@ -225,7 +235,11 @@ def parse_mrt_rib(stream: BinaryIO) -> RibSnapshot:
         raise MissingPeerIndex("stream contains no PEER_INDEX_TABLE")
     snapshot.captured_at = captured_at
     snapshot.peer_count = peer_count
-    snapshot.entries = [(prefix, _vote(cands)) for prefix, cands in sorted(votes.items(), key=_entry_order)]
+    # One ip_network per distinct prefix, built after the vote.
+    snapshot.entries = [
+        ((IPv4Network if subtype == TD2_RIB_IPV4_UNICAST else IPv6Network)((network, plen)), _vote(candidates))
+        for (subtype, network, plen), candidates in sorted(votes.items())
+    ]
     return snapshot
 
 
@@ -241,41 +255,45 @@ def _parse_peer_index(body: bytes) -> int:
 
 
 def _parse_rib_record(
-    body: bytes, subtype: int, votes: dict[Prefix, list[OriginAs]], snapshot: RibSnapshot
+    body: bytes,
+    subtype: int,
+    votes: dict[tuple[int, int, int], list[OriginAs]],
+    origins: dict[int, OriginAs],
+    snapshot: RibSnapshot,
 ) -> None:
-    max_bytes = 16 if subtype == TD2_RIB_IPV6_UNICAST else 4
-    max_bits = max_bytes * 8
-    if len(body) < 5:
+    max_bits = 128 if subtype == TD2_RIB_IPV6_UNICAST else 32
+    size = len(body)
+    if size < 5:
         snapshot.malformed_records += 1
         return
     plen = body[4]
     nbytes = (plen + 7) // 8
     pos = 5 + nbytes
-    if plen > max_bits or pos + 2 > len(body):
+    if plen > max_bits or pos + 2 > size:
         snapshot.malformed_records += 1
         return
-    addr_bytes = body[5:pos] + bytes(max_bytes - nbytes)
-    prefix = ip_network((addr_bytes, plen))
+    # Bits past the prefix length are irrelevant (RFC 4271 section 4.3): drop them.
+    network = int.from_bytes(body[5:pos], "big") >> (8 * nbytes - plen) << (max_bits - plen)
     (entry_count,) = struct.unpack_from(">H", body, pos)
     pos += 2
     peer_origins: list[OriginAs] = []
     for _ in range(entry_count):
-        if pos + 8 > len(body):
+        if pos + 8 > size:
             snapshot.malformed_records += 1
             break
         (attr_len,) = struct.unpack_from(">H", body, pos + 6)
         attr_end = pos + 8 + attr_len
-        if attr_end > len(body):
+        if attr_end > size:
             snapshot.malformed_records += 1
             break
-        origin = _peer_origin(body[pos + 8 : attr_end])
+        origin = _peer_origin(body[pos + 8 : attr_end], origins)
         if origin is None:
             snapshot.malformed_attributes += 1
         else:
             peer_origins.append(origin)
         pos = attr_end
     if peer_origins:
-        votes.setdefault(prefix, []).extend(peer_origins)
+        votes.setdefault((subtype, network, plen), []).extend(peer_origins)
 
 
 CAPTURED_AT_PREFIX = "# captured_at="
@@ -326,50 +344,90 @@ def write_prefix_table(snapshot: RibSnapshot, sink: TextIO) -> int:
 
 
 class LpmIndex:
-    """Binary radix tree over prefix bits; lookup returns the longest match."""
+    """Longest-prefix match as a search over flat range tables.
 
-    __slots__ = ("_roots",)
+    Routes are kept as ``(version, network int, prefix length) -> origin``; a
+    later insert of the same prefix replaces its origin. On the first lookup
+    after an insert, each IP version's routes are flattened into disjoint
+    address runs: ``starts`` holds each run's first address in ascending
+    order and ``origins`` the origin of the longest prefix covering that run,
+    UNROUTED where none does (the range-search form of LPM in Lampson,
+    Srinivasan and Varghese, "IP Lookups Using Multiway and Multicolumn
+    Search"). A lookup is then one bisect into ``starts``.
+    """
+
+    __slots__ = ("_routes", "_tables")
 
     def __init__(self) -> None:
-        # node = [zero-child, one-child, origin]
-        self._roots: dict[int, list] = {4: [None, None, None], 6: [None, None, None]}
+        self._routes: dict[tuple[int, int, int], OriginAs] = {}
+        # version -> (starts, origins); None until built, and again after an insert
+        self._tables: Optional[dict[int, tuple[list[int], list[OriginAs]]]] = None
 
     def insert(self, prefix: Prefix, origin: OriginAs) -> None:
-        width = 32 if prefix.version == 4 else 128
-        bits = int(prefix.network_address)
-        node = self._roots[prefix.version]
-        for i in range(prefix.prefixlen):
-            b = (bits >> (width - 1 - i)) & 1
-            child = node[b]
-            if child is None:
-                child = node[b] = [None, None, None]
-            node = child
-        node[2] = origin
+        self._routes[(prefix.version, int(prefix.network_address), prefix.prefixlen)] = origin
+        self._tables = None
 
     def lookup(self, ip: IpAddress) -> OriginAs:
-        width = 32 if ip.version == 4 else 128
-        bits = int(ip)
-        node = self._roots[ip.version]
-        best = UNROUTED
-        for i in range(width):
-            if node[2] is not None:
-                best = node[2]
-            node = node[(bits >> (width - 1 - i)) & 1]
-            if node is None:
-                return best
-        if node[2] is not None:
-            best = node[2]
-        return best
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = self._build_tables()
+        starts, origins = tables[ip.version]
+        return origins[bisect_right(starts, int(ip)) - 1]
+
+    def _build_tables(self) -> dict[int, tuple[list[int], list[OriginAs]]]:
+        keys = sorted(self._routes)
+        split = bisect_left(keys, (6,))
+        return {4: self._sweep(keys[:split], 32), 6: self._sweep(keys[split:], 128)}
+
+    def _sweep(self, keys: list[tuple[int, int, int]], width: int) -> tuple[list[int], list[OriginAs]]:
+        """Flatten one version's sorted route keys into (starts, origins) runs.
+
+        Keys sort parents before the prefixes they enclose, so a stack of the
+        enclosing prefixes' last addresses gives the origin each gap falls
+        back to when a nested prefix ends.
+        """
+        routes = self._routes
+        starts = [0]
+        origins = [UNROUTED]
+        enclosing: list[tuple[int, OriginAs]] = []  # (last address, origin), innermost on top
+
+        def run(start: int, origin: OriginAs) -> None:
+            if starts[-1] == start:  # an empty run: the new one replaces it
+                origins[-1] = origin
+            else:
+                starts.append(start)
+                origins.append(origin)
+
+        for key in keys:
+            _version, start, plen = key
+            while enclosing and enclosing[-1][0] < start:
+                last, _origin = enclosing.pop()
+                run(last + 1, enclosing[-1][1] if enclosing else UNROUTED)
+            origin = routes[key]
+            run(start, origin)
+            enclosing.append((start + (1 << (width - plen)) - 1, origin))
+        while enclosing:
+            last, _origin = enclosing.pop()
+            run(last + 1, enclosing[-1][1] if enclosing else UNROUTED)
+        return starts, origins
 
 
 def build_lpm(snapshot: RibSnapshot) -> LpmIndex:
-    """Index a snapshot; duplicate prefixes collapse to one voted origin."""
-    by_prefix: dict[Prefix, list[OriginAs]] = {}
-    for prefix, origin in snapshot.entries:
-        by_prefix.setdefault(prefix, []).append(origin)
+    """Index a snapshot; duplicate prefixes collapse to one voted origin.
+
+    The range tables are built here rather than by the first lookup.
+    """
     index = LpmIndex()
-    for prefix, origins in by_prefix.items():
-        index.insert(prefix, origins[0] if len(origins) == 1 else _vote(origins))
+    routes = index._routes
+    disputed: dict[tuple[int, int, int], list[OriginAs]] = {}
+    for pair in snapshot.entries:
+        key = _entry_order(pair)
+        if key in routes:
+            disputed.setdefault(key, [routes[key]]).append(pair[1])
+        routes[key] = pair[1]
+    for key, origins in disputed.items():
+        routes[key] = _vote(origins)
+    index._tables = index._build_tables()
     return index
 
 
@@ -442,16 +500,21 @@ def _is_prefix_table(path: str) -> bool:
 
 
 def _peek_captured_at(path: str) -> datetime:
-    if _is_prefix_table(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline().rstrip("\n")
-        if not first.startswith(CAPTURED_AT_PREFIX):
-            raise BadPrefixTable(f"{path}: missing '# captured_at=' header")
-        return parse_timestamp(first[len(CAPTURED_AT_PREFIX) :])
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-    if len(header) < _HEADER.size:
-        raise TruncatedRecord(0)
+    try:
+        if _is_prefix_table(path):
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+                first = fh.readline().rstrip("\n")
+            if not first.startswith(CAPTURED_AT_PREFIX):
+                raise BadPrefixTable("missing '# captured_at=' header")
+            return parse_timestamp(first[len(CAPTURED_AT_PREFIX) :])
+        with open(path, "rb") as fh:
+            header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise TruncatedRecord(0)
+    except (TruncatedRecord, BadPrefixTable, ValueError) as exc:
+        # Name the file, keep type and offset.
+        exc.args = (f"{path}: {exc}",)
+        raise
     (ts,) = struct.unpack_from(">I", header)
     return datetime.fromtimestamp(ts, timezone.utc)
 
@@ -460,7 +523,8 @@ def _file_loader(path: str) -> Callable[[], RibSnapshot]:
     def load() -> RibSnapshot:
         try:
             if _is_prefix_table(path):
-                with open(path, "r", encoding="utf-8") as fh:
+                # A row with a non-UTF-8 byte fails its prefix or origin check and is counted.
+                with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
                     return load_prefix_table(fh)
             with open(path, "rb") as fh:
                 return parse_mrt_rib(fh)

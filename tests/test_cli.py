@@ -432,8 +432,13 @@ class TestMalformedInput:
             ("oui", "vendor_counts", lambda p: p.write_text("foo,bar\n1,2\n", encoding="utf-8")),
             ("oui", "vendor_counts", lambda p: p.mkdir()),
             ("hitlist", "hitlist_overlap", lambda p: p.mkdir()),
+            (
+                "oui",
+                "vendor_counts",
+                lambda p: p.write_bytes(b"Registry,Assignment,Organization Name\nMA-L,001122,Caf\xe9\n"),
+            ),
         ],
-        ids=["oui-bad-header", "oui-directory", "hitlist-directory"],
+        ids=["oui-bad-header", "oui-directory", "hitlist-directory", "oui-not-utf8"],
     )
     def test_unusable_report_input(self, tmp_path, capsys, key, table, make):
         bad = tmp_path / key
@@ -447,6 +452,34 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"report: {bad}: ")
         assert err.count("\n") == 1
+
+    def test_short_snapshot_names_its_file(self, tmp_path, capsys):
+        rib = tmp_path / "short.mrt"
+        rib.write_bytes(b"\x00\x01\x02")  # shorter than one MRT header
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"rib = {rib}\nrecords = {_write_records(tmp_path)}\nout = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        assert run_cli("attribute", "--config", str(cfg), "--stats", str(tmp_path / "a.json")) == 1
+        err = capsys.readouterr().err
+        assert f"{rib}: truncated MRT record at byte 0" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_non_utf8_prefix_table_row_is_skipped(self, tmp_path, capsys):
+        table = tmp_path / "rib.tsv"
+        table.write_bytes(
+            b"# captured_at=2015-06-01T00:00:00Z\n2001:db8::/32\t64500\n2001:db9::/32\t645\xff0\n"
+        )
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"rib = {table}\nrecords = {_write_records(tmp_path)}\nout = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        assert run_cli("attribute", "--config", str(cfg), "--stats", str(tmp_path / "a.json")) == 0
+        lines = (tmp_path / "out" / "attributed.tsv").read_text(encoding="utf-8").splitlines()
+        assert lines[1].split("\t")[3] == "64500"
 
 
 def test_console_entrypoint_smoke():

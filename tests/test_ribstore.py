@@ -142,6 +142,27 @@ class TestParseMrt:
         with pytest.raises(MissingPeerIndex):
             parse_mrt_rib(io.BytesIO(b""))
 
+    def test_bits_past_prefix_length_are_dropped_and_votes_merge(self):
+        # 10.0.1/23 has a bit set past its length (RFC 4271 4.3: irrelevant), so
+        # it is 10.0.0.0/23 and its votes join the second record's. Alone, the
+        # records would vote 64502 and 64501 (ties go low); together 64503 wins.
+        first = [
+            synth.rib_entry(0, 0, synth.as_path([(synth.AS_SEQUENCE, [1, 64502])])),
+            synth.rib_entry(1, 0, synth.as_path([(synth.AS_SEQUENCE, [2, 64503])])),
+        ]
+        second = [
+            synth.rib_entry(0, 0, synth.as_path([(synth.AS_SEQUENCE, [3, 64503])])),
+            synth.rib_entry(1, 0, synth.as_path([(synth.AS_SEQUENCE, [4, 64501])])),
+        ]
+        data = (
+            synth.mrt_record(10, 13, 1, synth.peer_index_body())
+            + synth.mrt_record(10, 13, 2, synth.rib_unicast_body(1, bytes([10, 0, 1]), 23, first))
+            + synth.mrt_record(10, 13, 2, synth.rib_unicast_body(2, bytes([10, 0, 0]), 23, second))
+        )
+        snapshot = parse_mrt_rib(io.BytesIO(data))
+        assert snapshot.entries == [(ip_network("10.0.0.0/23"), OriginAs.from_asn(64503))]
+        assert snapshot.malformed_records == 0
+
     def test_entry_without_as_path_counts_malformed(self):
         body = synth.rib_unicast_body(
             1, bytes.fromhex("20010db8"), 32,
@@ -225,6 +246,42 @@ def _linear_scan_lookup(entries, ip):
     return best if best is not None else UNROUTED
 
 
+def _edge_probes(entries):
+    """Addresses at, just inside and just outside every prefix, plus both ends of each space."""
+    probes = {IPv4Address(0), IPv4Address(2**32 - 1), IPv6Address(0), IPv6Address(2**128 - 1)}
+    for prefix, _origin in entries:
+        first, last = int(prefix.network_address), int(prefix.broadcast_address)
+        make = type(prefix.network_address)
+        for value in (first - 1, first, (first + last) // 2, last, last + 1):
+            if 0 <= value < 2 ** prefix.max_prefixlen:
+                probes.add(make(value))
+    return sorted(probes, key=lambda ip: (ip.version, int(ip)))
+
+
+LPM_EDGE_CASES = {
+    "v6-default": [("::/0", 1), ("2001:db8::/32", 2)],
+    "v4-default": [("0.0.0.0/0", 1), ("10.0.0.0/8", 2)],
+    "touching-siblings": [
+        ("10.0.0.0/9", 1), ("10.128.0.0/9", 2), ("11.0.0.0/8", 3),
+        ("2001:db8::/33", 4), ("2001:db8:8000::/33", 5),
+    ],
+    "child-ends-with-parent": [
+        ("10.0.0.0/8", 1), ("10.255.0.0/16", 2), ("10.255.255.0/24", 3),
+        ("2001:db8::/32", 4), ("2001:db8:ffff::/48", 5),
+    ],
+    "top-of-space": [
+        ("ffff::/16", 1), ("ffff:ffff::/32", 2), ("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128", 3),
+        ("255.0.0.0/8", 4), ("255.255.255.255/32", 5),
+    ],
+    "hosts": [("192.0.2.0/24", 1), ("192.0.2.1/32", 2), ("0.0.0.0/32", 3), ("2001:db8::/64", 4), ("2001:db8::1/128", 5)],
+    "one-start-many-lengths": [
+        ("10.0.0.0/8", 1), ("10.0.0.0/16", 2), ("10.0.0.0/24", 3), ("10.0.0.0/32", 4),
+        ("2001:db8::/32", 5), ("2001:db8::/48", 6), ("2001:db8::/128", 7),
+    ],
+    "v4-and-v6": [("::/0", 1), ("0.0.0.0/0", 2), ("::ffff:0:0/96", 3), ("10.0.0.0/8", 4), ("::a00:0/104", 5)],
+}
+
+
 class TestLpm:
     def test_longer_match_wins(self):
         snapshot = RibSnapshot(
@@ -284,6 +341,39 @@ class TestLpm:
                 else:
                     ip = IPv6Address(rng.getrandbits(128))
                 assert index.lookup(ip) == _linear_scan_lookup(entries, ip)
+
+    @pytest.mark.parametrize("rows", LPM_EDGE_CASES.values(), ids=LPM_EDGE_CASES.keys())
+    def test_matches_linear_scan(self, rows):
+        entries = [(ip_network(p), OriginAs.from_asn(asn)) for p, asn in rows]
+        inserted = LpmIndex()
+        for prefix, origin in reversed(entries):
+            inserted.insert(prefix, origin)
+        built = build_lpm(RibSnapshot(parse_timestamp("2020-01-01T00:00:00Z"), entries))
+        for ip in _edge_probes(entries):
+            expected = _linear_scan_lookup(entries, ip)
+            assert built.lookup(ip) == expected, ip
+            assert inserted.lookup(ip) == expected, ip
+
+    def test_insert_after_lookup_rebuilds(self):
+        index = LpmIndex()
+        index.insert(ip_network("2001:db8::/32"), OriginAs.from_asn(1))
+        assert index.lookup(IPv6Address("2001:db8:1::1")) == OriginAs.from_asn(1)
+        assert index.lookup(IPv4Address("10.0.0.1")) == UNROUTED
+        index.insert(ip_network("2001:db8:1::/48"), OriginAs.from_asn(2))
+        index.insert(ip_network("10.0.0.0/8"), OriginAs.from_asn(3))
+        assert index.lookup(IPv6Address("2001:db8:1::1")) == OriginAs.from_asn(2)
+        assert index.lookup(IPv6Address("2001:db8:2::1")) == OriginAs.from_asn(1)
+        assert index.lookup(IPv4Address("10.0.0.1")) == OriginAs.from_asn(3)
+
+    def test_reinsert_last_origin_wins(self):
+        index = LpmIndex()
+        prefix = ip_network("2001:db8::/32")
+        index.insert(prefix, OriginAs.from_asn(1))
+        index.insert(prefix, OriginAs.from_asn(2))
+        assert index.lookup(IPv6Address("2001:db8::1")) == OriginAs.from_asn(2)
+        index.insert(prefix, OriginAs.from_asn(3))
+        assert index.lookup(IPv6Address("2001:db8::1")) == OriginAs.from_asn(3)
+        assert index.lookup(IPv6Address("2001:db9::1")) == UNROUTED
 
 
 def _mk_timeline(times):
