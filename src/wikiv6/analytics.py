@@ -12,7 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from ipaddress import IPv6Address, ip_network
+from ipaddress import IPv4Address, IPv6Address, ip_network
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .ingest import EditRecord
@@ -139,44 +140,51 @@ class ReportTable:
         return json.dumps(rows, indent=2) + "\n"
 
 
-def _ip_key(record: Union[EditRecord, AttributedRecord]) -> tuple[str, bool, int]:
-    text = str(record.ip)
-    return text, record.ip.version == 6, int(record.ip)
+_V6 = 1 << 128
+
+
+def _version(key: int) -> str:
+    return V6 if key >> 128 else V4
+
+
+def _ip_text(key: int) -> str:
+    return str(IPv6Address(key ^ _V6) if key >> 128 else IPv4Address(key))
 
 
 class PartialAggregate:
-    """Mergeable per-shard aggregation state (sets and min/max maps only)."""
+    """Mergeable per-shard aggregation state (sets and min/max maps only).
+
+    An address is one int: ``int(ip)``, with bit 128 set for IPv6, so that
+    ``10.0.0.1`` and ``::ffff:10.0.0.1`` stay two addresses. Text is built
+    only for output.
+    """
 
     def __init__(self):
-        self.site_ips: set[tuple[str, str]] = set()
-        self.weekly_ips: set[tuple[WeekBin, str]] = set()
-        self.weekly_as_ips: set[tuple[WeekBin, str, str]] = set()
-        self.first_last: dict[str, tuple[datetime, datetime]] = {}
-        self.prefix_first_week: dict[tuple[int, int], WeekBin] = {}
+        self.site_ips: set[tuple[str, int]] = set()
+        self.weekly_ips: set[tuple[WeekBin, int]] = set()
+        self.weekly_as_ips: set[tuple[WeekBin, str, int]] = set()  # (week, series label, v6 address)
+        self.first_last: dict[int, tuple[datetime, datetime]] = {}
         self.month_48s: set[tuple[MonthBin, int]] = set()
 
     def add(self, record: Union[EditRecord, AttributedRecord]) -> None:
-        ip_text, is_v6, ip_int = _ip_key(record)
-        week = WeekBin.from_timestamp(record.timestamp)
-        self.site_ips.add((record.site.code, ip_text))
-        self.weekly_ips.add((week, ip_text))
-        seen = self.first_last.get(ip_text)
+        ts = record.timestamp
+        value = int(record.ip)
+        is_v6 = record.ip.version == 6
+        key = value | _V6 if is_v6 else value
+        week = WeekBin.from_timestamp(ts)
+        self.site_ips.add((record.site.code, key))
+        self.weekly_ips.add((week, key))
+        seen = self.first_last.get(key)
         if seen is None:
-            self.first_last[ip_text] = (record.timestamp, record.timestamp)
+            self.first_last[key] = (ts, ts)
         else:
-            self.first_last[ip_text] = (min(seen[0], record.timestamp), max(seen[1], record.timestamp))
+            self.first_last[key] = (min(seen[0], ts), max(seen[1], ts))
         if is_v6:
-            for length in PREFIX_LENGTHS:
-                masked = (ip_int >> (128 - length)) << (128 - length)
-                key = (length, masked)
-                prev = self.prefix_first_week.get(key)
-                if prev is None or week < prev:
-                    self.prefix_first_week[key] = week
-            month = MonthBin.from_timestamp(record.timestamp)
-            self.month_48s.add((month, (ip_int >> 80) << 80))
+            self.month_48s.add((MonthBin.from_timestamp(ts), (value >> 80) << 80))
             origin = getattr(record, "origin", None)
             if origin is not None:
-                self.weekly_as_ips.add((week, origin.text, ip_text))
+                label = origin.text if origin.kind == "asn" else origin.kind
+                self.weekly_as_ips.add((week, label, key))
 
 
 def aggregate(records: Iterable[Union[EditRecord, AttributedRecord]]) -> PartialAggregate:
@@ -193,39 +201,29 @@ def merge(a: PartialAggregate, b: PartialAggregate) -> PartialAggregate:
     out.weekly_ips = a.weekly_ips | b.weekly_ips
     out.weekly_as_ips = a.weekly_as_ips | b.weekly_as_ips
     out.first_last = dict(a.first_last)
-    for ip_text, (first, last) in b.first_last.items():
-        seen = out.first_last.get(ip_text)
+    for key, (first, last) in b.first_last.items():
+        seen = out.first_last.get(key)
         if seen is None:
-            out.first_last[ip_text] = (first, last)
+            out.first_last[key] = (first, last)
         else:
-            out.first_last[ip_text] = (min(seen[0], first), max(seen[1], last))
-    out.prefix_first_week = dict(a.prefix_first_week)
-    for key, week in b.prefix_first_week.items():
-        prev = out.prefix_first_week.get(key)
-        if prev is None or week < prev:
-            out.prefix_first_week[key] = week
+            out.first_last[key] = (min(seen[0], first), max(seen[1], last))
     out.month_48s = a.month_48s | b.month_48s
     return out
 
 
-def _version_of(ip_text: str) -> str:
-    return V6 if ":" in ip_text else V4
-
-
 def table_weekly_by_version(agg: PartialAggregate) -> ReportTable:
     counts: dict[tuple[WeekBin, str], int] = {}
-    for week, ip_text in agg.weekly_ips:
-        key = (week, _version_of(ip_text))
-        counts[key] = counts.get(key, 0) + 1
+    for week, key in agg.weekly_ips:
+        pair = (week, _version(key))
+        counts[pair] = counts.get(pair, 0) + 1
     rows = [(str(week), version, n) for (week, version), n in sorted(counts.items())]
     return ReportTable("weekly_by_version", ("week", "version", "distinct_ips"), ("s", "s", "d"), rows)
 
 
 def table_site_fraction(agg: PartialAggregate) -> ReportTable:
     counts: dict[str, list[int]] = {}
-    for site, ip_text in agg.site_ips:
-        pair = counts.setdefault(site, [0, 0])
-        pair[1 if ":" in ip_text else 0] += 1
+    for site, key in agg.site_ips:
+        counts.setdefault(site, [0, 0])[key >> 128] += 1
     rows = []
     for site in sorted(counts):
         n_v4, n_v6 = counts[site]
@@ -239,26 +237,34 @@ def table_site_fraction(agg: PartialAggregate) -> ReportTable:
     )
 
 
-def _v6_weeks(agg: PartialAggregate) -> list[WeekBin]:
-    return sorted({week for week, ip_text in agg.weekly_ips if ":" in ip_text})
-
-
 def _cumulative_by_week(agg: PartialAggregate) -> tuple[list[WeekBin], dict[int, list[int]]]:
-    """Per prefix length, the running distinct count at each observed v6 week."""
-    weeks = _v6_weeks(agg)
-    series: dict[int, list[int]] = {}
+    """Per prefix length, the running distinct count at each observed v6 week.
+
+    A prefix is born in the earliest week of any v6 address inside it.
+    """
+    first_week: dict[int, WeekBin] = {}
+    v6_weeks: set[WeekBin] = set()
+    for week, key in agg.weekly_ips:
+        if key >> 128:
+            v6_weeks.add(week)
+            prev = first_week.get(key)
+            if prev is None or week < prev:
+                first_week[key] = week
+    weeks = sorted(v6_weeks)
     week_pos = {week: i for i, week in enumerate(weeks)}
+    series: dict[int, list[int]] = {}
     for length in PREFIX_LENGTHS:
-        births = [0] * (len(weeks) + 1)
-        for (plen, _masked), first_week in agg.prefix_first_week.items():
-            if plen == length:
-                births[week_pos[first_week]] += 1
-        running = 0
-        cumulative = []
-        for i in range(len(weeks)):
-            running += births[i]
-            cumulative.append(running)
-        series[length] = cumulative
+        shift = 128 - length
+        born: dict[int, WeekBin] = {}
+        for key, week in first_week.items():
+            prefix = key >> shift
+            prev = born.get(prefix)
+            if prev is None or week < prev:
+                born[prefix] = week
+        births = [0] * len(weeks)
+        for week in born.values():
+            births[week_pos[week]] += 1
+        series[length] = list(accumulate(births))
     return weeks, series
 
 
@@ -290,23 +296,15 @@ def table_ratio_per_48(agg: PartialAggregate) -> ReportTable:
 def table_lifetimes(agg: PartialAggregate) -> tuple[ReportTable, list[LifetimeStat]]:
     histogram: dict[tuple[str, int], int] = {}
     stats = []
-    for ip_text in sorted(agg.first_last, key=lambda t: (_version_of(t), t)):
-        first, last = agg.first_last[ip_text]
+    for key in sorted(agg.first_last):
+        first, last = agg.first_last[key]
         days = (last - first).days
-        stats.append(LifetimeStat(ip_text, first, last, days))
-        key = (_version_of(ip_text), days)
-        histogram[key] = histogram.get(key, 0) + 1
+        stats.append(LifetimeStat(_ip_text(key), first, last, days))
+        bucket = (_version(key), days)
+        histogram[bucket] = histogram.get(bucket, 0) + 1
     rows = [(version, days, n) for (version, days), n in sorted(histogram.items())]
     table = ReportTable("lifetimes", ("version", "lifetime_days", "count"), ("s", "d", "d"), rows)
     return table, stats
-
-
-def _as_series_label(origin_text: str) -> str:
-    if origin_text == "unrouted":
-        return "unrouted"
-    if origin_text.startswith("set:"):
-        return "set"
-    return origin_text
 
 
 def _as_series_sort_key(label: str) -> tuple[int, int, str]:
@@ -316,24 +314,17 @@ def _as_series_sort_key(label: str) -> tuple[int, int, str]:
 
 
 def table_weekly_by_as(agg: PartialAggregate, top_k: int) -> ReportTable:
-    all_time: dict[str, set[str]] = {}
-    for week, origin_text, ip_text in agg.weekly_as_ips:
-        label = _as_series_label(origin_text)
+    all_time: dict[str, set[int]] = {}
+    for _week, label, key in agg.weekly_as_ips:
         if label.isdigit():
-            all_time.setdefault(label, set()).add(ip_text)
+            all_time.setdefault(label, set()).add(key)
     ranked = sorted(all_time.items(), key=lambda kv: (-len(kv[1]), int(kv[0])))
     top = {label for label, _ in ranked[:top_k]}
 
     counts: dict[tuple[WeekBin, str], int] = {}
-    seen: set[tuple[WeekBin, str, str]] = set()
-    for week, origin_text, ip_text in agg.weekly_as_ips:
-        label = _as_series_label(origin_text)
+    for week, label, _key in agg.weekly_as_ips:
         if label.isdigit() and label not in top:
             continue
-        key = (week, label, ip_text)
-        if key in seen:
-            continue
-        seen.add(key)
         counts[(week, label)] = counts.get((week, label), 0) + 1
     rows = [
         (str(week), label, n)
@@ -342,55 +333,45 @@ def table_weekly_by_as(agg: PartialAggregate, top_k: int) -> ReportTable:
     return ReportTable("weekly_by_as", ("week", "asn", "distinct_v6"), ("s", "s", "d"), rows)
 
 
-_UNCACHED = object()
-
-
-def _eui64_vendor(ip_text: str, db: OuiDatabase, cache: dict) -> Optional[tuple[bytes, str]]:
-    """(MAC octets, resolved vendor) for an EUI-64 address, None for non-EUI-64 v6."""
-    hit = cache.get(ip_text, _UNCACHED)
-    if hit is _UNCACHED:
-        ip = IPv6Address(ip_text)
-        if is_eui64(ip):
-            mac = extract_mac(ip)
-            hit = (mac.octets, resolve_vendor(mac, db))
-        else:
-            hit = None
-        cache[ip_text] = hit
-    return hit
+def _eui64_vendors(agg: PartialAggregate, db: OuiDatabase) -> dict[int, tuple[bytes, str]]:
+    """(MAC octets, resolved vendor) for each distinct EUI-64 address."""
+    vendors = {}
+    for key in agg.first_last:
+        if key >> 128:
+            ip = IPv6Address(key ^ _V6)
+            if is_eui64(ip):
+                mac = extract_mac(ip)
+                vendors[key] = (mac.octets, resolve_vendor(mac, db))
+    return vendors
 
 
 def table_eui64_weekly(
     agg: PartialAggregate, db: OuiDatabase, top_vendors: int
 ) -> tuple[ReportTable, ReportTable]:
-    cache: dict[str, Optional[tuple[bytes, str]]] = {}
-    weekly_v6: dict[WeekBin, int] = {}
-    weekly_eui: dict[WeekBin, int] = {}
-    by_vendor_week: dict[tuple[WeekBin, str], set[str]] = {}
-    all_time: dict[str, set[str]] = {}
-    for week, ip_text in agg.weekly_ips:
-        if ":" not in ip_text:
-            continue
-        weekly_v6[week] = weekly_v6.get(week, 0) + 1
-        hit = _eui64_vendor(ip_text, db, cache)
-        if hit is None:
-            continue
-        vendor = hit[1]
-        weekly_eui[week] = weekly_eui.get(week, 0) + 1
-        by_vendor_week.setdefault((week, vendor), set()).add(ip_text)
-        all_time.setdefault(vendor, set()).add(ip_text)
-
-    ranked = sorted(
-        ((vendor, ips) for vendor, ips in all_time.items() if vendor != UNLISTED),
-        key=lambda kv: (-len(kv[1]), kv[0]),
-    )
+    vendors = _eui64_vendors(agg, db)
+    all_time: dict[str, int] = {}
+    for _mac, vendor in vendors.values():
+        if vendor != UNLISTED:
+            all_time[vendor] = all_time.get(vendor, 0) + 1
+    ranked = sorted(all_time.items(), key=lambda kv: (-kv[1], kv[0]))
     top = {vendor for vendor, _ in ranked[:top_vendors]}
 
-    series: dict[tuple[WeekBin, str], set[str]] = {}
-    for (week, vendor), ips in by_vendor_week.items():
+    weekly_v6: dict[WeekBin, int] = {}
+    weekly_eui: dict[WeekBin, int] = {}
+    series: dict[tuple[WeekBin, str], int] = {}
+    for week, key in agg.weekly_ips:
+        if not key >> 128:
+            continue
+        weekly_v6[week] = weekly_v6.get(week, 0) + 1
+        hit = vendors.get(key)
+        if hit is None:
+            continue
+        weekly_eui[week] = weekly_eui.get(week, 0) + 1
+        vendor = hit[1]
         if vendor != UNLISTED and vendor not in top:
             vendor = "other"
-        series.setdefault((week, vendor), set()).update(ips)
-    vendor_rows = [(str(week), vendor, len(ips)) for (week, vendor), ips in sorted(series.items())]
+        series[(week, vendor)] = series.get((week, vendor), 0) + 1
+    vendor_rows = [(str(week), vendor, n) for (week, vendor), n in sorted(series.items())]
     vendor_table = ReportTable(
         "eui64_weekly", ("week", "vendor", "distinct_v6"), ("s", "s", "d"), vendor_rows
     )
@@ -409,25 +390,18 @@ def table_eui64_weekly(
 
 
 def table_vendor_counts(agg: PartialAggregate, db: OuiDatabase) -> ReportTable:
-    cache: dict[str, Optional[tuple[bytes, str]]] = {}
+    vendors = _eui64_vendors(agg, db)
     macs_by_vendor: dict[str, set[bytes]] = {}
-    addrs_by_vendor: dict[str, set[str]] = {}
-    all_macs: set[bytes] = set()
-    all_addrs: set[str] = set()
-    for ip_text in {t for _, t in agg.weekly_ips if ":" in t}:
-        hit = _eui64_vendor(ip_text, db, cache)
-        if hit is None:
-            continue
-        mac, vendor = hit
+    addrs_by_vendor: dict[str, int] = {}
+    for mac, vendor in vendors.values():
         macs_by_vendor.setdefault(vendor, set()).add(mac)
-        addrs_by_vendor.setdefault(vendor, set()).add(ip_text)
-        all_macs.add(mac)
-        all_addrs.add(ip_text)
+        addrs_by_vendor[vendor] = addrs_by_vendor.get(vendor, 0) + 1
     rows = [
-        (vendor, len(macs_by_vendor[vendor]), len(addrs_by_vendor[vendor]))
+        (vendor, len(macs_by_vendor[vendor]), addrs_by_vendor[vendor])
         for vendor in sorted(macs_by_vendor)
     ]
-    rows.append(("total", len(all_macs), len(all_addrs)))
+    # A MAC's OUI fixes its vendor, so the per-vendor MAC sets are disjoint.
+    rows.append(("total", sum(len(macs) for macs in macs_by_vendor.values()), len(vendors)))
     return ReportTable(
         "vendor_counts", ("vendor", "distinct_macs", "eui64_addresses"), ("s", "d", "d"), rows
     )

@@ -8,6 +8,7 @@ and input digests; equal manifests imply byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import heapq
 import json
@@ -339,9 +340,12 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
                     unrouted += 1
                 yield rec
 
+    # Written aside and renamed on success, so a failed run leaves no partial output.
+    partial_path = attributed_path + ".tmp"
     try:
-        with open(attributed_path, "w", encoding="utf-8") as sink:
+        with open(partial_path, "w", encoding="utf-8") as sink:
             write_attributed(annotated(), sink)
+        os.replace(partial_path, attributed_path)
     except UnsortedInput as exc:
         print(f"attribute: {exc}; run extract's merge step first", file=sys.stderr)
         return EXIT_RUNTIME
@@ -354,6 +358,8 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     except EmptyTimeline as exc:
         print(f"attribute: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        Path(partial_path).unlink(missing_ok=True)
 
     summary = {
         "records": count,
@@ -403,6 +409,7 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
         print(f"report: no record TSV found at {source}; run extract first", file=sys.stderr)
         return EXIT_USAGE
 
+    inputs = [source]
     db = EMPTY_OUI_DATABASE
     if cfg.oui:
         try:
@@ -411,6 +418,20 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
         except (BadCsv, UnicodeDecodeError, OSError) as exc:
             print(f"report: {cfg.oui}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
+        if any(n in requested for n in ("eui64_weekly", "eui64_fraction", "vendor_counts")):
+            inputs.append(cfg.oui)
+
+    entries = []
+    if "hitlist_overlap" in requested:
+        try:
+            with open(cfg.hitlist, "r", encoding="utf-8") as fh:
+                entries, bad = read_hitlist(fh)
+        except OSError as exc:
+            print(f"report: {cfg.hitlist}: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        if bad:
+            print(f"report: skipped {bad} malformed hitlist row(s)", file=sys.stderr)
+        inputs.append(cfg.hitlist)
 
     try:
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -419,45 +440,24 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
         print(f"report: {source}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
+    # Builders are looked up by name when called, so a patched cli.table_<name> is the one run.
+    eui64_pair = functools.cache(lambda: table_eui64_weekly(agg, db, cfg.top_vendors))
+    builders = {
+        "weekly_by_version": lambda: table_weekly_by_version(agg),
+        "site_fraction": lambda: table_site_fraction(agg),
+        "cumulative_prefixes": lambda: table_cumulative_prefixes(agg),
+        "ratio_per_48": lambda: table_ratio_per_48(agg),
+        "lifetimes": lambda: table_lifetimes(agg)[0],
+        "weekly_by_as": lambda: table_weekly_by_as(agg, cfg.top_k),
+        "eui64_weekly": lambda: eui64_pair()[0],
+        "eui64_fraction": lambda: eui64_pair()[1],
+        "vendor_counts": lambda: table_vendor_counts(agg, db),
+        "hitlist_overlap": lambda: table_hitlist_overlap(agg, entries),
+    }
+    tables = {name: builders[name]() for name in requested}
+
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    inputs = [source]
-    tables = {}
-    eui_pair = None
-    for name in requested:
-        if name == "weekly_by_version":
-            tables[name] = table_weekly_by_version(agg)
-        elif name == "site_fraction":
-            tables[name] = table_site_fraction(agg)
-        elif name == "cumulative_prefixes":
-            tables[name] = table_cumulative_prefixes(agg)
-        elif name == "ratio_per_48":
-            tables[name] = table_ratio_per_48(agg)
-        elif name == "lifetimes":
-            tables[name], _ = table_lifetimes(agg)
-        elif name == "weekly_by_as":
-            tables[name] = table_weekly_by_as(agg, cfg.top_k)
-        elif name in ("eui64_weekly", "eui64_fraction"):
-            if eui_pair is None:
-                eui_pair = table_eui64_weekly(agg, db, cfg.top_vendors)
-            tables[name] = eui_pair[0] if name == "eui64_weekly" else eui_pair[1]
-        elif name == "vendor_counts":
-            tables[name] = table_vendor_counts(agg, db)
-        elif name == "hitlist_overlap":
-            try:
-                with open(cfg.hitlist, "r", encoding="utf-8") as fh:
-                    entries, bad = read_hitlist(fh)
-            except OSError as exc:
-                print(f"report: {cfg.hitlist}: {exc}", file=sys.stderr)
-                return EXIT_RUNTIME
-            if bad:
-                print(f"report: skipped {bad} malformed hitlist row(s)", file=sys.stderr)
-            inputs.append(cfg.hitlist)
-            tables[name] = table_hitlist_overlap(agg, entries)
-
-    if cfg.oui and any(n in requested for n in ("eui64_weekly", "eui64_fraction", "vendor_counts")):
-        inputs.append(cfg.oui)
-
     outputs = []
     for name, table in tables.items():
         csv_path = outdir / f"{name}.csv"

@@ -477,8 +477,16 @@ class RibTimeline:
         first time a snapshot's index is needed.
         """
         entries = []
+        by_time: dict[datetime, str] = {}
         for path in paths:
-            entries.append(TimelineEntry(_peek_captured_at(path), _file_loader(path)))
+            captured_at = _peek_captured_at(path)
+            if captured_at in by_time:
+                raise ValueError(
+                    f"snapshot capture times must be strictly increasing: {by_time[captured_at]} "
+                    f"and {path} are both captured at {format_timestamp(captured_at)}"
+                )
+            by_time[captured_at] = path
+            entries.append(TimelineEntry(captured_at, _file_loader(path)))
         return cls(entries)
 
     def nearest_position(self, t: datetime) -> int:

@@ -1,9 +1,14 @@
 import io
 import json
 import random
-from ipaddress import ip_address
+from datetime import datetime, timedelta, timezone
+from ipaddress import IPv4Address, IPv6Address, ip_address
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import DATA
 from corpus import synth_corpus, synth_hitlist
 from wikiv6.analytics import (
     MonthBin,
@@ -349,6 +354,129 @@ class TestHitlistOverlap:
         entries, _bad = read_hitlist(hitlist_lines)
         got = table_hitlist_overlap(aggregate(records), entries).to_csv()
         assert got == oracles.oracle_hitlist_overlap(rows, hitlist_lines)
+
+
+class TestAddressKeys:
+    def test_v4_and_v4_mapped_are_two_addresses(self):
+        records = [rec("2015-06-01T10:00:00Z", "10.0.0.1"), rec("2015-06-02T10:00:00Z", "::ffff:10.0.0.1")]
+        table = table_weekly_by_version(aggregate(records))
+        assert table.rows == [("2015-W23", "v4", 1), ("2015-W23", "v6", 1)]
+
+    def test_same_int_value_two_versions_stay_separate(self):
+        records = [rec("2015-06-01T10:00:00Z", "0.0.0.1"), rec("2015-06-08T10:00:00Z", "::1")]
+        table, stats = table_lifetimes(aggregate(records))
+        assert table.rows == [("v4", 0, 1), ("v6", 0, 1)]
+        assert sorted(stat.ip for stat in stats) == ["0.0.0.1", "::1"]
+
+    def test_two_as_sets_count_once_in_set_series(self):
+        records = [
+            arec("2015-06-01T10:00:00Z", "2001:db8::1", "set:1,2"),
+            arec("2015-06-02T10:00:00Z", "2001:db8::1", "set:3,4"),
+        ]
+        single = aggregate(records)
+        merged = merge(aggregate(records[:1]), aggregate(records[1:]))
+        for agg in (single, merged):
+            assert table_weekly_by_as(agg, top_k=5).rows == [("2015-W23", "set", 1)]
+
+
+# Generated corpora for the property test: edge addresses, addresses sharing
+# /48, /56 and /64 prefixes, EUI-64 addresses with listed and unlisted OUIs,
+# and timestamps within three days of ISO-year and calendar-year boundaries.
+_EDGE_IPS = [
+    "::", "::1", "0.0.0.0", "0.0.0.1", "255.255.255.255", "10.0.0.1", "::ffff:10.0.0.1",
+    "::ffff:254.0.0.1", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff", "fe80::250:56ff:fe00:1",
+]
+_P48S = [0x20010DB80001, 0x20010DB80002, 0x2A0208100000]
+_OUIS = [0x005056, 0xF4CE46, 0x286FB9, 0x001B63, 0x001A11, 0x7E1122]  # the last is unlisted
+_BOUNDARIES = [datetime(y, 1, 1, tzinfo=timezone.utc) for y in (2009, 2016, 2021, 2024)]
+_OUI_TEXT = (DATA / "oui_fixture.csv").read_text(encoding="utf-8")
+
+
+def _v6(p48, subnet, iid):
+    return IPv6Address(p48 << 80 | subnet << 64 | iid)
+
+
+def _eui64(p48, subnet, oui, nic):
+    iid = (oui ^ 0x020000) << 40 | 0xFFFE << 24 | nic
+    return _v6(p48, subnet, iid)
+
+
+_ips = st.one_of(
+    st.sampled_from(_EDGE_IPS).map(ip_address),
+    st.integers(0, 2**32 - 1).map(IPv4Address),
+    st.integers(0, 2**128 - 1).map(IPv6Address),
+    st.builds(_v6, st.sampled_from(_P48S), st.integers(0, 0x1FF), st.integers(0, 3) | st.integers(0, 2**64 - 1)),
+    st.builds(_eui64, st.sampled_from(_P48S), st.integers(0, 3), st.sampled_from(_OUIS), st.integers(0, 2)),
+)
+_times = st.builds(
+    lambda base, offset: base + timedelta(seconds=offset),
+    st.sampled_from(_BOUNDARIES),
+    st.integers(-3 * 86400, 3 * 86400),
+)
+_origins = st.one_of(st.integers(1, 6).map(str), st.sampled_from(["unrouted", "set:1,2", "set:3,4"]))
+_records = st.lists(
+    st.builds(
+        lambda ts, site, ip, origin: AttributedRecord(ts, SiteId.from_code(site), ip, OriginAs.parse(origin), 0),
+        _times, st.sampled_from(["enwiki", "dewiki"]), _ips, _origins,
+    ),
+    max_size=40,
+)
+_hitlist = st.lists(
+    st.builds(
+        lambda day, target: f"{day:%Y-%m-%d}\t{target}\n",
+        _times,
+        st.sampled_from(["2001:db8:1::/48", "2001:db8::/32", "2a02:810::/29", "2001:db8:2::1", "10.0.0.0/8", "junk"]),
+    ),
+    max_size=6,
+)
+
+
+def _all_tables(agg, db, entries, top_k, top_vendors):
+    eui_weekly, eui_fraction = table_eui64_weekly(agg, db, top_vendors)
+    return {
+        "weekly_by_version": table_weekly_by_version(agg),
+        "site_fraction": table_site_fraction(agg),
+        "cumulative_prefixes": table_cumulative_prefixes(agg),
+        "ratio_per_48": table_ratio_per_48(agg),
+        "lifetimes": table_lifetimes(agg)[0],
+        "weekly_by_as": table_weekly_by_as(agg, top_k),
+        "eui64_weekly": eui_weekly,
+        "eui64_fraction": eui_fraction,
+        "vendor_counts": table_vendor_counts(agg, db),
+        "hitlist_overlap": table_hitlist_overlap(agg, entries),
+    }
+
+
+class TestGeneratedCorpora:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=_records,
+        hitlist_lines=_hitlist,
+        top_k=st.integers(0, 3),
+        top_vendors=st.integers(0, 3),
+        shard_of=st.lists(st.integers(0, 3), min_size=40, max_size=40),
+        merge_rng=st.randoms(use_true_random=False),
+    )
+    def test_tables_equal_oracle_and_merge_order_is_invisible(
+        self, records, hitlist_lines, top_k, top_vendors, shard_of, merge_rng
+    ):
+        db = load_oui_database(io.StringIO(_OUI_TEXT))
+        entries, _bad = read_hitlist(hitlist_lines)
+        sink = io.StringIO()
+        write_attributed(sorted(records, key=lambda r: r.timestamp), sink)
+        expected = oracles.oracle_all_tables(sink.getvalue(), _OUI_TEXT, hitlist_lines, top_k, top_vendors)
+        single = _all_tables(aggregate(records), db, entries, top_k, top_vendors)
+        assert {name: table.to_csv() for name, table in single.items()} == expected
+
+        shards = [aggregate(r for r, shard in zip(records, shard_of) if shard == s) for s in range(4)]
+        while len(shards) > 1:
+            a = shards.pop(merge_rng.randrange(len(shards)))
+            b = shards.pop(merge_rng.randrange(len(shards)))
+            shards.append(merge(a, b))
+        merged = _all_tables(shards[0], db, entries, top_k, top_vendors)
+        for name, table in single.items():
+            assert merged[name].to_csv() == table.to_csv()
+            assert merged[name].to_json() == table.to_json()
 
 
 class TestMerge:

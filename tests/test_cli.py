@@ -5,6 +5,7 @@ import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
 from ipaddress import ip_address, ip_network
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +257,18 @@ class TestAttribute:
         assert code == 2
         assert "timeline" in capsys.readouterr().err
 
+    def test_failed_run_leaves_no_output(self, tmp_path, capsys):
+        records = _write_records(tmp_path, b"2015-05-01T12:00:00Z\tenwiki\t2001:db8::2")  # older than row 1
+        out = tmp_path / "out"
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"rib = {_write_ribs(tmp_path)[0]}\nrecords = {records}\nout = {out}\n", encoding="utf-8"
+        )
+        assert run_cli("attribute", "--config", str(cfg), "--stats", str(tmp_path / "a.json")) == 1
+        assert "run extract's merge step first" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == []
+        assert run_cli("report", "weekly_by_as", "--config", str(cfg)) == 2
+
     def test_two_hourly_snapshots_keep_median_delta_under_hour(self, tmp_path):
         start = datetime(2021, 5, 1, tzinfo=timezone.utc)
         rib_paths = []
@@ -466,6 +479,20 @@ class TestMalformedInput:
         assert f"{rib}: truncated MRT record at byte 0" in err
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_clashing_capture_times_name_both_files(self, tmp_path, capsys):
+        first = _write_ribs(tmp_path)[0]
+        second = tmp_path / "copy.tsv"
+        second.write_text(Path(first).read_text(encoding="utf-8"), encoding="utf-8")
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"rib = {first}\nrib = {second}\nrecords = {_write_records(tmp_path)}\nout = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        assert run_cli("attribute", "--config", str(cfg), "--stats", str(tmp_path / "a.json")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert first in err and str(second) in err and "2014-01-01T00:00:00Z" in err
 
     def test_non_utf8_prefix_table_row_is_skipped(self, tmp_path, capsys):
         table = tmp_path / "rib.tsv"
