@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from ipaddress import IPv4Address, IPv6Address, ip_network
-from itertools import accumulate
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .ingest import EditRecord
 from .netaddr import OuiDatabase, UNLISTED, extract_mac, is_eui64, parse_ip, resolve_vendor
@@ -156,15 +156,18 @@ class PartialAggregate:
 
     An address is one int: ``int(ip)``, with bit 128 set for IPv6, so that
     ``10.0.0.1`` and ``::ffff:10.0.0.1`` stay two addresses. Text is built
-    only for output.
+    only for output. Each set is stored under the bin its table groups by.
+    The bin maps are ``defaultdict(set)``, so readers iterate them and never
+    index a bin that may be missing: that would insert an empty bin.
     """
 
     def __init__(self):
-        self.site_ips: set[tuple[str, int]] = set()
-        self.weekly_ips: set[tuple[WeekBin, int]] = set()
-        self.weekly_as_ips: set[tuple[WeekBin, str, int]] = set()  # (week, series label, v6 address)
+        self.site_ips: defaultdict[str, set[int]] = defaultdict(set)
+        self.weekly_ips: defaultdict[WeekBin, set[int]] = defaultdict(set)
+        # (week, series label) -> v6 keys
+        self.weekly_as_ips: defaultdict[tuple[WeekBin, str], set[int]] = defaultdict(set)
         self.first_last: dict[int, tuple[datetime, datetime]] = {}
-        self.month_48s: set[tuple[MonthBin, int]] = set()
+        self.month_48s: defaultdict[MonthBin, set[int]] = defaultdict(set)
 
     def add(self, record: Union[EditRecord, AttributedRecord]) -> None:
         ts = record.timestamp
@@ -172,19 +175,19 @@ class PartialAggregate:
         is_v6 = record.ip.version == 6
         key = value | _V6 if is_v6 else value
         week = WeekBin.from_timestamp(ts)
-        self.site_ips.add((record.site.code, key))
-        self.weekly_ips.add((week, key))
+        self.site_ips[record.site.code].add(key)
+        self.weekly_ips[week].add(key)
         seen = self.first_last.get(key)
         if seen is None:
             self.first_last[key] = (ts, ts)
         else:
             self.first_last[key] = (min(seen[0], ts), max(seen[1], ts))
         if is_v6:
-            self.month_48s.add((MonthBin.from_timestamp(ts), (value >> 80) << 80))
+            self.month_48s[MonthBin.from_timestamp(ts)].add((value >> 80) << 80)
             origin = getattr(record, "origin", None)
             if origin is not None:
                 label = origin.text if origin.kind == "asn" else origin.kind
-                self.weekly_as_ips.add((week, label, key))
+                self.weekly_as_ips[(week, label)].add(key)
 
 
 def aggregate(records: Iterable[Union[EditRecord, AttributedRecord]]) -> PartialAggregate:
@@ -194,12 +197,21 @@ def aggregate(records: Iterable[Union[EditRecord, AttributedRecord]]) -> Partial
     return agg
 
 
+def _union(a: dict, b: dict) -> defaultdict:
+    """Bin-wise union into fresh sets; neither input is aliased or changed."""
+    out = defaultdict(set)
+    for bins in (a, b):
+        for bin_key, keys in bins.items():
+            out[bin_key] |= keys
+    return out
+
+
 def merge(a: PartialAggregate, b: PartialAggregate) -> PartialAggregate:
     """Combine two shard aggregates; commutative, associative, idempotent."""
     out = PartialAggregate()
-    out.site_ips = a.site_ips | b.site_ips
-    out.weekly_ips = a.weekly_ips | b.weekly_ips
-    out.weekly_as_ips = a.weekly_as_ips | b.weekly_as_ips
+    out.site_ips = _union(a.site_ips, b.site_ips)
+    out.weekly_ips = _union(a.weekly_ips, b.weekly_ips)
+    out.weekly_as_ips = _union(a.weekly_as_ips, b.weekly_as_ips)
     out.first_last = dict(a.first_last)
     for key, (first, last) in b.first_last.items():
         seen = out.first_last.get(key)
@@ -207,28 +219,26 @@ def merge(a: PartialAggregate, b: PartialAggregate) -> PartialAggregate:
             out.first_last[key] = (first, last)
         else:
             out.first_last[key] = (min(seen[0], first), max(seen[1], last))
-    out.month_48s = a.month_48s | b.month_48s
+    out.month_48s = _union(a.month_48s, b.month_48s)
     return out
 
 
 def table_weekly_by_version(agg: PartialAggregate) -> ReportTable:
-    counts: dict[tuple[WeekBin, str], int] = {}
-    for week, key in agg.weekly_ips:
-        pair = (week, _version(key))
-        counts[pair] = counts.get(pair, 0) + 1
-    rows = [(str(week), version, n) for (week, version), n in sorted(counts.items())]
+    rows = []
+    for week, keys in sorted(agg.weekly_ips.items()):
+        n_v6 = sum(key >> 128 for key in keys)
+        for version, n in ((V4, len(keys) - n_v6), (V6, n_v6)):
+            if n:
+                rows.append((str(week), version, n))
     return ReportTable("weekly_by_version", ("week", "version", "distinct_ips"), ("s", "s", "d"), rows)
 
 
 def table_site_fraction(agg: PartialAggregate) -> ReportTable:
-    counts: dict[str, list[int]] = {}
-    for site, key in agg.site_ips:
-        counts.setdefault(site, [0, 0])[key >> 128] += 1
     rows = []
-    for site in sorted(counts):
-        n_v4, n_v6 = counts[site]
-        frac = n_v6 / (n_v4 + n_v6)
-        rows.append((site, n_v4, n_v6, frac, frac))
+    for site, keys in sorted(agg.site_ips.items()):
+        n_v6 = sum(key >> 128 for key in keys)
+        frac = n_v6 / len(keys)
+        rows.append((site, len(keys) - n_v6, n_v6, frac, frac))
     return ReportTable(
         "site_fraction",
         ("site", "n_v4", "n_v6", "frac_v6", "frac_v6_raw"),
@@ -238,33 +248,19 @@ def table_site_fraction(agg: PartialAggregate) -> ReportTable:
 
 
 def _cumulative_by_week(agg: PartialAggregate) -> tuple[list[WeekBin], dict[int, list[int]]]:
-    """Per prefix length, the running distinct count at each observed v6 week.
-
-    A prefix is born in the earliest week of any v6 address inside it.
-    """
-    first_week: dict[int, WeekBin] = {}
-    v6_weeks: set[WeekBin] = set()
-    for week, key in agg.weekly_ips:
-        if key >> 128:
-            v6_weeks.add(week)
-            prev = first_week.get(key)
-            if prev is None or week < prev:
-                first_week[key] = week
-    weeks = sorted(v6_weeks)
-    week_pos = {week: i for i, week in enumerate(weeks)}
-    series: dict[int, list[int]] = {}
-    for length in PREFIX_LENGTHS:
-        shift = 128 - length
-        born: dict[int, WeekBin] = {}
-        for key, week in first_week.items():
-            prefix = key >> shift
-            prev = born.get(prefix)
-            if prev is None or week < prev:
-                born[prefix] = week
-        births = [0] * len(weeks)
-        for week in born.values():
-            births[week_pos[week]] += 1
-        series[length] = list(accumulate(births))
+    """Per prefix length, the running distinct count at each observed v6 week."""
+    weeks: list[WeekBin] = []
+    seen: dict[int, set[int]] = {length: set() for length in PREFIX_LENGTHS}
+    series: dict[int, list[int]] = {length: [] for length in PREFIX_LENGTHS}
+    for week, keys in sorted(agg.weekly_ips.items()):
+        v6 = [key for key in keys if key >> 128]
+        if not v6:
+            continue
+        weeks.append(week)
+        for length in PREFIX_LENGTHS:
+            shift = 128 - length
+            seen[length].update(key >> shift for key in v6)
+            series[length].append(len(seen[length]))
     return weeks, series
 
 
@@ -293,18 +289,21 @@ def table_ratio_per_48(agg: PartialAggregate) -> ReportTable:
     return ReportTable("ratio_per_48", ("week", "ratio_56", "ratio_64"), ("s", "g", "g"), rows)
 
 
-def table_lifetimes(agg: PartialAggregate) -> tuple[ReportTable, list[LifetimeStat]]:
+def _lifetime_stats(first_last: dict[int, tuple[datetime, datetime]]) -> Iterator[LifetimeStat]:
+    for key in sorted(first_last):
+        first, last = first_last[key]
+        yield LifetimeStat(_ip_text(key), first, last, (last - first).days)
+
+
+def table_lifetimes(agg: PartialAggregate) -> tuple[ReportTable, Iterator[LifetimeStat]]:
+    """The lifetime histogram, and a lazy per-address stat stream in address order."""
     histogram: dict[tuple[str, int], int] = {}
-    stats = []
-    for key in sorted(agg.first_last):
-        first, last = agg.first_last[key]
-        days = (last - first).days
-        stats.append(LifetimeStat(_ip_text(key), first, last, days))
-        bucket = (_version(key), days)
+    for key, (first, last) in agg.first_last.items():
+        bucket = (_version(key), (last - first).days)
         histogram[bucket] = histogram.get(bucket, 0) + 1
     rows = [(version, days, n) for (version, days), n in sorted(histogram.items())]
     table = ReportTable("lifetimes", ("version", "lifetime_days", "count"), ("s", "d", "d"), rows)
-    return table, stats
+    return table, _lifetime_stats(agg.first_last)
 
 
 def _as_series_sort_key(label: str) -> tuple[int, int, str]:
@@ -315,20 +314,18 @@ def _as_series_sort_key(label: str) -> tuple[int, int, str]:
 
 def table_weekly_by_as(agg: PartialAggregate, top_k: int) -> ReportTable:
     all_time: dict[str, set[int]] = {}
-    for _week, label, key in agg.weekly_as_ips:
+    for (_week, label), keys in agg.weekly_as_ips.items():
         if label.isdigit():
-            all_time.setdefault(label, set()).add(key)
+            all_time.setdefault(label, set()).update(keys)
     ranked = sorted(all_time.items(), key=lambda kv: (-len(kv[1]), int(kv[0])))
     top = {label for label, _ in ranked[:top_k]}
 
-    counts: dict[tuple[WeekBin, str], int] = {}
-    for week, label, _key in agg.weekly_as_ips:
-        if label.isdigit() and label not in top:
-            continue
-        counts[(week, label)] = counts.get((week, label), 0) + 1
     rows = [
-        (str(week), label, n)
-        for (week, label), n in sorted(counts.items(), key=lambda kv: (kv[0][0], _as_series_sort_key(kv[0][1])))
+        (str(week), label, len(keys))
+        for (week, label), keys in sorted(
+            agg.weekly_as_ips.items(), key=lambda kv: (kv[0][0], _as_series_sort_key(kv[0][1]))
+        )
+        if not label.isdigit() or label in top
     ]
     return ReportTable("weekly_by_as", ("week", "asn", "distinct_v6"), ("s", "s", "d"), rows)
 
@@ -356,30 +353,24 @@ def table_eui64_weekly(
     ranked = sorted(all_time.items(), key=lambda kv: (-kv[1], kv[0]))
     top = {vendor for vendor, _ in ranked[:top_vendors]}
 
-    weekly_v6: dict[WeekBin, int] = {}
-    weekly_eui: dict[WeekBin, int] = {}
-    series: dict[tuple[WeekBin, str], int] = {}
-    for week, key in agg.weekly_ips:
-        if not key >> 128:
+    vendor_rows = []
+    fraction_rows = []
+    for week, keys in sorted(agg.weekly_ips.items()):
+        v6 = [key for key in keys if key >> 128]
+        if not v6:
             continue
-        weekly_v6[week] = weekly_v6.get(week, 0) + 1
-        hit = vendors.get(key)
-        if hit is None:
-            continue
-        weekly_eui[week] = weekly_eui.get(week, 0) + 1
-        vendor = hit[1]
-        if vendor != UNLISTED and vendor not in top:
-            vendor = "other"
-        series[(week, vendor)] = series.get((week, vendor), 0) + 1
-    vendor_rows = [(str(week), vendor, n) for (week, vendor), n in sorted(series.items())]
+        series: dict[str, int] = {}
+        for key in v6:
+            hit = vendors.get(key)
+            if hit is not None:
+                vendor = hit[1] if hit[1] == UNLISTED or hit[1] in top else "other"
+                series[vendor] = series.get(vendor, 0) + 1
+        vendor_rows.extend((str(week), vendor, n) for vendor, n in sorted(series.items()))
+        frac = sum(series.values()) / len(v6)
+        fraction_rows.append((str(week), frac, frac))
     vendor_table = ReportTable(
         "eui64_weekly", ("week", "vendor", "distinct_v6"), ("s", "s", "d"), vendor_rows
     )
-
-    fraction_rows = []
-    for week in sorted(weekly_v6):
-        frac = weekly_eui.get(week, 0) / weekly_v6[week]
-        fraction_rows.append((str(week), frac, frac))
     fraction_table = ReportTable(
         "eui64_fraction",
         ("week", "eui64_fraction", "eui64_fraction_raw"),
@@ -469,13 +460,8 @@ def table_hitlist_overlap(agg: PartialAggregate, hitlist: Iterable[HitlistEntry]
             tops = shorter.setdefault(entry.month, {}).setdefault(entry.length, set())
             tops.add(entry.prefix_int >> (128 - entry.length))
 
-    corpus: dict[MonthBin, set[int]] = {}
-    for month, p48 in agg.month_48s:
-        corpus.setdefault(month, set()).add(p48)
-
     rows = []
-    for month in sorted(corpus):
-        p48s = corpus[month]
+    for month, p48s in sorted(agg.month_48s.items()):
         month_exact = exact.get(month, set())
         month_shorter = shorter.get(month, {})
         overlap = 0

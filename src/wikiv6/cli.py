@@ -48,7 +48,6 @@ from .ingest import (
 from .netaddr import EMPTY_OUI_DATABASE, BadCsv, load_oui_database
 from .ribstore import (
     BadPrefixTable,
-    EmptyTimeline,
     MissingPeerIndex,
     RibTimeline,
     TruncatedRecord,
@@ -355,9 +354,6 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     except (TruncatedRecord, MissingPeerIndex, BadPrefixTable, OSError) as exc:
         print(f"attribute: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except EmptyTimeline as exc:
-        print(f"attribute: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     finally:
         Path(partial_path).unlink(missing_ok=True)
 
@@ -424,7 +420,7 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
     entries = []
     if "hitlist_overlap" in requested:
         try:
-            with open(cfg.hitlist, "r", encoding="utf-8") as fh:
+            with open(cfg.hitlist, "r", encoding="utf-8", errors="surrogateescape") as fh:
                 entries, bad = read_hitlist(fh)
         except OSError as exc:
             print(f"report: {cfg.hitlist}: {exc}", file=sys.stderr)

@@ -152,38 +152,41 @@ def load_oui_database(stream: Union[BinaryIO, TextIO]) -> OuiDatabase:
     """Load an IEEE MA-L export (Registry,Assignment,Organization Name,...).
 
     Duplicate assignments keep the first occurrence; malformed rows are
-    counted and skipped. A missing header is a file-level error.
+    counted and skipped. A missing header, or a line the csv module cannot
+    parse (such as a field over its size limit), is a file-level error.
     """
     if isinstance(stream.read(0), bytes):
         stream = io.TextIOWrapper(stream, encoding="utf-8", newline="")
     reader = csv.reader(stream)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise BadCsv("empty stream, no header") from None
-    normalized = [col.strip().lower() for col in header]
-    if "registry" not in normalized or "assignment" not in normalized:
-        raise BadCsv(f"unrecognized header: {header!r}")
-    assign_col = normalized.index("assignment")
-    org_col = normalized.index("organization name") if "organization name" in normalized else 2
+        header = next(reader, None)
+        if header is None:
+            raise BadCsv("empty stream, no header")
+        normalized = [col.strip().lower() for col in header]
+        if "registry" not in normalized or "assignment" not in normalized:
+            raise BadCsv(f"unrecognized header: {header!r}")
+        assign_col = normalized.index("assignment")
+        org_col = normalized.index("organization name") if "organization name" in normalized else 2
 
-    entries: dict[bytes, str] = {}
-    duplicates = 0
-    bad = 0
-    for row in reader:
-        if not row:
-            continue
-        if len(row) <= max(assign_col, org_col):
-            bad += 1
-            continue
-        oui = _normalize_assignment(row[assign_col])
-        if oui is None:
-            bad += 1
-            continue
-        if oui in entries:
-            duplicates += 1
-            continue
-        entries[oui] = row[org_col].strip()
+        entries: dict[bytes, str] = {}
+        duplicates = 0
+        bad = 0
+        for row in reader:
+            if not row:
+                continue
+            if len(row) <= max(assign_col, org_col):
+                bad += 1
+                continue
+            oui = _normalize_assignment(row[assign_col])
+            if oui is None:
+                bad += 1
+                continue
+            if oui in entries:
+                duplicates += 1
+                continue
+            entries[oui] = row[org_col].strip()
+    except csv.Error as exc:
+        raise BadCsv(f"line {reader.line_num}: {exc}") from None
     return OuiDatabase(entries, duplicate_rows=duplicates, bad_rows=bad)
 
 

@@ -178,13 +178,13 @@ class TestLifetimes:
     def test_single_observation_is_zero(self):
         table, stats = table_lifetimes(aggregate([rec("2015-06-01T10:00:00Z", "2001:db8::1")]))
         assert table.rows == [("v6", 0, 1)]
-        assert stats[0].lifetime_days == 0
+        assert list(stats)[0].lifetime_days == 0
 
     def test_seven_days(self):
         records = [rec("2003-01-01T00:00:00Z", "10.0.0.1"), rec("2003-01-08T00:00:00Z", "10.0.0.1")]
         table, stats = table_lifetimes(aggregate(records))
         assert table.rows == [("v4", 7, 1)]
-        assert stats[0].lifetime_days == 7
+        assert list(stats)[0].lifetime_days == 7
 
     def test_pooled_across_sites(self):
         records = [
@@ -192,6 +192,7 @@ class TestLifetimes:
             rec("2015-06-04T10:00:00Z", "2001:db8::1", SiteId.from_code("dewiki")),
         ]
         table, stats = table_lifetimes(aggregate(records))
+        stats = list(stats)
         assert len(stats) == 1
         assert stats[0].lifetime_days == 3
 
@@ -505,6 +506,21 @@ class TestMerge:
         table, _ = table_lifetimes(merged)
         expected, _ = table_lifetimes(a)
         assert table.to_csv() == expected.to_csv()
+
+    def test_inputs_unchanged(self, oui_csv, hitlist_tsv):
+        records = synth_corpus(2000, seed=171)
+        a = aggregate(records[::2])
+        b = aggregate(records[1::2])
+        with open(oui_csv, "rb") as fh:
+            db = load_oui_database(fh)
+        entries, _ = read_hitlist(hitlist_tsv.read_text().splitlines())
+
+        def render(agg):
+            return {name: t.to_csv() for name, t in _all_tables(agg, db, entries, 5, 8).items()}
+
+        before = (render(a), render(b))
+        merge(a, b)
+        assert (render(a), render(b)) == before
 
     def test_sharded_equals_single_pass(self, oui_csv, hitlist_tsv):
         records = synth_corpus(4000, seed=131)

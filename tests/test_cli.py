@@ -450,8 +450,16 @@ class TestMalformedInput:
                 "vendor_counts",
                 lambda p: p.write_bytes(b"Registry,Assignment,Organization Name\nMA-L,001122,Caf\xe9\n"),
             ),
+            (
+                "oui",
+                "vendor_counts",
+                lambda p: p.write_text(
+                    'Registry,Assignment,Organization Name\nMA-L,001122,"' + "x" * 131073 + '"\n',
+                    encoding="utf-8",
+                ),
+            ),
         ],
-        ids=["oui-bad-header", "oui-directory", "hitlist-directory", "oui-not-utf8"],
+        ids=["oui-bad-header", "oui-directory", "hitlist-directory", "oui-not-utf8", "oui-oversized-field"],
     )
     def test_unusable_report_input(self, tmp_path, capsys, key, table, make):
         bad = tmp_path / key
@@ -493,6 +501,21 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert first in err and str(second) in err and "2014-01-01T00:00:00Z" in err
+
+    def test_non_utf8_hitlist_row_is_skipped(self, tmp_path, capsys):
+        hitlist = tmp_path / "hitlist.tsv"
+        hitlist.write_bytes(b"2015-06-01\t2001:db8::/32\n2015-06-01\t2001:db8:\xff::/48\n")
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"hitlist = {hitlist}\nrecords = {_write_records(tmp_path)}\nout = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        assert run_cli("report", "hitlist_overlap", "--config", str(cfg)) == 0
+        err = capsys.readouterr().err
+        assert err == "report: skipped 1 malformed hitlist row(s)\n"
+        assert (tmp_path / "out" / "hitlist_overlap.csv").read_text(encoding="utf-8") == (
+            "month,wikimedia_48s,overlap_48s\n2015-06,1,1\n"
+        )
 
     def test_non_utf8_prefix_table_row_is_skipped(self, tmp_path, capsys):
         table = tmp_path / "rib.tsv"

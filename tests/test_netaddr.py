@@ -175,6 +175,11 @@ class TestOuiDatabase:
         with pytest.raises(BadCsv):
             load_oui_database(io.StringIO(""))
 
+    def test_oversized_field_is_file_level(self):
+        text = OUI_CSV + 'MA-L,001122,"' + "x" * 131073 + '",there\n'
+        with pytest.raises(BadCsv, match=r"^line 5: field larger than field limit"):
+            load_oui_database(io.StringIO(text))
+
 
 class TestResolveVendor:
     def test_resolves(self, oui_csv):
