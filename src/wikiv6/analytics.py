@@ -17,7 +17,7 @@ from ipaddress import IPv4Address, IPv6Address, ip_network
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .ingest import EditRecord
-from .netaddr import OuiDatabase, UNLISTED, extract_mac, is_eui64, parse_ip, resolve_vendor
+from .netaddr import OuiDatabase, UNLISTED, canonical_text, parse_ip
 from .ribstore import AttributedRecord
 
 V4 = "v4"
@@ -148,7 +148,7 @@ def _version(key: int) -> str:
 
 
 def _ip_text(key: int) -> str:
-    return str(IPv6Address(key ^ _V6) if key >> 128 else IPv4Address(key))
+    return canonical_text(IPv6Address(key ^ _V6) if key >> 128 else IPv4Address(key))
 
 
 class PartialAggregate:
@@ -331,14 +331,17 @@ def table_weekly_by_as(agg: PartialAggregate, top_k: int) -> ReportTable:
 
 
 def _eui64_vendors(agg: PartialAggregate, db: OuiDatabase) -> dict[int, tuple[bytes, str]]:
-    """(MAC octets, resolved vendor) for each distinct EUI-64 address."""
+    """(MAC octets, resolved vendor) for each distinct EUI-64 address.
+
+    Works on the int keys: 0xFFFE in bits 24-39 marks EUI-64 (bytes 11-12 of
+    the address), and the MAC is bits 40-63 with the U/L bit flipped back,
+    then bits 0-23, as in ``netaddr.extract_mac``.
+    """
     vendors = {}
     for key in agg.first_last:
-        if key >> 128:
-            ip = IPv6Address(key ^ _V6)
-            if is_eui64(ip):
-                mac = extract_mac(ip)
-                vendors[key] = (mac.octets, resolve_vendor(mac, db))
+        if key >> 128 and (key >> 24) & 0xFFFF == 0xFFFE:
+            mac = ((((key >> 40) & 0xFFFFFF) ^ 0x020000) << 24 | (key & 0xFFFFFF)).to_bytes(6, "big")
+            vendors[key] = (mac, db.vendor(mac[:3]))
     return vendors
 
 

@@ -120,7 +120,10 @@ def parse_timestamp(text: str) -> datetime:
     dt = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text)
     if dt.tzinfo is None:
         raise ValueError(f"naive timestamp: {text!r}")
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:  # an offset that moves year 1 or 9999 out of range
+        raise ValueError(f"timestamp out of range in UTC: {text!r}") from None
 
 
 # Leaf elements whose character data we buffer, keyed by (parent, element).
@@ -271,7 +274,9 @@ RECORD_HEADER = "\t".join(RECORD_COLUMNS)
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Inverse of parse_timestamp at second resolution: ``YYYY-MM-DDTHH:MM:SSZ`` in UTC."""
+    # isoformat zero-pads the year to four digits; strftime("%Y") does not on glibc.
+    return ts.astimezone(timezone.utc).isoformat()[:19] + "Z"
 
 
 def format_record(record: EditRecord) -> str:

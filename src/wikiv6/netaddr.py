@@ -1,10 +1,18 @@
 """IP address canonicalization, prefix arithmetic, EUI-64 mechanics, OUI vendor lookup.
 
-Addresses are represented with the stdlib ``ipaddress`` objects; their string
-form already follows RFC 5952 (lowercase hex, maximal ``::`` compression,
-leftmost run on ties), which is the canonical text used everywhere in this
-package. MAC addresses get a small wrapper type because we care about the
-OUI and the U/L bit.
+Addresses are the stdlib ``ipaddress`` objects, but their text goes through
+the libc: ``parse_ip`` builds them from ``inet_pton`` and ``canonical_text``
+writes v6 with ``inet_ntop``, whose output follows RFC 5952 (lowercase hex,
+longest ``::`` run, leftmost on ties, no ``::`` for one zero group). v4 text
+is ``str(IPv4Address)``. Any v6 address whose first 80 bits are zero is read
+and written by ``ipaddress`` instead: RFC 4291 §2.5.5 lets the libc write
+``::ffff:1.2.3.4`` and ``::1.2.3.4`` as dotted quads, where ``ipaddress``
+(3.11) writes ``::ffff:102:304``. ``inet_ntop`` output is libc-specific, so
+an import-time self-check compares the C codecs with ``ipaddress`` on fixed
+vectors; on any mismatch ``ipaddress`` does all of it for the process.
+
+MAC addresses get a small wrapper type because we care about the OUI and the
+U/L bit.
 """
 
 from __future__ import annotations
@@ -12,8 +20,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network, ip_address
+from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network
 from typing import BinaryIO, TextIO, Union
+
+# The same functions socket re-exports, without the import cost of its enums.
+from _socket import AF_INET, AF_INET6, inet_ntop, inet_pton
 
 IpAddress = Union[IPv4Address, IPv6Address]
 Prefix = Union[IPv4Network, IPv6Network]
@@ -38,23 +49,82 @@ class BadCsv(ValueError):
     """OUI CSV is unusable at the file level (e.g. missing header)."""
 
 
+_ZERO80 = bytes(10)
+
+# v6 text as ipaddress writes it, which the C codecs must reproduce.
+_SELF_CHECK_V6 = (
+    "2001:db8::1:0:0:1",  # two equal zero runs: the leftmost is compressed
+    "2001:db8:0:1:1:1:1:1",  # a single zero group is not compressed
+    "::",
+    "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff",
+    "::1:ffff:102:304",  # 64 zero bits: hex, never a dotted quad
+)
+# Spellings ipaddress rejects, which inet_pton must reject too.
+_SELF_CHECK_JUNK = (
+    (AF_INET, "01.2.3.4"),
+    (AF_INET, "1.2.3"),
+    (AF_INET, "1.2.3.256"),
+    (AF_INET6, "02001:db8::1"),
+    (AF_INET6, "1::2:3:4:5:6:7:8"),
+    (AF_INET6, "::01.2.3.4"),
+)
+
+
+def _py_pton(family: int, text: str) -> bytes:
+    return (IPv6Address if family == AF_INET6 else IPv4Address)(text).packed
+
+
+def _py_ntop(family: int, packed: bytes) -> str:
+    return str(IPv6Address(packed) if family == AF_INET6 else IPv4Address(packed))
+
+
+def _c_codecs_agree() -> bool:
+    """True iff this libc's inet_pton/inet_ntop match ipaddress on every self-check vector."""
+    try:
+        for text in _SELF_CHECK_V6:
+            packed = IPv6Address(text).packed
+            if inet_ntop(AF_INET6, packed) != text or inet_pton(AF_INET6, text.upper()) != packed:
+                return False
+    except (OSError, ValueError):
+        return False
+    for family, text in _SELF_CHECK_JUNK:
+        try:
+            inet_pton(family, text)
+        except (OSError, ValueError):
+            continue
+        return False
+    return True
+
+
+_pton, _ntop = (inet_pton, inet_ntop) if _c_codecs_agree() else (_py_pton, _py_ntop)
+
+
 def parse_ip(text: str) -> IpAddress:
     """Parse an IPv4/IPv6 address in any case or compression style.
 
     Zone indices, ports and CIDR suffixes are rejected; this accepts exactly
-    one host address, nothing more.
+    one host address, nothing more. Surrounding whitespace is ignored.
     """
     # ipaddress accepts scoped literals like fe80::1%eth0 since 3.9.
     if "%" in text:
         raise NotAnIp(f"zone index not allowed: {text!r}")
+    text = text.strip()
     try:
-        return ip_address(text.strip())
-    except ValueError as exc:
-        raise NotAnIp(str(exc)) from None
+        if ":" in text:
+            packed = _pton(AF_INET6, text)
+            # First 80 bits zero: ipaddress alone decides (see module docstring).
+            return IPv6Address(packed if packed[:10] != _ZERO80 else text)
+        return IPv4Address(_pton(AF_INET, text))
+    except (OSError, ValueError):
+        raise NotAnIp(f"not an IPv4 or IPv6 address: {text!r}") from None
 
 
 def canonical_text(ip: IpAddress) -> str:
     """Canonical text form: RFC 5952 for v6, dotted quad for v4."""
+    if ip.version == 6:
+        packed = ip.packed
+        if packed[:10] != _ZERO80:
+            return _ntop(AF_INET6, packed)
     return str(ip)
 
 

@@ -13,6 +13,7 @@ from wikiv6.ingest import (
     ParseStats,
     SiteId,
     StreamMalformed,
+    format_timestamp,
     parse_dump_stream,
     parse_timestamp,
     read_records,
@@ -89,6 +90,37 @@ class TestParseTimestamp:
     def test_rejected(self, text):
         with pytest.raises(ValueError):
             parse_timestamp(text)
+
+    @pytest.mark.parametrize("text", ["0001-01-01T00:00:00+05:00", "9999-12-31T23:59:59-05:00"])
+    def test_out_of_range_in_utc_is_value_error(self, text):
+        # The offset moves the instant outside datetime's years 1-9999.
+        with pytest.raises(ValueError, match="out of range"):
+            parse_timestamp(text)
+
+
+class TestFormatTimestamp:
+    @pytest.mark.parametrize("year", [1, 999, 1000, 2024, 9999])
+    def test_roundtrip_zero_padded_year(self, year):
+        ts = datetime(year, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
+        text = format_timestamp(ts)
+        assert text == f"{year:04d}-12-31T23:59:59Z"
+        assert parse_timestamp(text) == ts
+
+    def test_converts_to_utc_and_drops_fraction(self):
+        ts = parse_timestamp("2015-06-01T14:00:00.75+02:00")
+        assert format_timestamp(ts) == "2015-06-01T12:00:00Z"
+
+    def test_pre_1000_dump_timestamp_survives_extract_and_reread(self):
+        dump = _mini_dump(
+            "    <revision><id>1</id><timestamp>0999-12-31T23:59:59Z</timestamp>"
+            "<contributor><ip>192.0.2.1</ip></contributor></revision>\n"
+        )
+        records = list(parse_dump_stream(io.BytesIO(dump), SiteId.from_code("enwiki")))
+        sink = io.BytesIO()
+        write_records(records, sink)
+        reread = list(read_records(sink.getvalue().decode().splitlines(keepends=True)))
+        assert reread == records
+        assert sink.getvalue().splitlines()[1].startswith(b"0999-12-31T23:59:59Z\t")
 
 
 def _mini_dump(revisions: str) -> bytes:

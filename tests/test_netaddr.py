@@ -1,9 +1,16 @@
+import _socket
+import importlib.util
 import io
 import random
-from ipaddress import IPv6Address, IPv6Network, ip_network
+import sys
+from contextlib import contextmanager
+from ipaddress import IPv4Address, IPv6Address, IPv6Network, ip_address, ip_network
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wikiv6 import netaddr
 from wikiv6.netaddr import (
     BadCsv,
     BadLength,
@@ -61,10 +68,190 @@ class TestCanonicalText:
             if rng.random() < 0.5:
                 ip = IPv6Address(rng.getrandbits(128))
             else:
-                from ipaddress import IPv4Address
-
                 ip = IPv4Address(rng.getrandbits(32))
             assert parse_ip(canonical_text(ip)) == ip
+
+
+# Differential suite: parse_ip and canonical_text against ipaddress.
+
+_WHITESPACE = (" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000")
+_JUNK_CHARS = (
+    ":", ".", "%", "0", "f", "F", "g", "x", "/", " ", "\x00",
+    "\uff10", "\uff11",  # fullwidth digits
+    "\u0661",  # Arabic-Indic digit one
+    "\ud800", "\udfff",  # lone surrogates
+)
+_JUNK = (
+    "01.2.3.4", "1.2.3", "1.2.3.4.", "1.2.3.256", "0x1.2.3.4", "1.2.3.04", "\uff11.2.3.4",
+    "02001:db8::1", "2001:db8::1::1", "1::2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8::", ":1::", "1:::2",
+    "::01.2.3.4", "::1.2.3", "1:2:3:4:5:6:7:1.2.3.4", "::ffff:1.2.3.4:1", "fe80::1%eth0",
+    "2001:db8::1/64", "[2001:db8::1]", "192.0.2.7:80", "\ud800", "", ":", "::::",
+)
+
+
+@st.composite
+def _v6_value(draw) -> int:
+    kind = draw(st.sampled_from(("random", "low", "mapped", "sparse")))
+    if kind == "random":
+        return draw(st.integers(0, 2**128 - 1))
+    if kind == "low":  # first 80 bits zero: the ipaddress path
+        return draw(st.integers(0, 2**48 - 1))
+    if kind == "mapped":
+        return 0xFFFF << 32 | draw(st.integers(0, 2**32 - 1))
+    hextets = draw(st.lists(st.sampled_from((0, 0, 0, 1, 0xFFFF, 0xDB8)), min_size=8, max_size=8))
+    return sum(h << (112 - 16 * i) for i, h in enumerate(hextets))
+
+
+@st.composite
+def _v6_spelling(draw) -> str:
+    value = draw(_v6_value())
+    ip = IPv6Address(value)
+    groups = [f"{(value >> (112 - 16 * i)) & 0xFFFF:x}" for i in range(8)]
+    style = draw(st.sampled_from(("canonical", "upper", "exploded", "padded", "any_run", "v4_tail", "mapped", "compat")))
+    if style == "canonical":
+        return str(ip)
+    if style == "upper":
+        return str(ip).upper()
+    if style == "exploded":
+        return ip.exploded
+    if style == "padded":  # leading zeros, sometimes one digit too many
+        return ":".join("0" * draw(st.integers(0, 5 - len(g))) + g for g in groups)
+    if style == "any_run":  # :: over any run of groups, zero or not
+        start = draw(st.integers(0, 8))
+        stop = draw(st.integers(start, 8))
+        return ":".join(groups[:start]) + "::" + ":".join(groups[stop:])
+    quad = str(IPv4Address(value & 0xFFFFFFFF))
+    if style == "v4_tail":
+        return ":".join(groups[:6]) + ":" + quad
+    return ("::ffff:" if style == "mapped" else "::") + quad
+
+
+@st.composite
+def _v4_spelling(draw) -> str:
+    octets = [str(b) for b in draw(st.integers(0, 2**32 - 1)).to_bytes(4, "big")]
+    style = draw(st.sampled_from(("plain", "leading_zero", "short", "long")))
+    if style == "leading_zero":
+        i = draw(st.integers(0, 3))
+        octets[i] = "0" + octets[i]
+    elif style == "short":
+        del octets[draw(st.integers(0, 3))]
+    elif style == "long":
+        octets.append(str(draw(st.integers(0, 255))))
+    return ".".join(octets)
+
+
+@st.composite
+def _mangled(draw, base) -> str:
+    """Insert, replace or delete one character of a spelling."""
+    text = draw(base)
+    i = draw(st.integers(0, len(text)))
+    op = draw(st.sampled_from(("insert", "replace", "delete")))
+    if op == "delete" or not text:
+        return text[:i] + text[i + 1 :]
+    char = draw(st.sampled_from(_JUNK_CHARS))
+    return text[:i] + char + text[i + (op == "replace") :]
+
+
+_SPELLINGS = st.one_of(_v6_spelling(), _v4_spelling())
+_INPUTS = st.builds(
+    lambda lead, body, zone, trail: lead + body + zone + trail,
+    st.text(st.sampled_from(_WHITESPACE), max_size=2),
+    st.one_of(_SPELLINGS, _mangled(_SPELLINGS), st.sampled_from(_JUNK), st.text(st.sampled_from(_JUNK_CHARS))),
+    st.one_of(st.just(""), st.just(""), st.just("%eth0"), st.just("%1")),
+    st.text(st.sampled_from(_WHITESPACE), max_size=2),
+)
+
+
+# Each differential test runs on the codecs chosen at import, then on the
+# ipaddress stand-ins that a failed self-check selects.
+CODECS = pytest.mark.parametrize("codecs", ["import", "ipaddress"])
+
+
+@contextmanager
+def _using(codecs: str):
+    saved = netaddr._pton, netaddr._ntop
+    if codecs == "ipaddress":
+        netaddr._pton, netaddr._ntop = netaddr._py_pton, netaddr._py_ntop
+    try:
+        yield
+    finally:
+        netaddr._pton, netaddr._ntop = saved
+
+
+def _oracle(text: str):
+    try:
+        return ip_address(text.strip())
+    except ValueError:
+        return None
+
+
+class TestDifferential:
+    @CODECS
+    @settings(max_examples=800, deadline=None)
+    @given(text=_INPUTS)
+    def test_accepts_exactly_what_ipaddress_accepts(self, codecs, text):
+        expected = None if "%" in text else _oracle(text)
+        with _using(codecs):
+            if expected is None:
+                with pytest.raises(NotAnIp):
+                    parse_ip(text)
+                return
+            got = parse_ip(text)
+            assert type(got) is type(expected)
+            assert got == expected
+            assert canonical_text(got) == str(expected)
+
+    @CODECS
+    @settings(max_examples=300, deadline=None)
+    @given(ip=st.one_of(st.integers(0, 2**32 - 1).map(IPv4Address), _v6_value().map(IPv6Address)))
+    def test_canonical_text_matches_str(self, codecs, ip):
+        with _using(codecs):
+            assert canonical_text(ip) == str(ip)
+            assert parse_ip(canonical_text(ip)) == ip
+
+    @CODECS
+    @pytest.mark.parametrize("text", ["::ffff:1.2.3.4", "::1.2.3.4", "::ffff:0:0", "::1", "::"])
+    def test_first_80_bits_zero_written_as_ipaddress_does(self, codecs, text):
+        # glibc writes the first two as dotted quads (RFC 4291 §2.5.5).
+        with _using(codecs):
+            assert canonical_text(parse_ip(text)) == str(ip_address(text))
+
+
+def _import_fresh_netaddr(monkeypatch):
+    """Run netaddr's module code again, import-time self-check included, as a separate module."""
+    spec = importlib.util.spec_from_file_location("wikiv6_netaddr_fresh", netaddr.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCodecSelfCheck:
+    def test_import_choice_matches_the_check(self):
+        assert netaddr._c_codecs_agree() == (netaddr._pton is netaddr.inet_pton)
+        assert netaddr._c_codecs_agree() == (netaddr._ntop is netaddr.inet_ntop)
+
+    def test_lying_inet_ntop_selects_ipaddress(self, monkeypatch):
+        real = _socket.inet_ntop
+        # The right address in the wrong text: never compressed.
+        monkeypatch.setattr(
+            _socket,
+            "inet_ntop",
+            lambda family, packed: IPv6Address(packed).exploded if family == _socket.AF_INET6 else real(family, packed),
+        )
+        fresh = _import_fresh_netaddr(monkeypatch)
+        assert not fresh._c_codecs_agree()
+        assert (fresh._pton, fresh._ntop) == (fresh._py_pton, fresh._py_ntop)
+        assert fresh.canonical_text(fresh.parse_ip("2001:DB8:0:0:1:0:0:1")) == "2001:db8::1:0:0:1"
+
+    def test_lenient_inet_pton_selects_ipaddress(self, monkeypatch):
+        real = _socket.inet_pton
+        # Accepts a v4 octet with a leading zero, which ipaddress rejects.
+        monkeypatch.setattr(_socket, "inet_pton", lambda family, text: bytes(4) if text == "01.2.3.4" else real(family, text))
+        fresh = _import_fresh_netaddr(monkeypatch)
+        assert (fresh._pton, fresh._ntop) == (fresh._py_pton, fresh._py_ntop)
+        with pytest.raises(fresh.NotAnIp):
+            fresh.parse_ip("01.2.3.4")
 
 
 def _mac_oracle(ip: IPv6Address) -> str:
