@@ -366,6 +366,7 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
             "median": _counter_median(delta_counts),
             "max": max(delta_counts) if delta_counts else None,
         },
+        "snapshots": [e.counters for e in timeline.entries if e.counters is not None],
     }
     _write_stats(cfg, summary)
     write_manifest(
@@ -407,15 +408,14 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
 
     inputs = [source]
     db = EMPTY_OUI_DATABASE
-    if cfg.oui:
+    if cfg.oui and any(n in requested for n in ("eui64_weekly", "eui64_fraction", "vendor_counts")):
         try:
             with open(cfg.oui, "rb") as fh:
                 db = load_oui_database(fh)
         except (BadCsv, UnicodeDecodeError, OSError) as exc:
             print(f"report: {cfg.oui}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-        if any(n in requested for n in ("eui64_weekly", "eui64_fraction", "vendor_counts")):
-            inputs.append(cfg.oui)
+        inputs.append(cfg.oui)
 
     entries = []
     if "hitlist_overlap" in requested:

@@ -5,16 +5,23 @@ followed by RIB_IPV4_UNICAST / RIB_IPV6_UNICAST records. Every record carries
 one NLRI prefix and per-peer BGP attribute blobs; we pull the origin AS out of
 each peer's AS_PATH (4-byte ASNs in this format) and settle disagreements by
 plurality vote, lowest ASN on ties.
+
+A snapshot holds its routes as sorted ``((version, network int, prefix
+length), OriginAs)`` pairs, the keys ``LpmIndex`` indexes, so neither the MRT
+decode nor the index build makes an address object. ``RibSnapshot.entries``
+is a read-only view that builds ``(ip_network, OriginAs)`` pairs as they are
+read.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, field
 from datetime import datetime, timezone
 from ipaddress import IPv4Network, IPv6Network, ip_network
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
 
 from .ingest import EditRecord, SiteId, format_timestamp, parse_timestamp, read_rows
 from .netaddr import IpAddress, Prefix, canonical_text
@@ -100,95 +107,111 @@ class OriginAs:
 UNROUTED = OriginAs("unrouted")
 
 
+RouteKey = tuple[int, int, int]  # (IP version, network int, prefix length)
+Route = tuple[RouteKey, OriginAs]
+
+
+def _prefix_key(prefix: Prefix) -> RouteKey:
+    return (prefix.version, int(prefix.network_address), prefix.prefixlen)
+
+
+def _entry(route: Route) -> tuple[Prefix, OriginAs]:
+    (version, network, plen), origin = route
+    return (IPv4Network if version == 4 else IPv6Network)((network, plen)), origin
+
+
+class RouteEntries(Sequence):
+    """Read-only ``(ip_network, OriginAs)`` view of sorted routes; items are built when read."""
+
+    __slots__ = ("_routes",)
+
+    def __init__(self, routes: list[Route]):
+        self._routes = routes
+
+    def __len__(self) -> int:
+        return len(self._routes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [_entry(route) for route in self._routes[i]]
+        return _entry(self._routes[i])
+
+    def __iter__(self) -> Iterator[tuple[Prefix, OriginAs]]:
+        return map(_entry, self._routes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"RouteEntries({list(self)!r})"
+
+
 @dataclass
 class RibSnapshot:
-    """A timestamped prefix -> origin table plus parse counters."""
+    """A timestamped prefix -> origin table plus parse counters.
+
+    ``routes`` holds one ``((version, network int, prefix length), origin)``
+    pair per prefix, sorted by key. ``entries`` shows the same routes as
+    ``(ip_network, OriginAs)`` pairs, built when read; its length costs
+    nothing. Constructed from ``(prefix, origin)`` pairs, a prefix given more
+    than once keeps its voted origin.
+    """
 
     captured_at: datetime
-    entries: list[tuple[Prefix, OriginAs]]
+    pairs: InitVar[Iterable[tuple[Prefix, OriginAs]]] = ()
     peer_count: int = 0
     skipped_types: int = 0
     skipped_subtypes: int = 0
     malformed_attributes: int = 0
     malformed_records: int = 0
     bad_rows: int = 0
+    routes: list[Route] = field(init=False)
+
+    def __post_init__(self, pairs: Iterable[tuple[Prefix, OriginAs]]) -> None:
+        votes: dict[RouteKey, list[OriginAs]] = {}
+        for prefix, origin in pairs:
+            votes.setdefault(_prefix_key(prefix), []).append(origin)
+        self.routes = _voted_routes(votes)
+
+    @property
+    def entries(self) -> RouteEntries:
+        return RouteEntries(self.routes)
+
+    def counters(self) -> dict:
+        """Capture time, route count and parse counters, as one stats row."""
+        return {
+            "captured_at": format_timestamp(self.captured_at),
+            "routes": len(self.routes),
+            "peer_count": self.peer_count,
+            "malformed_records": self.malformed_records,
+            "malformed_attributes": self.malformed_attributes,
+            "skipped_types": self.skipped_types,
+            "skipped_subtypes": self.skipped_subtypes,
+            "bad_rows": self.bad_rows,
+        }
 
 
-def _entry_order(pair: tuple[Prefix, object]) -> tuple[int, int, int]:
-    """Sort key for (prefix, ...) pairs: IP version, then address, then length."""
-    prefix = pair[0]
-    return (prefix.version, int(prefix.network_address), prefix.prefixlen)
-
-
-def _vote(candidates: Sequence[OriginAs]) -> OriginAs:
-    # Plurality across peers; ties go to the candidate with the lowest ASN
-    # (tuple comparison: a 1-element (asn,) sorts by that asn).
+def _vote(candidates: list[OriginAs]) -> OriginAs:
     first = candidates[0]
+    # parse_mrt_rib keeps one OriginAs per origin, so agreeing peers compare by identity.
     if candidates.count(first) == len(candidates):
         return first
-    tally: dict[OriginAs, int] = {}
+    tally: dict[tuple[int, ...], int] = {}
     for origin in candidates:
-        tally[origin] = tally.get(origin, 0) + 1
-    best = max(tally.items(), key=lambda kv: (kv[1], [-a for a in kv[0].asns]))
-    return best[0]
+        tally[origin.asns] = tally.get(origin.asns, 0) + 1
+    # Plurality across peers; ties go to the candidate with the lowest ASN
+    # (a 1-tuple (asn,) compares by that asn).
+    top = max(tally.values())
+    tied = [asns for asns, n in tally.items() if n == top]
+    winner = tied[0] if len(tied) == 1 else max(tied, key=lambda asns: [-a for a in asns])
+    return next(origin for origin in candidates if origin.asns == winner)
 
 
-def _origin_from_as_path(data: bytes, origins: dict[int, OriginAs]) -> Optional[OriginAs]:
-    """Origin per the final path segment; None when the attribute is malformed.
-
-    `origins` holds one OriginAs per ASN seen so far in this parse.
-    """
-    pos = 0
-    end = len(data)
-    last = -1
-    while pos < end:
-        if pos + 2 > end or data[pos + 1] == 0:
-            return None
-        last = pos
-        pos += 2 + 4 * data[pos + 1]
-    if last < 0 or pos > end:
-        return None
-    seg_type = data[last]
-    if seg_type == AS_SEQUENCE:
-        (asn,) = struct.unpack_from(">I", data, end - 4)
-        origin = origins.get(asn)
-        if origin is None:
-            if asn == 0:
-                return None
-            origin = origins[asn] = OriginAs.from_asn(asn)
-        return origin
-    if seg_type == AS_SET:
-        try:
-            return OriginAs.ambiguous(struct.unpack_from(f">{data[last + 1]}I", data, last + 2))
-        except ValueError:
-            return None
-    return None
-
-
-def _peer_origin(attrs: bytes, origins: dict[int, OriginAs]) -> Optional[OriginAs]:
-    """Scan a BGP attribute blob for AS_PATH and extract the origin."""
-    pos = 0
-    size = len(attrs)
-    while pos < size:
-        if pos + 3 > size:
-            return None
-        flags = attrs[pos]
-        attr_type = attrs[pos + 1]
-        if flags & 0x10:  # extended length
-            if pos + 4 > size:
-                return None
-            (length,) = struct.unpack_from(">H", attrs, pos + 2)
-            data_start = pos + 4
-        else:
-            length = attrs[pos + 2]
-            data_start = pos + 3
-        data_end = data_start + length
-        if data_end > size:
-            return None
-        if attr_type == BGP_ATTR_AS_PATH:
-            return _origin_from_as_path(attrs[data_start:data_end], origins)
-        pos = data_end
-    return None
+def _voted_routes(votes: dict[RouteKey, list[OriginAs]]) -> list[Route]:
+    """Sorted routes, one per key, each key's candidate origins settled by _vote."""
+    return [(key, _vote(votes[key])) for key in sorted(votes)]
 
 
 def parse_mrt_rib(stream: BinaryIO) -> RibSnapshot:
@@ -201,11 +224,10 @@ def parse_mrt_rib(stream: BinaryIO) -> RibSnapshot:
     offset = 0
     captured_at: Optional[datetime] = None
     peer_count: Optional[int] = None
-    # (subtype, network int, prefix length) -> peer origins; subtype 2 (v4)
-    # sorts before 4 (v6), so the sorted keys follow _entry_order.
-    votes: dict[tuple[int, int, int], list[OriginAs]] = {}
-    origins: dict[int, OriginAs] = {}
-    snapshot = RibSnapshot(captured_at=datetime.fromtimestamp(0, timezone.utc), entries=[])
+    votes: dict[RouteKey, list[OriginAs]] = {}
+    # One OriginAs per ASN (int key) and per AS_SET (tuple key) seen in this parse.
+    origins: dict[object, OriginAs] = {}
+    snapshot = RibSnapshot(datetime.fromtimestamp(0, timezone.utc))
 
     while True:
         header = stream.read(_HEADER.size)
@@ -226,7 +248,7 @@ def parse_mrt_rib(stream: BinaryIO) -> RibSnapshot:
         elif subtype in (TD2_RIB_IPV4_UNICAST, TD2_RIB_IPV6_UNICAST):
             if peer_count is None:
                 raise MissingPeerIndex(f"RIB record at byte {offset} before PEER_INDEX_TABLE")
-            _parse_rib_record(body, subtype, votes, origins, snapshot)
+            _parse_rib_record(body, 4 if subtype == TD2_RIB_IPV4_UNICAST else 6, votes, origins, snapshot)
         else:
             snapshot.skipped_subtypes += 1
         offset += _HEADER.size + length
@@ -235,11 +257,7 @@ def parse_mrt_rib(stream: BinaryIO) -> RibSnapshot:
         raise MissingPeerIndex("stream contains no PEER_INDEX_TABLE")
     snapshot.captured_at = captured_at
     snapshot.peer_count = peer_count
-    # One ip_network per distinct prefix, built after the vote.
-    snapshot.entries = [
-        ((IPv4Network if subtype == TD2_RIB_IPV4_UNICAST else IPv6Network)((network, plen)), _vote(candidates))
-        for (subtype, network, plen), candidates in sorted(votes.items())
-    ]
+    snapshot.routes = _voted_routes(votes)
     return snapshot
 
 
@@ -254,14 +272,18 @@ def _parse_peer_index(body: bytes) -> int:
     return count
 
 
+_U32 = struct.Struct(">I")
+
+
 def _parse_rib_record(
     body: bytes,
-    subtype: int,
-    votes: dict[tuple[int, int, int], list[OriginAs]],
-    origins: dict[int, OriginAs],
+    version: int,
+    votes: dict[RouteKey, list[OriginAs]],
+    origins: dict[object, OriginAs],
     snapshot: RibSnapshot,
 ) -> None:
-    max_bits = 128 if subtype == TD2_RIB_IPV6_UNICAST else 32
+    """Add one RIB record's peer origins to `votes`, decoding each entry in place."""
+    width = 32 if version == 4 else 128
     size = len(body)
     if size < 5:
         snapshot.malformed_records += 1
@@ -269,31 +291,65 @@ def _parse_rib_record(
     plen = body[4]
     nbytes = (plen + 7) // 8
     pos = 5 + nbytes
-    if plen > max_bits or pos + 2 > size:
+    if plen > width or pos + 2 > size:
         snapshot.malformed_records += 1
         return
     # Bits past the prefix length are irrelevant (RFC 4271 section 4.3): drop them.
-    network = int.from_bytes(body[5:pos], "big") >> (8 * nbytes - plen) << (max_bits - plen)
-    (entry_count,) = struct.unpack_from(">H", body, pos)
+    network = int.from_bytes(body[5:pos], "big") >> (8 * nbytes - plen) << (width - plen)
+    entry_count = body[pos] << 8 | body[pos + 1]
     pos += 2
     peer_origins: list[OriginAs] = []
     for _ in range(entry_count):
-        if pos + 8 > size:
+        # Peer entry: peer index (2), originated time (4), attribute length (2), attributes.
+        attr = pos + 8
+        if attr > size:
             snapshot.malformed_records += 1
             break
-        (attr_len,) = struct.unpack_from(">H", body, pos + 6)
-        attr_end = pos + 8 + attr_len
-        if attr_end > size:
+        end = attr + (body[pos + 6] << 8 | body[pos + 7])
+        if end > size:
             snapshot.malformed_records += 1
             break
-        origin = _peer_origin(body[pos + 8 : attr_end], origins)
+        pos = end
+        origin = None
+        while attr + 3 <= end:  # attribute: flags, type, length (1 or 2 bytes), data
+            if body[attr] & 0x10:  # extended length
+                start = attr + 4
+                if start > end:
+                    break
+                stop = start + (body[attr + 2] << 8 | body[attr + 3])
+            else:
+                start = attr + 3
+                stop = start + body[attr + 2]
+            if stop > end:
+                break
+            if body[attr + 1] != BGP_ATTR_AS_PATH:
+                attr = stop
+                continue
+            # AS_PATH segments: type, ASN count (nonzero), 4-byte ASNs; the last one names the origin.
+            last = -1
+            seg = start
+            while seg + 2 <= stop and body[seg + 1]:
+                last = seg
+                seg += 2 + 4 * body[seg + 1]
+            if seg != stop or last < 0:
+                break
+            if body[last] == AS_SEQUENCE:
+                asn = _U32.unpack_from(body, stop - 4)[0]
+                origin = origins.get(asn)
+                if origin is None and asn:
+                    origin = origins[asn] = OriginAs.from_asn(asn)
+            elif body[last] == AS_SET:
+                asns = struct.unpack_from(f">{body[last + 1]}I", body, last + 2)
+                origin = origins.get(asns)
+                if origin is None and any(asns):
+                    origin = origins[asns] = OriginAs.ambiguous(asns)
+            break
         if origin is None:
             snapshot.malformed_attributes += 1
         else:
             peer_origins.append(origin)
-        pos = attr_end
     if peer_origins:
-        votes.setdefault((subtype, network, plen), []).extend(peer_origins)
+        votes.setdefault((version, network, plen), []).extend(peer_origins)
 
 
 CAPTURED_AT_PREFIX = "# captured_at="
@@ -306,7 +362,7 @@ def load_prefix_table(lines: Iterable[str]) -> RibSnapshot:
     Bad rows are skipped and counted.
     """
     captured_at: Optional[datetime] = None
-    entries: list[tuple[Prefix, OriginAs]] = []
+    votes: dict[RouteKey, list[OriginAs]] = {}
     bad_rows = 0
     for line in lines:
         line = line.rstrip("\n")
@@ -326,18 +382,19 @@ def load_prefix_table(lines: Iterable[str]) -> RibSnapshot:
         except ValueError:
             bad_rows += 1
             continue
-        entries.append((prefix, origin))
+        votes.setdefault(_prefix_key(prefix), []).append(origin)
     if captured_at is None:
         raise BadPrefixTable("missing '# captured_at=' header")
-    entries.sort(key=_entry_order)
-    return RibSnapshot(captured_at=captured_at, entries=entries, bad_rows=bad_rows)
+    snapshot = RibSnapshot(captured_at, bad_rows=bad_rows)
+    snapshot.routes = _voted_routes(votes)
+    return snapshot
 
 
 def write_prefix_table(snapshot: RibSnapshot, sink: TextIO) -> int:
     """Dump a snapshot in load_prefix_table's format; returns rows written."""
     sink.write(f"{CAPTURED_AT_PREFIX}{format_timestamp(snapshot.captured_at)}\n")
     rows = 0
-    for prefix, origin in sorted(snapshot.entries, key=_entry_order):
+    for prefix, origin in snapshot.entries:
         sink.write(f"{prefix}\t{origin.text}\n")
         rows += 1
     return rows
@@ -364,7 +421,7 @@ class LpmIndex:
         self._tables: Optional[dict[int, tuple[list[int], list[OriginAs]]]] = None
 
     def insert(self, prefix: Prefix, origin: OriginAs) -> None:
-        self._routes[(prefix.version, int(prefix.network_address), prefix.prefixlen)] = origin
+        self._routes[_prefix_key(prefix)] = origin
         self._tables = None
 
     def lookup(self, ip: IpAddress) -> OriginAs:
@@ -375,75 +432,76 @@ class LpmIndex:
         return origins[bisect_right(starts, int(ip)) - 1]
 
     def _build_tables(self) -> dict[int, tuple[list[int], list[OriginAs]]]:
-        keys = sorted(self._routes)
-        split = bisect_left(keys, (6,))
-        return {4: self._sweep(keys[:split], 32), 6: self._sweep(keys[split:], 128)}
+        return _range_tables(sorted(self._routes.items()))
 
-    def _sweep(self, keys: list[tuple[int, int, int]], width: int) -> tuple[list[int], list[OriginAs]]:
-        """Flatten one version's sorted route keys into (starts, origins) runs.
 
-        Keys sort parents before the prefixes they enclose, so a stack of the
-        enclosing prefixes' last addresses gives the origin each gap falls
-        back to when a nested prefix ends.
-        """
-        routes = self._routes
-        starts = [0]
-        origins = [UNROUTED]
-        enclosing: list[tuple[int, OriginAs]] = []  # (last address, origin), innermost on top
+def _range_tables(routes: list[Route]) -> dict[int, tuple[list[int], list[OriginAs]]]:
+    """Each IP version's (starts, origins) runs, from routes sorted by key."""
+    split = bisect_left(routes, ((6,),))
+    return {4: _sweep(routes[:split], 32), 6: _sweep(routes[split:], 128)}
 
-        def run(start: int, origin: OriginAs) -> None:
-            if starts[-1] == start:  # an empty run: the new one replaces it
-                origins[-1] = origin
-            else:
-                starts.append(start)
-                origins.append(origin)
 
-        for key in keys:
-            _version, start, plen = key
-            while enclosing and enclosing[-1][0] < start:
-                last, _origin = enclosing.pop()
-                run(last + 1, enclosing[-1][1] if enclosing else UNROUTED)
-            origin = routes[key]
-            run(start, origin)
-            enclosing.append((start + (1 << (width - plen)) - 1, origin))
-        while enclosing:
+def _sweep(routes: list[Route], width: int) -> tuple[list[int], list[OriginAs]]:
+    """Flatten one version's sorted routes into (starts, origins) runs.
+
+    Keys sort parents before the prefixes they enclose, so a stack of the
+    enclosing prefixes' last addresses gives the origin each gap falls
+    back to when a nested prefix ends.
+    """
+    starts = [0]
+    origins = [UNROUTED]
+    enclosing: list[tuple[int, OriginAs]] = []  # (last address, origin), innermost on top
+
+    def run(start: int, origin: OriginAs) -> None:
+        if starts[-1] == start:  # an empty run: the new one replaces it
+            origins[-1] = origin
+        else:
+            starts.append(start)
+            origins.append(origin)
+
+    for (_version, start, plen), origin in routes:
+        while enclosing and enclosing[-1][0] < start:
             last, _origin = enclosing.pop()
             run(last + 1, enclosing[-1][1] if enclosing else UNROUTED)
-        return starts, origins
+        run(start, origin)
+        enclosing.append((start + (1 << (width - plen)) - 1, origin))
+    while enclosing:
+        last, _origin = enclosing.pop()
+        run(last + 1, enclosing[-1][1] if enclosing else UNROUTED)
+    return starts, origins
 
 
 def build_lpm(snapshot: RibSnapshot) -> LpmIndex:
-    """Index a snapshot; duplicate prefixes collapse to one voted origin.
+    """Index a snapshot's routes.
 
     The range tables are built here rather than by the first lookup.
     """
     index = LpmIndex()
-    routes = index._routes
-    disputed: dict[tuple[int, int, int], list[OriginAs]] = {}
-    for pair in snapshot.entries:
-        key = _entry_order(pair)
-        if key in routes:
-            disputed.setdefault(key, [routes[key]]).append(pair[1])
-        routes[key] = pair[1]
-    for key, origins in disputed.items():
-        routes[key] = _vote(origins)
-    index._tables = index._build_tables()
+    index._routes.update(snapshot.routes)
+    index._tables = _range_tables(snapshot.routes)
     return index
 
 
 class TimelineEntry:
-    """One snapshot in a timeline; the LPM index is built on first use."""
+    """One snapshot in a timeline; the LPM index is built on first use.
 
-    __slots__ = ("captured_at", "_loader", "_index")
+    ``counters`` is the loaded snapshot's ``RibSnapshot.counters()`` row, None
+    until the first load.
+    """
+
+    __slots__ = ("captured_at", "counters", "_loader", "_index")
 
     def __init__(self, captured_at: datetime, loader: Callable[[], RibSnapshot]):
         self.captured_at = captured_at
+        self.counters: Optional[dict] = None
         self._loader = loader
         self._index: Optional[LpmIndex] = None
 
     def index(self) -> LpmIndex:
         if self._index is None:
-            self._index = build_lpm(self._loader())
+            snapshot = self._loader()
+            self.counters = snapshot.counters()
+            self._index = build_lpm(snapshot)
         return self._index
 
     def evict(self) -> None:

@@ -2,12 +2,16 @@
 
 Nothing here imports wikiv6. The dump scan is line-oriented regex matching;
 the table oracles are direct set/group-by recomputations over parsed TSV rows
-with their own truncation, EUI-64, vendor and CSV-rendering code paths.
+with their own truncation, EUI-64, vendor and CSV-rendering code paths. The
+MRT reference decoder reads RFC 6396 field by field with ``struct`` and
+masks prefixes with ``ipaddress``.
 """
 
 from __future__ import annotations
 
 import re
+import struct
+from collections import Counter
 from datetime import datetime, timezone
 from ipaddress import ip_address, ip_network
 
@@ -431,3 +435,174 @@ def oracle_all_tables(records_tsv_text, oui_csv_text, hitlist_lines, top_k, top_
         "vendor_counts": oracle_vendor_counts(rows, oui_table),
         "hitlist_overlap": oracle_hitlist_overlap(rows, hitlist_lines or []),
     }
+
+
+class OracleTruncated(Exception):
+    def __init__(self, offset):
+        super().__init__(offset)
+        self.offset = offset
+
+
+class OracleNoPeerIndex(Exception):
+    pass
+
+
+def _oracle_as_path_origin(data):
+    """Origin text from AS_PATH data (RFC 4271 4.3, 4-byte ASNs per RFC 6396 4.3.4), or None.
+
+    The path is a list of segments: type (1 byte), ASN count (1 byte), the
+    ASNs. A segment with no ASNs, a segment that overruns the data, an empty
+    path, or a final segment that is neither AS_SET nor AS_SEQUENCE is
+    malformed. The final AS_SEQUENCE's last ASN is the origin (ASN 0 is
+    malformed); a final AS_SET names every distinct ASN in it (a set of only
+    ASN 0 is malformed, a set of one distinct ASN is that ASN).
+    """
+    segments = []
+    i = 0
+    while i < len(data):
+        if len(data) - i < 2:
+            return None
+        seg_type, count = data[i], data[i + 1]
+        if count == 0 or i + 2 + 4 * count > len(data):
+            return None
+        segments.append((seg_type, list(struct.unpack(f">{count}I", data[i + 2 : i + 2 + 4 * count]))))
+        i += 2 + 4 * count
+    if not segments:
+        return None
+    seg_type, asns = segments[-1]
+    if seg_type == 2:  # AS_SEQUENCE
+        return None if asns[-1] == 0 else (asns[-1],)
+    if seg_type == 1:  # AS_SET
+        distinct = sorted(set(asns))
+        return None if distinct == [0] else tuple(distinct)
+    return None
+
+
+def _oracle_peer_origin(attrs):
+    """Walk BGP path attributes (RFC 4271 4.3) to the first AS_PATH; None if absent or cut short."""
+    i = 0
+    while i < len(attrs):
+        if len(attrs) - i < 3:
+            return None
+        flags, attr_type = attrs[i], attrs[i + 1]
+        if flags & 0x10:
+            if len(attrs) - i < 4:
+                return None
+            (length,) = struct.unpack(">H", attrs[i + 2 : i + 4])
+            start = i + 4
+        else:
+            length = attrs[i + 2]
+            start = i + 3
+        if start + length > len(attrs):
+            return None
+        if attr_type == 2:
+            return _oracle_as_path_origin(attrs[start : start + length])
+        i = start + length
+    return None
+
+
+def _oracle_winner(asn_tuples):
+    """Plurality; among tied origins the lower first differing ASN wins, and
+    an origin whose ASNs extend another's wins over it."""
+    counts = Counter(asn_tuples)
+    top = max(counts.values())
+    tied = [origin for origin, n in counts.items() if n == top]
+    best = tied[0]
+    for other in tied[1:]:
+        for a, b in zip(best, other):
+            if a != b:
+                if b < a:
+                    best = other
+                break
+        else:
+            if len(other) > len(best):
+                best = other
+    return best
+
+
+def _origin_text(asns):
+    return str(asns[0]) if len(asns) == 1 else "set:" + ",".join(str(a) for a in asns)
+
+
+def oracle_mrt_rib(data):
+    """Reference TABLE_DUMP_V2 decode (RFC 6396 4.3) of a whole MRT file.
+
+    Returns a dict: captured_at (the first record's timestamp, epoch
+    seconds), peer_count (from the latest PEER_INDEX_TABLE), the five
+    counters, and entries, sorted ``(prefix text, origin text)`` pairs after
+    the per-prefix vote. Raises OracleTruncated with the start offset of a
+    record the data ends inside, and OracleNoPeerIndex for a RIB record
+    before any PEER_INDEX_TABLE or a file with no PEER_INDEX_TABLE.
+    """
+    out = {
+        "captured_at": None,
+        "peer_count": None,
+        "skipped_types": 0,
+        "skipped_subtypes": 0,
+        "malformed_records": 0,
+        "malformed_attributes": 0,
+    }
+    votes = {}
+    offset = 0
+    while offset < len(data):
+        if len(data) - offset < 12:
+            raise OracleTruncated(offset)
+        ts, mrt_type, subtype, length = struct.unpack(">IHHI", data[offset : offset + 12])
+        body = data[offset + 12 : offset + 12 + length]
+        if len(body) < length:
+            raise OracleTruncated(offset)
+        if out["captured_at"] is None:
+            out["captured_at"] = ts
+        if mrt_type != 13:
+            out["skipped_types"] += 1
+        elif subtype == 1:
+            # collector BGP ID (4), view name length (2), view name, peer count (2)
+            peers = 0
+            if len(body) >= 8:
+                (view_len,) = struct.unpack(">H", body[4:6])
+                if len(body) >= 8 + view_len:
+                    (peers,) = struct.unpack(">H", body[6 + view_len : 8 + view_len])
+            out["peer_count"] = peers
+        elif subtype in (2, 4):
+            if out["peer_count"] is None:
+                raise OracleNoPeerIndex(offset)
+            _oracle_rib_record(body, 32 if subtype == 2 else 128, votes, out)
+        else:
+            out["skipped_subtypes"] += 1
+        offset += 12 + length
+    if out["peer_count"] is None:
+        raise OracleNoPeerIndex(offset)
+    ranked = sorted(votes, key=lambda net: (net.version, int(net.network_address), net.prefixlen))
+    out["entries"] = [(str(net), _origin_text(_oracle_winner(votes[net]))) for net in ranked]
+    return out
+
+
+def _oracle_rib_record(body, bits, votes, out):
+    # sequence number (4), prefix length (1), prefix (ceil(len / 8) bytes), entry count (2), entries
+    if len(body) < 5:
+        out["malformed_records"] += 1
+        return
+    plen = body[4]
+    nbytes = (plen + 7) // 8
+    if plen > bits or len(body) < 5 + nbytes + 2:
+        out["malformed_records"] += 1
+        return
+    packed = body[5 : 5 + nbytes] + bytes(bits // 8 - nbytes)
+    net = ip_network((packed, plen), strict=False)
+    (count,) = struct.unpack(">H", body[5 + nbytes : 7 + nbytes])
+    i = 7 + nbytes
+    for _ in range(count):
+        # peer index (2), originated time (4), attribute length (2), attributes
+        if len(body) - i < 8:
+            out["malformed_records"] += 1
+            break
+        (attr_len,) = struct.unpack(">H", body[i + 6 : i + 8])
+        if len(body) - i - 8 < attr_len:
+            out["malformed_records"] += 1
+            break
+        origin = _oracle_peer_origin(body[i + 8 : i + 8 + attr_len])
+        if origin is None:
+            out["malformed_attributes"] += 1
+        else:
+            votes.setdefault(net, []).append(origin)
+        i += 8 + attr_len

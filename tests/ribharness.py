@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Decode and index one synthetic full-size RIB snapshot; report times and peak RSS.
+
+A TABLE_DUMP_V2 file is written with ``mrt_synth`` into a temporary directory,
+one record at a time so the writer holds little. Then ``parse_mrt_rib`` reads
+it and ``build_lpm`` indexes the snapshot, and one JSON line reports the wall
+seconds of each step and the process's peak RSS after each.
+
+The table: unique v4 /24s and unique v6 /48s (2001::/16 space), no nesting,
+in scrambled order. Every prefix has one entry per peer. Each peer's AS_PATH
+is its own first hop, one of 1,000 transit ASNs and the prefix's origin;
+every third prefix has one peer that names another origin, and one prefix in
+a hundred ends in an AS_SET. ORIGIN precedes AS_PATH in every blob and every
+other prefix carries a MED, so nearly every peer's attribute blob is distinct.
+
+usage: ribharness.py [v4_prefixes [v6_prefixes [peers]]]   (default 1000000 200000 4)
+"""
+
+import io
+import json
+import os
+import resource
+import sys
+import tempfile
+import time
+
+import mrt_synth as synth
+from wikiv6.ribstore import build_lpm, parse_mrt_rib
+
+TS = 1700000000
+ORIGIN_ATTR = synth.origin_igp_attr()
+
+
+def _maxrss_kb() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+def _attrs(i: int, peer: int) -> bytes:
+    origin = 1 + (i * 7919) % 60000
+    if i % 3 == 0 and peer == 0:
+        origin = 60001 + origin
+    transit = 100000 + (i * 31 + peer * 977) % 1000
+    segments = [(synth.AS_SEQUENCE, [65000 + peer, transit, origin])]
+    if i % 100 == 0:
+        segments.append((synth.AS_SET, [origin, origin + 1]))
+    blob = ORIGIN_ATTR + synth.as_path(segments)
+    if i % 2:
+        blob += synth.med_attr(i % 1000)
+    return blob
+
+
+def write_table(sink: io.BufferedIOBase, v4: int, v6: int, peers: int) -> None:
+    sink.write(synth.mrt_record(TS, synth.TABLE_DUMP_V2, synth.PEER_INDEX_TABLE, synth.peer_index_body(peers=peers)))
+    for i in range(v4 + v6):
+        if i < v4:
+            # odd multiplier: a bijection on 24 bits, so every /24 is distinct
+            bits, plen, subtype = ((i * 0x9E3779B1) & 0xFFFFFF).to_bytes(3, "big"), 24, synth.RIB_IPV4_UNICAST
+        else:
+            word = ((i - v4) * 0x9E3779B1) & 0xFFFFFFFF
+            bits, plen, subtype = b"\x20\x01" + word.to_bytes(4, "big"), 48, synth.RIB_IPV6_UNICAST
+        entries = [synth.rib_entry(peer, TS, _attrs(i, peer)) for peer in range(peers)]
+        sink.write(synth.mrt_record(TS, synth.TABLE_DUMP_V2, subtype, synth.rib_unicast_body(i, bits, plen, entries)))
+
+
+def main() -> None:
+    v4 = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
+    v6 = int(sys.argv[2]) if len(sys.argv) > 2 else 200_000
+    peers = int(sys.argv[3]) if len(sys.argv) > 3 else 4
+    with tempfile.TemporaryDirectory(prefix="ribharness-") as tmp:
+        path = os.path.join(tmp, "rib.mrt")
+        t0 = time.perf_counter()
+        with open(path, "wb") as sink:
+            write_table(sink, v4, v6, peers)
+        write_s = time.perf_counter() - t0
+        file_bytes = os.path.getsize(path)
+        rss_before = _maxrss_kb()
+        t0 = time.perf_counter()
+        with open(path, "rb") as fh:
+            snapshot = parse_mrt_rib(fh)
+        parse_s = time.perf_counter() - t0
+    rss_parse = _maxrss_kb()
+    t0 = time.perf_counter()
+    build_lpm(snapshot)
+    build_s = time.perf_counter() - t0
+    print(
+        json.dumps(
+            {
+                "v4_prefixes": v4,
+                "v6_prefixes": v6,
+                "peers": peers,
+                "file_bytes": file_bytes,
+                "routes": len(snapshot.entries),
+                "malformed_attributes": snapshot.malformed_attributes,
+                "write_s": round(write_s, 3),
+                "parse_s": round(parse_s, 3),
+                "build_lpm_s": round(build_s, 3),
+                "maxrss_kb_before_parse": rss_before,
+                "maxrss_kb_after_parse": rss_parse,
+                "maxrss_kb": _maxrss_kb(),
+            }
+        )
+    )
+
+
+if __name__ == "__main__":
+    main()

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import mrt_synth as synth
 import oracles
-from wikiv6 import cli
+from wikiv6 import cli, ribstore
 from wikiv6.cli import (
     ConfigError,
     PipelineConfig,
@@ -474,6 +475,20 @@ class TestMalformedInput:
         assert err.startswith(f"report: {bad}: ")
         assert err.count("\n") == 1
 
+    def test_bad_oui_unread_by_the_requested_table(self, tmp_path, capsys):
+        oui = tmp_path / "badoui.csv"
+        oui.write_text("foo,bar\n1,2\n", encoding="utf-8")
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"oui = {oui}\nrecords = {_write_records(tmp_path)}\nout = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        assert run_cli("report", "weekly_by_version", "--config", str(cfg)) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "weekly_by_version.csv").read_text(encoding="utf-8").startswith("week,")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        assert str(oui) not in manifest["inputs"]
+
     def test_short_snapshot_names_its_file(self, tmp_path, capsys):
         rib = tmp_path / "short.mrt"
         rib.write_bytes(b"\x00\x01\x02")  # shorter than one MRT header
@@ -530,6 +545,89 @@ class TestMalformedInput:
         assert run_cli("attribute", "--config", str(cfg), "--stats", str(tmp_path / "a.json")) == 0
         lines = (tmp_path / "out" / "attributed.tsv").read_text(encoding="utf-8").splitlines()
         assert lines[1].split("\t")[3] == "64500"
+
+
+def _mrt_with_one_cut_blob(path, ts=1433160000):
+    """2001:db8::/32 from three peers; the second peer's AS_PATH is cut two bytes short."""
+    good = synth.as_path([(synth.AS_SEQUENCE, [64500, 64501])])
+    entries = [synth.rib_entry(0, 0, good), synth.rib_entry(1, 0, good[:-2]), synth.rib_entry(2, 0, good)]
+    path.write_bytes(
+        synth.mrt_record(ts, 13, 1, synth.peer_index_body(peers=3))
+        + synth.mrt_record(ts, 13, 4, synth.rib_unicast_body(1, bytes.fromhex("20010db8"), 32, entries))
+    )
+    return path
+
+
+class TestSnapshotStats:
+    """attribute's stats carry one row of parse counters per snapshot it loaded."""
+
+    def _run(self, tmp_path):
+        mrt = _mrt_with_one_cut_blob(tmp_path / "rib.mrt")  # 2015-06-01T12:00:00Z
+        table = tmp_path / "rib-2020.tsv"
+        table.write_text("# captured_at=2020-01-01T00:00:00Z\n2001:db8::/32\t64502\nbad row\n", encoding="utf-8")
+        unused = tmp_path / "rib-2025.tsv"
+        unused.write_text("# captured_at=2025-01-01T00:00:00Z\n", encoding="utf-8")
+        records = _write_records(tmp_path, b"2019-12-30T00:00:00Z\tenwiki\t2001:db8::2")
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"rib = {mrt}\nrib = {table}\nrib = {unused}\nrecords = {records}\nout = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        stats = tmp_path / "a.json"
+        assert run_cli("attribute", "--config", str(cfg), "--stats", str(stats)) == 0
+        return json.loads(stats.read_text(encoding="utf-8"))
+
+    EXPECTED = [
+        {
+            "captured_at": "2015-06-01T12:00:00Z",
+            "routes": 1,
+            "peer_count": 3,
+            "malformed_records": 0,
+            "malformed_attributes": 1,
+            "skipped_types": 0,
+            "skipped_subtypes": 0,
+            "bad_rows": 0,
+        },
+        {
+            "captured_at": "2020-01-01T00:00:00Z",
+            "routes": 1,
+            "peer_count": 0,
+            "malformed_records": 0,
+            "malformed_attributes": 0,
+            "skipped_types": 0,
+            "skipped_subtypes": 0,
+            "bad_rows": 1,
+        },
+    ]
+
+    def test_one_row_per_loaded_snapshot(self, tmp_path):
+        summary = self._run(tmp_path)
+        assert summary["snapshots"] == self.EXPECTED
+        assert (summary["records"], summary["unrouted"]) == (2, 0)
+
+    def test_rows_from_timeline_entries_built_by_hand(self, tmp_path, monkeypatch):
+        # As a caller with its own loaders would build the timeline.
+        def loader(path):
+            def load():
+                with open(path, "rb") as fh:
+                    if fh.read(1) != b"#":
+                        fh.seek(0)
+                        return ribstore.parse_mrt_rib(fh)
+                with open(path, "r", encoding="utf-8") as fh:
+                    return ribstore.load_prefix_table(fh)
+
+            return load
+
+        class HandBuilt:
+            @staticmethod
+            def from_files(paths):
+                return ribstore.RibTimeline([
+                    ribstore.TimelineEntry(ribstore.RibTimeline.from_files([p]).entries[0].captured_at, loader(p))
+                    for p in paths
+                ])
+
+        monkeypatch.setattr(cli, "RibTimeline", HandBuilt)
+        assert self._run(tmp_path)["snapshots"] == self.EXPECTED
 
 
 def test_console_entrypoint_smoke():

@@ -1,11 +1,19 @@
 import io
+import json
 import random
+import struct
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 from ipaddress import IPv4Address, IPv6Address, ip_network
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mrt_synth as synth
+import oracles
 from wikiv6.ingest import EditRecord, SiteId, parse_timestamp
 from wikiv6.ribstore import (
     BadPrefixTable,
@@ -15,6 +23,7 @@ from wikiv6.ribstore import (
     OriginAs,
     RibSnapshot,
     RibTimeline,
+    TimelineEntry,
     TruncatedRecord,
     UNROUTED,
     UnsortedInput,
@@ -543,3 +552,241 @@ class TestTimelineFiles:
         assert [e.captured_at.day for e in timeline.entries] == [10, 12]
         assert timeline.nearest_position(parse_timestamp("2016-09-11T22:00:00Z")) == 1
         assert timeline.entries[1].index().lookup(IPv6Address("2620:119::35")) == OriginAs.from_asn(36692)
+
+
+def _decoded(data):
+    """parse_mrt_rib's result in the reference decoder's terms, or the error it raised."""
+    try:
+        snapshot = parse_mrt_rib(io.BytesIO(data))
+    except TruncatedRecord as exc:
+        return ("truncated", exc.offset)
+    except MissingPeerIndex:
+        return ("no-peer-index",)
+    return {
+        "captured_at": int(snapshot.captured_at.timestamp()),
+        "peer_count": snapshot.peer_count,
+        "skipped_types": snapshot.skipped_types,
+        "skipped_subtypes": snapshot.skipped_subtypes,
+        "malformed_records": snapshot.malformed_records,
+        "malformed_attributes": snapshot.malformed_attributes,
+        "entries": [(str(p), o.text) for p, o in snapshot.entries],
+    }
+
+
+def _reference(data):
+    try:
+        return oracles.oracle_mrt_rib(data)
+    except oracles.OracleTruncated as exc:
+        return ("truncated", exc.offset)
+    except oracles.OracleNoPeerIndex:
+        return ("no-peer-index",)
+
+
+# A few ASNs, so peers agree, disagree and tie; 0 and 2**32 - 1 are the edges.
+_ASNS = st.sampled_from([0, 1, 2, 64500, 64501, 64502, 2**32 - 1])
+
+
+@st.composite
+def _as_path_attr(draw):
+    segments = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([synth.AS_SET, synth.AS_SEQUENCE, synth.AS_SEQUENCE, 3]),  # 3: AS_CONFED_SEQUENCE
+                st.lists(_ASNS, min_size=0 if draw(st.integers(0, 9)) == 0 else 1, max_size=4),
+            ),
+            min_size=0 if draw(st.integers(0, 9)) == 0 else 1,
+            max_size=3,
+        )
+    )
+    return synth.as_path(segments, extended=draw(st.booleans()))
+
+
+@st.composite
+def _peer_entry(draw, peer):
+    attrs = b""
+    if draw(st.booleans()):
+        attrs += synth.origin_igp_attr()
+    if draw(st.integers(0, 9)):  # one entry in ten has no AS_PATH
+        attrs += draw(_as_path_attr())
+    if draw(st.booleans()):
+        attrs += synth.med_attr(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 7)) == 0:  # a blob cut short, its length field kept true to the cut
+        attrs = attrs[: draw(st.integers(0, max(0, len(attrs) - 1)))]
+    return synth.rib_entry(peer, 0, attrs)
+
+
+@st.composite
+def _rib_record(draw, ts, peers):
+    v6 = draw(st.booleans())
+    width = 128 if v6 else 32
+    # Few distinct prefixes, so records often share one once host bits are dropped.
+    plen = draw(st.sampled_from([0, 1, 7, 8, 9, 23, 24, 25, 32] + ([48, 63, 64, 127, 128] if v6 else [])))
+    top = draw(st.sampled_from([0, 0x20010DB8, 0x0A000000, 0xFFFFFFFF]))
+    bits = (top << (width - 32)) | draw(st.integers(0, 2**8 - 1))  # low bits set past most lengths
+    entries = [draw(_peer_entry(i)) for i in range(draw(st.integers(1, peers)))]
+    body = synth.rib_unicast_body(draw(st.integers(0, 99)), bits.to_bytes(width // 8, "big"), plen, entries)
+    if draw(st.integers(0, 9)) == 0:  # an entry count that runs past the body
+        at = 5 + (plen + 7) // 8
+        body = body[:at] + struct.pack(">H", len(entries) + draw(st.integers(1, 3))) + body[at + 2 :]
+    return synth.mrt_record(ts, synth.TABLE_DUMP_V2, synth.RIB_IPV6_UNICAST if v6 else synth.RIB_IPV4_UNICAST, body)
+
+
+@st.composite
+def _mrt_files(draw):
+    ts = draw(st.integers(0, 2**32 - 1))
+    peers = draw(st.integers(1, 6))
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:  # TABLE_DUMP (v1) or another MRT type
+            records.append(synth.mrt_record(ts, draw(st.sampled_from([11, 12, 16])), 1, b"\x00" * 8))
+        elif kind == 1:  # RIB_IPV4_MULTICAST, RIB_GENERIC, ...
+            records.append(synth.mrt_record(ts, synth.TABLE_DUMP_V2, draw(st.sampled_from([3, 5, 6, 9])), b"\x00" * 8))
+        else:
+            records.append(draw(_rib_record(ts, peers)))
+    if draw(st.integers(0, 19)):  # one file in twenty has no PEER_INDEX_TABLE, and one in ten has it late
+        at = 0 if draw(st.integers(0, 9)) else draw(st.integers(0, len(records)))
+        records.insert(at, synth.mrt_record(ts, synth.TABLE_DUMP_V2, synth.PEER_INDEX_TABLE, synth.peer_index_body(peers=peers)))
+    return b"".join(records)
+
+
+class TestMrtReference:
+    """parse_mrt_rib against the field-by-field reference decoder in tests/oracles.py."""
+
+    def test_acceptance_file(self):
+        data, _offsets, expected = synth.acceptance_file()
+        assert _reference(data)["entries"] == expected
+        assert _decoded(data) == _reference(data)
+
+    def test_tie_between_an_asn_and_a_set_that_starts_with_it(self):
+        entries = [
+            synth.rib_entry(0, 0, synth.as_path([(synth.AS_SEQUENCE, [1, 64501])])),
+            synth.rib_entry(1, 0, synth.as_path([(synth.AS_SEQUENCE, [2]), (synth.AS_SET, [64502, 64501])])),
+        ]
+        data = synth.mrt_record(10, 13, 1, synth.peer_index_body()) + synth.mrt_record(
+            10, 13, 4, synth.rib_unicast_body(1, bytes.fromhex("20010db8"), 32, entries)
+        )
+        assert _decoded(data) == _reference(data)
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=_mrt_files())
+    def test_matches_reference(self, data):
+        assert _decoded(data) == _reference(data)
+
+
+class TestMrtFuzz:
+    """Any cut or flipped byte ends in a snapshot, TruncatedRecord or MissingPeerIndex."""
+
+    def test_every_truncation(self):
+        data, _offsets, _expected = synth.acceptance_file()
+        for cut in range(len(data) + 1):
+            assert _decoded(data[:cut]) == _reference(data[:cut]), cut
+
+    def test_every_single_byte_flip(self):
+        data, _offsets, _expected = synth.acceptance_file()
+        for at in range(len(data)):
+            for mask in (0x01, 0x10, 0x80, 0xFF):
+                flipped = data[:at] + bytes([data[at] ^ mask]) + data[at + 1 :]
+                assert _decoded(flipped) == _reference(flipped), (at, mask)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=4),
+           cut=st.integers(0, 10**6))
+    def test_random_flips_and_cuts(self, edits, cut):
+        data, _offsets, _expected = synth.acceptance_file()
+        mutable = bytearray(data)
+        for at, mask in edits:
+            mutable[at % len(data)] ^= mask
+        mutated = bytes(mutable[: cut % (len(data) + 1)])
+        assert _decoded(mutated) == _reference(mutated)
+
+
+def _file_with_one_cut_blob(ts=1433160000):
+    """One v6 prefix, three peers; the second peer's AS_PATH is cut two bytes short."""
+    good = synth.as_path([(synth.AS_SEQUENCE, [64500, 64501])])
+    body = synth.rib_unicast_body(
+        1,
+        bytes.fromhex("20010db8"),
+        32,
+        [synth.rib_entry(0, 0, good), synth.rib_entry(1, 0, good[:-2]), synth.rib_entry(2, 0, good)],
+    )
+    return synth.mrt_record(ts, 13, 1, synth.peer_index_body(peers=3)) + synth.mrt_record(ts, 13, 4, body)
+
+
+class TestSnapshotRoutes:
+    def test_entries_view_reads_like_the_pairs(self):
+        rows = [(ip_network("2001:db8::/32"), OriginAs.from_asn(2)), (ip_network("10.0.0.0/8"), OriginAs.from_asn(1))]
+        snapshot = RibSnapshot(parse_timestamp("2020-01-01T00:00:00Z"), rows)
+        assert snapshot.routes == [((4, 10 << 24, 8), OriginAs.from_asn(1)), ((6, 0x20010DB8 << 96, 32), OriginAs.from_asn(2))]
+        assert snapshot.entries == rows[::-1]
+        assert list(snapshot.entries) == rows[::-1]
+        assert snapshot.entries[-1] == rows[0]
+        assert snapshot.entries[1:] == [rows[0]]
+        assert snapshot.entries != rows
+
+    def test_length_builds_no_network(self, monkeypatch):
+        snapshot = parse_mrt_rib(io.BytesIO(synth.acceptance_file()[0]))
+
+        def refuse(*_args):
+            raise AssertionError("ip_network built")
+
+        monkeypatch.setattr("wikiv6.ribstore.IPv6Network", refuse)
+        monkeypatch.setattr("wikiv6.ribstore.IPv4Network", refuse)
+        assert len(snapshot.entries) == 3
+        build_lpm(snapshot)
+
+    def test_constructor_votes_duplicate_prefixes(self):
+        net = ip_network("2001:db8::/32")
+        snapshot = RibSnapshot(
+            parse_timestamp("2020-01-01T00:00:00Z"),
+            [(net, OriginAs.from_asn(7)), (net, OriginAs.from_asn(5)), (net, OriginAs.from_asn(5))],
+        )
+        assert snapshot.entries == [(net, OriginAs.from_asn(5))]
+
+    def test_prefix_table_duplicates_vote_like_mrt_peers(self):
+        text = (
+            "# captured_at=2016-09-10T00:00:00Z\n"
+            "10.0.0.0/8\t64502\n10.0.0.0/8\t64501\n10.0.0.0/8\tset:64501,64502\n10.0.0.0/8\t64501\n"
+            "2001:db8::/32\t64503\n2001:db8::/32\t64502\n"
+        )
+        snapshot = load_prefix_table(io.StringIO(text))
+        assert [(str(p), o.text) for p, o in snapshot.entries] == [("10.0.0.0/8", "64501"), ("2001:db8::/32", "64502")]
+
+
+class TestSnapshotCounters:
+    def test_timeline_entry_keeps_its_snapshots_counters(self):
+        data = _file_with_one_cut_blob()
+        entry = TimelineEntry(parse_timestamp("2015-06-01T12:00:00Z"), lambda: parse_mrt_rib(io.BytesIO(data)))
+        assert entry.counters is None
+        entry.index()
+        entry.evict()
+        assert entry.counters == {
+            "captured_at": "2015-06-01T12:00:00Z",
+            "routes": 1,
+            "peer_count": 3,
+            "malformed_records": 0,
+            "malformed_attributes": 1,
+            "skipped_types": 0,
+            "skipped_subtypes": 0,
+            "bad_rows": 0,
+        }
+
+    def test_prefix_table_counts_bad_rows(self):
+        text = "# captured_at=2016-09-10T00:00:00Z\n10.0.0.0/8\t1\nbad\n"
+        entry = TimelineEntry(parse_timestamp("2016-09-10T00:00:00Z"), lambda: load_prefix_table(io.StringIO(text)))
+        entry.index()
+        assert (entry.counters["routes"], entry.counters["bad_rows"], entry.counters["peer_count"]) == (1, 1, 0)
+
+
+class TestScaleHarness:
+    def test_smoke(self):
+        harness = str(Path(__file__).parent / "ribharness.py")
+        proc = subprocess.run(
+            [sys.executable, harness, "16000", "4000", "3"], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert (report["v4_prefixes"], report["v6_prefixes"], report["peers"]) == (16000, 4000, 3)
+        assert report["routes"] == 20000
+        assert report["malformed_attributes"] == 0
+        assert report["parse_s"] > 0 and report["build_lpm_s"] > 0 and report["maxrss_kb"] > 0
