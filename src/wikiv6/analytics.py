@@ -2,23 +2,27 @@
 
 All metrics reduce to distinct-key sets and first/last-seen maps, so partial
 aggregates built per input shard merge losslessly (union / min / max) and any
-merge order yields byte-identical tables. Distinct counting is exact; the
-corpus sizes involved fit comfortably in memory.
+merge order yields byte-identical tables. Distinct counting is exact.
+
+The aggregate holds ints, not objects, wherever a table can decode them: an
+address is one int key, the AS series is one set per week of packed
+``origin code << 129 | v6 key`` ints, and first and last seen are packed into
+one int of UTC microseconds per address (see ``PartialAggregate``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import date, datetime, timedelta, timezone
 from ipaddress import IPv4Address, IPv6Address, ip_network
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .ingest import EditRecord
 from .netaddr import OuiDatabase, UNLISTED, canonical_text, parse_ip
-from .ribstore import AttributedRecord
+from .ribstore import AttributedRecord, OriginAs
 
 V4 = "v4"
 V6 = "v6"
@@ -48,7 +52,7 @@ class WeekBin(NamedTuple):
     iso_week: int
 
     @classmethod
-    def from_timestamp(cls, ts: datetime) -> "WeekBin":
+    def from_timestamp(cls, ts: date) -> "WeekBin":
         iso = ts.isocalendar()
         return cls(iso[0], iso[1])
 
@@ -61,7 +65,7 @@ class MonthBin(NamedTuple):
     month: int
 
     @classmethod
-    def from_timestamp(cls, ts: datetime) -> "MonthBin":
+    def from_timestamp(cls, ts: date) -> "MonthBin":
         return cls(ts.year, ts.month)
 
     def __str__(self) -> str:
@@ -142,6 +146,43 @@ class ReportTable:
 
 _V6 = 1 << 128
 
+# Timestamps are packed as UTC microseconds since 0001-01-01, which fit in 64
+# bits up to year 9999: first/last seen is ``first << 64 | last``.
+_EPOCH = datetime(1, 1, 1, tzinfo=timezone.utc)
+_US = timedelta(microseconds=1)
+_DAY_US = 86_400_000_000
+_LAST = (1 << 64) - 1
+
+# Origin codes of the AS series: 0 unrouted, 1 any AS_SET, ASN + 1 for one ASN.
+_UNROUTED_CODE = 0
+_SET_CODE = 1
+_CODE_SHIFT = 129  # above a v6 key's bit 128
+
+
+def _datetime(us: int) -> datetime:
+    return _EPOCH + timedelta(microseconds=us)
+
+
+def _day_bins(day: int) -> tuple[WeekBin, MonthBin]:
+    """The week and month of a day counted from 0001-01-01 (day 0)."""
+    d = date.fromordinal(day + 1)
+    return WeekBin.from_timestamp(d), MonthBin.from_timestamp(d)
+
+
+def _origin_code(origin: OriginAs) -> int:
+    if origin.kind == "asn":
+        return origin.asns[0] + 1
+    return _SET_CODE if origin.kind == "set" else _UNROUTED_CODE
+
+
+def _series_label(code: int) -> str:
+    return str(code - 1) if code > _SET_CODE else ("unrouted", "set")[code]
+
+
+def _series_order(code: int) -> tuple[bool, int]:
+    """ASNs in numeric order, then ``set``, then ``unrouted``."""
+    return (code <= _SET_CODE, code if code > _SET_CODE else _SET_CODE - code)
+
 
 def _version(key: int) -> str:
     return V6 if key >> 128 else V4
@@ -159,35 +200,57 @@ class PartialAggregate:
     only for output. Each set is stored under the bin its table groups by.
     The bin maps are ``defaultdict(set)``, so readers iterate them and never
     index a bin that may be missing: that would insert an empty bin.
+
+    - ``weekly_as_ips``: one set per week of ``origin code << 129 | v6 key``,
+      where the code is 0 for unrouted, 1 for any AS_SET and ASN + 1 for one
+      ASN, so a week pays for one set however many origins it has.
+    - ``first_last``: address key -> ``first << 64 | last``, each a UTC
+      microsecond count since 0001-01-01 (years 1 to 9999 fit in 64 bits).
+
+    Record timestamps must be timezone-aware (``parse_timestamp`` returns
+    UTC; ``add`` raises ``ValueError`` on a naive one) and are binned by
+    their UTC date. ``add`` keeps the week and month bins of the last
+    record's UTC day, so time-sorted input (what ``extract`` writes)
+    computes them once per calendar day; that cache is not aggregation
+    state and is not merged.
     """
 
     def __init__(self):
         self.site_ips: defaultdict[str, set[int]] = defaultdict(set)
         self.weekly_ips: defaultdict[WeekBin, set[int]] = defaultdict(set)
-        # (week, series label) -> v6 keys
-        self.weekly_as_ips: defaultdict[tuple[WeekBin, str], set[int]] = defaultdict(set)
-        self.first_last: dict[int, tuple[datetime, datetime]] = {}
+        self.weekly_as_ips: defaultdict[WeekBin, set[int]] = defaultdict(set)
+        self.first_last: dict[int, int] = {}
         self.month_48s: defaultdict[MonthBin, set[int]] = defaultdict(set)
+        self._day = 0
+        self._bins = _day_bins(0)
 
     def add(self, record: Union[EditRecord, AttributedRecord]) -> None:
-        ts = record.timestamp
+        try:
+            us = (record.timestamp - _EPOCH) // _US
+        except TypeError:
+            raise ValueError(f"record timestamp is not timezone-aware: {record.timestamp!r}") from None
+        day = us // _DAY_US
+        if day != self._day:
+            self._day = day
+            self._bins = _day_bins(day)
+        week = self._bins[0]
         value = int(record.ip)
         is_v6 = record.ip.version == 6
         key = value | _V6 if is_v6 else value
-        week = WeekBin.from_timestamp(ts)
         self.site_ips[record.site.code].add(key)
         self.weekly_ips[week].add(key)
         seen = self.first_last.get(key)
         if seen is None:
-            self.first_last[key] = (ts, ts)
-        else:
-            self.first_last[key] = (min(seen[0], ts), max(seen[1], ts))
+            self.first_last[key] = us << 64 | us
+        elif us > seen & _LAST:
+            self.first_last[key] = seen >> 64 << 64 | us
+        elif us < seen >> 64:
+            self.first_last[key] = us << 64 | seen & _LAST
         if is_v6:
-            self.month_48s[MonthBin.from_timestamp(ts)].add((value >> 80) << 80)
+            self.month_48s[self._bins[1]].add((value >> 80) << 80)
             origin = getattr(record, "origin", None)
             if origin is not None:
-                label = origin.text if origin.kind == "asn" else origin.kind
-                self.weekly_as_ips[(week, label)].add(key)
+                self.weekly_as_ips[week].add(_origin_code(origin) << _CODE_SHIFT | key)
 
 
 def aggregate(records: Iterable[Union[EditRecord, AttributedRecord]]) -> PartialAggregate:
@@ -213,12 +276,12 @@ def merge(a: PartialAggregate, b: PartialAggregate) -> PartialAggregate:
     out.weekly_ips = _union(a.weekly_ips, b.weekly_ips)
     out.weekly_as_ips = _union(a.weekly_as_ips, b.weekly_as_ips)
     out.first_last = dict(a.first_last)
-    for key, (first, last) in b.first_last.items():
+    for key, span in b.first_last.items():
         seen = out.first_last.get(key)
         if seen is None:
-            out.first_last[key] = (first, last)
+            out.first_last[key] = span
         else:
-            out.first_last[key] = (min(seen[0], first), max(seen[1], last))
+            out.first_last[key] = min(seen >> 64, span >> 64) << 64 | max(seen & _LAST, span & _LAST)
     out.month_48s = _union(a.month_48s, b.month_48s)
     return out
 
@@ -247,25 +310,41 @@ def table_site_fraction(agg: PartialAggregate) -> ReportTable:
     )
 
 
-def _cumulative_by_week(agg: PartialAggregate) -> tuple[list[WeekBin], dict[int, list[int]]]:
-    """Per prefix length, the running distinct count at each observed v6 week."""
+def _cumulative_by_week(
+    agg: PartialAggregate, lengths: tuple[int, ...]
+) -> tuple[list[WeekBin], dict[int, list[int]]]:
+    """Per prefix length, the running distinct count at each observed v6 week.
+
+    Lengths below 128 keep a running set of prefixes. The /128 count is a
+    running sum of v6 keys by the week of their first sighting, read from
+    ``first_last``, so no key is copied.
+    """
     weeks: list[WeekBin] = []
-    seen: dict[int, set[int]] = {length: set() for length in PREFIX_LENGTHS}
-    series: dict[int, list[int]] = {length: [] for length in PREFIX_LENGTHS}
+    seen: dict[int, set[int]] = {length: set() for length in lengths if length < 128}
+    series: dict[int, list[int]] = {length: [] for length in lengths}
     for week, keys in sorted(agg.weekly_ips.items()):
         v6 = [key for key in keys if key >> 128]
         if not v6:
             continue
         weeks.append(week)
-        for length in PREFIX_LENGTHS:
+        for length, prefixes in seen.items():
             shift = 128 - length
-            seen[length].update(key >> shift for key in v6)
-            series[length].append(len(seen[length]))
+            prefixes.update(key >> shift for key in v6)
+            series[length].append(len(prefixes))
+    if 128 in series:
+        born: Counter[WeekBin] = Counter()
+        first_days = Counter((span >> 64) // _DAY_US for key, span in agg.first_last.items() if key >> 128)
+        for day, n in first_days.items():
+            born[_day_bins(day)[0]] += n
+        total = 0
+        for week in weeks:
+            total += born[week]
+            series[128].append(total)
     return weeks, series
 
 
 def table_cumulative_prefixes(agg: PartialAggregate) -> ReportTable:
-    weeks, series = _cumulative_by_week(agg)
+    weeks, series = _cumulative_by_week(agg, PREFIX_LENGTHS)
     rows = []
     for i, week in enumerate(weeks):
         for length in PREFIX_LENGTHS:
@@ -279,7 +358,7 @@ def table_cumulative_prefixes(agg: PartialAggregate) -> ReportTable:
 
 
 def table_ratio_per_48(agg: PartialAggregate) -> ReportTable:
-    weeks, series = _cumulative_by_week(agg)
+    weeks, series = _cumulative_by_week(agg, (48, 56, 64))
     rows = []
     for i, week in enumerate(weeks):
         base = series[48][i]
@@ -289,44 +368,34 @@ def table_ratio_per_48(agg: PartialAggregate) -> ReportTable:
     return ReportTable("ratio_per_48", ("week", "ratio_56", "ratio_64"), ("s", "g", "g"), rows)
 
 
-def _lifetime_stats(first_last: dict[int, tuple[datetime, datetime]]) -> Iterator[LifetimeStat]:
+def _lifetime_stats(first_last: dict[int, int]) -> Iterator[LifetimeStat]:
     for key in sorted(first_last):
-        first, last = first_last[key]
-        yield LifetimeStat(_ip_text(key), first, last, (last - first).days)
+        span = first_last[key]
+        first, last = span >> 64, span & _LAST
+        yield LifetimeStat(_ip_text(key), _datetime(first), _datetime(last), (last - first) // _DAY_US)
 
 
 def table_lifetimes(agg: PartialAggregate) -> tuple[ReportTable, Iterator[LifetimeStat]]:
     """The lifetime histogram, and a lazy per-address stat stream in address order."""
     histogram: dict[tuple[str, int], int] = {}
-    for key, (first, last) in agg.first_last.items():
-        bucket = (_version(key), (last - first).days)
+    for key, span in agg.first_last.items():
+        bucket = (_version(key), ((span & _LAST) - (span >> 64)) // _DAY_US)
         histogram[bucket] = histogram.get(bucket, 0) + 1
     rows = [(version, days, n) for (version, days), n in sorted(histogram.items())]
     table = ReportTable("lifetimes", ("version", "lifetime_days", "count"), ("s", "d", "d"), rows)
     return table, _lifetime_stats(agg.first_last)
 
 
-def _as_series_sort_key(label: str) -> tuple[int, int, str]:
-    if label.isdigit():
-        return (0, int(label), "")
-    return (1, 0, label)
-
-
 def table_weekly_by_as(agg: PartialAggregate, top_k: int) -> ReportTable:
-    all_time: dict[str, set[int]] = {}
-    for (_week, label), keys in agg.weekly_as_ips.items():
-        if label.isdigit():
-            all_time.setdefault(label, set()).update(keys)
-    ranked = sorted(all_time.items(), key=lambda kv: (-len(kv[1]), int(kv[0])))
-    top = {label for label, _ in ranked[:top_k]}
+    all_time = Counter(member >> _CODE_SHIFT for member in set().union(*agg.weekly_as_ips.values()))
+    asns = sorted((code for code in all_time if code > _SET_CODE), key=lambda code: (-all_time[code], code))
+    shown = {_UNROUTED_CODE, _SET_CODE, *asns[:top_k]}
 
-    rows = [
-        (str(week), label, len(keys))
-        for (week, label), keys in sorted(
-            agg.weekly_as_ips.items(), key=lambda kv: (kv[0][0], _as_series_sort_key(kv[0][1]))
-        )
-        if not label.isdigit() or label in top
-    ]
+    rows = []
+    for week, members in sorted(agg.weekly_as_ips.items()):
+        counts = Counter(member >> _CODE_SHIFT for member in members)
+        for code in sorted(counts.keys() & shown, key=_series_order):
+            rows.append((str(week), _series_label(code), counts[code]))
     return ReportTable("weekly_by_as", ("week", "asn", "distinct_v6"), ("s", "s", "d"), rows)
 
 

@@ -341,7 +341,7 @@ def _parse_rib_record(
             elif body[last] == AS_SET:
                 asns = struct.unpack_from(f">{body[last + 1]}I", body, last + 2)
                 origin = origins.get(asns)
-                if origin is None and any(asns):
+                if origin is None and all(asns):  # ASN 0 anywhere in the set is malformed (RFC 7607)
                     origin = origins[asns] = OriginAs.ambiguous(asns)
             break
         if origin is None:

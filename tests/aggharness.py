@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Stream synthetic attributed records into ``aggregate``; report its size and peak RSS.
+
+Records are generated one at a time and never held, as ``report`` reads
+them from the attributed TSV, so the process holds the aggregate and little
+else. They are time-sorted and spread evenly over 2004-2024 on eight sites.
+About a third of records repeat one of the last 4,096 addresses; the rest are
+new addresses, seven in ten IPv6 (random /48 in 2001::/16, random /56 and
+interface identifier, one in twenty EUI-64) and the rest IPv4. Each /48 has a
+fixed origin drawn from its bits: one of 20,000 ASNs, or unrouted or an
+AS_SET for a few.
+
+After the aggregate is built, every report table is built once, as
+``report all`` does, so the last peak RSS covers the largest table transient.
+One JSON line reports the distinct addresses, the aggregate's bytes per
+distinct address and per record, and the peak RSS before and after each step.
+The aggregate's bytes are the growth of the resident set (``/proc/self/statm``)
+while it is built, so they include the allocator's overhead; ``tracemalloc``
+would add its own per-block records to the RSS and slow the run several times.
+Linux counts a parent's peak RSS in a child it starts, so the peaks are only
+meaningful when the harness is run from a shell.
+
+usage: aggharness.py [records [seed]]   (default 10000000 1)
+"""
+
+import json
+import random
+import resource
+import sys
+import time
+from datetime import datetime, timedelta, timezone
+from ipaddress import IPv4Address, IPv6Address
+
+from wikiv6 import analytics
+from wikiv6.ingest import SiteId
+from wikiv6.netaddr import EMPTY_OUI_DATABASE
+from wikiv6.ribstore import UNROUTED, AttributedRecord, OriginAs
+
+START = datetime(2004, 1, 1, tzinfo=timezone.utc)
+SPAN_S = 20 * 365 * 86400
+SITES = [
+    SiteId.from_code(code)
+    for code in ("enwiki", "dewiki", "jawiki", "frwiki", "eswiki", "ruwiki", "enwiktionary", "zhwiki")
+]
+RECENT = 4096
+ASNS = 20_000
+
+
+def _maxrss_kb() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+def _rss_bytes() -> int:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * resource.getpagesize()
+
+
+def _origin_of(p48: int, origins: dict) -> OriginAs:
+    h = (p48 * 0x9E3779B97F4A7C15) >> 64 & 0xFFFF
+    if h < 3000:
+        return UNROUTED
+    if h < 3600:
+        key = ("set", h % 50)
+        if key not in origins:
+            origins[key] = OriginAs.ambiguous((1 + h % 50, 2 + h % 50))
+        return origins[key]
+    asn = 1 + h * 7919 % ASNS
+    if asn not in origins:
+        origins[asn] = OriginAs.from_asn(asn)
+    return origins[asn]
+
+
+def records(n: int, seed: int):
+    """`n` time-sorted AttributedRecords, built as they are pulled."""
+    rng = random.Random(seed)
+    origins: dict = {}
+    recent: list = []
+    step = timedelta(seconds=SPAN_S / max(n, 1))
+    for i in range(n):
+        if recent and rng.random() < 0.35:
+            ip, origin = recent[rng.randrange(len(recent))]
+        elif rng.random() < 0.7:
+            p48 = 0x2001 << 32 | rng.getrandbits(32)
+            if rng.random() < 0.05:
+                iid = (rng.getrandbits(24) ^ 0x020000) << 40 | 0xFFFE << 24 | rng.getrandbits(24)
+            else:
+                iid = rng.getrandbits(64)
+            ip = IPv6Address(p48 << 80 | rng.getrandbits(16) << 64 | iid)
+            origin = _origin_of(p48, origins)
+        else:
+            ip, origin = IPv4Address(rng.getrandbits(32)), OriginAs.from_asn(1 + rng.randrange(ASNS))
+        if len(recent) < RECENT:
+            recent.append((ip, origin))
+        else:
+            recent[i % RECENT] = (ip, origin)
+        yield AttributedRecord(START + step * i, SITES[i % len(SITES)], ip, origin, 0)
+
+
+def _tables(agg: analytics.PartialAggregate) -> None:
+    analytics.table_weekly_by_version(agg)
+    analytics.table_site_fraction(agg)
+    analytics.table_cumulative_prefixes(agg)
+    analytics.table_ratio_per_48(agg)
+    analytics.table_lifetimes(agg)[0]
+    analytics.table_weekly_by_as(agg, 5)
+    analytics.table_eui64_weekly(agg, EMPTY_OUI_DATABASE, 8)
+    analytics.table_vendor_counts(agg, EMPTY_OUI_DATABASE)
+    analytics.table_hitlist_overlap(agg, [])
+
+
+def main() -> None:
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000_000
+    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
+    rss_before, maxrss_before = _rss_bytes(), _maxrss_kb()
+    t0 = time.perf_counter()
+    agg = analytics.aggregate(records(n, seed))
+    aggregate_s = time.perf_counter() - t0
+    agg_bytes = _rss_bytes() - rss_before
+    maxrss_aggregate = _maxrss_kb()
+    distinct = len(agg.first_last)
+    distinct_v6 = sum(key >> 128 for key in agg.first_last)
+    t0 = time.perf_counter()
+    _tables(agg)
+    tables_s = time.perf_counter() - t0
+    print(
+        json.dumps(
+            {
+                "records": n,
+                "seed": seed,
+                "distinct_addresses": distinct,
+                "distinct_v6": distinct_v6,
+                "aggregate_rss_bytes": agg_bytes,
+                "bytes_per_distinct_address": round(agg_bytes / max(distinct, 1), 1),
+                "bytes_per_record": round(agg_bytes / max(n, 1), 1),
+                "aggregate_s": round(aggregate_s, 3),
+                "tables_s": round(tables_s, 3),
+                "maxrss_kb_before": maxrss_before,
+                "maxrss_kb_after_aggregate": maxrss_aggregate,
+                "maxrss_kb": _maxrss_kb(),
+            }
+        )
+    )
+
+
+if __name__ == "__main__":
+    main()

@@ -454,8 +454,9 @@ def _oracle_as_path_origin(data):
     ASNs. A segment with no ASNs, a segment that overruns the data, an empty
     path, or a final segment that is neither AS_SET nor AS_SEQUENCE is
     malformed. The final AS_SEQUENCE's last ASN is the origin (ASN 0 is
-    malformed); a final AS_SET names every distinct ASN in it (a set of only
-    ASN 0 is malformed, a set of one distinct ASN is that ASN).
+    malformed); a final AS_SET names every distinct ASN in it (a set that
+    contains ASN 0 is malformed, RFC 7607; a set of one distinct ASN is that
+    ASN).
     """
     segments = []
     i = 0
@@ -474,7 +475,7 @@ def _oracle_as_path_origin(data):
         return None if asns[-1] == 0 else (asns[-1],)
     if seg_type == 1:  # AS_SET
         distinct = sorted(set(asns))
-        return None if distinct == [0] else tuple(distinct)
+        return None if 0 in distinct else tuple(distinct)
     return None
 
 

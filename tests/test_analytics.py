@@ -1,9 +1,13 @@
 import io
 import json
 import random
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 from ipaddress import IPv4Address, IPv6Address, ip_address
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -480,6 +484,87 @@ class TestGeneratedCorpora:
             assert merged[name].to_json() == table.to_json()
 
 
+# Records for the packed aggregate layout: every origin kind, the largest ASN,
+# and timestamps with microseconds, down to 0001-01-01 and up to the last
+# microsecond of 9999-12-31, the range parse_timestamp returns.
+_FIRST = datetime(1, 1, 1, tzinfo=timezone.utc)
+_LAST = datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc)
+_precise_times = st.one_of(
+    st.sampled_from([_FIRST, _LAST]),
+    st.integers(0, 10**12).map(lambda us: _FIRST + timedelta(microseconds=us)),
+    st.integers(0, 10**12).map(lambda us: _LAST - timedelta(microseconds=us)),
+    st.builds(
+        lambda base, us: base + timedelta(microseconds=us),
+        st.sampled_from(_BOUNDARIES),
+        st.integers(-3 * 86400 * 10**6, 3 * 86400 * 10**6),
+    ),
+)
+_packed_origins = st.sampled_from(
+    ["unrouted", "set:1,2", "set:7,4294967295", "4294967295", "4294967294", "1", "2"]
+)
+_packed_records = st.lists(
+    st.builds(
+        lambda ts, site, ip, origin: AttributedRecord(ts, SiteId.from_code(site), ip, OriginAs.parse(origin), 0),
+        _precise_times, st.sampled_from(["enwiki", "dewiki"]), _ips, _packed_origins,
+    ),
+    max_size=40,
+)
+
+
+def _sharded(records, shard_of, merge_rng):
+    """Aggregate records in four shards, then merge the shards in a random order."""
+    shards = [aggregate(r for r, shard in zip(records, shard_of) if shard == s) for s in range(4)]
+    while len(shards) > 1:
+        a = shards.pop(merge_rng.randrange(len(shards)))
+        b = shards.pop(merge_rng.randrange(len(shards)))
+        shards.append(merge(a, b))
+    return shards[0]
+
+
+class TestPackedLayout:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=_packed_records,
+        hitlist_lines=_hitlist,
+        top_k=st.integers(0, 3),
+        shard_of=st.lists(st.integers(0, 3), min_size=40, max_size=40),
+        merge_rng=st.randoms(use_true_random=False),
+    )
+    def test_shards_merged_in_any_order_equal_one_aggregate(self, records, hitlist_lines, top_k, shard_of, merge_rng):
+        db = load_oui_database(io.StringIO(_OUI_TEXT))
+        entries, _bad = read_hitlist(hitlist_lines)
+        single = _all_tables(aggregate(records), db, entries, top_k, 2)
+        sharded = _sharded(records, shard_of, merge_rng)
+        merged = _all_tables(sharded, db, entries, top_k, 2)
+        for name, table in single.items():
+            assert (merged[name].to_csv(), merged[name].to_json()) == (table.to_csv(), table.to_json())
+
+        rows = [(r.timestamp, r.site.code, r.ip, r.origin.text) for r in records]
+        assert single["weekly_by_as"].to_csv() == oracles.oracle_weekly_by_as(rows, top_k)
+        spans = {}
+        for r in records:
+            first, last = spans.get(r.ip, (r.timestamp, r.timestamp))
+            spans[r.ip] = (min(first, r.timestamp), max(last, r.timestamp))
+        expected = sorted((str(ip), first, last, (last - first).days) for ip, (first, last) in spans.items())
+        stats = list(table_lifetimes(sharded)[1])
+        assert sorted((s.ip, s.first_seen, s.last_seen, s.lifetime_days) for s in stats) == expected
+        assert all(s.first_seen.tzinfo is timezone.utc and s.last_seen.tzinfo is timezone.utc for s in stats)
+
+    def test_aware_timestamps_are_binned_by_utc_date(self):
+        # Sunday 23:30 at UTC-2 is Monday 01:30 UTC, the first day of a new week.
+        local = datetime(2016, 1, 31, 23, 30, tzinfo=timezone(timedelta(hours=-2)))
+        ip = ip_address("2001:db8::1")
+        as_local = aggregate([EditRecord(local, SITE, ip)])
+        as_utc = aggregate([EditRecord(local.astimezone(timezone.utc), SITE, ip)])
+        assert table_weekly_by_version(as_local).to_csv() == table_weekly_by_version(as_utc).to_csv()
+        assert str(next(iter(as_local.weekly_ips))) == "2016-W05"
+
+    def test_naive_timestamp_is_rejected(self):
+        record = EditRecord(datetime(2016, 2, 1, 1, 30), SITE, ip_address("2001:db8::1"))
+        with pytest.raises(ValueError, match="not timezone-aware"):
+            aggregate([record])
+
+
 class TestMerge:
     def test_identity(self):
         records = synth_corpus(500, seed=101)
@@ -581,3 +666,15 @@ class TestDeterminism:
             assert 0.0 <= row[4] <= 1.0
         for row in table_eui64_weekly(agg, db, 8)[1].rows:
             assert 0.0 <= row[2] <= 1.0
+
+
+class TestScaleHarness:
+    def test_smoke(self):
+        harness = str(Path(__file__).parent / "aggharness.py")
+        proc = subprocess.run([sys.executable, harness, "20000", "3"], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert (report["records"], report["seed"]) == (20000, 3)
+        assert 0 < report["distinct_v6"] < report["distinct_addresses"] < 20000
+        assert report["bytes_per_distinct_address"] > 0 and report["aggregate_s"] > 0
+        assert report["maxrss_kb"] >= report["maxrss_kb_after_aggregate"] >= report["maxrss_kb_before"] > 0

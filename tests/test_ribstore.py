@@ -668,6 +668,21 @@ class TestMrtReference:
         )
         assert _decoded(data) == _reference(data)
 
+    def test_asn_zero_in_an_as_set_is_malformed(self):
+        # RFC 7607: AS 0 in an origin AS_SET is malformed, like a final AS_SEQUENCE ending in 0.
+        entries = [
+            synth.rib_entry(0, 0, synth.as_path([(synth.AS_SEQUENCE, [64500]), (synth.AS_SET, [0, 64501])])),
+            synth.rib_entry(1, 0, synth.as_path([(synth.AS_SEQUENCE, [64500, 0])])),
+            synth.rib_entry(2, 0, synth.as_path([(synth.AS_SEQUENCE, [64500, 64502])])),
+        ]
+        data = synth.mrt_record(10, 13, 1, synth.peer_index_body(peers=3)) + synth.mrt_record(
+            10, 13, 4, synth.rib_unicast_body(1, bytes.fromhex("20010db8"), 32, entries)
+        )
+        decoded = _decoded(data)
+        assert decoded == _reference(data)
+        assert decoded["malformed_attributes"] == 2
+        assert decoded["entries"] == [("2001:db8::/32", "64502")]
+
     @settings(max_examples=250, deadline=None)
     @given(data=_mrt_files())
     def test_matches_reference(self, data):
