@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import tempfile
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -178,20 +178,61 @@ def _sha256(path: str) -> str:
     # FIFOs/devices can be piped in as inputs; re-reading them would block.
     if not Path(path).is_file():
         return "unhashed:not-a-regular-file"
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return "sha256:" + digest.hexdigest()
+        return _DigestReader(fh).digest_to_end()
 
 
-def write_manifest(cfg: PipelineConfig, command: str, inputs: Sequence[str], outputs: Sequence[str]) -> None:
+class _DigestReader:
+    """A binary reader that hashes what passes through it, so a parsed input
+    needs no second read for its manifest digest."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self._sha = hashlib.sha256()
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._raw.read(size)
+        self._sha.update(data)
+        return data
+
+    def digest_to_end(self) -> str:
+        """Hash whatever is left unread, then return the manifest digest."""
+        while self.read(1 << 20):
+            pass
+        return "sha256:" + self._sha.hexdigest()
+
+
+@contextmanager
+def _replacing(path, binary: bool = False):
+    """Open `path` + ".tmp" for writing and rename it over `path` on success.
+
+    A failed or interrupted write removes the temporary file and leaves any
+    earlier `path` as it was, so no later stage reads a partial output.
+    """
+    partial = f"{path}.tmp"
+    try:
+        with open(partial, "wb") if binary else open(partial, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        Path(partial).unlink(missing_ok=True)
+
+
+def write_manifest(
+    cfg: PipelineConfig,
+    command: str,
+    inputs: Sequence[str],
+    outputs: Sequence[str],
+    digests: Optional[dict[str, str]] = None,
+) -> None:
+    """Write manifest.json; `digests` holds input digests already computed while reading."""
+    digests = digests or {}
     manifest = {
         "tool": "wikiv6",
         "version": __version__,
         "command": command,
         "config": cfg.as_dict(),
-        "inputs": {path: _sha256(path) for path in sorted(set(inputs))},
+        "inputs": {path: digests.get(path) or _sha256(path) for path in sorted(set(inputs))},
         "outputs": sorted(outputs),
     }
     out = Path(cfg.out) / "manifest.json"
@@ -201,7 +242,8 @@ def write_manifest(cfg: PipelineConfig, command: str, inputs: Sequence[str], out
 def external_sort_lines(sources: Sequence[str], sink_path: str, header: str, chunk_lines: int = 500_000) -> int:
     """Merge-sort data lines from `sources` into `sink_path`, bounded memory.
 
-    Full chunks spill to temp files, which are removed however the sort ends.
+    Full chunks spill to temp files, which are removed however the sort ends;
+    `sink_path` appears only once the merge has been written in full.
     """
     spills: list[str] = []
     chunk: list[str] = []
@@ -226,7 +268,7 @@ def external_sort_lines(sources: Sequence[str], sink_path: str, header: str, chu
         chunk.sort()
         with ExitStack() as stack:
             readers = [stack.enter_context(open(name, "r", encoding="utf-8")) for name in spills]
-            sink = stack.enter_context(open(sink_path, "w", encoding="utf-8"))
+            sink = stack.enter_context(_replacing(sink_path))
             sink.write(header + "\n")
             sink.writelines(heapq.merge(*readers, chunk))
     finally:
@@ -246,6 +288,7 @@ def cmd_extract(cfg: PipelineConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     per_file: dict[str, dict] = {}
     merged_sources: list[str] = []
+    digests: dict[str, str] = {}
     failed = 0
     for dump in cfg.dumps:
         try:
@@ -255,14 +298,24 @@ def cmd_extract(cfg: PipelineConfig) -> int:
             return EXIT_USAGE
         out_path = outdir / (Path(dump).stem + ".records.tsv")
         stats = ParseStats()
+        error: Optional[Exception] = None
         try:
-            with open(dump, "rb") as xml, open(out_path, "wb") as sink:
-                write_records(
-                    parse_dump_stream(xml, site, namespaces=cfg.namespaces, stats=stats), sink
-                )
-        except (StreamMalformed, OSError) as exc:
+            with open(dump, "rb") as raw:
+                xml = _DigestReader(raw) if Path(dump).is_file() else raw
+                try:
+                    with _replacing(out_path, binary=True) as sink:
+                        write_records(
+                            parse_dump_stream(xml, site, namespaces=cfg.namespaces, stats=stats), sink
+                        )
+                except StreamMalformed as exc:
+                    error = exc
+                if isinstance(xml, _DigestReader) and (error is None or cfg.keep_going):
+                    digests[dump] = xml.digest_to_end()
+        except OSError as exc:
+            error = exc
+        if error is not None:
             failed += 1
-            print(f"extract: {dump}: {exc}", file=sys.stderr)
+            print(f"extract: {dump}: {error}", file=sys.stderr)
             if not cfg.keep_going:
                 return EXIT_RUNTIME
             continue
@@ -283,6 +336,7 @@ def cmd_extract(cfg: PipelineConfig) -> int:
         "extract",
         inputs=[d for d in cfg.dumps if Path(d).exists()],
         outputs=[Path(p).name for p in merged_sources] + [Path(merged_path).name],
+        digests=digests,
     )
     return EXIT_RUNTIME if failed else EXIT_OK
 
@@ -339,12 +393,9 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
                     unrouted += 1
                 yield rec
 
-    # Written aside and renamed on success, so a failed run leaves no partial output.
-    partial_path = attributed_path + ".tmp"
     try:
-        with open(partial_path, "w", encoding="utf-8") as sink:
+        with _replacing(attributed_path) as sink:
             write_attributed(annotated(), sink)
-        os.replace(partial_path, attributed_path)
     except UnsortedInput as exc:
         print(f"attribute: {exc}; run extract's merge step first", file=sys.stderr)
         return EXIT_RUNTIME
@@ -354,8 +405,6 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     except (TruncatedRecord, MissingPeerIndex, BadPrefixTable, OSError) as exc:
         print(f"attribute: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    finally:
-        Path(partial_path).unlink(missing_ok=True)
 
     summary = {
         "records": count,
@@ -458,8 +507,10 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
     for name, table in tables.items():
         csv_path = outdir / f"{name}.csv"
         json_path = outdir / f"{name}.json"
-        csv_path.write_text(table.to_csv(), encoding="utf-8")
-        json_path.write_text(table.to_json(), encoding="utf-8")
+        with _replacing(csv_path) as fh:
+            fh.write(table.to_csv())
+        with _replacing(json_path) as fh:
+            fh.write(table.to_json())
         outputs.extend([csv_path.name, json_path.name])
     write_manifest(cfg, "report", inputs=inputs, outputs=outputs)
     return EXIT_OK

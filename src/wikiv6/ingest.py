@@ -1,9 +1,15 @@
 """Stream MediaWiki full-history XML exports and keep only anonymous-IP edits.
 
-The parser is an expat push parser fed in fixed-size chunks, so resident
-memory depends on the largest single revision, not on the dump size. Only a
-handful of leaf elements are ever buffered (timestamp, contributor ip or
-username, page ns, siteinfo dbname); article text flows through untouched.
+The parser is an expat push parser fed in 64 KB chunks, so resident memory
+depends on the largest single revision, not on the dump size. Its handlers
+are closures over the revision state. Every element pushes or pops a name
+stack; only page, revision, contributor and the five captured leaves
+(siteinfo/dbname, page/ns, revision/timestamp, contributor/ip,
+contributor/username) go further. No character-data handler is set except
+while a captured leaf is open, so expat never turns article text or the
+whitespace between elements into Python strings. A leaf's text may arrive in
+several pieces (expat flushes its buffer at the end of each chunk), and the
+pieces are joined when the leaf closes.
 """
 
 from __future__ import annotations
@@ -126,7 +132,7 @@ def parse_timestamp(text: str) -> datetime:
         raise ValueError(f"timestamp out of range in UTC: {text!r}") from None
 
 
-# Leaf elements whose character data we buffer, keyed by (parent, element).
+# Leaf elements whose character data we capture, keyed by (parent, element).
 _CAPTURED = {
     ("siteinfo", "dbname"),
     ("page", "ns"),
@@ -134,97 +140,8 @@ _CAPTURED = {
     ("contributor", "ip"),
     ("contributor", "username"),
 }
-
-
-class _DumpHandler:
-    """Expat callbacks; completed EditRecords accumulate in `pending`."""
-
-    def __init__(self, site: SiteId, namespaces: Optional[set[int]], stats: ParseStats):
-        self.site = site
-        self.namespaces = namespaces
-        self.stats = stats
-        self.pending: list[EditRecord] = []
-        self._stack: list[str] = []
-        self._chars: Optional[list[str]] = None
-        self._page_ns: Optional[int] = None
-        self._rev_timestamp: Optional[str] = None
-        self._contrib_deleted = False
-        self._contrib_ip: Optional[str] = None
-        self._contrib_username: Optional[str] = None
-
-    def start_element(self, name: str, attrs: dict[str, str]) -> None:
-        parent = self._stack[-1] if self._stack else ""
-        self._stack.append(name)
-        if (parent, name) in _CAPTURED:
-            self._chars = []
-        elif name == "page":
-            self._page_ns = None
-        elif name == "revision" and parent == "page":
-            self._rev_timestamp = None
-            self._contrib_deleted = False
-            self._contrib_ip = None
-            self._contrib_username = None
-        elif name == "contributor" and parent == "revision":
-            self._contrib_deleted = attrs.get("deleted") is not None
-
-    def char_data(self, data: str) -> None:
-        if self._chars is not None:
-            self._chars.append(data)
-
-    def end_element(self, name: str) -> None:
-        self._stack.pop()
-        parent = self._stack[-1] if self._stack else ""
-        if self._chars is not None and (parent, name) in _CAPTURED:
-            text = "".join(self._chars)
-            self._chars = None
-            if name == "dbname":
-                if text.strip() != self.site.code:
-                    self.stats.siteinfo_conflicts += 1
-            elif name == "ns":
-                try:
-                    self._page_ns = int(text.strip())
-                except ValueError:
-                    self._page_ns = None
-            elif name == "timestamp":
-                self._rev_timestamp = text
-            elif name == "ip":
-                self._contrib_ip = text
-            elif name == "username":
-                self._contrib_username = text
-        elif name == "revision" and parent == "page":
-            self._finish_revision()
-
-    def _finish_revision(self) -> None:
-        stats = self.stats
-        stats.revisions += 1
-        if self.namespaces is not None and self._page_ns not in self.namespaces:
-            stats.skipped_namespace += 1
-            return
-        # The <ip> element is the sole sign of an anonymous edit; usernames are
-        # never parsed as addresses (wikis ban IP-shaped usernames).
-        ip_text = self._contrib_ip
-        if self._contrib_deleted or (ip_text is None and self._contrib_username is None):
-            stats.skipped_deleted += 1
-            return
-        if ip_text is None:
-            stats.skipped_registered += 1
-            return
-        if self._rev_timestamp is None:
-            stats.skipped_missing_timestamp += 1
-            return
-        try:
-            ts = parse_timestamp(self._rev_timestamp)
-        except ValueError:
-            stats.skipped_missing_timestamp += 1
-            return
-        try:
-            ip = parse_ip(ip_text)
-        except NotAnIp:
-            stats.skipped_malformed_ip += 1
-            return
-        stats.emitted += 1
-        self.pending.append(EditRecord(ts, self.site, ip))
-
+# Every element name either handler acts on; all others only move the stack.
+_WATCHED = frozenset({"page", "revision", "contributor"} | {leaf for _, leaf in _CAPTURED})
 
 _CHUNK = 1 << 16
 
@@ -245,28 +162,123 @@ def parse_dump_stream(
     if stats is None:
         stats = ParseStats()
     ns_filter = set(namespaces) if namespaces is not None else None
-    handler = _DumpHandler(site, ns_filter, stats)
     parser = expat.ParserCreate()
     parser.buffer_text = True
-    parser.StartElementHandler = handler.start_element
-    parser.EndElementHandler = handler.end_element
-    parser.CharacterDataHandler = handler.char_data
-    while True:
-        chunk = xml.read(_CHUNK)
+    pending: list[EditRecord] = []
+    # The sentinel root keeps stack[-1] and stack[-2] valid at the document element.
+    stack = [""]
+    push = stack.append
+    pop = stack.pop
+    # Text of the open captured leaf; empty whenever `capturing` is false.
+    chars: list[str] = []
+    capturing = False
+    page_ns: Optional[int] = None
+    rev_timestamp: Optional[str] = None
+    contrib_deleted = False
+    contrib_ip: Optional[str] = None
+    contrib_username: Optional[str] = None
+
+    def start_element(name: str, attrs: dict[str, str]) -> None:
+        nonlocal capturing, page_ns, rev_timestamp, contrib_deleted, contrib_ip, contrib_username
+        push(name)
+        if name not in _WATCHED:
+            return
+        parent = stack[-2]
+        if (parent, name) in _CAPTURED:
+            if capturing:  # a leaf nested in another drops the outer leaf's text
+                chars.clear()
+            capturing = True
+            parser.CharacterDataHandler = chars.append
+        elif name == "page":
+            page_ns = None
+        elif name == "revision" and parent == "page":
+            rev_timestamp = None
+            contrib_deleted = False
+            contrib_ip = None
+            contrib_username = None
+        elif name == "contributor" and parent == "revision":
+            contrib_deleted = attrs.get("deleted") is not None
+
+    def end_element(name: str) -> None:
+        nonlocal capturing, page_ns, rev_timestamp, contrib_ip, contrib_username
+        pop()
+        if name not in _WATCHED:
+            return
+        parent = stack[-1]
+        if capturing and (parent, name) in _CAPTURED:
+            text = "".join(chars)
+            chars.clear()
+            capturing = False
+            parser.CharacterDataHandler = None
+            if name == "dbname":
+                if text.strip() != site.code:
+                    stats.siteinfo_conflicts += 1
+            elif name == "ns":
+                try:
+                    page_ns = int(text.strip())
+                except ValueError:
+                    page_ns = None
+            elif name == "timestamp":
+                rev_timestamp = text
+            elif name == "ip":
+                contrib_ip = text
+            elif name == "username":
+                contrib_username = text
+        elif name == "revision" and parent == "page":
+            finish_revision()
+
+    def finish_revision() -> None:
+        stats.revisions += 1
+        if ns_filter is not None and page_ns not in ns_filter:
+            stats.skipped_namespace += 1
+            return
+        # The <ip> element is the sole sign of an anonymous edit; usernames are
+        # never parsed as addresses (wikis ban IP-shaped usernames).
+        if contrib_deleted or (contrib_ip is None and contrib_username is None):
+            stats.skipped_deleted += 1
+            return
+        if contrib_ip is None:
+            stats.skipped_registered += 1
+            return
+        if rev_timestamp is None:
+            stats.skipped_missing_timestamp += 1
+            return
         try:
-            parser.Parse(chunk, not chunk)
-        except expat.ExpatError as exc:
-            raise StreamMalformed(
-                str(exc),
-                parser.ErrorLineNumber,
-                parser.ErrorColumnNumber,
-                parser.ErrorByteIndex,
-            ) from None
-        if handler.pending:
-            yield from handler.pending
-            handler.pending = []
-        if not chunk:
-            break
+            ts = parse_timestamp(rev_timestamp)
+        except ValueError:
+            stats.skipped_missing_timestamp += 1
+            return
+        try:
+            ip = parse_ip(contrib_ip)
+        except NotAnIp:
+            stats.skipped_malformed_ip += 1
+            return
+        stats.emitted += 1
+        pending.append(EditRecord(ts, site, ip))
+
+    parser.StartElementHandler = start_element
+    parser.EndElementHandler = end_element
+    try:
+        while True:
+            chunk = xml.read(_CHUNK)
+            try:
+                parser.Parse(chunk, not chunk)
+            except expat.ExpatError as exc:
+                raise StreamMalformed(
+                    str(exc),
+                    parser.ErrorLineNumber,
+                    parser.ErrorColumnNumber,
+                    parser.ErrorByteIndex,
+                ) from None
+            if pending:
+                yield from pending
+                pending.clear()
+            if not chunk:
+                break
+    finally:
+        # The handlers refer to the parser; dropping them frees its buffers now
+        # rather than at the next full garbage collection.
+        parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
 
 
 RECORD_COLUMNS = ("timestamp", "site", "ip")

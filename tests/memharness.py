@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Parse a synthetic multi-GB dump generated on the fly; report peak RSS.
+"""Parse a synthetic multi-GB dump generated on the fly; report peak RSS and speed.
 
 Run as a subprocess by the acceptance suite: the dump never touches disk and
-the process RSS reflects only the streaming parse.
+the process RSS reflects only the streaming parse. ``parse_s`` is the wall
+time of that one pass, including generating the dump, and ``mb_per_s`` the
+dump bytes (10^6 per MB) over it.
 
 usage: memharness.py [target_bytes]
 """
@@ -11,6 +13,7 @@ import io
 import json
 import resource
 import sys
+import time
 
 from wikiv6.ingest import ParseStats, SiteId, parse_dump_stream
 
@@ -61,6 +64,7 @@ class ChunkStream(io.RawIOBase):
     def __init__(self, gen):
         self._gen = gen
         self._buf = b""
+        self.bytes_read = 0
 
     def read(self, n=-1):
         while len(self._buf) < n or n < 0:
@@ -69,6 +73,7 @@ class ChunkStream(io.RawIOBase):
             except StopIteration:
                 break
         out, self._buf = self._buf[:n] if n >= 0 else self._buf, self._buf[n:] if n >= 0 else b""
+        self.bytes_read += len(out)
         return out
 
 
@@ -77,8 +82,10 @@ def main():
     stats = ParseStats()
     stream = ChunkStream(chunks(target))
     count = 0
+    start = time.perf_counter()
     for _record in parse_dump_stream(stream, SiteId.from_code("synthwiki"), stats=stats):
         count += 1
+    parse_s = time.perf_counter() - start
     maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(
         json.dumps(
@@ -87,6 +94,8 @@ def main():
                 "records": count,
                 "revisions": stats.revisions,
                 "maxrss_kb": maxrss_kb,
+                "parse_s": round(parse_s, 3),
+                "mb_per_s": round(stream.bytes_read / 1e6 / parse_s, 1),
             }
         )
     )

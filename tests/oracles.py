@@ -1,10 +1,11 @@
 """Independent reference implementations used to check the package under test.
 
-Nothing here imports wikiv6. The dump scan is line-oriented regex matching;
-the table oracles are direct set/group-by recomputations over parsed TSV rows
-with their own truncation, EUI-64, vendor and CSV-rendering code paths. The
-MRT reference decoder reads RFC 6396 field by field with ``struct`` and
-masks prefixes with ``ipaddress``.
+Nothing here imports wikiv6. The dump scan is line-oriented regex matching,
+and ``oracle_parse_dump`` is a class-based expat handler that receives the
+character data of the whole document. The table oracles are direct
+set/group-by recomputations over parsed TSV rows with their own truncation,
+EUI-64, vendor and CSV-rendering code paths. The MRT reference decoder reads
+RFC 6396 field by field with ``struct`` and masks prefixes with ``ipaddress``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import struct
 from collections import Counter
 from datetime import datetime, timezone
 from ipaddress import ip_address, ip_network
+from xml.parsers import expat
 
 TS_RE = re.compile(r"<timestamp>([^<]*)</timestamp>")
 IP_RE = re.compile(r"<ip>([^<]*)</ip>")
@@ -100,6 +102,147 @@ def _canonical_or_none(text):
         return str(ip_address(text))
     except ValueError:
         return None
+
+
+# Leaf elements whose character data the reference dump decoder buffers,
+# keyed by (parent, element).
+_DUMP_CAPTURED = {
+    ("siteinfo", "dbname"),
+    ("page", "ns"),
+    ("revision", "timestamp"),
+    ("contributor", "ip"),
+    ("contributor", "username"),
+}
+
+
+class _ReferenceDumpHandler:
+    """Expat callbacks of the reference dump decoder: character data is
+    delivered for the whole document and kept only while a captured leaf is open."""
+
+    def __init__(self, site_code, namespaces, parse_timestamp, parse_ip):
+        self.site_code = site_code
+        self.namespaces = namespaces
+        self.parse_timestamp = parse_timestamp
+        self.parse_ip = parse_ip
+        self.stats = {
+            "revisions": 0,
+            "anonymous": 0,
+            "skipped_registered": 0,
+            "skipped_deleted": 0,
+            "skipped_malformed_ip": 0,
+            "skipped_missing_timestamp": 0,
+            "skipped_namespace": 0,
+            "siteinfo_conflicts": 0,
+        }
+        self.pending = []
+        self._stack = []
+        self._chars = None
+        self._page_ns = None
+        self._rev_timestamp = None
+        self._contrib_deleted = False
+        self._contrib_ip = None
+        self._contrib_username = None
+
+    def start_element(self, name, attrs):
+        parent = self._stack[-1] if self._stack else ""
+        self._stack.append(name)
+        if (parent, name) in _DUMP_CAPTURED:
+            self._chars = []
+        elif name == "page":
+            self._page_ns = None
+        elif name == "revision" and parent == "page":
+            self._rev_timestamp = None
+            self._contrib_deleted = False
+            self._contrib_ip = None
+            self._contrib_username = None
+        elif name == "contributor" and parent == "revision":
+            self._contrib_deleted = attrs.get("deleted") is not None
+
+    def char_data(self, data):
+        if self._chars is not None:
+            self._chars.append(data)
+
+    def end_element(self, name):
+        self._stack.pop()
+        parent = self._stack[-1] if self._stack else ""
+        if self._chars is not None and (parent, name) in _DUMP_CAPTURED:
+            text = "".join(self._chars)
+            self._chars = None
+            if name == "dbname":
+                if text.strip() != self.site_code:
+                    self.stats["siteinfo_conflicts"] += 1
+            elif name == "ns":
+                try:
+                    self._page_ns = int(text.strip())
+                except ValueError:
+                    self._page_ns = None
+            elif name == "timestamp":
+                self._rev_timestamp = text
+            elif name == "ip":
+                self._contrib_ip = text
+            elif name == "username":
+                self._contrib_username = text
+        elif name == "revision" and parent == "page":
+            self._finish_revision()
+
+    def _finish_revision(self):
+        stats = self.stats
+        stats["revisions"] += 1
+        if self.namespaces is not None and self._page_ns not in self.namespaces:
+            stats["skipped_namespace"] += 1
+            return
+        ip_text = self._contrib_ip
+        if self._contrib_deleted or (ip_text is None and self._contrib_username is None):
+            stats["skipped_deleted"] += 1
+            return
+        if ip_text is None:
+            stats["skipped_registered"] += 1
+            return
+        if self._rev_timestamp is None:
+            stats["skipped_missing_timestamp"] += 1
+            return
+        try:
+            ts = self.parse_timestamp(self._rev_timestamp)
+        except ValueError:
+            stats["skipped_missing_timestamp"] += 1
+            return
+        try:
+            ip = self.parse_ip(ip_text)
+        except ValueError:
+            stats["skipped_malformed_ip"] += 1
+            return
+        stats["anonymous"] += 1
+        self.pending.append((ts, ip))
+
+
+def oracle_parse_dump(stream, site_code, parse_timestamp, parse_ip, namespaces=None, chunk_size=1 << 16):
+    """Reference decoder for a dump read from ``stream`` in ``chunk_size`` reads.
+
+    The timestamp and address decoders are passed in, so this checks only
+    the expat handling. Returns ``(records, stats, error)``: the
+    ``(timestamp, ip)`` pairs a streaming caller would have received, which
+    are those completed in every ``Parse`` call before a failing one; the
+    counters in ``ParseStats.as_dict`` form; and ``None`` or the failure's
+    ``(line, column, byte index)``.
+    """
+    handler = _ReferenceDumpHandler(site_code, namespaces, parse_timestamp, parse_ip)
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    parser.StartElementHandler = handler.start_element
+    parser.EndElementHandler = handler.end_element
+    parser.CharacterDataHandler = handler.char_data
+    records = []
+    while True:
+        data = stream.read(chunk_size)
+        try:
+            parser.Parse(data, not data)
+        except expat.ExpatError:
+            error = (parser.ErrorLineNumber, parser.ErrorColumnNumber, parser.ErrorByteIndex)
+            return records, handler.stats, error
+        records.extend(handler.pending)
+        handler.pending = []
+        if not data:
+            return records, handler.stats, None
 
 
 # ---------------------------------------------------------------------------

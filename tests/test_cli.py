@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import mrt_synth as synth
 import oracles
-from wikiv6 import cli, ribstore
+from wikiv6 import analytics, cli, ribstore
 from wikiv6.cli import (
     ConfigError,
     PipelineConfig,
@@ -174,6 +175,28 @@ class TestExtract:
         assert code == 1  # failure reported even though the run continued
         merged = (out / "records.tsv").read_text(encoding="utf-8").splitlines()
         assert len(merged) == 38  # header + fixture records
+        assert not (out / "npwiki-bad.records.tsv").exists()
+        assert not list(out.glob("*.tmp"))
+
+    def test_manifest_digests_read_each_dump_once(self, tmp_path, fixture_dump, dewiki_dump, monkeypatch):
+        bad = tmp_path / "npwiki-bad.xml"
+        bad.write_bytes(b"<mediawiki><page><revision></page>" + b"<!-- trailing bytes past the error -->" * 5000)
+        dumps = [str(fixture_dump), str(bad), str(dewiki_dump)]
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        out = tmp_path / "out"
+        code = run_cli("extract", *dumps, "--keep-going", "--out", str(out), "--stats", str(tmp_path / "s.json"))
+        assert code == 1
+        assert sorted(path for path in opened if path in dumps) == sorted(dumps)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"] == {
+            path: "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in dumps
+        }
 
 
 def _write_ribs(tmp_path):
@@ -396,6 +419,25 @@ class TestReport:
         assert manifest["tool"] == "wikiv6"
         assert manifest["command"] == "report"
         assert all(digest.startswith("sha256:") for digest in manifest["inputs"].values())
+
+    @pytest.mark.parametrize("failing", ["builder", "render"])
+    def test_failed_report_leaves_no_partial_output(self, pipeline, monkeypatch, failing):
+        cfg, out = pipeline
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("table failed")
+
+        if failing == "builder":
+            monkeypatch.setattr(cli, "table_lifetimes", fail)
+        else:
+            monkeypatch.setattr(analytics.ReportTable, "to_json", fail)
+        before = sorted(p.name for p in out.iterdir())
+        with pytest.raises(RuntimeError):
+            run_cli("report", "lifetimes", "--config", str(cfg))
+        after = sorted(p.name for p in out.iterdir())
+        assert not list(out.glob("*.tmp"))
+        assert "lifetimes.json" not in after
+        assert after == sorted(before + (["lifetimes.csv"] if failing == "render" else []))
 
 
 def _write_records(tmp_path, *extra_rows: bytes):

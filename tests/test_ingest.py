@@ -4,8 +4,10 @@ from datetime import datetime, timezone
 from ipaddress import ip_address
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import scan_dump_lines
+from oracles import oracle_parse_dump, scan_dump_lines
 from wikiv6.ingest import (
     RECORD_HEADER,
     BadRow,
@@ -19,6 +21,7 @@ from wikiv6.ingest import (
     read_records,
     write_records,
 )
+from wikiv6.netaddr import parse_ip
 from wikiv6.ribstore import ATTRIBUTED_HEADER, read_attributed
 
 
@@ -295,6 +298,209 @@ class TestParseDumpStream:
         )
         assert records == []
         assert stats.skipped_registered == 1
+
+
+class _Trickle:
+    """A byte stream whose reads return short chunks, their sizes cycling through `sizes`."""
+
+    def __init__(self, data: bytes, sizes: list[int]):
+        self._data = data
+        self._sizes = sizes
+        self._pos = 0
+        self._reads = 0
+
+    def read(self, n: int = -1) -> bytes:
+        size = min(n, self._sizes[self._reads % len(self._sizes)])
+        self._reads += 1
+        out = self._data[self._pos : self._pos + size]
+        self._pos += len(out)
+        return out
+
+
+def _decode(stream, namespaces):
+    """parse_dump_stream's output in the reference decoder's (records, stats, error) form."""
+    stats = ParseStats()
+    records = []
+    error = None
+    try:
+        for record in parse_dump_stream(stream, SiteId.from_code("enwiki"), namespaces, stats):
+            assert record.site.code == "enwiki"
+            records.append((record.timestamp, record.ip))
+    except StreamMalformed as exc:
+        error = (exc.line, exc.column, exc.byte_index)
+    return records, stats.as_dict(), error
+
+
+def _assert_matches_reference(doc: bytes, sizes: list[int], namespaces=None) -> None:
+    ns = set(namespaces) if namespaces is not None else None
+    for make in (lambda: io.BytesIO(doc), lambda: _Trickle(doc, sizes)):
+        expected = oracle_parse_dump(make(), "enwiki", parse_timestamp, parse_ip, ns)
+        assert _decode(make(), namespaces) == expected
+
+
+_LEAF_VALUES = {
+    "ip": ["192.0.2.7", "2001:db8::1", "2001:DB8:0:0:0:0:0:A", " 2001:db8::2\n", "999.1.2.3", "10.0.0.1:80", ""],
+    "timestamp": ["2015-06-01T12:00:00Z", "2015-06-01T12:00:00+02:00", " 2016-02-29T23:59:59Z\n", "2015-06-01", "x"],
+    "username": ["Alice", "192.0.2.9", ""],
+    "ns": ["0", "1", " 2 ", "x", ""],
+    "dbname": ["enwiki", "  enwiki\n", "dewiki", ""],
+}
+
+
+# sampled_from draws its first element most often and shrinks towards it.
+_USUALLY = st.sampled_from([True] * 7 + [False])
+_RARELY = st.sampled_from([False] * 7 + [True])
+
+
+@st.composite
+def _encoded(draw, text: str) -> str:
+    """`text` as element content: plain, CDATA or character references, with comments between parts."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=3)))
+    parts = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    out = []
+    for part in parts:
+        how = draw(st.sampled_from(["plain", "cdata", "charref", "comment"]))
+        if how == "cdata":
+            out.append(f"<![CDATA[{part}]]>")
+        elif how == "charref":
+            out.append("".join(f"&#x{ord(c):X};" for c in part))
+        elif how == "comment":
+            out.append(f"<!-- c -->{part}")
+        else:
+            out.append(part)
+    return "".join(out)
+
+
+@st.composite
+def _leaf(draw, name: str) -> str:
+    values = _LEAF_VALUES[name]
+    text = values[0] if draw(_USUALLY) else draw(st.sampled_from(values))
+    shape = draw(st.sampled_from(["plain", "plain", "plain", "plain", "empty", "nested", "child"]))
+    if shape == "empty":
+        return f"<{name}/>"
+    body = draw(_encoded(text))
+    if shape == "nested":
+        inner = draw(_encoded(draw(st.sampled_from(_LEAF_VALUES[name]))))
+        return f"<{name}>{body}<{name}>{inner}</{name}>tail</{name}>"
+    if shape == "child":
+        return f"<{name}>{body}<b>mixed</b>{draw(_encoded(text))}</{name}>"
+    return f"<{name}>{body}</{name}>"
+
+
+_SPACE = st.sampled_from(["", "\n", "\n    ", " text "])
+
+
+@st.composite
+def _contributor(draw) -> str:
+    deleted = ' deleted="deleted"' if draw(_RARELY) else ""
+    children = [draw(st.sampled_from(["ip", "ip", "username"]).flatmap(_leaf))]
+    if draw(_RARELY):
+        children.append(draw(st.one_of(_leaf("ip"), _leaf("username"), st.just("<id>7</id>"))))
+    if draw(_RARELY):
+        return f"<contributor{deleted}/>"
+    return f"<contributor{deleted}>" + "".join(children) + "</contributor>"
+
+
+_ODD_REVISION_CHILDREN = st.one_of(
+    _leaf("timestamp"),  # a second timestamp
+    _contributor(),  # a second contributor
+    _leaf("ns"),  # under the wrong parent
+    _leaf("ip"),  # under the wrong parent
+)
+
+
+@st.composite
+def _revision(draw) -> str:
+    """A usual revision (either of its two leaves may be missing) with odd children inserted."""
+    children = ["<id>1</id>"]
+    if draw(_USUALLY):
+        children.append(draw(_leaf("timestamp")))
+    if draw(_USUALLY):
+        children.append(draw(_contributor()))
+    children.append("<text>body &amp; more</text>")
+    for odd in draw(st.lists(_ODD_REVISION_CHILDREN, max_size=2)):
+        children.insert(draw(st.integers(0, len(children))), odd)
+    return "<revision>" + draw(_SPACE).join(children) + "</revision>"
+
+
+@st.composite
+def _page(draw) -> str:
+    parts = ["<title>T</title>"]
+    if draw(_USUALLY):
+        parts.append(draw(_leaf("ns")))
+    parts += draw(st.lists(_revision(), min_size=1, max_size=4))
+    if draw(_RARELY):
+        upload = f"<upload>{draw(_leaf('timestamp'))}{draw(_contributor())}</upload>"
+        parts.insert(draw(st.integers(1, len(parts))), upload)
+    return "<page>" + draw(_SPACE).join(parts) + "</page>"
+
+
+@st.composite
+def _dump(draw) -> bytes:
+    parts = []
+    if draw(_USUALLY):
+        parts.append(f"<siteinfo>{draw(_leaf('dbname'))}</siteinfo>")
+    if draw(_RARELY):
+        parts.append(draw(_contributor()))  # outside any revision
+    parts += draw(st.lists(_page(), min_size=1, max_size=3))
+    doc = ("<mediawiki>" + draw(_SPACE).join(parts) + "</mediawiki>\n").encode()
+    damage = draw(st.sampled_from(["none", "none", "none", "truncate", "stray-close"]))
+    at = draw(st.integers(0, len(doc)))
+    if damage == "truncate":
+        doc = doc[:at]
+    elif damage == "stray-close":
+        doc = doc[:at] + b"</x>" + doc[at:]
+    return doc
+
+
+class TestHandlerMatchesReference:
+    """parse_dump_stream against the reference decoder in tests/oracles.py."""
+
+    @pytest.mark.parametrize(
+        "revision",
+        [
+            "<upload><timestamp>2015-06-01T12:00:00Z</timestamp></upload>",
+            "<revision><ns>5</ns><timestamp>2015-06-01T12:00:00Z</timestamp>"
+            "<contributor><ip>192.0.2.7</ip></contributor></revision>",
+            "<revision><timestamp>2015-06-01T12:00:00Z</timestamp>"
+            "<contributor><ip>10.0.0.1<ip>192.0.2.7</ip>tail</ip></contributor></revision>",
+            "<revision><timestamp>2015-06-01T12:00:00Z</timestamp>"
+            "<contributor><ip>2001:db8<b>x</b>::1</ip></contributor></revision>",
+            "<revision><timestamp>2015-06-01T<![CDATA[12:00]]>:00Z</timestamp>"
+            "<contributor><ip>2001&#x3A;db8<!-- c -->::1</ip></contributor></revision>",
+            '<revision><timestamp>2015-06-01T12:00:00Z</timestamp>'
+            '<contributor deleted="deleted"><ip>192.0.2.7</ip></contributor></revision>',
+            "<revision><timestamp>2015-06-01T12:00:00Z</timestamp><contributor><ip/></contributor></revision>",
+            "<revision><timestamp>2015-06-01T12:00:00Z</timestamp><contributor><ip>192.0.2.7</ip>",
+            "<revision><timestamp>2015-06-01T12:00:00Z</timestamp><contributor><ip>192.0.2.7</ip>"
+            "</contributor></revision></page></mediawiki>",
+        ],
+        ids=[
+            "timestamp-in-upload", "ns-in-revision", "nested-ip", "ip-with-child",
+            "cdata-charref-comment", "deleted-with-ip", "empty-ip", "unclosed-revision",
+            "content-after-root",
+        ],
+    )
+    @pytest.mark.parametrize("sizes", [[65536], [1], [3, 7, 2]], ids=["whole", "bytewise", "mixed"])
+    def test_examples(self, revision, sizes):
+        doc = (
+            "<mediawiki><siteinfo><dbname> enwiki\n</dbname></siteinfo>\n"
+            "<contributor><ip>192.0.2.1</ip></contributor>\n"
+            f"<page><title>T</title><ns>0</ns>\n{revision}\n<revision><text>filler</text>"
+            "<timestamp>2016-01-01T00:00:00Z</timestamp><contributor><ip>2001:db8::7</ip></contributor>"
+            "</revision></page></mediawiki>\n"
+        ).encode()
+        _assert_matches_reference(doc, sizes)
+        _assert_matches_reference(doc[: len(doc) // 2], sizes)  # truncated
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        doc=_dump(),
+        sizes=st.lists(st.integers(1, 7), min_size=1, max_size=8),
+        namespaces=st.sampled_from([None, [0], [1, 2]]),
+    )
+    def test_generated_documents(self, doc, sizes, namespaces):
+        _assert_matches_reference(doc, sizes, namespaces)
 
 
 class TestRecordTsv:
