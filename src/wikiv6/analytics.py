@@ -5,20 +5,24 @@ aggregates built per input shard merge losslessly (union / min / max) and any
 merge order yields byte-identical tables. Distinct counting is exact.
 
 The aggregate holds ints, not objects, wherever a table can decode them: an
-address is one int key, the AS series is one set per week of packed
-``origin code << 129 | v6 key`` ints, and first and last seen are packed into
-one int of UTC microseconds per address (see ``PartialAggregate``).
+address is one int key, a week or month is one int key (its ``YYYY-Www`` or
+``YYYY-MM`` text is built only when a table row is written), the AS series is
+one set per week of packed ``origin code << 129 | v6 key`` ints, and first and
+last seen are packed into one int of UTC microseconds per address (see
+``PartialAggregate``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from ipaddress import IPv4Address, IPv6Address, ip_network
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from itertools import accumulate, chain, repeat
+from typing import Iterable, Iterator, Optional, Union
 
 from .ingest import EditRecord
 from .netaddr import OuiDatabase, UNLISTED, canonical_text, parse_ip
@@ -45,31 +49,6 @@ TABLE_NAMES = (
 
 class BadHitlistRow(ValueError):
     """A hitlist line could not be parsed."""
-
-
-class WeekBin(NamedTuple):
-    iso_year: int
-    iso_week: int
-
-    @classmethod
-    def from_timestamp(cls, ts: date) -> "WeekBin":
-        iso = ts.isocalendar()
-        return cls(iso[0], iso[1])
-
-    def __str__(self) -> str:
-        return f"{self.iso_year:04d}-W{self.iso_week:02d}"
-
-
-class MonthBin(NamedTuple):
-    year: int
-    month: int
-
-    @classmethod
-    def from_timestamp(cls, ts: date) -> "MonthBin":
-        return cls(ts.year, ts.month)
-
-    def __str__(self) -> str:
-        return f"{self.year:04d}-{self.month:02d}"
 
 
 @dataclass(frozen=True)
@@ -151,6 +130,7 @@ _V6 = 1 << 128
 _EPOCH = datetime(1, 1, 1, tzinfo=timezone.utc)
 _US = timedelta(microseconds=1)
 _DAY_US = 86_400_000_000
+_WEEK_US = 7 * _DAY_US
 _LAST = (1 << 64) - 1
 
 # Origin codes of the AS series: 0 unrouted, 1 any AS_SET, ASN + 1 for one ASN.
@@ -163,10 +143,16 @@ def _datetime(us: int) -> datetime:
     return _EPOCH + timedelta(microseconds=us)
 
 
-def _day_bins(day: int) -> tuple[WeekBin, MonthBin]:
-    """The week and month of a day counted from 0001-01-01 (day 0)."""
-    d = date.fromordinal(day + 1)
-    return WeekBin.from_timestamp(d), MonthBin.from_timestamp(d)
+def week_label(week: int) -> str:
+    """``YYYY-Www`` of a week key: UTC days since 0001-01-01, a Monday, ``// 7``."""
+    iso = date.fromordinal(week * 7 + 1).isocalendar()
+    return f"{iso[0]:04d}-W{iso[1]:02d}"
+
+
+def month_label(month: int) -> str:
+    """``YYYY-MM`` of a month key, ``year * 12 + month - 1``."""
+    year, index = divmod(month, 12)
+    return f"{year:04d}-{index + 1:02d}"
 
 
 def _origin_code(origin: OriginAs) -> int:
@@ -201,6 +187,12 @@ class PartialAggregate:
     The bin maps are ``defaultdict(set)``, so readers iterate them and never
     index a bin that may be missing: that would insert an empty bin.
 
+    Bins are int keys of the record's UTC date, in time order; tables turn
+    them into text with ``week_label`` and ``month_label``.
+
+    - week: UTC days since 0001-01-01 ``// 7``; 0001-01-01 is a Monday, so
+      each key is one ISO week.
+    - month: ``year * 12 + month - 1``.
     - ``weekly_as_ips``: one set per week of ``origin code << 129 | v6 key``,
       where the code is 0 for unrouted, 1 for any AS_SET and ASN + 1 for one
       ASN, so a week pays for one set however many origins it has.
@@ -208,21 +200,15 @@ class PartialAggregate:
       microsecond count since 0001-01-01 (years 1 to 9999 fit in 64 bits).
 
     Record timestamps must be timezone-aware (``parse_timestamp`` returns
-    UTC; ``add`` raises ``ValueError`` on a naive one) and are binned by
-    their UTC date. ``add`` keeps the week and month bins of the last
-    record's UTC day, so time-sorted input (what ``extract`` writes)
-    computes them once per calendar day; that cache is not aggregation
-    state and is not merged.
+    UTC; ``add`` raises ``ValueError`` on a naive one).
     """
 
     def __init__(self):
         self.site_ips: defaultdict[str, set[int]] = defaultdict(set)
-        self.weekly_ips: defaultdict[WeekBin, set[int]] = defaultdict(set)
-        self.weekly_as_ips: defaultdict[WeekBin, set[int]] = defaultdict(set)
+        self.weekly_ips: defaultdict[int, set[int]] = defaultdict(set)
+        self.weekly_as_ips: defaultdict[int, set[int]] = defaultdict(set)
         self.first_last: dict[int, int] = {}
-        self.month_48s: defaultdict[MonthBin, set[int]] = defaultdict(set)
-        self._day = 0
-        self._bins = _day_bins(0)
+        self.month_48s: defaultdict[int, set[int]] = defaultdict(set)
 
     def add(self, record: Union[EditRecord, AttributedRecord]) -> None:
         try:
@@ -230,10 +216,7 @@ class PartialAggregate:
         except TypeError:
             raise ValueError(f"record timestamp is not timezone-aware: {record.timestamp!r}") from None
         day = us // _DAY_US
-        if day != self._day:
-            self._day = day
-            self._bins = _day_bins(day)
-        week = self._bins[0]
+        week = day // 7
         value = int(record.ip)
         is_v6 = record.ip.version == 6
         key = value | _V6 if is_v6 else value
@@ -247,7 +230,8 @@ class PartialAggregate:
         elif us < seen >> 64:
             self.first_last[key] = us << 64 | seen & _LAST
         if is_v6:
-            self.month_48s[self._bins[1]].add((value >> 80) << 80)
+            utc_date = date.fromordinal(day + 1)
+            self.month_48s[utc_date.year * 12 + utc_date.month - 1].add((value >> 80) << 80)
             origin = getattr(record, "origin", None)
             if origin is not None:
                 self.weekly_as_ips[week].add(_origin_code(origin) << _CODE_SHIFT | key)
@@ -290,9 +274,10 @@ def table_weekly_by_version(agg: PartialAggregate) -> ReportTable:
     rows = []
     for week, keys in sorted(agg.weekly_ips.items()):
         n_v6 = sum(key >> 128 for key in keys)
+        label = week_label(week)
         for version, n in ((V4, len(keys) - n_v6), (V6, n_v6)):
             if n:
-                rows.append((str(week), version, n))
+                rows.append((label, version, n))
     return ReportTable("weekly_by_version", ("week", "version", "distinct_ips"), ("s", "s", "d"), rows)
 
 
@@ -312,34 +297,22 @@ def table_site_fraction(agg: PartialAggregate) -> ReportTable:
 
 def _cumulative_by_week(
     agg: PartialAggregate, lengths: tuple[int, ...]
-) -> tuple[list[WeekBin], dict[int, list[int]]]:
+) -> tuple[list[int], dict[int, list[int]]]:
     """Per prefix length, the running distinct count at each observed v6 week.
 
-    Lengths below 128 keep a running set of prefixes. The /128 count is a
-    running sum of v6 keys by the week of their first sighting, read from
-    ``first_last``, so no key is copied.
+    A prefix is born in the week of the earliest first sighting, read from
+    ``first_last``, among its v6 keys; each series is a running sum of births.
     """
-    weeks: list[WeekBin] = []
-    seen: dict[int, set[int]] = {length: set() for length in lengths if length < 128}
-    series: dict[int, list[int]] = {length: [] for length in lengths}
-    for week, keys in sorted(agg.weekly_ips.items()):
-        v6 = [key for key in keys if key >> 128]
-        if not v6:
-            continue
-        weeks.append(week)
-        for length, prefixes in seen.items():
-            shift = 128 - length
-            prefixes.update(key >> shift for key in v6)
-            series[length].append(len(prefixes))
-    if 128 in series:
-        born: Counter[WeekBin] = Counter()
-        first_days = Counter((span >> 64) // _DAY_US for key, span in agg.first_last.items() if key >> 128)
-        for day, n in first_days.items():
-            born[_day_bins(day)[0]] += n
-        total = 0
-        for week in weeks:
-            total += born[week]
-            series[128].append(total)
+    weeks = sorted(week for week, keys in agg.weekly_ips.items() if any(key >> 128 for key in keys))
+    # In first-sighting order, the keys first seen in one week are one run.
+    v6 = sorted(filter(_V6.__le__, agg.first_last), key=agg.first_last.__getitem__)
+    ends = [bisect_left(v6, (week + 1) * _WEEK_US << 64, key=agg.first_last.__getitem__) for week in weeks]
+    born = list(chain.from_iterable(repeat(week, end - start) for week, start, end in zip(weeks, [0, *ends], ends)))
+    series = {}
+    for length in lengths:
+        # Latest first, so each prefix's earliest birth week is written last.
+        births = Counter(dict(zip(map((128 - length).__rrshift__, reversed(v6)), reversed(born))).values())
+        series[length] = list(accumulate(births[week] for week in weeks))
     return weeks, series
 
 
@@ -347,8 +320,9 @@ def table_cumulative_prefixes(agg: PartialAggregate) -> ReportTable:
     weeks, series = _cumulative_by_week(agg, PREFIX_LENGTHS)
     rows = []
     for i, week in enumerate(weeks):
+        label = week_label(week)
         for length in PREFIX_LENGTHS:
-            rows.append((str(week), length, series[length][i]))
+            rows.append((label, length, series[length][i]))
     return ReportTable(
         "cumulative_prefixes",
         ("week", "length", "cumulative_distinct"),
@@ -364,7 +338,7 @@ def table_ratio_per_48(agg: PartialAggregate) -> ReportTable:
         base = series[48][i]
         if base == 0:
             continue
-        rows.append((str(week), series[56][i] / base, series[64][i] / base))
+        rows.append((week_label(week), series[56][i] / base, series[64][i] / base))
     return ReportTable("ratio_per_48", ("week", "ratio_56", "ratio_64"), ("s", "g", "g"), rows)
 
 
@@ -394,8 +368,9 @@ def table_weekly_by_as(agg: PartialAggregate, top_k: int) -> ReportTable:
     rows = []
     for week, members in sorted(agg.weekly_as_ips.items()):
         counts = Counter(member >> _CODE_SHIFT for member in members)
+        label = week_label(week)
         for code in sorted(counts.keys() & shown, key=_series_order):
-            rows.append((str(week), _series_label(code), counts[code]))
+            rows.append((label, _series_label(code), counts[code]))
     return ReportTable("weekly_by_as", ("week", "asn", "distinct_v6"), ("s", "s", "d"), rows)
 
 
@@ -437,9 +412,10 @@ def table_eui64_weekly(
             if hit is not None:
                 vendor = hit[1] if hit[1] == UNLISTED or hit[1] in top else "other"
                 series[vendor] = series.get(vendor, 0) + 1
-        vendor_rows.extend((str(week), vendor, n) for vendor, n in sorted(series.items()))
+        label = week_label(week)
+        vendor_rows.extend((label, vendor, n) for vendor, n in sorted(series.items()))
         frac = sum(series.values()) / len(v6)
-        fraction_rows.append((str(week), frac, frac))
+        fraction_rows.append((label, frac, frac))
     vendor_table = ReportTable(
         "eui64_weekly", ("week", "vendor", "distinct_v6"), ("s", "s", "d"), vendor_rows
     )
@@ -472,7 +448,7 @@ def table_vendor_counts(agg: PartialAggregate, db: OuiDatabase) -> ReportTable:
 
 @dataclass(frozen=True)
 class HitlistEntry:
-    month: MonthBin
+    month: int  # year * 12 + month - 1, as PartialAggregate.month_48s
     prefix_int: int
     length: int
 
@@ -488,23 +464,17 @@ def parse_hitlist_line(line: str) -> Optional[HitlistEntry]:
     date_text, target = parts
     try:
         when = datetime.fromisoformat(date_text)
-    except ValueError as exc:
-        raise BadHitlistRow(line) from exc
-    month = MonthBin(when.year, when.month)
-    try:
         if "/" in target:
             net = ip_network(target, strict=False)
-            if net.version != 6:
-                raise BadHitlistRow(line)
-            return HitlistEntry(month, int(net.network_address), net.prefixlen)
-        addr = parse_ip(target)
-        if addr.version != 6:
-            raise BadHitlistRow(line)
-        return HitlistEntry(month, int(addr), 128)
-    except BadHitlistRow:
-        raise
+            value, length = int(net.network_address), net.prefixlen
+        else:
+            net = parse_ip(target)
+            value, length = int(net), 128
     except ValueError as exc:
         raise BadHitlistRow(line) from exc
+    if net.version != 6:
+        raise BadHitlistRow(line)
+    return HitlistEntry(when.year * 12 + when.month - 1, value, length)
 
 
 def read_hitlist(lines: Iterable[str]) -> tuple[list[HitlistEntry], int]:
@@ -523,8 +493,8 @@ def read_hitlist(lines: Iterable[str]) -> tuple[list[HitlistEntry], int]:
 
 
 def table_hitlist_overlap(agg: PartialAggregate, hitlist: Iterable[HitlistEntry]) -> ReportTable:
-    exact: dict[MonthBin, set[int]] = {}
-    shorter: dict[MonthBin, dict[int, set[int]]] = {}
+    exact: dict[int, set[int]] = {}
+    shorter: dict[int, dict[int, set[int]]] = {}
     for entry in hitlist:
         if entry.length >= 48:
             exact.setdefault(entry.month, set()).add((entry.prefix_int >> 80) << 80)
@@ -542,7 +512,7 @@ def table_hitlist_overlap(agg: PartialAggregate, hitlist: Iterable[HitlistEntry]
                 (p48 >> (128 - length)) in tops for length, tops in month_shorter.items()
             ):
                 overlap += 1
-        rows.append((str(month), len(p48s), overlap))
+        rows.append((month_label(month), len(p48s), overlap))
     return ReportTable(
         "hitlist_overlap", ("month", "wikimedia_48s", "overlap_48s"), ("s", "d", "d"), rows
     )

@@ -207,11 +207,13 @@ def _replacing(path, binary: bool = False):
     """Open `path` + ".tmp" for writing and rename it over `path` on success.
 
     A failed or interrupted write removes the temporary file and leaves any
-    earlier `path` as it was, so no later stage reads a partial output.
+    earlier `path` as it was, so no later stage reads a partial output. If the
+    temporary file cannot be opened, its error is raised and nothing is removed.
     """
     partial = f"{path}.tmp"
+    fh = open(partial, "wb") if binary else open(partial, "w", encoding="utf-8")
     try:
-        with open(partial, "wb") if binary else open(partial, "w", encoding="utf-8") as fh:
+        with fh:
             yield fh
         os.replace(partial, path)
     finally:
@@ -235,8 +237,8 @@ def write_manifest(
         "inputs": {path: digests.get(path) or _sha256(path) for path in sorted(set(inputs))},
         "outputs": sorted(outputs),
     }
-    out = Path(cfg.out) / "manifest.json"
-    out.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _replacing(Path(cfg.out) / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def external_sort_lines(sources: Sequence[str], sink_path: str, header: str, chunk_lines: int = 500_000) -> int:
@@ -344,7 +346,8 @@ def cmd_extract(cfg: PipelineConfig) -> int:
 def _write_stats(cfg: PipelineConfig, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if cfg.stats_path:
-        Path(cfg.stats_path).write_text(text, encoding="utf-8")
+        with _replacing(cfg.stats_path) as fh:
+            fh.write(text)
     else:
         sys.stderr.write(text)
 
@@ -588,6 +591,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_report(cfg, args.tables)
         if args.command == "compare-hitlist":
             return cmd_report(cfg, ["hitlist_overlap"])
+    except OSError as exc:
+        # Any I/O error a stage does not report itself, such as an output that
+        # cannot be written (a directory in its place, a full disk).
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except KeyboardInterrupt:
         return EXIT_RUNTIME
     return EXIT_USAGE

@@ -4,7 +4,9 @@ The MRT reader handles the TABLE_DUMP_V2 family (RFC 6396): a PEER_INDEX_TABLE
 followed by RIB_IPV4_UNICAST / RIB_IPV6_UNICAST records. Every record carries
 one NLRI prefix and per-peer BGP attribute blobs; we pull the origin AS out of
 each peer's AS_PATH (4-byte ASNs in this format) and settle disagreements by
-plurality vote, lowest ASN on ties.
+plurality vote. Ties go to the lowest first differing ASN: ``64501`` beats
+``64502`` and ``set:64501,64502``, and ``set:64501,64502`` beats
+``set:64501,64503``; an ``unrouted`` prefix-table row loses every tie.
 
 A snapshot holds its routes as sorted ``((version, network int, prefix
 length), OriginAs)`` pairs, the keys ``LpmIndex`` indexes, so neither the MRT
@@ -201,11 +203,11 @@ def _vote(candidates: list[OriginAs]) -> OriginAs:
     tally: dict[tuple[int, ...], int] = {}
     for origin in candidates:
         tally[origin.asns] = tally.get(origin.asns, 0) + 1
-    # Plurality across peers; ties go to the candidate with the lowest ASN
-    # (a 1-tuple (asn,) compares by that asn).
+    # Plurality across peers; ties go to the lowest first differing ASN, so an
+    # ASN beats an AS_SET that starts with it, and unrouted (no ASNs) loses.
     top = max(tally.values())
     tied = [asns for asns, n in tally.items() if n == top]
-    winner = tied[0] if len(tied) == 1 else max(tied, key=lambda asns: [-a for a in asns])
+    winner = tied[0] if len(tied) == 1 else min(tied, key=lambda asns: (not asns, asns))
     return next(origin for origin in candidates if origin.asns == winner)
 
 

@@ -13,7 +13,9 @@ AS_SET for a few.
 After the aggregate is built, every report table is built once, as
 ``report all`` does, so the last peak RSS covers the largest table transient.
 One JSON line reports the distinct addresses, the aggregate's bytes per
-distinct address and per record, and the peak RSS before and after each step.
+distinct address and per record, the peak RSS before and after each step,
+and per table (``table_s``, ``table_maxrss_kb``) its seconds and the peak RSS
+after it.
 The aggregate's bytes are the growth of the resident set (``/proc/self/statm``)
 while it is built, so they include the allocator's overhead; ``tracemalloc``
 would add its own per-block records to the RSS and slow the run several times.
@@ -96,16 +98,29 @@ def records(n: int, seed: int):
         yield AttributedRecord(START + step * i, SITES[i % len(SITES)], ip, origin, 0)
 
 
-def _tables(agg: analytics.PartialAggregate) -> None:
-    analytics.table_weekly_by_version(agg)
-    analytics.table_site_fraction(agg)
-    analytics.table_cumulative_prefixes(agg)
-    analytics.table_ratio_per_48(agg)
-    analytics.table_lifetimes(agg)[0]
-    analytics.table_weekly_by_as(agg, 5)
-    analytics.table_eui64_weekly(agg, EMPTY_OUI_DATABASE, 8)
-    analytics.table_vendor_counts(agg, EMPTY_OUI_DATABASE)
-    analytics.table_hitlist_overlap(agg, [])
+# One call per builder, as ``report all`` makes them; eui64_weekly builds both EUI-64 tables.
+TABLES = {
+    "weekly_by_version": analytics.table_weekly_by_version,
+    "site_fraction": analytics.table_site_fraction,
+    "cumulative_prefixes": analytics.table_cumulative_prefixes,
+    "ratio_per_48": analytics.table_ratio_per_48,
+    "lifetimes": lambda agg: analytics.table_lifetimes(agg)[0],
+    "weekly_by_as": lambda agg: analytics.table_weekly_by_as(agg, 5),
+    "eui64_weekly": lambda agg: analytics.table_eui64_weekly(agg, EMPTY_OUI_DATABASE, 8),
+    "vendor_counts": lambda agg: analytics.table_vendor_counts(agg, EMPTY_OUI_DATABASE),
+    "hitlist_overlap": lambda agg: analytics.table_hitlist_overlap(agg, []),
+}
+
+
+def _tables(agg: analytics.PartialAggregate) -> tuple[dict, dict]:
+    """Seconds per table, and the peak RSS after each."""
+    seconds, maxrss = {}, {}
+    for name, build in TABLES.items():
+        t0 = time.perf_counter()
+        build(agg)
+        seconds[name] = round(time.perf_counter() - t0, 3)
+        maxrss[name] = _maxrss_kb()
+    return seconds, maxrss
 
 
 def main() -> None:
@@ -120,7 +135,7 @@ def main() -> None:
     distinct = len(agg.first_last)
     distinct_v6 = sum(key >> 128 for key in agg.first_last)
     t0 = time.perf_counter()
-    _tables(agg)
+    table_s, table_maxrss_kb = _tables(agg)
     tables_s = time.perf_counter() - t0
     print(
         json.dumps(
@@ -134,6 +149,8 @@ def main() -> None:
                 "bytes_per_record": round(agg_bytes / max(n, 1), 1),
                 "aggregate_s": round(aggregate_s, 3),
                 "tables_s": round(tables_s, 3),
+                "table_s": table_s,
+                "table_maxrss_kb": table_maxrss_kb,
                 "maxrss_kb_before": maxrss_before,
                 "maxrss_kb_after_aggregate": maxrss_aggregate,
                 "maxrss_kb": _maxrss_kb(),

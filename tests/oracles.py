@@ -647,7 +647,7 @@ def _oracle_peer_origin(attrs):
 
 def _oracle_winner(asn_tuples):
     """Plurality; among tied origins the lower first differing ASN wins, and
-    an origin whose ASNs extend another's wins over it."""
+    an origin whose ASNs extend another's loses to it."""
     counts = Counter(asn_tuples)
     top = max(counts.values())
     tied = [origin for origin, n in counts.items() if n == top]
@@ -659,7 +659,7 @@ def _oracle_winner(asn_tuples):
                     best = other
                 break
         else:
-            if len(other) > len(best):
+            if len(other) < len(best):
                 best = other
     return best
 

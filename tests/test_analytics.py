@@ -3,24 +3,24 @@ import json
 import random
 import subprocess
 import sys
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from ipaddress import IPv4Address, IPv6Address, ip_address
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import DATA
 from corpus import synth_corpus, synth_hitlist
 from wikiv6.analytics import (
-    MonthBin,
+    TABLE_NAMES,
     PartialAggregate,
     ReportTable,
-    WeekBin,
     aggregate,
     merge,
+    month_label,
     read_hitlist,
     round_fraction,
     round_percent,
@@ -33,6 +33,7 @@ from wikiv6.analytics import (
     table_vendor_counts,
     table_weekly_by_as,
     table_weekly_by_version,
+    week_label,
 )
 from wikiv6.ingest import EditRecord, SiteId, parse_timestamp
 from wikiv6.netaddr import load_oui_database
@@ -51,16 +52,38 @@ def arec(ts_text, ip_text, origin_text, site=SITE):
     )
 
 
+def _bins_of(ts):
+    """(week label, month label) of the one record `aggregate` bins at `ts`."""
+    agg = aggregate([EditRecord(ts, SITE, ip_address("2001:db8::1"))])
+    (week,) = agg.weekly_ips
+    (month,) = agg.month_48s
+    return week_label(week), month_label(month)
+
+
 class TestBins:
     def test_week_bin(self):
-        assert WeekBin.from_timestamp(parse_timestamp("2015-06-01T12:00:00Z")) == WeekBin(2015, 23)
+        assert _bins_of(parse_timestamp("2015-06-01T12:00:00Z"))[0] == "2015-W23"
         # ISO week years differ from calendar years at the boundary
-        assert WeekBin.from_timestamp(parse_timestamp("2016-01-01T00:00:00Z")) == WeekBin(2015, 53)
-        assert str(WeekBin(2015, 3)) == "2015-W03"
+        assert _bins_of(parse_timestamp("2016-01-01T00:00:00Z"))[0] == "2015-W53"
+        assert week_label((date(2015, 1, 12).toordinal() - 1) // 7) == "2015-W03"
+        assert week_label(0) == "0001-W01"
+        assert week_label((date(9999, 12, 31).toordinal() - 1) // 7) == "9999-W52"
 
     def test_month_bin(self):
-        assert MonthBin.from_timestamp(parse_timestamp("2015-06-01T12:00:00Z")) == MonthBin(2015, 6)
-        assert str(MonthBin(2015, 6)) == "2015-06"
+        assert _bins_of(parse_timestamp("2015-06-01T12:00:00Z"))[1] == "2015-06"
+        assert month_label(2015 * 12 + 5) == "2015-06"
+
+    @settings(max_examples=300, deadline=None)
+    @given(day=st.dates(date(1, 1, 1), date(9999, 12, 31)))
+    @example(day=date(2016, 1, 1))
+    @example(day=date(1, 1, 1))
+    @example(day=date(9999, 12, 31))
+    def test_int_keys_label_as_iso_week_and_calendar_month(self, day):
+        iso = day.isocalendar()
+        expected = (f"{iso[0]:04d}-W{iso[1]:02d}", f"{day.year:04d}-{day.month:02d}")
+        assert (week_label((day.toordinal() - 1) // 7), month_label(day.year * 12 + day.month - 1)) == expected
+        for moment in (datetime.min.time(), datetime.max.time()):
+            assert _bins_of(datetime.combine(day, moment, timezone.utc)) == expected
 
 
 class TestRounding:
@@ -350,6 +373,36 @@ class TestHitlistOverlap:
         assert len(entries) == 1
         assert bad == 3
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.text(),
+                st.builds(
+                    lambda day, target, end: f"{day}\t{target}{end}",
+                    st.sampled_from([
+                        "2015-06-01", "2015-06-01T12:00:00+14:00", "2015-06-01T23:59:59-12:00",
+                        "2015-06-01T00:00:00Z", "0001-01-01", "9999-12-31T23:59:59+14:00",
+                        "2015-13-01", "2015-06-01T12:00:00+25:00", "", "2015-06-01\udcff",
+                    ]) | st.text(),
+                    st.sampled_from([
+                        "2001:db8::/48", "2001:db8::/200", "2001:db8::/-1", "10.0.0.0/8", "10.0.0.1",
+                        "fe80::1%eth0", "fe80::%eth0/64", "2001:db8::1", "::ffff:10.0.0.1", "::/0",
+                        "2001:db8::\udcff", "\udc80/48", "junk", "",
+                    ]) | st.text(),
+                    st.sampled_from(["\n", "", "\t", "\tx\n", "\r\n"]),
+                ),
+            ),
+            max_size=8,
+        )
+    )
+    def test_any_lines_give_entries_and_a_bad_count(self, lines):
+        entries, bad = read_hitlist(lines)
+        assert len(entries) + bad <= len(lines)
+        for entry in entries:
+            assert 0 <= entry.length <= 128 and 0 <= entry.prefix_int < 1 << 128
+            assert len(month_label(entry.month)) == 7
+
     def test_matches_naive_oracle(self):
         records = synth_corpus(2000, seed=91)
         hitlist_lines = synth_hitlist(records)
@@ -557,7 +610,7 @@ class TestPackedLayout:
         as_local = aggregate([EditRecord(local, SITE, ip)])
         as_utc = aggregate([EditRecord(local.astimezone(timezone.utc), SITE, ip)])
         assert table_weekly_by_version(as_local).to_csv() == table_weekly_by_version(as_utc).to_csv()
-        assert str(next(iter(as_local.weekly_ips))) == "2016-W05"
+        assert week_label(next(iter(as_local.weekly_ips))) == "2016-W05"
 
     def test_naive_timestamp_is_rejected(self):
         record = EditRecord(datetime(2016, 2, 1, 1, 30), SITE, ip_address("2001:db8::1"))
@@ -652,10 +705,9 @@ class TestDeterminism:
         table = table_weekly_by_version(aggregate(records))
         by_week = {}
         for r in records:
-            by_week.setdefault(WeekBin.from_timestamp(r.timestamp), []).append(r)
+            by_week.setdefault(oracles.week_str(oracles.week_of(r.timestamp)), []).append(r)
         for week_text, _version, count in table.rows:
-            week = next(w for w in by_week if str(w) == week_text)
-            assert count <= len(by_week[week])
+            assert count <= len(by_week[week_text])
 
     def test_fractions_bounded(self, oui_csv):
         records = synth_corpus(1000, seed=161)
@@ -678,3 +730,6 @@ class TestScaleHarness:
         assert 0 < report["distinct_v6"] < report["distinct_addresses"] < 20000
         assert report["bytes_per_distinct_address"] > 0 and report["aggregate_s"] > 0
         assert report["maxrss_kb"] >= report["maxrss_kb_after_aggregate"] >= report["maxrss_kb_before"] > 0
+        builders = [name for name in TABLE_NAMES if name != "eui64_fraction"]  # eui64_weekly builds both
+        assert list(report["table_s"]) == list(report["table_maxrss_kb"]) == builders
+        assert max(report["table_maxrss_kb"].values()) == report["maxrss_kb"]

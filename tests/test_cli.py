@@ -440,6 +440,32 @@ class TestReport:
         assert after == sorted(before + (["lifetimes.csv"] if failing == "render" else []))
 
 
+class TestUnwritableOutput:
+    """An output that cannot be written ends in exit 1 and one `<stage>:` line."""
+
+    def _fails_cleanly(self, argv, capsys, blocked):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{argv[0]}: ") and blocked.name in err[0], err
+        assert blocked.is_dir()
+        assert not [p for p in blocked.parent.glob("*.tmp") if p.is_file()]
+
+    @pytest.mark.parametrize("name", ["records.tsv.tmp", "manifest.json", "st.json"])
+    def test_extract(self, tmp_path, fixture_dump, capsys, name):
+        out = tmp_path / "out"
+        blocked = (tmp_path if name == "st.json" else out) / name
+        blocked.mkdir(parents=True)
+        argv = ["extract", str(fixture_dump), "--out", str(out), "--stats", str(tmp_path / "st.json")]
+        self._fails_cleanly(argv, capsys, blocked)
+
+    def test_report(self, tmp_path, fixture_dump, capsys):
+        out = tmp_path / "out"
+        assert run_cli("extract", str(fixture_dump), "--out", str(out), "--stats", str(tmp_path / "s.json")) == 0
+        blocked = out / "weekly_by_version.csv.tmp"
+        blocked.mkdir()
+        self._fails_cleanly(["report", "weekly_by_version", "--out", str(out)], capsys, blocked)
+
+
 def _write_records(tmp_path, *extra_rows: bytes):
     records = tmp_path / "records.tsv"
     records.write_bytes(

@@ -209,6 +209,18 @@ class TestPrefixTable:
         assert len(snapshot.entries) == 1
         assert snapshot.bad_rows == 4
 
+    @pytest.mark.parametrize(
+        "tied, winner",
+        [
+            (["64502", "set:64501,64502", "64501"], "64501"),
+            (["set:64501,64503", "set:64501,64502"], "set:64501,64502"),
+            (["unrouted", "set:64501,64502"], "set:64501,64502"),
+        ],
+    )
+    def test_tie_goes_to_lowest_first_differing_asn(self, tied, winner):
+        text = "# captured_at=2016-09-10T00:00:00Z\n" + "".join(f"10.0.0.0/8\t{origin}\n" for origin in tied)
+        assert load_prefix_table(io.StringIO(text)).entries[0][1].text == winner
+
     def test_missing_header_fails(self):
         with pytest.raises(BadPrefixTable):
             load_prefix_table(io.StringIO("2001:db8::/32\t64501\n"))
@@ -666,7 +678,9 @@ class TestMrtReference:
         data = synth.mrt_record(10, 13, 1, synth.peer_index_body()) + synth.mrt_record(
             10, 13, 4, synth.rib_unicast_body(1, bytes.fromhex("20010db8"), 32, entries)
         )
-        assert _decoded(data) == _reference(data)
+        decoded = _decoded(data)
+        assert decoded == _reference(data)
+        assert decoded["entries"] == [("2001:db8::/32", "64501")]
 
     def test_asn_zero_in_an_as_set_is_malformed(self):
         # RFC 7607: AS 0 in an origin AS_SET is malformed, like a final AS_SEQUENCE ending in 0.
