@@ -12,7 +12,6 @@ from .netaddr import (
     is_eui64,
     load_oui_database,
     parse_ip,
-    resolve_vendor,
 )
 from .ribstore import (
     AttributedRecord,
@@ -40,7 +39,6 @@ __all__ = [
     "is_eui64",
     "load_oui_database",
     "parse_ip",
-    "resolve_vendor",
     "AttributedRecord",
     "LpmIndex",
     "OriginAs",

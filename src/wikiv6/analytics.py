@@ -25,7 +25,7 @@ from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, Optional, Union
 
 from .ingest import EditRecord
-from .netaddr import OuiDatabase, UNLISTED, canonical_text, parse_ip
+from .netaddr import OuiDatabase, UNLISTED, canonical_text, eui64_mac, parse_ip
 from .ribstore import AttributedRecord, OriginAs
 
 V4 = "v4"
@@ -149,8 +149,13 @@ def week_label(week: int) -> str:
     return f"{iso[0]:04d}-W{iso[1]:02d}"
 
 
+def _month(d: date) -> int:
+    """Month key of a date: ``year * 12 + month - 1``."""
+    return d.year * 12 + d.month - 1
+
+
 def month_label(month: int) -> str:
-    """``YYYY-MM`` of a month key, ``year * 12 + month - 1``."""
+    """``YYYY-MM`` of a ``_month`` key."""
     year, index = divmod(month, 12)
     return f"{year:04d}-{index + 1:02d}"
 
@@ -193,6 +198,7 @@ class PartialAggregate:
     - week: UTC days since 0001-01-01 ``// 7``; 0001-01-01 is a Monday, so
       each key is one ISO week.
     - month: ``year * 12 + month - 1``.
+    - ``month_48s``: one set per month of the top 48 bits of each v6 address.
     - ``weekly_as_ips``: one set per week of ``origin code << 129 | v6 key``,
       where the code is 0 for unrouted, 1 for any AS_SET and ASN + 1 for one
       ASN, so a week pays for one set however many origins it has.
@@ -230,8 +236,7 @@ class PartialAggregate:
         elif us < seen >> 64:
             self.first_last[key] = us << 64 | seen & _LAST
         if is_v6:
-            utc_date = date.fromordinal(day + 1)
-            self.month_48s[utc_date.year * 12 + utc_date.month - 1].add((value >> 80) << 80)
+            self.month_48s[_month(date.fromordinal(day + 1))].add(value >> 80)
             origin = getattr(record, "origin", None)
             if origin is not None:
                 self.weekly_as_ips[week].add(_origin_code(origin) << _CODE_SHIFT | key)
@@ -375,17 +380,13 @@ def table_weekly_by_as(agg: PartialAggregate, top_k: int) -> ReportTable:
 
 
 def _eui64_vendors(agg: PartialAggregate, db: OuiDatabase) -> dict[int, tuple[bytes, str]]:
-    """(MAC octets, resolved vendor) for each distinct EUI-64 address.
-
-    Works on the int keys: 0xFFFE in bits 24-39 marks EUI-64 (bytes 11-12 of
-    the address), and the MAC is bits 40-63 with the U/L bit flipped back,
-    then bits 0-23, as in ``netaddr.extract_mac``.
-    """
+    """(MAC octets, resolved vendor) for each distinct EUI-64 address."""
     vendors = {}
     for key in agg.first_last:
-        if key >> 128 and (key >> 24) & 0xFFFF == 0xFFFE:
-            mac = ((((key >> 40) & 0xFFFFFF) ^ 0x020000) << 24 | (key & 0xFFFFFF)).to_bytes(6, "big")
-            vendors[key] = (mac, db.vendor(mac[:3]))
+        if key >> 128:
+            mac = eui64_mac(key)
+            if mac is not None:
+                vendors[key] = (mac, db.vendor(mac[:3]))
     return vendors
 
 
@@ -448,13 +449,17 @@ def table_vendor_counts(agg: PartialAggregate, db: OuiDatabase) -> ReportTable:
 
 @dataclass(frozen=True)
 class HitlistEntry:
-    month: int  # year * 12 + month - 1, as PartialAggregate.month_48s
+    month: int  # _month of the row's date, in UTC when it has an offset
     prefix_int: int
     length: int
 
 
 def parse_hitlist_line(line: str) -> Optional[HitlistEntry]:
-    """Parse one ``date<TAB>address-or-prefix`` hitlist row (IPv6 only)."""
+    """Parse one ``date<TAB>address-or-prefix`` hitlist row (IPv6 only).
+
+    A timestamp with an offset is binned by its UTC month, as records are; a
+    plain date or naive timestamp by its own month.
+    """
     line = line.rstrip("\n")
     if not line or line.startswith("#"):
         return None
@@ -464,17 +469,20 @@ def parse_hitlist_line(line: str) -> Optional[HitlistEntry]:
     date_text, target = parts
     try:
         when = datetime.fromisoformat(date_text)
+        if when.tzinfo is not None:
+            # OverflowError when the offset moves year 1 or 9999 out of range.
+            when = when.astimezone(timezone.utc)
         if "/" in target:
             net = ip_network(target, strict=False)
             value, length = int(net.network_address), net.prefixlen
         else:
             net = parse_ip(target)
             value, length = int(net), 128
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise BadHitlistRow(line) from exc
     if net.version != 6:
         raise BadHitlistRow(line)
-    return HitlistEntry(when.year * 12 + when.month - 1, value, length)
+    return HitlistEntry(_month(when), value, length)
 
 
 def read_hitlist(lines: Iterable[str]) -> tuple[list[HitlistEntry], int]:
@@ -493,26 +501,23 @@ def read_hitlist(lines: Iterable[str]) -> tuple[list[HitlistEntry], int]:
 
 
 def table_hitlist_overlap(agg: PartialAggregate, hitlist: Iterable[HitlistEntry]) -> ReportTable:
-    exact: dict[int, set[int]] = {}
-    shorter: dict[int, dict[int, set[int]]] = {}
+    # Per month and shift, the listed prefixes' tops: a /48 is in a /L entry
+    # (L <= 48) iff its top >> (48 - L) is; /48 and longer entries are shift 0.
+    listed: dict[int, dict[int, set[int]]] = {}
     for entry in hitlist:
-        if entry.length >= 48:
-            exact.setdefault(entry.month, set()).add((entry.prefix_int >> 80) << 80)
-        else:
-            tops = shorter.setdefault(entry.month, {}).setdefault(entry.length, set())
-            tops.add(entry.prefix_int >> (128 - entry.length))
+        shift = 48 - min(entry.length, 48)
+        listed.setdefault(entry.month, {}).setdefault(shift, set()).add(entry.prefix_int >> (80 + shift))
 
     rows = []
-    for month, p48s in sorted(agg.month_48s.items()):
-        month_exact = exact.get(month, set())
-        month_shorter = shorter.get(month, {})
+    for month, tops in sorted(agg.month_48s.items()):
+        shifts = list(listed.get(month, {}).items())
         overlap = 0
-        for p48 in p48s:
-            if p48 in month_exact or any(
-                (p48 >> (128 - length)) in tops for length, tops in month_shorter.items()
-            ):
-                overlap += 1
-        rows.append((month_label(month), len(p48s), overlap))
+        for top in tops:
+            for shift, listed_tops in shifts:
+                if top >> shift in listed_tops:
+                    overlap += 1
+                    break
+        rows.append((month_label(month), len(tops), overlap))
     return ReportTable(
         "hitlist_overlap", ("month", "wikimedia_48s", "overlap_48s"), ("s", "d", "d"), rows
     )

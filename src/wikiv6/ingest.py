@@ -21,28 +21,17 @@ from xml.parsers import expat
 
 from .netaddr import IpAddress, NotAnIp, canonical_text, parse_ip
 
-WIKIPEDIA = "wikipedia"
-WIKTIONARY = "wiktionary"
-WIKIBOOKS = "wikibooks"
-WIKIQUOTE = "wikiquote"
-WIKISOURCE = "wikisource"
-WIKIMEDIA = "wikimedia"
-WIKINEWS = "wikinews"
-WIKIVOYAGE = "wikivoyage"
-WIKIVERSITY = "wikiversity"
-OTHER = "other"
-
 # Longest suffix first; the bare "wiki" suffix is the flagship encyclopedia.
 _FAMILY_SUFFIXES = (
-    ("wikiversity", WIKIVERSITY),
-    ("wikivoyage", WIKIVOYAGE),
-    ("wiktionary", WIKTIONARY),
-    ("wikisource", WIKISOURCE),
-    ("wikimedia", WIKIMEDIA),
-    ("wikibooks", WIKIBOOKS),
-    ("wikiquote", WIKIQUOTE),
-    ("wikinews", WIKINEWS),
-    ("wiki", WIKIPEDIA),
+    ("wikiversity", "wikiversity"),
+    ("wikivoyage", "wikivoyage"),
+    ("wiktionary", "wiktionary"),
+    ("wikisource", "wikisource"),
+    ("wikimedia", "wikimedia"),
+    ("wikibooks", "wikibooks"),
+    ("wikiquote", "wikiquote"),
+    ("wikinews", "wikinews"),
+    ("wiki", "wikipedia"),
 )
 
 
@@ -63,7 +52,7 @@ class SiteId:
                 stem = code[: -len(suffix)]
                 language = stem if 2 <= len(stem) <= 3 and stem.isalpha() else ""
                 return cls(code, language, family)
-        return cls(code, "", OTHER)
+        return cls(code, "", "other")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import csv
 import io
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network
-from typing import BinaryIO, TextIO, Union
+from typing import BinaryIO, Optional, TextIO, Union
 
 # The same functions socket re-exports, without the import cost of its enums.
 from _socket import AF_INET, AF_INET6, inet_ntop, inet_pton
@@ -128,12 +128,21 @@ def canonical_text(ip: IpAddress) -> str:
     return str(ip)
 
 
+def eui64_mac(value: int) -> Optional[bytes]:
+    """The MAC octets in an EUI-64 interface identifier (RFC 4291 App. A), or None.
+
+    `value` is an IPv6 address as an int; bits above 127 are ignored. 0xFFFE
+    in bits 24-39 (bytes 11-12 of the address) marks EUI-64; the MAC is bits
+    40-63 with the U/L bit flipped back, then bits 0-23.
+    """
+    if (value >> 24) & 0xFFFF != 0xFFFE:
+        return None
+    return ((((value >> 40) & 0xFFFFFF) ^ 0x020000) << 24 | (value & 0xFFFFFF)).to_bytes(6, "big")
+
+
 def is_eui64(ip: IpAddress) -> bool:
     """True iff `ip` is IPv6 with 0xfffe at bytes 11-12 of the address."""
-    if ip.version != 6:
-        return False
-    packed = ip.packed
-    return packed[11] == 0xFF and packed[12] == 0xFE
+    return ip.version == 6 and eui64_mac(int(ip)) is not None
 
 
 @dataclass(frozen=True)
@@ -172,10 +181,10 @@ def extract_mac(ip: IpAddress) -> Mac48:
     The U/L bit is always flipped back, so the result is the MAC as the host
     would have reported it.
     """
-    if not is_eui64(ip):
+    mac = eui64_mac(int(ip)) if ip.version == 6 else None
+    if mac is None:
         raise NotEui64(canonical_text(ip))
-    a = ip.packed
-    return Mac48(bytes((a[8] ^ 0x02, a[9], a[10], a[13], a[14], a[15])))
+    return Mac48(mac)
 
 
 def embed_mac(mac: Mac48, prefix64: Prefix) -> IPv6Address:
@@ -258,8 +267,3 @@ def load_oui_database(stream: Union[BinaryIO, TextIO]) -> OuiDatabase:
     except csv.Error as exc:
         raise BadCsv(f"line {reader.line_num}: {exc}") from None
     return OuiDatabase(entries, duplicate_rows=duplicates, bad_rows=bad)
-
-
-def resolve_vendor(mac: Mac48, db: OuiDatabase) -> str:
-    """Vendor name for `mac`, or ``UNLISTED`` if its OUI is not registered."""
-    return db.vendor(mac.oui)

@@ -17,9 +17,11 @@ read.
 
 from __future__ import annotations
 
+import io
 import struct
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 from datetime import datetime, timezone
 from ipaddress import IPv4Network, IPv6Network, ip_network
@@ -539,14 +541,14 @@ class RibTimeline:
         entries = []
         by_time: dict[datetime, str] = {}
         for path in paths:
-            captured_at = _peek_captured_at(path)
+            is_table, captured_at = _sniff(path)
             if captured_at in by_time:
                 raise ValueError(
                     f"snapshot capture times must be strictly increasing: {by_time[captured_at]} "
                     f"and {path} are both captured at {format_timestamp(captured_at)}"
                 )
             by_time[captured_at] = path
-            entries.append(TimelineEntry(captured_at, _file_loader(path)))
+            entries.append(TimelineEntry(captured_at, _file_loader(path, is_table)))
         return cls(entries)
 
     def nearest_position(self, t: datetime) -> int:
@@ -562,44 +564,45 @@ class RibTimeline:
         return i - 1 if left <= right else i  # tie -> earlier snapshot
 
 
-def _is_prefix_table(path: str) -> bool:
-    with open(path, "rb") as fh:
-        return fh.read(1) == b"#"
-
-
-def _peek_captured_at(path: str) -> datetime:
+@contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """Prefix a snapshot file's error message with its path; type and ``.offset`` stay."""
     try:
-        if _is_prefix_table(path):
-            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                first = fh.readline().rstrip("\n")
-            if not first.startswith(CAPTURED_AT_PREFIX):
-                raise BadPrefixTable("missing '# captured_at=' header")
-            return parse_timestamp(first[len(CAPTURED_AT_PREFIX) :])
-        with open(path, "rb") as fh:
-            header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise TruncatedRecord(0)
-    except (TruncatedRecord, BadPrefixTable, ValueError) as exc:
-        # Name the file, keep type and offset.
+        yield
+    except (TruncatedRecord, MissingPeerIndex, BadPrefixTable, ValueError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+
+
+def _sniff(path: str) -> tuple[bool, datetime]:
+    """(is a prefix table, capture time) of a snapshot file, read from its head.
+
+    A prefix table starts with ``#``; anything else is read as MRT.
+    """
+    with _naming(path), open(path, "rb") as fh:
+        if fh.peek(1)[:1] == b"#":
+            # Decoded as the loader reads it: UTF-8 with surrogateescape, universal newlines.
+            first = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape").readline().rstrip("\n")
+            if not first.startswith(CAPTURED_AT_PREFIX):
+                raise BadPrefixTable("missing '# captured_at=' header")
+            return True, parse_timestamp(first[len(CAPTURED_AT_PREFIX) :])
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise TruncatedRecord(0)
     (ts,) = struct.unpack_from(">I", header)
-    return datetime.fromtimestamp(ts, timezone.utc)
+    return False, datetime.fromtimestamp(ts, timezone.utc)
 
 
-def _file_loader(path: str) -> Callable[[], RibSnapshot]:
+def _file_loader(path: str, is_table: bool) -> Callable[[], RibSnapshot]:
     def load() -> RibSnapshot:
-        try:
-            if _is_prefix_table(path):
+        # Loads happen lazily, mid-attribution, so the error must name the file.
+        with _naming(path):
+            if is_table:
                 # A row with a non-UTF-8 byte fails its prefix or origin check and is counted.
                 with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
                     return load_prefix_table(fh)
             with open(path, "rb") as fh:
                 return parse_mrt_rib(fh)
-        except (TruncatedRecord, MissingPeerIndex, BadPrefixTable) as exc:
-            # Loads happen lazily, mid-attribution: name the file, keep type and offset.
-            exc.args = (f"{path}: {exc}",)
-            raise
 
     return load
 

@@ -528,10 +528,12 @@ def parse_hitlist_rows(lines):
             continue
         try:
             when = datetime.fromisoformat(parts[0])
+            if when.utcoffset() is not None:  # binned by its UTC month, as records are
+                when = when.astimezone(timezone.utc)
             net = ip_network(parts[1], strict=False) if "/" in parts[1] else ip_network(
                 (ip_address(parts[1]), 128)
             )
-        except ValueError:
+        except (ValueError, OverflowError):
             continue
         if net.version != 6:
             continue

@@ -366,6 +366,22 @@ class TestHitlistOverlap:
         table = table_hitlist_overlap(aggregate(records), entries)
         assert table.rows == [("2021-09", 3, 2)]
 
+    def test_row_with_an_offset_is_binned_by_its_utc_month(self):
+        # 2015-06-30T23:00:00-02:00 is 2015-07-01T01:00:00Z, the record's instant.
+        records = [rec("2015-07-01T01:00:00Z", "2001:db8:77::1")]
+        entries, bad = read_hitlist(["2015-06-30T23:00:00-02:00\t2001:db8:77::/48\n"])
+        assert bad == 0
+        assert table_hitlist_overlap(aggregate(records), entries).rows == [("2015-07", 1, 1)]
+
+    def test_offset_out_of_range_in_utc_is_a_bad_row(self):
+        entries, bad = read_hitlist(["0001-01-01T00:00:00+01:00\t2001:db8::/48\n"])
+        assert (entries, bad) == ([], 1)
+
+    def test_48_listed_exactly_and_under_a_32_counts_once(self):
+        records = [rec("2021-09-03T10:00:00Z", "2001:db8:77::1")]
+        entries, _ = read_hitlist(["2021-09-01\t2001:db8:77::/48\n", "2021-09-02\t2001:db8::/32\n"])
+        assert table_hitlist_overlap(aggregate(records), entries).rows == [("2021-09", 1, 1)]
+
     def test_bad_rows_counted(self):
         entries, bad = read_hitlist(
             ["2021-09-01\t2001:db8::/48\n", "junk\n", "2021-09-01\t10.0.0.0/8\n", "x\ty\tz\n"]

@@ -569,3 +569,36 @@ class TestReadRows:
             next(rows)
         assert err.value.lineno == 3
         assert str(err.value).startswith("line 3: ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        reader=st.sampled_from([read_records, read_attributed]),
+        lines=st.lists(
+            st.one_of(
+                st.sampled_from([
+                    RECORD_HEADER, ATTRIBUTED_HEADER, "", f"{_TS}\tenwiki\t10.0.0.1",
+                    f"{_TS}\tenwiki\t2001:db8::1\t64500\t0",
+                ]),
+                st.lists(
+                    st.sampled_from([
+                        _TS, "2015-13-01T12:00:00Z", "0001-01-01T00:00:00+01:00", "2015-06-01",
+                        "enwiki", "EN WIKI", "x\udcff",
+                        "10.0.0.1", "2001:db8::1", "fe80::1%eth0", "not-an-ip",
+                        "64500", "set:1,2", "unrouted", "set:", "0", "-5", "1.5",
+                    ])
+                    | st.text(),
+                    min_size=1,
+                    max_size=6,
+                ).map("\t".join),
+                st.text(),
+            ).map(lambda line: line + "\n"),
+            max_size=8,
+        ),
+    )
+    def test_any_lines_give_rows_or_a_bad_row(self, reader, lines):
+        try:
+            rows = list(reader(lines))
+        except BadRow as exc:
+            assert 1 <= exc.lineno <= len(lines)
+            return
+        assert len(rows) <= len(lines)

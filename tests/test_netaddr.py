@@ -21,11 +21,11 @@ from wikiv6.netaddr import (
     UNLISTED,
     canonical_text,
     embed_mac,
+    eui64_mac,
     extract_mac,
     is_eui64,
     load_oui_database,
     parse_ip,
-    resolve_vendor,
 )
 
 
@@ -308,6 +308,18 @@ class TestEui64:
             assert is_eui64(ip)
             assert extract_mac(ip) == mac
 
+    @settings(max_examples=500, deadline=None)
+    @given(value=st.integers(0, 2**129 - 1), marked=st.booleans())
+    def test_eui64_mac_agrees_with_address_api(self, value, marked):
+        if marked:
+            value = value & ~(0xFFFF << 24) | 0xFFFE << 24
+        ip = IPv6Address(value & (2**128 - 1))  # bit 128, as analytics' v6 keys carry, is ignored
+        mac = eui64_mac(value)
+        assert (mac is not None) == is_eui64(ip) == (ip.packed[11:13] == b"\xff\xfe")
+        if mac is not None:
+            assert extract_mac(ip) == Mac48(mac)
+            assert str(Mac48(mac)) == _mac_oracle(ip)
+
 
 class TestMac48:
     def test_text_form(self):
@@ -368,18 +380,43 @@ class TestOuiDatabase:
             load_oui_database(io.StringIO(text))
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.text(),
+                st.sampled_from([OUI_CSV.splitlines()[0], "Registry,Assignment", "oops,nope", ""]),
+                st.lists(
+                    st.sampled_from(["MA-L", "00 50 56", "286FB9", "F4-CE-46", "0050", "zz zz zz", '"VMware, Inc."', '"open', ""])
+                    | st.text(),
+                    max_size=5,
+                ).map(",".join),
+            ),
+            max_size=8,
+        )
+    )
+    def test_any_lines_give_a_database_or_bad_csv(self, lines):
+        text = "\n".join(lines)
+        try:
+            db = load_oui_database(io.StringIO(text))
+        except BadCsv:
+            return
+        # After the header, each row is an entry, a duplicate, a bad row or blank, and spans a line or more.
+        assert len(db) + db.duplicate_rows + db.bad_rows <= len(text.splitlines()) - 1
+
+
 class TestResolveVendor:
     def test_resolves(self, oui_csv):
         with open(oui_csv, "rb") as fh:
             db = load_oui_database(fh)
-        assert resolve_vendor(Mac48.parse("00:50:56:8a:00:01"), db) == "VMware, Inc."
+        assert db.vendor(Mac48.parse("00:50:56:8a:00:01").oui) == "VMware, Inc."
 
     def test_locally_administered_is_unlisted(self, oui_csv):
         # randomized MACs never carry an IEEE-assigned OUI
         with open(oui_csv, "rb") as fh:
             db = load_oui_database(fh)
-        assert resolve_vendor(Mac48.parse("52:74:f2:b1:a8:7f"), db) == UNLISTED
+        assert db.vendor(Mac48.parse("52:74:f2:b1:a8:7f").oui) == UNLISTED
 
     def test_total_on_empty_db(self):
         db = OuiDatabase({})
-        assert resolve_vendor(Mac48.parse("00:50:56:8a:00:01"), db) == UNLISTED
+        assert db.vendor(Mac48.parse("00:50:56:8a:00:01").oui) == UNLISTED

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import mrt_synth as synth
 import oracles
+from wikiv6 import ribstore
 from wikiv6.ingest import EditRecord, SiteId, parse_timestamp
 from wikiv6.ribstore import (
     BadPrefixTable,
@@ -224,6 +225,36 @@ class TestPrefixTable:
     def test_missing_header_fails(self):
         with pytest.raises(BadPrefixTable):
             load_prefix_table(io.StringIO("2001:db8::/32\t64501\n"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.text(),
+                st.sampled_from([
+                    "# captured_at=2016-09-10T00:00:00Z", "# captured_at=junk", "# captured_at=2016-09-10",
+                    "# captured_at=0001-01-01T00:00:00+01:00", "#", "",
+                ]),
+                st.builds(
+                    "{}\t{}".format,
+                    st.sampled_from(["2001:db8::/32", "10.0.0.0/8", "10.0.0.1/8", "::/0", "2001:db8::/129", "\udcff/8"])
+                    | st.text(),
+                    st.sampled_from(["64501", "set:64501,64502", "unrouted", "0", "set:", "AS1", "64501\t1"]) | st.text(),
+                ),
+            ).map(lambda line: line + "\n"),
+            max_size=8,
+        )
+    )
+    def test_any_lines_give_a_snapshot_or_a_typed_error(self, lines):
+        try:
+            snapshot = load_prefix_table(lines)
+        except BadPrefixTable:
+            assert not any(line.startswith("# captured_at=") for line in lines)
+            return
+        except ValueError:  # only the first header's timestamp can fail to parse
+            assert any(line.startswith("# captured_at=") for line in lines)
+            return
+        assert len(snapshot.entries) + snapshot.bad_rows <= len(lines) - 1
 
     def test_round_trip_random_table(self):
         rng = random.Random(31337)
@@ -551,19 +582,39 @@ class TestAttribute:
         assert list(read_attributed(io.StringIO(sink.getvalue()))) == out
 
 
+def _mixed_rib_files(tmp_path):
+    """An MRT file captured 2016-09-10 and a prefix table captured 2016-09-12."""
+    mrt_data, _, _ = synth.acceptance_file()
+    mrt_path = tmp_path / "rib.mrt"
+    mrt_path.write_bytes(mrt_data)
+    table_path = tmp_path / "prefixes.tsv"
+    table_path.write_text(
+        "# captured_at=2016-09-12T00:00:00Z\n2620:119::/32\t36692\n", encoding="utf-8"
+    )
+    return [str(table_path), str(mrt_path)]
+
+
 class TestTimelineFiles:
     def test_from_files_mixed_sources(self, tmp_path):
-        mrt_data, _, _ = synth.acceptance_file()  # captured 2016-09-10
-        mrt_path = tmp_path / "rib.mrt"
-        mrt_path.write_bytes(mrt_data)
-        table_path = tmp_path / "prefixes.tsv"
-        table_path.write_text(
-            "# captured_at=2016-09-12T00:00:00Z\n2620:119::/32\t36692\n", encoding="utf-8"
-        )
-        timeline = RibTimeline.from_files([str(table_path), str(mrt_path)])
+        timeline = RibTimeline.from_files(_mixed_rib_files(tmp_path))
         assert [e.captured_at.day for e in timeline.entries] == [10, 12]
         assert timeline.nearest_position(parse_timestamp("2016-09-11T22:00:00Z")) == 1
         assert timeline.entries[1].index().lookup(IPv6Address("2620:119::35")) == OriginAs.from_asn(36692)
+
+    def test_each_file_opened_once_to_sniff_and_once_to_load(self, tmp_path, monkeypatch):
+        paths = _mixed_rib_files(tmp_path)
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(ribstore, "open", counting_open, raising=False)
+        timeline = RibTimeline.from_files(paths)
+        assert sorted(opened) == sorted(paths)
+        for entry in timeline.entries:
+            entry.index()
+        assert sorted(opened) == sorted(paths * 2)
 
 
 def _decoded(data):
