@@ -20,12 +20,12 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from ipaddress import IPv4Address, IPv6Address, ip_network
+from ipaddress import ip_network
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, Optional, Union
 
 from .ingest import EditRecord
-from .netaddr import OuiDatabase, UNLISTED, canonical_text, eui64_mac, parse_ip
+from .netaddr import V6_KEY as _V6, OuiDatabase, UNLISTED, eui64_mac, key_text, parse_ip
 from .ribstore import AttributedRecord, OriginAs
 
 V4 = "v4"
@@ -123,8 +123,6 @@ class ReportTable:
         return json.dumps(rows, indent=2) + "\n"
 
 
-_V6 = 1 << 128
-
 # Timestamps are packed as UTC microseconds since 0001-01-01, which fit in 64
 # bits up to year 9999: first/last seen is ``first << 64 | last``.
 _EPOCH = datetime(1, 1, 1, tzinfo=timezone.utc)
@@ -179,18 +177,15 @@ def _version(key: int) -> str:
     return V6 if key >> 128 else V4
 
 
-def _ip_text(key: int) -> str:
-    return canonical_text(IPv6Address(key ^ _V6) if key >> 128 else IPv4Address(key))
-
-
 class PartialAggregate:
     """Mergeable per-shard aggregation state (sets and min/max maps only).
 
-    An address is one int: ``int(ip)``, with bit 128 set for IPv6, so that
-    ``10.0.0.1`` and ``::ffff:10.0.0.1`` stay two addresses. Text is built
-    only for output. Each set is stored under the bin its table groups by.
-    The bin maps are ``defaultdict(set)``, so readers iterate them and never
-    index a bin that may be missing: that would insert an empty bin.
+    An address is one int, the record's ``key`` (``netaddr.ip_key``):
+    ``int(ip)``, with bit 128 set for IPv6, so that ``10.0.0.1`` and
+    ``::ffff:10.0.0.1`` stay two addresses. Text is built only for output.
+    Each set is stored under the bin its table groups by. The bin maps are
+    ``defaultdict(set)``, so readers iterate them and never index a bin that
+    may be missing: that would insert an empty bin.
 
     Bins are int keys of the record's UTC date, in time order; tables turn
     them into text with ``week_label`` and ``month_label``.
@@ -223,9 +218,7 @@ class PartialAggregate:
             raise ValueError(f"record timestamp is not timezone-aware: {record.timestamp!r}") from None
         day = us // _DAY_US
         week = day // 7
-        value = int(record.ip)
-        is_v6 = record.ip.version == 6
-        key = value | _V6 if is_v6 else value
+        key = record.key
         self.site_ips[record.site.code].add(key)
         self.weekly_ips[week].add(key)
         seen = self.first_last.get(key)
@@ -235,8 +228,8 @@ class PartialAggregate:
             self.first_last[key] = seen >> 64 << 64 | us
         elif us < seen >> 64:
             self.first_last[key] = us << 64 | seen & _LAST
-        if is_v6:
-            self.month_48s[_month(date.fromordinal(day + 1))].add(value >> 80)
+        if key >> 128:
+            self.month_48s[_month(date.fromordinal(day + 1))].add((key ^ _V6) >> 80)
             origin = getattr(record, "origin", None)
             if origin is not None:
                 self.weekly_as_ips[week].add(_origin_code(origin) << _CODE_SHIFT | key)
@@ -351,7 +344,7 @@ def _lifetime_stats(first_last: dict[int, int]) -> Iterator[LifetimeStat]:
     for key in sorted(first_last):
         span = first_last[key]
         first, last = span >> 64, span & _LAST
-        yield LifetimeStat(_ip_text(key), _datetime(first), _datetime(last), (last - first) // _DAY_US)
+        yield LifetimeStat(key_text(key), _datetime(first), _datetime(last), (last - first) // _DAY_US)
 
 
 def table_lifetimes(agg: PartialAggregate) -> tuple[ReportTable, Iterator[LifetimeStat]]:

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+from bisect import bisect_left
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -352,6 +353,19 @@ def _write_stats(cfg: PipelineConfig, payload: dict) -> None:
         sys.stderr.write(text)
 
 
+# The |delta| buckets of the attribute stats, and the inclusive upper bounds of all but the last.
+_DELTA_BUCKETS = ("le_1h", "le_1d", "le_30d", "gt_30d")
+_DELTA_BOUNDS = (3600, 86_400, 30 * 86_400)
+
+
+def _delta_buckets(counts: dict[int, int]) -> dict[str, int]:
+    """Records per |delta| bucket; each record is counted in one bucket."""
+    totals = [0] * len(_DELTA_BUCKETS)
+    for delta, n in counts.items():
+        totals[bisect_left(_DELTA_BOUNDS, delta)] += n
+    return dict(zip(_DELTA_BUCKETS, totals))
+
+
 def _counter_median(counts: dict[int, int]) -> Optional[int]:
     total = sum(counts.values())
     if not total:
@@ -417,6 +431,7 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
             "min": min(delta_counts) if delta_counts else None,
             "median": _counter_median(delta_counts),
             "max": max(delta_counts) if delta_counts else None,
+            "buckets": _delta_buckets(delta_counts),
         },
         "snapshots": [e.counters for e in timeline.entries if e.counters is not None],
     }
@@ -459,6 +474,7 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
         return EXIT_USAGE
 
     inputs = [source]
+    summary: dict = {"records": 0}
     db = EMPTY_OUI_DATABASE
     if cfg.oui and any(n in requested for n in ("eui64_weekly", "eui64_fraction", "vendor_counts")):
         try:
@@ -468,6 +484,7 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
             print(f"report: {cfg.oui}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
         inputs.append(cfg.oui)
+        summary["oui"] = {"entries": len(db), "bad_rows": db.bad_rows, "duplicate_rows": db.duplicate_rows}
 
     entries = []
     if "hitlist_overlap" in requested:
@@ -480,10 +497,16 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
         if bad:
             print(f"report: skipped {bad} malformed hitlist row(s)", file=sys.stderr)
         inputs.append(cfg.hitlist)
+        summary["hitlist"] = {"entries": len(entries), "skipped_rows": bad}
+
+    def counted(records):
+        for record in records:
+            summary["records"] += 1
+            yield record
 
     try:
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            agg = aggregate(read_attributed(fh) if have_attributed else read_records(fh))
+            agg = aggregate(counted(read_attributed(fh) if have_attributed else read_records(fh)))
     except (BadRow, OSError) as exc:
         print(f"report: {source}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -515,6 +538,7 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
         with _replacing(json_path) as fh:
             fh.write(table.to_json())
         outputs.extend([csv_path.name, json_path.name])
+    _write_stats(cfg, summary)
     write_manifest(cfg, "report", inputs=inputs, outputs=outputs)
     return EXIT_OK
 

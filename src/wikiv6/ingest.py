@@ -14,12 +14,14 @@ pieces are joined when the leaf closes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 from xml.parsers import expat
 
-from .netaddr import IpAddress, NotAnIp, canonical_text, parse_ip
+from .netaddr import IpAddress, NotAnIp, canonical_key, ip_key, key_ip, key_text
 
 # Longest suffix first; the bare "wiki" suffix is the flagship encyclopedia.
 _FAMILY_SUFFIXES = (
@@ -55,17 +57,71 @@ class SiteId:
         return cls(code, "", "other")
 
 
-@dataclass(frozen=True)
-class EditRecord:
+class Record:
+    """Base of the immutable record types: slotted fields behind read-only properties.
+
+    A record stores its address as a key (``netaddr.ip_key``); ``ip`` builds
+    the ``ipaddress`` object only when it is read. A record decoded from text
+    that was already canonical also keeps that text, ``timestamp<TAB>site<TAB>ip``,
+    so it can be written out again as it came in. Records compare, hash and
+    print by their public fields, in ``_FIELDS`` order; the text plays no part.
+    """
+
+    __slots__ = ("_timestamp", "_site", "_key", "_text")
+    _FIELDS: tuple[str, ...] = ()
+
+    def __init__(self, timestamp: datetime, site: SiteId, ip: IpAddress):
+        self._timestamp = timestamp
+        self._site = site
+        self._key = ip_key(ip)
+        self._text = None
+
+    timestamp = property(attrgetter("_timestamp"))
+    site = property(attrgetter("_site"))
+    key = property(attrgetter("_key"))
+
+    @property
+    def ip(self) -> IpAddress:
+        return key_ip(self._key)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class EditRecord(Record):
     """One anonymous edit: when, where, and the editor's IP.
 
     Timestamps come from the dump verbatim (UTC, second resolution); real
     corpora fall between 2001 and the dump date.
     """
 
-    timestamp: datetime
-    site: SiteId
-    ip: IpAddress
+    __slots__ = ()
+    _FIELDS = ("timestamp", "site", "ip")
+
+
+_new = object.__new__
+
+
+def _edit_record(timestamp: datetime, site: SiteId, key: int, text: Optional[str]) -> EditRecord:
+    """An EditRecord from its address key and its canonical row text (or None)."""
+    record = _new(EditRecord)
+    record._timestamp = timestamp
+    record._site = site
+    record._key = key
+    record._text = text
+    return record
 
 
 class StreamMalformed(Exception):
@@ -108,8 +164,28 @@ class ParseStats:
         }
 
 
+def canonical_timestamp(text: str) -> bool:
+    """True iff `text`, which parse_timestamp accepts, is exactly format_timestamp of its value.
+
+    Separators at their ``YYYY-MM-DDTHH:MM:SSZ`` places are enough: a parsable
+    text with them has only digits in the other 14 places. Looser shapes
+    such as ``03:04,05`` or ``03404305`` parse but are written differently.
+    """
+    return len(text) == 20 and text[4::3] == "--T::Z"
+
+
+if sys.version_info >= (3, 11):
+    _parse_utc = datetime.fromisoformat
+else:  # fromisoformat accepts a bare Z only from Python 3.11 on
+
+    def _parse_utc(text: str) -> datetime:
+        return datetime.fromisoformat(text[:-1] + "+00:00")
+
+
 def parse_timestamp(text: str) -> datetime:
     """Parse a dump timestamp: zero-padded ISO-8601 with a Z suffix or an explicit offset."""
+    if canonical_timestamp(text):
+        return _parse_utc(text)  # already UTC
     text = text.strip()
     # fromisoformat accepts a bare Z only from Python 3.11 on; RFC 3339 also allows "z".
     dt = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text)
@@ -238,12 +314,15 @@ def parse_dump_stream(
             stats.skipped_missing_timestamp += 1
             return
         try:
-            ip = parse_ip(contrib_ip)
+            key, canonical = canonical_key(contrib_ip)
         except NotAnIp:
             stats.skipped_malformed_ip += 1
             return
         stats.emitted += 1
-        pending.append(EditRecord(ts, site, ip))
+        text = None
+        if canonical and canonical_timestamp(rev_timestamp):
+            text = f"{rev_timestamp}\t{site.code}\t{contrib_ip}"
+        pending.append(_edit_record(ts, site, key, text))
 
     parser.StartElementHandler = start_element
     parser.EndElementHandler = end_element
@@ -280,8 +359,12 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat()[:19] + "Z"
 
 
-def format_record(record: EditRecord) -> str:
-    return f"{format_timestamp(record.timestamp)}\t{record.site.code}\t{canonical_text(record.ip)}"
+def format_record(record: Record) -> str:
+    """A record's ``timestamp<TAB>site<TAB>ip`` row text, canonical."""
+    text = record._text
+    if text is None:
+        text = f"{format_timestamp(record._timestamp)}\t{record._site.code}\t{key_text(record._key)}"
+    return text
 
 
 def write_records(records: Iterable[EditRecord], sink: BinaryIO) -> int:
@@ -309,32 +392,44 @@ def read_rows(lines: Iterable[str], columns: Sequence[str], make: Callable[..., 
     """Decode an interchange TSV whose first three columns are timestamp, site, ip.
 
     A leading header line and blank lines are skipped. Each row becomes
-    ``make(timestamp, site, ip, *rest)``, with ``rest`` the remaining column
-    texts. A row with the wrong column count or a field that does not decode
-    (``make`` signals this with ValueError) raises BadRow. Read files with
-    ``errors="surrogateescape"``: a byte that is not UTF-8 then fails its
-    field's check and is reported on its own line.
+    ``make(timestamp text, site, ip text, *rest)``, with the site decoded and
+    ``rest`` the remaining column texts. A row with the wrong column count or
+    a field that does not decode (``make`` signals this with ValueError)
+    raises BadRow. Read files with ``errors="surrogateescape"``: a byte that
+    is not UTF-8 then fails its field's check and is reported on its own line.
     """
     header = "\t".join(columns)
+    width = len(columns)
     sites: dict[str, SiteId] = {}
     for lineno, line in enumerate(lines, 1):
         line = line.rstrip("\n")
         if not line or (lineno == 1 and line == header):
             continue
         fields = line.split("\t")
-        if len(fields) != len(columns):
-            raise BadRow(lineno, f"expected {len(columns)} columns, got {len(fields)}")
-        ts_text, site_code, ip_text, *rest = fields
+        if len(fields) != width:
+            raise BadRow(lineno, f"expected {width} columns, got {len(fields)}")
         try:
-            site = sites.get(site_code)
+            site = sites.get(fields[1])
             if site is None:
-                site = sites[site_code] = SiteId.from_code(site_code)
-            row = make(parse_timestamp(ts_text), site, parse_ip(ip_text), *rest)
+                site = sites[fields[1]] = SiteId.from_code(fields[1])
+            fields[1] = site
+            row = make(*fields)
         except ValueError as exc:
             raise BadRow(lineno, str(exc)) from None
         yield row
 
 
+def _decode_record(ts_text: str, site: SiteId, ip_text: str) -> EditRecord:
+    timestamp = parse_timestamp(ts_text)
+    key, canonical = canonical_key(ip_text)
+    text = f"{ts_text}\t{site.code}\t{ip_text}" if canonical and canonical_timestamp(ts_text) else None
+    return _edit_record(timestamp, site, key, text)
+
+
 def read_records(lines: Iterable[str]) -> Iterator[EditRecord]:
-    """Inverse of write_records; accepts any iterable of text lines."""
-    return read_rows(lines, RECORD_COLUMNS, EditRecord)
+    """Inverse of write_records; accepts any iterable of text lines.
+
+    A row whose timestamp and address are already canonical keeps its text,
+    so format_record gives it back unchanged.
+    """
+    return read_rows(lines, RECORD_COLUMNS, _decode_record)

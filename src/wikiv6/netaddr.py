@@ -1,15 +1,19 @@
 """IP address canonicalization, prefix arithmetic, EUI-64 mechanics, OUI vendor lookup.
 
-Addresses are the stdlib ``ipaddress`` objects, but their text goes through
-the libc: ``parse_ip`` builds them from ``inet_pton`` and ``canonical_text``
-writes v6 with ``inet_ntop``, whose output follows RFC 5952 (lowercase hex,
-longest ``::`` run, leftmost on ties, no ``::`` for one zero group). v4 text
-is ``str(IPv4Address)``. Any v6 address whose first 80 bits are zero is read
-and written by ``ipaddress`` instead: RFC 4291 §2.5.5 lets the libc write
-``::ffff:1.2.3.4`` and ``::1.2.3.4`` as dotted quads, where ``ipaddress``
-(3.11) writes ``::ffff:102:304``. ``inet_ntop`` output is libc-specific, so
-an import-time self-check compares the C codecs with ``ipaddress`` on fixed
-vectors; on any mismatch ``ipaddress`` does all of it for the process.
+An address is handled as one int key: ``int(ip)``, with bit 128 (``V6_KEY``)
+set for IPv6, so ``10.0.0.1`` and ``::ffff:10.0.0.1`` stay two keys.
+``parse_key`` reads text into a key with ``inet_pton``; ``key_text`` writes a
+key with ``inet_ntop``, whose v6 output follows RFC 5952 (lowercase hex,
+longest ``::`` run, leftmost on ties, no ``::`` for one zero group) and whose
+v4 output is the dotted quad; ``canonical_key`` says whether text is already
+what ``key_text`` writes. ``key_ip`` builds the stdlib ``ipaddress`` object
+only when a caller wants one. Any v6 address whose first 80 bits are zero is
+read and written by ``ipaddress`` instead: RFC 4291 §2.5.5 lets the libc
+write ``::ffff:1.2.3.4`` and ``::1.2.3.4`` as dotted quads, where
+``ipaddress`` (3.11) writes ``::ffff:102:304``. ``inet_ntop`` output is
+libc-specific, so an import-time self-check compares the C codecs with
+``ipaddress`` on fixed vectors; on any mismatch ``ipaddress`` does all of it
+for the process.
 
 MAC addresses get a small wrapper type because we care about the OUI and the
 U/L bit.
@@ -49,9 +53,10 @@ class BadCsv(ValueError):
     """OUI CSV is unusable at the file level (e.g. missing header)."""
 
 
-_ZERO80 = bytes(10)
+#: Bit 128 of an address key: set for IPv6.
+V6_KEY = 1 << 128
 
-# v6 text as ipaddress writes it, which the C codecs must reproduce.
+# Text as ipaddress writes it, which the C codecs must reproduce.
 _SELF_CHECK_V6 = (
     "2001:db8::1:0:0:1",  # two equal zero runs: the leftmost is compressed
     "2001:db8:0:1:1:1:1:1",  # a single zero group is not compressed
@@ -59,6 +64,7 @@ _SELF_CHECK_V6 = (
     "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff",
     "::1:ffff:102:304",  # 64 zero bits: hex, never a dotted quad
 )
+_SELF_CHECK_V4 = ("0.0.0.0", "10.0.0.1", "255.255.255.255")
 # Spellings ipaddress rejects, which inet_pton must reject too.
 _SELF_CHECK_JUNK = (
     (AF_INET, "01.2.3.4"),
@@ -81,10 +87,11 @@ def _py_ntop(family: int, packed: bytes) -> str:
 def _c_codecs_agree() -> bool:
     """True iff this libc's inet_pton/inet_ntop match ipaddress on every self-check vector."""
     try:
-        for text in _SELF_CHECK_V6:
-            packed = IPv6Address(text).packed
-            if inet_ntop(AF_INET6, packed) != text or inet_pton(AF_INET6, text.upper()) != packed:
-                return False
+        for family, texts in ((AF_INET6, _SELF_CHECK_V6), (AF_INET, _SELF_CHECK_V4)):
+            for text in texts:
+                packed = _py_pton(family, text)
+                if inet_ntop(family, packed) != text or inet_pton(family, text.upper()) != packed:
+                    return False
     except (OSError, ValueError):
         return False
     for family, text in _SELF_CHECK_JUNK:
@@ -97,13 +104,14 @@ def _c_codecs_agree() -> bool:
 
 
 _pton, _ntop = (inet_pton, inet_ntop) if _c_codecs_agree() else (_py_pton, _py_ntop)
+_from_bytes = int.from_bytes
 
 
-def parse_ip(text: str) -> IpAddress:
-    """Parse an IPv4/IPv6 address in any case or compression style.
+def parse_key(text: str) -> int:
+    """The address key of `text`, in any case or compression style.
 
-    Zone indices, ports and CIDR suffixes are rejected; this accepts exactly
-    one host address, nothing more. Surrounding whitespace is ignored.
+    Zone indices, ports and CIDR suffixes are rejected with NotAnIp; this
+    accepts exactly one host address. Surrounding whitespace is ignored.
     """
     # ipaddress accepts scoped literals like fe80::1%eth0 since 3.9.
     if "%" in text:
@@ -111,21 +119,50 @@ def parse_ip(text: str) -> IpAddress:
     text = text.strip()
     try:
         if ":" in text:
-            packed = _pton(AF_INET6, text)
+            value = _from_bytes(_pton(AF_INET6, text), "big")
+            if value >> 48:
+                return value | V6_KEY
             # First 80 bits zero: ipaddress alone decides (see module docstring).
-            return IPv6Address(packed if packed[:10] != _ZERO80 else text)
-        return IPv4Address(_pton(AF_INET, text))
+            return int(IPv6Address(text)) | V6_KEY
+        return _from_bytes(_pton(AF_INET, text), "big")
     except (OSError, ValueError):
         raise NotAnIp(f"not an IPv4 or IPv6 address: {text!r}") from None
 
 
+def canonical_key(text: str) -> tuple[int, bool]:
+    """The address key of `text`, and whether `text` is exactly ``key_text`` of it."""
+    key = parse_key(text)
+    return key, key_text(key) == text
+
+
+def key_text(key: int) -> str:
+    """Canonical text of an address key: RFC 5952 for v6, dotted quad for v4."""
+    if key >> 128:
+        value = key ^ V6_KEY
+        if value >> 48:  # not all of the first 80 bits are zero
+            return _ntop(AF_INET6, value.to_bytes(16, "big"))
+        return str(IPv6Address(value))
+    return _ntop(AF_INET, key.to_bytes(4, "big"))
+
+
+def key_ip(key: int) -> IpAddress:
+    """The ``ipaddress`` object of an address key."""
+    return IPv6Address(key ^ V6_KEY) if key >> 128 else IPv4Address(key)
+
+
+def ip_key(ip: IpAddress) -> int:
+    """The address key of an ``ipaddress`` object."""
+    return int(ip) | V6_KEY if ip.version == 6 else int(ip)
+
+
+def parse_ip(text: str) -> IpAddress:
+    """Parse an IPv4/IPv6 address in any case or compression style (see ``parse_key``)."""
+    return key_ip(parse_key(text))
+
+
 def canonical_text(ip: IpAddress) -> str:
     """Canonical text form: RFC 5952 for v6, dotted quad for v4."""
-    if ip.version == 6:
-        packed = ip.packed
-        if packed[:10] != _ZERO80:
-            return _ntop(AF_INET6, packed)
-    return str(ip)
+    return key_text(ip_key(ip))
 
 
 def eui64_mac(value: int) -> Optional[bytes]:

@@ -24,11 +24,13 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from ipaddress import IPv4Network, IPv6Network, ip_network
+from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
 
-from .ingest import EditRecord, SiteId, format_timestamp, parse_timestamp, read_rows
-from .netaddr import IpAddress, Prefix, canonical_text
+from .ingest import EditRecord, Record, SiteId, format_record, format_timestamp, parse_timestamp, read_rows
+from .netaddr import V6_KEY, IpAddress, NotAnIp, Prefix, canonical_key, ip_key, parse_key
 
 MRT_TABLE_DUMP_V2 = 13
 TD2_PEER_INDEX_TABLE = 1
@@ -88,7 +90,7 @@ class OriginAs:
             return cls.from_asn(values[0])
         return cls("set", values)
 
-    @property
+    @cached_property
     def text(self) -> str:
         if self.kind == "asn":
             return str(self.asns[0])
@@ -117,6 +119,33 @@ Route = tuple[RouteKey, OriginAs]
 
 def _prefix_key(prefix: Prefix) -> RouteKey:
     return (prefix.version, int(prefix.network_address), prefix.prefixlen)
+
+
+_ADDRESS = V6_KEY - 1  # the address bits of a key
+
+
+def _route_key(text: str) -> RouteKey:
+    """The route key of a prefix table's prefix text, as ``_prefix_key(ip_network(text))``.
+
+    Canonical ``address/length`` text is decoded with the address codec; a
+    length past the address width or host bits set raise ValueError, as
+    ``ip_network`` does. Any other spelling (a bare address, a netmask, a
+    non-canonical address) is left to ``ip_network``.
+    """
+    address, slash, length = text.partition("/")
+    if slash and length.isascii() and length.isdigit():
+        try:
+            key, canonical = canonical_key(address)
+        except NotAnIp:
+            canonical = False
+        if canonical:
+            version, width = (6, 128) if key >> 128 else (4, 32)
+            network = key & _ADDRESS
+            plen = int(length)
+            if plen > width or network & ((1 << (width - plen)) - 1):
+                raise ValueError(f"not a {width}-bit network: {text!r}")
+            return (version, network, plen)
+    return _prefix_key(ip_network(text))
 
 
 def _entry(route: Route) -> tuple[Prefix, OriginAs]:
@@ -367,6 +396,7 @@ def load_prefix_table(lines: Iterable[str]) -> RibSnapshot:
     """
     captured_at: Optional[datetime] = None
     votes: dict[RouteKey, list[OriginAs]] = {}
+    origins: dict[str, OriginAs] = {}
     bad_rows = 0
     for line in lines:
         line = line.rstrip("\n")
@@ -381,12 +411,12 @@ def load_prefix_table(lines: Iterable[str]) -> RibSnapshot:
             bad_rows += 1
             continue
         try:
-            prefix = ip_network(parts[0])
-            origin = OriginAs.parse(parts[1])
+            key = _route_key(parts[0])
+            origin = origins.get(parts[1]) or origins.setdefault(parts[1], OriginAs.parse(parts[1]))
         except ValueError:
             bad_rows += 1
             continue
-        votes.setdefault(_prefix_key(prefix), []).append(origin)
+        votes.setdefault(key, []).append(origin)
     if captured_at is None:
         raise BadPrefixTable("missing '# captured_at=' header")
     snapshot = RibSnapshot(captured_at, bad_rows=bad_rows)
@@ -421,28 +451,29 @@ class LpmIndex:
 
     def __init__(self) -> None:
         self._routes: dict[tuple[int, int, int], OriginAs] = {}
-        # version -> (starts, origins); None until built, and again after an insert
-        self._tables: Optional[dict[int, tuple[list[int], list[OriginAs]]]] = None
+        # (v4 (starts, origins), v6 (starts, origins)); None until built, and again after an insert
+        self._tables: Optional[tuple[tuple[list[int], list[OriginAs]], ...]] = None
 
     def insert(self, prefix: Prefix, origin: OriginAs) -> None:
         self._routes[_prefix_key(prefix)] = origin
         self._tables = None
 
     def lookup(self, ip: IpAddress) -> OriginAs:
+        return self.lookup_key(ip_key(ip))
+
+    def lookup_key(self, key: int) -> OriginAs:
+        """The origin of an address key (``netaddr.ip_key``)."""
         tables = self._tables
         if tables is None:
-            tables = self._tables = self._build_tables()
-        starts, origins = tables[ip.version]
-        return origins[bisect_right(starts, int(ip)) - 1]
-
-    def _build_tables(self) -> dict[int, tuple[list[int], list[OriginAs]]]:
-        return _range_tables(sorted(self._routes.items()))
+            tables = self._tables = _range_tables(sorted(self._routes.items()))
+        starts, origins = tables[key >> 128]
+        return origins[bisect_right(starts, key & _ADDRESS) - 1]
 
 
-def _range_tables(routes: list[Route]) -> dict[int, tuple[list[int], list[OriginAs]]]:
-    """Each IP version's (starts, origins) runs, from routes sorted by key."""
+def _range_tables(routes: list[Route]) -> tuple[tuple[list[int], list[OriginAs]], ...]:
+    """The v4 and the v6 (starts, origins) runs, from routes sorted by key."""
     split = bisect_left(routes, ((6,),))
-    return {4: _sweep(routes[:split], 32), 6: _sweep(routes[split:], 128)}
+    return _sweep(routes[:split], 32), _sweep(routes[split:], 128)
 
 
 def _sweep(routes: list[Route], width: int) -> tuple[list[int], list[OriginAs]]:
@@ -607,15 +638,36 @@ def _file_loader(path: str, is_table: bool) -> Callable[[], RibSnapshot]:
     return load
 
 
-@dataclass(frozen=True)
-class AttributedRecord:
+class AttributedRecord(Record):
     """An EditRecord plus the origin AS at the nearest snapshot."""
 
-    timestamp: datetime
-    site: SiteId
-    ip: IpAddress
-    origin: OriginAs
-    snapshot_delta_s: int
+    __slots__ = ("_origin", "_delta")
+    _FIELDS = ("timestamp", "site", "ip", "origin", "snapshot_delta_s")
+
+    origin = property(attrgetter("_origin"))
+    snapshot_delta_s = property(attrgetter("_delta"))
+
+    def __init__(self, timestamp: datetime, site: SiteId, ip: IpAddress, origin: OriginAs, snapshot_delta_s: int):
+        super().__init__(timestamp, site, ip)
+        self._origin = origin
+        self._delta = snapshot_delta_s
+
+
+_new = object.__new__
+
+
+def _attributed_record(
+    timestamp: datetime, site: SiteId, key: int, origin: OriginAs, delta: int, text: Optional[str]
+) -> AttributedRecord:
+    """An AttributedRecord from its address key and its canonical row text (or None)."""
+    record = _new(AttributedRecord)
+    record._timestamp = timestamp
+    record._site = site
+    record._key = key
+    record._text = text
+    record._origin = origin
+    record._delta = delta
+    return record
 
 
 def attribute(records: Iterable[EditRecord], timeline: RibTimeline) -> Iterator[AttributedRecord]:
@@ -623,27 +675,30 @@ def attribute(records: Iterable[EditRecord], timeline: RibTimeline) -> Iterator[
 
     Sorted input lets the timeline advance monotonically, so only a couple of
     LPM indexes are ever resident. Raises UnsortedInput on timestamp
-    regressions and EmptyTimeline when there are no snapshots.
+    regressions and EmptyTimeline when there are no snapshots. Each record's
+    canonical row text, when it has one, is carried over.
     """
     if not len(timeline):
         raise EmptyTimeline("timeline has no snapshots")
+    entries = timeline.entries
     prev: Optional[datetime] = None
-    prev_pos = 0
+    pos = -1  # the snapshot whose index `lookup` and `captured_at` belong to
     for record in records:
-        if prev is not None and record.timestamp < prev:
-            raise UnsortedInput(
-                f"record at {format_timestamp(record.timestamp)} after {format_timestamp(prev)}"
-            )
-        prev = record.timestamp
-        pos = timeline.nearest_position(record.timestamp)
-        if pos > prev_pos:
-            for stale in range(prev_pos, pos):
-                timeline.entries[stale].evict()
-            prev_pos = pos
-        entry = timeline.entries[pos]
-        origin = entry.index().lookup(record.ip)
-        delta = int((record.timestamp - entry.captured_at).total_seconds())
-        yield AttributedRecord(record.timestamp, record.site, record.ip, origin, delta)
+        ts = record._timestamp
+        if prev is not None and ts < prev:
+            raise UnsortedInput(f"record at {format_timestamp(ts)} after {format_timestamp(prev)}")
+        prev = ts
+        nearest = timeline.nearest_position(ts)
+        if nearest != pos:
+            lookup = None  # so the evicted index is freed before the next one loads
+            for stale in range(max(pos, 0), nearest):
+                entries[stale].evict()
+            pos = nearest
+            lookup = entries[pos].index().lookup_key
+            captured_at = entries[pos].captured_at
+        key = record._key
+        delta = int((ts - captured_at).total_seconds())
+        yield _attributed_record(ts, record._site, key, lookup(key), delta, record._text)
 
 
 ATTRIBUTED_COLUMNS = ("timestamp", "site", "ip", "origin", "delta_s")
@@ -651,10 +706,7 @@ ATTRIBUTED_HEADER = "\t".join(ATTRIBUTED_COLUMNS)
 
 
 def format_attributed(record: AttributedRecord) -> str:
-    return (
-        f"{format_timestamp(record.timestamp)}\t{record.site.code}\t"
-        f"{canonical_text(record.ip)}\t{record.origin.text}\t{record.snapshot_delta_s}"
-    )
+    return f"{format_record(record)}\t{record._origin.text}\t{record._delta}"
 
 
 def write_attributed(records: Iterable[AttributedRecord], sink: TextIO) -> int:
@@ -668,8 +720,12 @@ def write_attributed(records: Iterable[AttributedRecord], sink: TextIO) -> int:
 
 def read_attributed(lines: Iterable[str]) -> Iterator[AttributedRecord]:
     """Inverse of write_attributed; raises BadRow on a row that does not decode."""
-    return read_rows(
-        lines,
-        ATTRIBUTED_COLUMNS,
-        lambda ts, site, ip, origin, delta: AttributedRecord(ts, site, ip, OriginAs.parse(origin), int(delta)),
-    )
+    origins: dict[str, OriginAs] = {}
+
+    def decode(ts_text: str, site: SiteId, ip_text: str, origin_text: str, delta_text: str) -> AttributedRecord:
+        timestamp = parse_timestamp(ts_text)
+        key = parse_key(ip_text)
+        origin = origins.get(origin_text) or origins.setdefault(origin_text, OriginAs.parse(origin_text))
+        return _attributed_record(timestamp, site, key, origin, int(delta_text), None)
+
+    return read_rows(lines, ATTRIBUTED_COLUMNS, decode)

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,10 @@ import pytest
 
 DATA = Path(__file__).parent / "data"
 sys.path.insert(0, str(Path(__file__).parent))
+# pyproject's pythonpath reaches only this process; tests that start
+# `python -m wikiv6` or the benchmark need the source tree on PYTHONPATH too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from wikiv6.cli import (
     parse_namespaces,
     validate_config,
 )
+from wikiv6.netaddr import load_oui_database
 
 
 def run_cli(*argv):
@@ -332,6 +333,25 @@ class TestAttribute:
         assert summary["abs_delta_s"]["median"] <= 3600
         assert summary["abs_delta_s"]["max"] <= 3600  # full coverage: never beyond midpoint
 
+    def test_abs_delta_buckets(self, tmp_path):
+        rib = tmp_path / "rib.tsv"
+        rib.write_text("# captured_at=2015-01-01T00:00:00Z\n2001:db8::/32\t64500\n", encoding="utf-8")
+        records = tmp_path / "records.tsv"
+        records.write_text(
+            "timestamp\tsite\tip\n"
+            "2015-01-01T02:00:00Z\tenwiki\t2001:db8::1\n"  # 2 h after the snapshot
+            "2015-01-03T00:00:00Z\tenwiki\t2001:db8::2\n"  # 2 d
+            "2015-02-10T00:00:00Z\tenwiki\t2001:db8::3\n",  # 40 d
+            encoding="utf-8",
+        )
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"rib = {rib}\nrecords = {records}\nout = {tmp_path / 'out'}\n", encoding="utf-8")
+        stats_path = tmp_path / "a.json"
+        assert run_cli("attribute", "--config", str(cfg), "--stats", str(stats_path)) == 0
+        deltas = json.loads(stats_path.read_text(encoding="utf-8"))["abs_delta_s"]
+        assert deltas["buckets"] == {"le_1h": 0, "le_1d": 1, "le_30d": 1, "gt_30d": 1}
+        assert (deltas["min"], deltas["median"], deltas["max"]) == (7200, 2 * 86_400, 40 * 86_400)
+
 
 class TestReport:
     @pytest.fixture
@@ -366,6 +386,26 @@ class TestReport:
         for name, want in expected.items():
             got = (out / f"{name}.csv").read_text(encoding="utf-8")
             assert got == want, f"table {name} diverges from oracle"
+
+    def test_stats_path_is_written(self, pipeline, oui_csv, hitlist_tsv, capsys):
+        cfg, out = pipeline
+        capsys.readouterr()
+        stats_path = out.parent / "r.json"
+        assert run_cli("report", "all", "--config", str(cfg), "--stats", str(stats_path)) == 0
+        # Only the fixture's two bad hitlist rows are reported on stderr; the stats are not.
+        assert capsys.readouterr().err == "report: skipped 2 malformed hitlist row(s)\n"
+        summary = json.loads(stats_path.read_text(encoding="utf-8"))
+        rows = (out / "attributed.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        with open(oui_csv, "rb") as fh:
+            db = load_oui_database(fh)
+        with open(hitlist_tsv, encoding="utf-8") as fh:
+            entries, skipped = analytics.read_hitlist(fh)
+        assert summary == {
+            "records": len(rows),
+            "oui": {"entries": len(db), "bad_rows": db.bad_rows, "duplicate_rows": db.duplicate_rows},
+            "hitlist": {"entries": len(entries), "skipped_rows": skipped},
+        }
+        assert summary["records"] > 0 and summary["oui"]["entries"] > 0 and summary["hitlist"]["entries"] > 0
 
     def test_single_table(self, pipeline):
         cfg, out = pipeline
@@ -552,7 +592,8 @@ class TestMalformedInput:
             encoding="utf-8",
         )
         assert run_cli("report", "weekly_by_version", "--config", str(cfg)) == 0
-        assert capsys.readouterr().err == ""
+        # stderr holds only the stage stats, and they show no OUI database was loaded.
+        assert json.loads(capsys.readouterr().err) == {"records": 1}
         assert (tmp_path / "out" / "weekly_by_version.csv").read_text(encoding="utf-8").startswith("week,")
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
         assert str(oui) not in manifest["inputs"]
@@ -594,8 +635,9 @@ class TestMalformedInput:
             encoding="utf-8",
         )
         assert run_cli("report", "hitlist_overlap", "--config", str(cfg)) == 0
-        err = capsys.readouterr().err
-        assert err == "report: skipped 1 malformed hitlist row(s)\n"
+        message, _, stats = capsys.readouterr().err.partition("\n")
+        assert message == "report: skipped 1 malformed hitlist row(s)"
+        assert json.loads(stats) == {"records": 1, "hitlist": {"entries": 1, "skipped_rows": 1}}
         assert (tmp_path / "out" / "hitlist_overlap.csv").read_text(encoding="utf-8") == (
             "month,wikimedia_48s,overlap_48s\n2015-06,1,1\n"
         )

@@ -1,7 +1,7 @@
 import io
 import json
-from datetime import datetime, timezone
-from ipaddress import ip_address
+from datetime import datetime, timedelta, timezone
+from ipaddress import IPv4Address, IPv6Address, ip_address
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +15,24 @@ from wikiv6.ingest import (
     ParseStats,
     SiteId,
     StreamMalformed,
+    format_record,
     format_timestamp,
     parse_dump_stream,
     parse_timestamp,
     read_records,
     write_records,
 )
-from wikiv6.netaddr import parse_ip
-from wikiv6.ribstore import ATTRIBUTED_HEADER, read_attributed
+from wikiv6.netaddr import canonical_text, parse_ip
+from wikiv6.ribstore import (
+    ATTRIBUTED_HEADER,
+    AttributedRecord,
+    OriginAs,
+    RibTimeline,
+    attribute,
+    load_prefix_table,
+    read_attributed,
+    write_attributed,
+)
 
 
 class TestSiteId:
@@ -602,3 +612,186 @@ class TestReadRows:
             assert 1 <= exc.lineno <= len(lines)
             return
         assert len(rows) <= len(lines)
+
+
+# Timestamp spellings parse_timestamp accepts: canonical, and ones it rewrites.
+_TS_SPELLINGS = st.sampled_from([
+    "{}", " {}", "{z}", "{plus0}", "{plus2}",
+    "2006-01-02T03:04,05Z", "2010-01-02T03404305Z", "2015-06-01T12:00:00.000Z",
+])
+
+
+def _spell_timestamp(moment: datetime, spelling: str) -> str:
+    text = format_timestamp(moment)
+    local = moment.astimezone(timezone(timedelta(hours=2))).isoformat()[:19]
+    if spelling in ("{}", " {}"):
+        return spelling.format(text)
+    return spelling.format(z=text[:-1] + "z", plus0=text[:-1] + "+00:00", plus2=local + "+02:00")
+
+
+def _spell_ip(value: int, v6: bool, spelling: str) -> str:
+    ip = IPv6Address(value) if v6 else IPv4Address(value & 0xFFFFFFFF)
+    text = canonical_text(ip)
+    if spelling == "upper":
+        return text.upper()
+    if spelling == "exploded":
+        return ip.exploded  # zero-padded v6 groups
+    if spelling == "padded":
+        return f" {text} "
+    if spelling == "cr":
+        return text + "\r"
+    if spelling == "mapped":
+        return f"::ffff:{IPv4Address(value & 0xFFFFFFFF)}"
+    return text
+
+
+_IP_SPELLINGS = st.sampled_from(["canonical", "canonical", "upper", "exploded", "padded", "cr", "mapped"])
+_MOMENTS = st.datetimes(
+    min_value=datetime(2001, 1, 1), max_value=datetime(2030, 1, 1), timezones=st.just(timezone.utc)
+).map(lambda moment: moment.replace(microsecond=0))
+_ROWS = st.lists(
+    st.tuples(
+        _MOMENTS,
+        _TS_SPELLINGS,
+        st.integers(0, 2**128 - 1),
+        st.booleans(),
+        _IP_SPELLINGS,
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _formatted_anew(record: EditRecord) -> str:
+    """The row text of a record built by the public constructor, which keeps no input text."""
+    return format_record(EditRecord(record.timestamp, record.site, record.ip))
+
+
+class TestCanonicalPassThrough:
+    """A record keeps its input text only when writing it anew gives the same text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_ROWS, crlf=st.booleans())
+    def test_record_rows_write_as_formatted(self, rows, crlf):
+        lines = [
+            f"{_spell_timestamp(moment, ts_spelling)}\tenwiki\t{_spell_ip(value, v6, ip_spelling)}"
+            + ("\r\n" if crlf else "\n")
+            for moment, ts_spelling, value, v6, ip_spelling in rows
+        ]
+        for line, record in zip(lines, read_records([RECORD_HEADER + "\n", *lines])):
+            assert format_record(record) == _formatted_anew(record)
+            if not crlf and format_record(record) == line[:-1]:  # canonical input is kept as it came
+                assert record._text == format_record(record)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_ROWS)
+    def test_attributed_rows_write_as_formatted(self, rows):
+        lines = [
+            f"{_spell_timestamp(moment, ts_spelling)}\tenwiki\t{_spell_ip(value, v6, ip_spelling)}\n"
+            for moment, ts_spelling, value, v6, ip_spelling in sorted(rows)
+        ]
+        timeline = RibTimeline.from_snapshots([load_prefix_table([
+            "# captured_at=2015-01-01T00:00:00Z\n", "0.0.0.0/1\t64500\n", "2000::/3\tset:1,2\n",
+        ])])
+        records = list(read_records(lines))
+        records.sort(key=lambda record: record.timestamp)
+        through = io.StringIO()
+        write_attributed(attribute(records, timeline), through)
+        anew = io.StringIO()
+        write_attributed(
+            (AttributedRecord(r.timestamp, r.site, r.ip, r.origin, r.snapshot_delta_s)
+             for r in attribute(records, timeline)),
+            anew,
+        )
+        assert through.getvalue() == anew.getvalue()
+
+    @pytest.mark.parametrize("ts_text,ip_text,passes", [
+        ("2015-06-01T12:00:00Z", "2001:db8::1", True),
+        ("2015-06-01T12:00:00Z", "10.0.0.1", True),
+        ("2015-06-01T12:00:00Z", "::ffff:102:304", True),
+        ("2006-01-02T03:04,05Z", "2001:db8::1", False),
+        ("2010-01-02T03404305Z", "2001:db8::1", False),
+        ("2015-06-01T12:00:00z", "2001:db8::1", False),
+        ("2015-06-01T12:00:00+00:00", "2001:db8::1", False),
+        ("2015-06-01T14:00:00+02:00", "2001:db8::1", False),
+        ("2015-06-01T12:00:00Z", "2001:DB8::1", False),
+        ("2015-06-01T12:00:00Z", "2001:0db8::1", False),
+        ("2015-06-01T12:00:00Z", "::ffff:1.2.3.4", False),
+        ("2015-06-01T12:00:00Z", " 10.0.0.1", False),
+        ("2015-06-01T12:00:00Z", "10.0.0.1\r", False),
+    ])
+    def test_spellings(self, ts_text, ip_text, passes):
+        line = f"{ts_text}\tenwiki\t{ip_text}"
+        (record,) = read_records([line + "\n"])
+        assert format_record(record) == _formatted_anew(record)
+        assert (record._text is not None) == passes
+        with io.BytesIO() as sink:  # extract writes the same bytes from the dump's text
+            xml = _mini_dump(
+                f"    <revision><id>1</id><timestamp>{ts_text}</timestamp>"
+                f"<contributor><ip>{ip_text}</ip></contributor></revision>\n"
+            )
+            write_records(parse_dump_stream(io.BytesIO(xml), SiteId.from_code("enwiki")), sink)
+            assert sink.getvalue().decode().splitlines()[1] == _formatted_anew(record)
+
+    def test_zone_index_is_a_bad_row(self):
+        rows = read_records([RECORD_HEADER + "\n", f"{_TS}\tenwiki\t10.0.0.1\n", f"{_TS}\tenwiki\tfe80::1%eth0\n"])
+        next(rows)
+        with pytest.raises(BadRow) as err:
+            next(rows)
+        assert err.value.lineno == 3
+
+
+class TestRecordApi:
+    """EditRecord and AttributedRecord keep the frozen-dataclass behaviour of their public fields."""
+
+    SITE = SiteId.from_code("enwiki")
+    TS = datetime(2015, 6, 1, 12, tzinfo=timezone.utc)
+
+    @pytest.mark.parametrize("ip", [ip_address("10.0.0.1"), ip_address("2001:db8::1"), ip_address("::1"),
+                                    ip_address("::ffff:1.2.3.4"), ip_address("0.0.0.1")])
+    def test_edit_record(self, ip):
+        record = EditRecord(self.TS, self.SITE, ip)
+        assert (record.timestamp, record.site, record.ip) == (self.TS, self.SITE, ip)
+        assert type(record.ip) is type(ip)
+        same = EditRecord(self.TS, self.SITE, ip_address(str(ip)))
+        assert record == same and hash(record) == hash(same)
+        assert hash(record) == hash((self.TS, self.SITE, ip))
+        assert record != EditRecord(self.TS + timedelta(seconds=1), self.SITE, ip)
+        assert repr(record) == f"EditRecord(timestamp={self.TS!r}, site={self.SITE!r}, ip={ip!r})"
+        for name in ("timestamp", "site", "ip"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_versions_stay_apart(self):
+        v4 = EditRecord(self.TS, self.SITE, ip_address("0.0.0.1"))
+        v6 = EditRecord(self.TS, self.SITE, ip_address("::1"))
+        assert v4 != v6 and v4.key != v6.key
+        assert len({v4, v6}) == 2
+
+    def test_decoded_equals_constructed(self):
+        (decoded,) = read_records([f"{_TS}\tenwiki\t2001:db8::1\n"])
+        assert decoded == EditRecord(parse_timestamp(_TS), self.SITE, ip_address("2001:db8::1"))
+
+    def test_attributed_record(self):
+        origin = OriginAs.from_asn(64500)
+        ip = ip_address("2001:db8::1")
+        record = AttributedRecord(self.TS, self.SITE, ip, origin, -5)
+        assert (record.timestamp, record.site, record.ip, record.origin, record.snapshot_delta_s) == (
+            self.TS, self.SITE, ip, origin, -5
+        )
+        same = AttributedRecord(self.TS, self.SITE, ip_address("2001:db8::1"), OriginAs.parse("64500"), -5)
+        assert record == same and hash(record) == hash(same)
+        assert hash(record) == hash((self.TS, self.SITE, ip, origin, -5))
+        assert record != AttributedRecord(self.TS, self.SITE, ip, origin, 5)
+        assert record != EditRecord(self.TS, self.SITE, ip)
+        assert repr(record) == (
+            f"AttributedRecord(timestamp={self.TS!r}, site={self.SITE!r}, ip={ip!r}, "
+            f"origin={origin!r}, snapshot_delta_s=-5)"
+        )
+        for name in ("timestamp", "site", "ip", "origin", "snapshot_delta_s"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        (read,) = read_attributed([f"{_TS}\tenwiki\t2001:db8::1\t64500\t-5\n"])
+        assert read == AttributedRecord(parse_timestamp(_TS), self.SITE, ip, origin, -5)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import mrt_synth as synth
 import oracles
-from wikiv6 import ribstore
+from wikiv6 import netaddr, ribstore
 from wikiv6.ingest import EditRecord, SiteId, parse_timestamp
 from wikiv6.ribstore import (
     BadPrefixTable,
@@ -285,6 +285,82 @@ class TestPrefixTable:
         twice = io.StringIO()
         write_prefix_table(again, twice)
         assert twice.getvalue() == sink.getvalue()
+
+
+def _route_key_via_ip_network(text):
+    try:
+        return ribstore._prefix_key(ip_network(text))
+    except ValueError:
+        return None
+
+
+def _route_key_or_none(text):
+    try:
+        return ribstore._route_key(text)
+    except ValueError:
+        return None
+
+
+def _spell_prefix(value: int, v6: bool, plen: int, spelling: str) -> str:
+    width = 128 if v6 else 32
+    plen = min(plen, width)
+    value &= (1 << width) - 1
+    network = value >> (width - plen) << (width - plen)
+    address = (IPv6Address if v6 else IPv4Address)(network)
+    if spelling == "host_bits":
+        address = (IPv6Address if v6 else IPv4Address)(value)
+    text = netaddr.canonical_text(address)
+    if spelling == "zero_padded_length":
+        return f"{text}/0{plen}"
+    if spelling == "netmask" and not v6:
+        return f"{text}/{IPv4Address(((1 << plen) - 1) << (32 - plen))}"
+    if spelling == "bare":
+        return text
+    if spelling == "too_long":
+        return f"{text}/{width + 1}"
+    if spelling == "padded":
+        return f" {text}/{plen}"
+    if spelling == "upper":
+        return f"{text.upper()}/{plen}"
+    if spelling == "exploded":
+        return f"{address.exploded}/{plen}"
+    return f"{text}/{plen}"
+
+
+class TestRouteKey:
+    """load_prefix_table's prefix decoder gives ip_network's key, or fails where ip_network does."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        value=st.integers(0, 2**128 - 1) | st.integers(0, 2**48 - 1) | st.integers(0, 2**32 - 1),
+        v6=st.booleans(),
+        plen=st.integers(0, 128),
+        spelling=st.sampled_from([
+            "canonical", "canonical", "host_bits", "zero_padded_length", "netmask", "bare", "too_long",
+            "padded", "upper", "exploded",
+        ]),
+    )
+    def test_matches_ip_network(self, value, v6, plen, spelling):
+        text = _spell_prefix(value, v6, plen, spelling)
+        assert _route_key_or_none(text) == _route_key_via_ip_network(text)
+
+    @pytest.mark.parametrize("text", [
+        "10.0.0.0/8", "10.0.0.0/08", "10.0.0.0/255.0.0.0", "10.0.0.0/0.255.255.255", "10.0.0.1", "2001:db8::1",
+        "10.0.0.1/8", "2001:db8::1/32", "10.0.0.0/33", "2001:db8::/129", "::ffff:1.2.3.0/120",
+        "::ffff:102:300/120", "::/0", "0.0.0.0/0", " 10.0.0.0/8", "10.0.0.0/8 ", "2001:DB8::/32",
+        "2001:0db8::/32", "fe80::%eth0/64", "10.0.0.0/+8", "10.0.0.0/٨", "10.0.0.0/", "/8", "",
+    ])
+    def test_spellings(self, text):
+        assert _route_key_or_none(text) == _route_key_via_ip_network(text)
+
+    def test_bad_rows_count_as_before(self):
+        rows = ["10.0.0.0/08\t1", "10.0.0.0/255.0.0.0\t2", "10.0.0.1\t3", "10.0.0.1/8\t4", "10.0.0.0/33\t5",
+                "::ffff:1.2.3.0/120\t6", " 10.0.0.0/8\t7"]
+        snapshot = load_prefix_table(["# captured_at=2016-09-10T00:00:00Z\n", *(row + "\n" for row in rows)])
+        assert snapshot.bad_rows == 3
+        assert [(str(prefix), origin.text) for prefix, origin in snapshot.entries] == [
+            ("10.0.0.0/8", "1"), ("10.0.0.1/32", "3"), ("::ffff:102:300/120", "6"),
+        ]
 
 
 def _linear_scan_lookup(entries, ip):
