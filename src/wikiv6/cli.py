@@ -391,7 +391,7 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     try:
         timeline = RibTimeline.from_files(cfg.ribs)
     except (TruncatedRecord, BadPrefixTable, ValueError, OSError) as exc:
-        print(f"attribute: cannot build timeline: {exc}", file=sys.stderr)
+        print(f"attribute: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
     attributed_path = cfg.attributed_path()
@@ -414,7 +414,7 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
         with _replacing(attributed_path) as sink:
             write_attributed(annotated(), sink)
     except UnsortedInput as exc:
-        print(f"attribute: {exc}; run extract's merge step first", file=sys.stderr)
+        print(f"attribute: {records_path}: {exc}; run extract's merge step first", file=sys.stderr)
         return EXIT_RUNTIME
     except BadRow as exc:
         print(f"attribute: {records_path}: {exc}", file=sys.stderr)

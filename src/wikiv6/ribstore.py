@@ -23,8 +23,9 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from functools import cached_property
+from itertools import chain
 from ipaddress import IPv4Network, IPv6Network, ip_network
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
@@ -427,34 +428,34 @@ def load_prefix_table(lines: Iterable[str]) -> RibSnapshot:
 def write_prefix_table(snapshot: RibSnapshot, sink: TextIO) -> int:
     """Dump a snapshot in load_prefix_table's format; returns rows written."""
     sink.write(f"{CAPTURED_AT_PREFIX}{format_timestamp(snapshot.captured_at)}\n")
-    rows = 0
     for prefix, origin in snapshot.entries:
         sink.write(f"{prefix}\t{origin.text}\n")
-        rows += 1
-    return rows
+    return len(snapshot.routes)
 
 
 class LpmIndex:
     """Longest-prefix match as a search over flat range tables.
 
-    Routes are kept as ``(version, network int, prefix length) -> origin``; a
-    later insert of the same prefix replaces its origin. On the first lookup
-    after an insert, each IP version's routes are flattened into disjoint
-    address runs: ``starts`` holds each run's first address in ascending
-    order and ``origins`` the origin of the longest prefix covering that run,
-    UNROUTED where none does (the range-search form of LPM in Lampson,
-    Srinivasan and Varghese, "IP Lookups Using Multiway and Multicolumn
-    Search"). A lookup is then one bisect into ``starts``.
+    Each IP version's routes are flattened into disjoint address runs: ``starts``
+    holds each run's first address in ascending order and ``origins`` the origin
+    of the longest prefix covering that run, UNROUTED where none does (the
+    range-search form of LPM in Lampson, Srinivasan and Varghese, "IP Lookups
+    Using Multiway and Multicolumn Search"). A lookup is one bisect into ``starts``.
+    An index from ``build_lpm`` holds only these tables; ``insert`` on it raises
+    TypeError. ``LpmIndex()`` keeps its routes, a later insert of a prefix replacing
+    its origin, and rebuilds the tables on the first lookup after an insert.
     """
 
     __slots__ = ("_routes", "_tables")
 
     def __init__(self) -> None:
-        self._routes: dict[tuple[int, int, int], OriginAs] = {}
+        self._routes: Optional[dict[RouteKey, OriginAs]] = {}  # None on a built index
         # (v4 (starts, origins), v6 (starts, origins)); None until built, and again after an insert
         self._tables: Optional[tuple[tuple[list[int], list[OriginAs]], ...]] = None
 
     def insert(self, prefix: Prefix, origin: OriginAs) -> None:
+        if self._routes is None:
+            raise TypeError("an index from build_lpm is read-only")
         self._routes[_prefix_key(prefix)] = origin
         self._tables = None
 
@@ -507,13 +508,9 @@ def _sweep(routes: list[Route], width: int) -> tuple[list[int], list[OriginAs]]:
 
 
 def build_lpm(snapshot: RibSnapshot) -> LpmIndex:
-    """Index a snapshot's routes.
-
-    The range tables are built here rather than by the first lookup.
-    """
+    """A read-only index of a snapshot's routes: only their range tables, built here."""
     index = LpmIndex()
-    index._routes.update(snapshot.routes)
-    index._tables = _range_tables(snapshot.routes)
+    index._routes, index._tables = None, _range_tables(snapshot.routes)
     return index
 
 
@@ -544,23 +541,23 @@ class TimelineEntry:
 
 
 class RibTimeline:
-    """Snapshots ordered by capture time, supporting nearest-time queries."""
+    """Snapshots ordered by capture time, supporting nearest-time queries. Snapshot i
+    serves the times up to and including ``_handovers[i]``, its midpoint with snapshot
+    i + 1 floored to the microsecond, so a tie goes to the earlier snapshot."""
 
     def __init__(self, entries: Sequence[TimelineEntry]):
         self.entries = sorted(entries, key=lambda e: e.captured_at)
         times = [e.captured_at for e in self.entries]
         if any(a >= b for a, b in zip(times, times[1:])):
             raise ValueError("snapshot capture times must be strictly increasing")
-        self._times = times
+        self._handovers = [a + (b - a) // 2 for a, b in zip(times, times[1:])]
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @classmethod
     def from_snapshots(cls, snapshots: Iterable[RibSnapshot]) -> "RibTimeline":
-        return cls(
-            [TimelineEntry(s.captured_at, (lambda snap=s: snap)) for s in snapshots]
-        )
+        return cls([TimelineEntry(s.captured_at, lambda snap=s: snap) for s in snapshots])
 
     @classmethod
     def from_files(cls, paths: Iterable[str]) -> "RibTimeline":
@@ -585,14 +582,7 @@ class RibTimeline:
     def nearest_position(self, t: datetime) -> int:
         if not self.entries:
             raise EmptyTimeline("timeline has no snapshots")
-        i = bisect_left(self._times, t)
-        if i == 0:
-            return 0
-        if i == len(self._times):
-            return i - 1
-        left = t - self._times[i - 1]
-        right = self._times[i] - t
-        return i - 1 if left <= right else i  # tie -> earlier snapshot
+        return bisect_left(self._handovers, t)
 
 
 @contextmanager
@@ -673,29 +663,38 @@ def _attributed_record(
 def attribute(records: Iterable[EditRecord], timeline: RibTimeline) -> Iterator[AttributedRecord]:
     """Annotate time-sorted records with origin AS and snapshot delta.
 
-    Sorted input lets the timeline advance monotonically, so only a couple of
-    LPM indexes are ever resident. Raises UnsortedInput on timestamp
-    regressions and EmptyTimeline when there are no snapshots. Each record's
-    canonical row text, when it has one, is carried over.
+    Sorted input lets the timeline advance monotonically: only a record past the
+    current snapshot's hand-over looks for the next one, so at most a couple of LPM
+    indexes are resident and snapshots no record falls to never load. Raises
+    UnsortedInput on timestamp regressions and EmptyTimeline when there are no
+    snapshots. Each record's canonical row text, when it has one, is carried over.
     """
     if not len(timeline):
         raise EmptyTimeline("timeline has no snapshots")
-    entries = timeline.entries
-    prev: Optional[datetime] = None
-    pos = -1  # the snapshot whose index `lookup` and `captured_at` belong to
-    for record in records:
+    entries, handovers = timeline.entries, timeline._handovers
+    # Snapshot i serves the times before ends[i]; the last one serves every later time.
+    ends = [h + timedelta(microseconds=1) for h in handovers]
+    ends.append(datetime.max.replace(tzinfo=entries[-1].captured_at.tzinfo))
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
+        return
+    end = first._timestamp  # so the first record moves to its snapshot
+    pos = 0  # the snapshot whose index `lookup` and `captured_at` belong to
+    for record in chain((first,), records):
         ts = record._timestamp
-        if prev is not None and ts < prev:
-            raise UnsortedInput(f"record at {format_timestamp(ts)} after {format_timestamp(prev)}")
-        prev = ts
-        nearest = timeline.nearest_position(ts)
-        if nearest != pos:
+        if ts >= end:
             lookup = None  # so the evicted index is freed before the next one loads
-            for stale in range(max(pos, 0), nearest):
+            nearest = bisect_left(handovers, ts, pos)
+            for stale in range(pos, nearest):
                 entries[stale].evict()
             pos = nearest
             lookup = entries[pos].index().lookup_key
             captured_at = entries[pos].captured_at
+            end = ends[pos]
+        elif ts < prev:
+            raise UnsortedInput(f"record at {format_timestamp(ts)} after {format_timestamp(prev)}")
+        prev = ts
         key = record._key
         delta = int((ts - captured_at).total_seconds())
         yield _attributed_record(ts, record._site, key, lookup(key), delta, record._text)

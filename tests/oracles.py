@@ -383,7 +383,10 @@ def _running_prefix_counts(rows, lengths):
 
 
 def oracle_cumulative_prefixes(rows, lengths=(48, 56, 64, 128)):
-    counts = _running_prefix_counts(rows, lengths)
+    return _cumulative_csv(_running_prefix_counts(rows, lengths), lengths)
+
+
+def _cumulative_csv(counts, lengths):
     out = []
     for week, by_len in counts:
         for length in sorted(lengths):
@@ -392,7 +395,10 @@ def oracle_cumulative_prefixes(rows, lengths=(48, 56, 64, 128)):
 
 
 def oracle_ratio_per_48(rows):
-    counts = _running_prefix_counts(rows, (48, 56, 64))
+    return _ratio_csv(_running_prefix_counts(rows, (48, 56, 64)))
+
+
+def _ratio_csv(counts):
     out = []
     for week, by_len in counts:
         if by_len[48] == 0:
@@ -568,11 +574,15 @@ def oracle_all_tables(records_tsv_text, oui_csv_text, hitlist_lines, top_k, top_
     rows = parse_records_tsv(records_tsv_text)
     oui_table = load_oui_rows(oui_csv_text) if oui_csv_text else {}
     weekly_csv, frac_csv = oracle_eui64_pair(rows, oui_table, top_vendors)
+    # One running-set pass serves both prefix tables: the /48, /56 and /64
+    # counts do not depend on which other lengths are counted alongside.
+    lengths = (48, 56, 64, 128)
+    counts = _running_prefix_counts(rows, lengths)
     return {
         "weekly_by_version": oracle_weekly_by_version(rows),
         "site_fraction": oracle_site_fraction(rows),
-        "cumulative_prefixes": oracle_cumulative_prefixes(rows),
-        "ratio_per_48": oracle_ratio_per_48(rows),
+        "cumulative_prefixes": _cumulative_csv(counts, lengths),
+        "ratio_per_48": _ratio_csv(counts),
         "lifetimes": oracle_lifetimes(rows),
         "weekly_by_as": oracle_weekly_by_as(rows, top_k),
         "eui64_weekly": weekly_csv,

@@ -4,7 +4,9 @@
 A TABLE_DUMP_V2 file is written with ``mrt_synth`` into a temporary directory,
 one record at a time so the writer holds little. Then ``parse_mrt_rib`` reads
 it and ``build_lpm`` indexes the snapshot, and one JSON line reports the wall
-seconds of each step and the process's peak RSS after each.
+seconds of each step and the process's peak RSS after each. ``rss_kb_index``
+is the current RSS once the snapshot is dropped and only the index is left,
+so the size an index keeps while attribution runs shows.
 
 The table: unique v4 /24s and unique v6 /48s (2001::/16 space), no nesting,
 in scrambled order. Every prefix has one entry per peer. Each peer's AS_PATH
@@ -16,6 +18,7 @@ other prefix carries a MED, so nearly every peer's attribute blob is distinct.
 usage: ribharness.py [v4_prefixes [v6_prefixes [peers]]]   (default 1000000 200000 4)
 """
 
+import gc
 import io
 import json
 import os
@@ -33,6 +36,12 @@ ORIGIN_ATTR = synth.origin_igp_attr()
 
 def _maxrss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+def _rss_kb() -> int:
+    """Current resident set size (Linux ``/proc/self/statm``)."""
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * resource.getpagesize() // 1024
 
 
 def _attrs(i: int, peer: int) -> bytes:
@@ -80,8 +89,12 @@ def main() -> None:
         parse_s = time.perf_counter() - t0
     rss_parse = _maxrss_kb()
     t0 = time.perf_counter()
-    build_lpm(snapshot)
+    index = build_lpm(snapshot)  # alive until rss_kb_index is read
     build_s = time.perf_counter() - t0
+    routes, malformed = len(snapshot.routes), snapshot.malformed_attributes
+    del snapshot
+    gc.collect()
+    rss_index = _rss_kb()
     print(
         json.dumps(
             {
@@ -89,14 +102,15 @@ def main() -> None:
                 "v6_prefixes": v6,
                 "peers": peers,
                 "file_bytes": file_bytes,
-                "routes": len(snapshot.entries),
-                "malformed_attributes": snapshot.malformed_attributes,
+                "routes": routes,
+                "malformed_attributes": malformed,
                 "write_s": round(write_s, 3),
                 "parse_s": round(parse_s, 3),
                 "build_lpm_s": round(build_s, 3),
                 "maxrss_kb_before_parse": rss_before,
                 "maxrss_kb_after_parse": rss_parse,
                 "maxrss_kb": _maxrss_kb(),
+                "rss_kb_index": rss_index,
             }
         )
     )

@@ -290,7 +290,10 @@ class TestAttribute:
             f"rib = {_write_ribs(tmp_path)[0]}\nrecords = {records}\nout = {out}\n", encoding="utf-8"
         )
         assert run_cli("attribute", "--config", str(cfg), "--stats", str(tmp_path / "a.json")) == 1
-        assert "run extract's merge step first" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"attribute: {records}: record at 2015-05-01T12:00:00Z after 2015-06-01T12:00:00Z;"
+            " run extract's merge step first\n"
+        )
         assert [p.name for p in out.iterdir()] == []
         assert run_cli("report", "weekly_by_as", "--config", str(cfg)) == 2
 
@@ -607,10 +610,7 @@ class TestMalformedInput:
             encoding="utf-8",
         )
         assert run_cli("attribute", "--config", str(cfg), "--stats", str(tmp_path / "a.json")) == 1
-        err = capsys.readouterr().err
-        assert f"{rib}: truncated MRT record at byte 0" in err
-        assert err.count("\n") == 1
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"attribute: {rib}: truncated MRT record at byte 0\n"
 
     def test_clashing_capture_times_name_both_files(self, tmp_path, capsys):
         first = _write_ribs(tmp_path)[0]

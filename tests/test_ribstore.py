@@ -4,6 +4,7 @@ import random
 import struct
 import subprocess
 import sys
+from bisect import bisect_left
 from datetime import datetime, timedelta, timezone
 from ipaddress import IPv4Address, IPv6Address, ip_network
 from pathlib import Path
@@ -550,6 +551,123 @@ def _synth_snapshot(ts_text, rows):
     )
 
 
+class TestBuiltIndexIsReadOnly:
+    def test_insert_raises_and_lookups_are_unchanged(self):
+        index = build_lpm(_synth_snapshot("2020-01-01T00:00:00Z", [("2001:db8::/32", "64500")]))
+        with pytest.raises(TypeError):
+            index.insert(ip_network("2001:db8:1::/48"), OriginAs.from_asn(64501))
+        assert index.lookup(IPv6Address("2001:db8:1::1")) == OriginAs.from_asn(64500)
+
+    def test_holds_no_route_copy(self):
+        snapshot = _synth_snapshot("2020-01-01T00:00:00Z", [("10.0.0.0/8", "64500")])
+        assert build_lpm(snapshot)._routes is None
+
+
+def _reference_nearest(times, t):
+    """The nearest snapshot position by subtraction: the earlier one on a tie."""
+    i = bisect_left(times, t)
+    if i == 0:
+        return 0
+    if i == len(times):
+        return i - 1
+    return i - 1 if t - times[i - 1] <= times[i] - t else i
+
+
+_ZONES = st.sampled_from(
+    [
+        timezone.utc,
+        timezone(timedelta(hours=5, minutes=30)),
+        timezone(timedelta(hours=-8)),
+        timezone(-timedelta(microseconds=1)),
+    ]
+)
+# Gaps in microseconds; odd ones put the exact midpoint between two microseconds.
+_GAPS = st.one_of(st.integers(0, 10**6).map(lambda g: 2 * g + 1), st.integers(1, 10**12))
+
+
+class TestHandovers:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2030, 1, 1)),
+        gaps=st.lists(_GAPS, max_size=8),
+        zones=st.lists(_ZONES, min_size=9, max_size=9),
+    )
+    def test_matches_the_subtraction_rule(self, start, gaps, zones):
+        offsets = [0]
+        for gap in gaps:
+            offsets.append(offsets[-1] + gap)
+        utc = start.replace(tzinfo=timezone.utc)
+        times = [(utc + timedelta(microseconds=o)).astimezone(z) for o, z in zip(offsets, zones)]
+        timeline = _mk_timeline(times)
+        probes = [times[0] - timedelta(days=1), times[-1] + timedelta(days=1), *times]
+        for a, b in zip(times, times[1:]):
+            middle = a + (b - a) // 2
+            probes += [middle + timedelta(microseconds=d) for d in (-1, 0, 1, 2)]
+        for t in probes:
+            for probe in (t, t.astimezone(timezone.utc)):
+                assert timeline.nearest_position(probe) == _reference_nearest(times, probe), probe
+
+
+class TestAttributeHandovers:
+    US = timedelta(microseconds=1)
+
+    def _timeline(self, times, loads):
+        def loader(i):
+            def load():
+                loads[i] += 1
+                return RibSnapshot(times[i], [(ip_network("::/0"), OriginAs.from_asn(100 + i))])
+            return load
+
+        return RibTimeline([TimelineEntry(t, loader(i)) for i, t in enumerate(times)])
+
+    def test_hand_overs_and_skipped_snapshots(self):
+        t0 = parse_timestamp("2020-01-01T00:00:00Z")
+        hours = [0, 2, 4, 6, 8, 10]
+        times = [t0 + timedelta(hours=h) for h in hours]
+        times[1] += self.US  # an odd gap: the midpoint of 0 and 1 falls between two microseconds
+        times[2] += self.US  # an even gap: the midpoint of 1 and 2 is a tie
+        loads = [0] * len(times)
+        timeline = self._timeline(times, loads)
+        h01 = t0 + timedelta(hours=1)  # the last microsecond snapshot 0 serves
+        h12 = times[1] + timedelta(hours=1)  # as near to snapshot 2 as to 1
+        h34 = times[3] + timedelta(hours=1)
+        stamps = [
+            h01 - self.US, h01, h01 + self.US,
+            h12 - self.US, h12,
+            h34 + self.US, h34 + self.US,  # skips snapshots 2 and 3
+            times[5] + timedelta(days=30),  # past the last snapshot
+        ]
+        site = SiteId.from_code("enwiki")
+        records = [EditRecord(t, site, IPv6Address("2001:db8::1")) for t in stamps]
+        out = list(attribute(records, timeline))
+        served = [r.origin.asns[0] - 100 for r in out]
+        assert served == [0, 0, 1, 1, 1, 4, 4, 5]
+        assert served == [_reference_nearest(times, t) for t in stamps]
+        assert [r.snapshot_delta_s for r in out] == [
+            int((t - times[i]).total_seconds()) for t, i in zip(stamps, served)
+        ]
+        assert loads == [1, 1, 0, 0, 1, 1]
+
+    def test_first_record_after_the_first_snapshots(self):
+        t0 = parse_timestamp("2020-01-01T00:00:00Z")
+        times = [t0 + timedelta(days=d) for d in range(4)]
+        loads = [0] * len(times)
+        timeline = self._timeline(times, loads)
+        record = EditRecord(times[2] + self.US, SiteId.from_code("enwiki"), IPv6Address("2001:db8::1"))
+        assert [r.origin for r in attribute([record], timeline)] == [OriginAs.from_asn(102)]
+        assert loads == [0, 0, 1, 0]
+        assert list(attribute([], timeline)) == []
+
+    def test_regression_after_a_hand_over_raises(self):
+        t0 = parse_timestamp("2020-01-01T00:00:00Z")
+        timeline = self._timeline([t0, t0 + timedelta(hours=2)], [0, 0])
+        site = SiteId.from_code("enwiki")
+        stamps = [t0 + timedelta(hours=1, microseconds=1), t0 + timedelta(hours=1)]
+        records = [EditRecord(t, site, IPv6Address("2001:db8::1")) for t in stamps]
+        with pytest.raises(UnsortedInput):
+            list(attribute(records, timeline))
+
+
 class TestAttribute:
     def _records(self, specs):
         site = SiteId.from_code("enwiki")
@@ -946,3 +1064,4 @@ class TestScaleHarness:
         assert report["routes"] == 20000
         assert report["malformed_attributes"] == 0
         assert report["parse_s"] > 0 and report["build_lpm_s"] > 0 and report["maxrss_kb"] > 0
+        assert 0 < report["rss_kb_index"] <= report["maxrss_kb"]
