@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from ipaddress import ip_network
 from itertools import accumulate, chain, repeat
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .ingest import EditRecord
 from .netaddr import V6_KEY as _V6, OuiDatabase, UNLISTED, eui64_mac, key_text, parse_ip
@@ -293,9 +293,10 @@ def table_site_fraction(agg: PartialAggregate) -> ReportTable:
     )
 
 
-def _cumulative_by_week(
-    agg: PartialAggregate, lengths: tuple[int, ...]
-) -> tuple[list[int], dict[int, list[int]]]:
+Cumulative = tuple[list[int], dict[int, list[int]]]
+
+
+def cumulative_by_week(agg: PartialAggregate, lengths: tuple[int, ...] = PREFIX_LENGTHS) -> Cumulative:
     """Per prefix length, the running distinct count at each observed v6 week.
 
     A prefix is born in the week of the earliest first sighting, read from
@@ -314,8 +315,12 @@ def _cumulative_by_week(
     return weeks, series
 
 
-def table_cumulative_prefixes(agg: PartialAggregate) -> ReportTable:
-    weeks, series = _cumulative_by_week(agg, PREFIX_LENGTHS)
+def table_cumulative_prefixes(
+    agg: PartialAggregate, cumulative: Optional[Callable[[], Cumulative]] = None
+) -> ReportTable:
+    """``cumulative``, when given, returns ``cumulative_by_week(agg)``; a report
+    passes one cached call to both cumulative tables, so the series is built once."""
+    weeks, series = cumulative() if cumulative else cumulative_by_week(agg)
     rows = []
     for i, week in enumerate(weeks):
         label = week_label(week)
@@ -329,8 +334,9 @@ def table_cumulative_prefixes(agg: PartialAggregate) -> ReportTable:
     )
 
 
-def table_ratio_per_48(agg: PartialAggregate) -> ReportTable:
-    weeks, series = _cumulative_by_week(agg, (48, 56, 64))
+def table_ratio_per_48(agg: PartialAggregate, cumulative: Optional[Callable[[], Cumulative]] = None) -> ReportTable:
+    """``cumulative`` as for ``table_cumulative_prefixes``."""
+    weeks, series = cumulative() if cumulative else cumulative_by_week(agg, (48, 56, 64))
     rows = []
     for i, week in enumerate(weeks):
         base = series[48][i]

@@ -25,6 +25,7 @@ from . import __version__
 from .analytics import (
     TABLE_NAMES,
     aggregate,
+    cumulative_by_week,
     read_hitlist,
     table_cumulative_prefixes,
     table_eui64_weekly,
@@ -49,6 +50,7 @@ from .ingest import (
 from .netaddr import EMPTY_OUI_DATABASE, BadCsv, load_oui_database
 from .ribstore import (
     BadPrefixTable,
+    DecodeStats,
     MissingPeerIndex,
     RibTimeline,
     TruncatedRecord,
@@ -395,6 +397,7 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
         return EXIT_RUNTIME
 
     attributed_path = cfg.attributed_path()
+    decode = DecodeStats()
     delta_counts: dict[int, int] = {}
     unrouted = 0
     count = 0
@@ -402,7 +405,7 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     def annotated():
         nonlocal unrouted, count
         with open(records_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for rec in attribute(read_records(fh), timeline):
+            for rec in attribute(read_records(fh), timeline, decode):
                 d = abs(rec.snapshot_delta_s)
                 delta_counts[d] = delta_counts.get(d, 0) + 1
                 count += 1
@@ -434,6 +437,7 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
             "buckets": _delta_buckets(delta_counts),
         },
         "snapshots": [e.counters for e in timeline.entries if e.counters is not None],
+        "decode": decode.as_dict(),
     }
     _write_stats(cfg, summary)
     write_manifest(
@@ -513,11 +517,13 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
 
     # Builders are looked up by name when called, so a patched cli.table_<name> is the one run.
     eui64_pair = functools.cache(lambda: table_eui64_weekly(agg, db, cfg.top_vendors))
+    # The two cumulative tables share one series, built by whichever of them runs first.
+    cumulative = functools.cache(lambda: cumulative_by_week(agg))
     builders = {
         "weekly_by_version": lambda: table_weekly_by_version(agg),
         "site_fraction": lambda: table_site_fraction(agg),
-        "cumulative_prefixes": lambda: table_cumulative_prefixes(agg),
-        "ratio_per_48": lambda: table_ratio_per_48(agg),
+        "cumulative_prefixes": lambda: table_cumulative_prefixes(agg, cumulative),
+        "ratio_per_48": lambda: table_ratio_per_48(agg, cumulative),
         "lifetimes": lambda: table_lifetimes(agg)[0],
         "weekly_by_as": lambda: table_weekly_by_as(agg, cfg.top_k),
         "eui64_weekly": lambda: eui64_pair()[0],

@@ -13,11 +13,17 @@ length), OriginAs)`` pairs, the keys ``LpmIndex`` indexes, so neither the MRT
 decode nor the index build makes an address object. ``RibSnapshot.entries``
 is a read-only view that builds ``(ip_network, OriginAs)`` pairs as they are
 read.
+
+``attribute`` decodes the snapshot files of a ``RibTimeline.from_files``
+timeline ahead of the records in forked child processes (``ribfork``) when
+there is a second CPU and enough bytes to repay starting them; every other
+snapshot loads in process, when a record needs it.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import struct
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
@@ -509,8 +515,12 @@ def _sweep(routes: list[Route], width: int) -> tuple[list[int], list[OriginAs]]:
 
 def build_lpm(snapshot: RibSnapshot) -> LpmIndex:
     """A read-only index of a snapshot's routes: only their range tables, built here."""
+    return _read_only(_range_tables(snapshot.routes))
+
+
+def _read_only(tables: tuple[tuple[list[int], list[OriginAs]], ...]) -> LpmIndex:
     index = LpmIndex()
-    index._routes, index._tables = None, _range_tables(snapshot.routes)
+    index._routes, index._tables = None, tables
     return index
 
 
@@ -518,14 +528,17 @@ class TimelineEntry:
     """One snapshot in a timeline; the LPM index is built on first use.
 
     ``counters`` is the loaded snapshot's ``RibSnapshot.counters()`` row, None
-    until the first load.
+    until the first load. ``path`` is the snapshot file of an entry that
+    ``RibTimeline.from_files`` made, whose load ``attribute`` may run in a
+    child process; None for any other entry.
     """
 
-    __slots__ = ("captured_at", "counters", "_loader", "_index")
+    __slots__ = ("captured_at", "counters", "path", "_loader", "_index")
 
     def __init__(self, captured_at: datetime, loader: Callable[[], RibSnapshot]):
         self.captured_at = captured_at
         self.counters: Optional[dict] = None
+        self.path: Optional[str] = None
         self._loader = loader
         self._index: Optional[LpmIndex] = None
 
@@ -564,7 +577,7 @@ class RibTimeline:
         """Build from MRT files and/or prefix-table TSVs (sniffed by content).
 
         Capture times are read eagerly (cheaply); full parsing happens the
-        first time a snapshot's index is needed.
+        first time a snapshot's index is needed. No child process starts here.
         """
         entries = []
         by_time: dict[datetime, str] = {}
@@ -576,7 +589,9 @@ class RibTimeline:
                     f"and {path} are both captured at {format_timestamp(captured_at)}"
                 )
             by_time[captured_at] = path
-            entries.append(TimelineEntry(captured_at, _file_loader(path, is_table)))
+            entry = TimelineEntry(captured_at, _file_loader(path, is_table))
+            entry.path = path
+            entries.append(entry)
         return cls(entries)
 
     def nearest_position(self, t: datetime) -> int:
@@ -628,6 +643,51 @@ def _file_loader(path: str, is_table: bool) -> Callable[[], RibSnapshot]:
     return load
 
 
+class DecodeStats:
+    """What ``attribute`` spent on snapshots decoded in child processes.
+
+    Children forked, snapshots adopted from them (a decode no record reaches is
+    discarded), the seconds the caller spent blocked on them, and their CPU
+    seconds from ``os.wait4``. All stay zero when snapshots load in process.
+    """
+
+    __slots__ = ("children_started", "snapshots_adopted", "blocked_s", "children_cpu_s")
+
+    def __init__(self) -> None:
+        self.children_started = self.snapshots_adopted = 0
+        self.blocked_s = self.children_cpu_s = 0.0
+
+    def as_dict(self) -> dict:
+        return {name: round(getattr(self, name), 6) for name in self.__slots__}
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+# Starting two children (fork, copy-on-write faults, a cold heap) costs about
+# as much as decoding 150 KiB of MRT; below this many bytes of snapshot files
+# the overlap does not repay it.
+_FORK_MIN_BYTES = 1 << 20
+
+
+def _child_decodes(entries: list[TimelineEntry], stats: DecodeStats):
+    """A ``ribfork.ChildDecodes`` for the timeline's snapshot files, or None where
+    snapshots load in process: one usable CPU, no ``os.fork``, or too few bytes."""
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    try:
+        size = sum(os.path.getsize(e.path) for e in entries if e.path is not None)
+    except OSError:  # a file gone since from_files: its load reports that
+        size = 0
+    if cpus < 2 or size < _FORK_MIN_BYTES:
+        return None
+    # Imported here: every stage imports this module, and compiles what it imports
+    # when there is no bytecode cache.
+    from .ribfork import ChildDecodes
+
+    return ChildDecodes(entries, min(2, cpus), stats)
+
+
 class AttributedRecord(Record):
     """An EditRecord plus the origin AS at the nearest snapshot."""
 
@@ -660,14 +720,22 @@ def _attributed_record(
     return record
 
 
-def attribute(records: Iterable[EditRecord], timeline: RibTimeline) -> Iterator[AttributedRecord]:
+def attribute(
+    records: Iterable[EditRecord], timeline: RibTimeline, decode: Optional[DecodeStats] = None
+) -> Iterator[AttributedRecord]:
     """Annotate time-sorted records with origin AS and snapshot delta.
 
     Sorted input lets the timeline advance monotonically: only a record past the
-    current snapshot's hand-over looks for the next one, so at most a couple of LPM
-    indexes are resident and snapshots no record falls to never load. Raises
-    UnsortedInput on timestamp regressions and EmptyTimeline when there are no
-    snapshots. Each record's canonical row text, when it has one, is carried over.
+    current snapshot's hand-over looks for the next one, so one LPM index is in use
+    and snapshots no record falls to are never adopted. Raises UnsortedInput on
+    timestamp regressions and EmptyTimeline when there are no snapshots. Each
+    record's canonical row text, when it has one, is carried over.
+
+    With more than one usable CPU, ``os.fork`` and at least ``_FORK_MIN_BYTES``
+    of snapshot files, the files of a ``from_files`` timeline decode in up to two
+    child processes ahead of the records; `decode` collects what they cost. A child still decoding a snapshot
+    no record reaches is killed, and every child is reaped however the
+    generator ends.
     """
     if not len(timeline):
         raise EmptyTimeline("timeline has no snapshots")
@@ -681,23 +749,30 @@ def attribute(records: Iterable[EditRecord], timeline: RibTimeline) -> Iterator[
         return
     end = first._timestamp  # so the first record moves to its snapshot
     pos = 0  # the snapshot whose index `lookup` and `captured_at` belong to
-    for record in chain((first,), records):
-        ts = record._timestamp
-        if ts >= end:
-            lookup = None  # so the evicted index is freed before the next one loads
-            nearest = bisect_left(handovers, ts, pos)
-            for stale in range(pos, nearest):
-                entries[stale].evict()
-            pos = nearest
-            lookup = entries[pos].index().lookup_key
-            captured_at = entries[pos].captured_at
-            end = ends[pos]
-        elif ts < prev:
-            raise UnsortedInput(f"record at {format_timestamp(ts)} after {format_timestamp(prev)}")
-        prev = ts
-        key = record._key
-        delta = int((ts - captured_at).total_seconds())
-        yield _attributed_record(ts, record._site, key, lookup(key), delta, record._text)
+    decodes = _child_decodes(entries, decode if decode is not None else DecodeStats())
+    try:
+        for record in chain((first,), records):
+            ts = record._timestamp
+            if ts >= end:
+                lookup = None  # so the evicted index is freed before the next one loads
+                nearest = bisect_left(handovers, ts, pos)
+                for stale in range(pos, nearest):
+                    entries[stale].evict()
+                pos = nearest
+                if decodes is not None:
+                    decodes.serve(pos)
+                lookup = entries[pos].index().lookup_key
+                captured_at = entries[pos].captured_at
+                end = ends[pos]
+            elif ts < prev:
+                raise UnsortedInput(f"record at {format_timestamp(ts)} after {format_timestamp(prev)}")
+            prev = ts
+            key = record._key
+            delta = int((ts - captured_at).total_seconds())
+            yield _attributed_record(ts, record._site, key, lookup(key), delta, record._text)
+    finally:
+        if decodes is not None:
+            decodes.close()
 
 
 ATTRIBUTED_COLUMNS = ("timestamp", "site", "ip", "origin", "delta_s")

@@ -143,3 +143,25 @@ def acceptance_file(ts: int = 1473465600):
         ("2001:db8:2::/48", "set:64501,64502"),
     ]
     return b"".join(records), offsets, expected
+
+
+def nested_table(ts: int, rng, peers: int = 3) -> bytes:
+    """A TABLE_DUMP_V2 file of nested prefixes under 10.0.0.0/8 and 2001:db8::/32.
+
+    Each prefix has one entry per peer; peers disagree at random, and about one
+    entry in ten ends its AS_PATH in an AS_SET. Origins come from 64500-64507.
+    """
+    prefixes = [(RIB_IPV4_UNICAST, bytes([10]), 8), (RIB_IPV6_UNICAST, bytes.fromhex("20010db8"), 32)]
+    for _ in range(12):
+        prefixes.append((RIB_IPV4_UNICAST, bytes([10, rng.randrange(4), rng.randrange(256)]), rng.choice((16, 24))))
+        prefixes.append((RIB_IPV6_UNICAST, bytes.fromhex("20010db8") + bytes([0, rng.randrange(4)]), 48))
+    records = [mrt_record(ts, TABLE_DUMP_V2, PEER_INDEX_TABLE, peer_index_body(peers=peers))]
+    for seq, (subtype, bits, plen) in enumerate(prefixes):
+        entries = []
+        for peer in range(peers):
+            segments = [(AS_SEQUENCE, [65000 + peer, 64500 + rng.randrange(8)])]
+            if rng.random() < 0.1:
+                segments.append((AS_SET, [64500 + rng.randrange(8), 64500 + rng.randrange(8)]))
+            entries.append(rib_entry(peer, ts - 60, as_path(segments)))
+        records.append(mrt_record(ts, TABLE_DUMP_V2, subtype, rib_unicast_body(seq, bits, plen, entries)))
+    return b"".join(records)

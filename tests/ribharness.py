@@ -16,6 +16,14 @@ a hundred ends in an AS_SET. ORIGIN precedes AS_PATH in every blob and every
 other prefix carries a MED, so nearly every peer's attribute blob is distinct.
 
 usage: ribharness.py [v4_prefixes [v6_prefixes [peers]]]   (default 1000000 200000 4)
+
+Timeline mode writes ``snapshots`` such tables a day apart and attributes
+time-sorted records (three per snapshot) across them, once with the snapshots
+decoded in child processes and once loaded in process, and reports the wall
+seconds of each run, the ``decode`` stats of the first, and peak RSS: this
+process's after each run and its children's (``RUSAGE_CHILDREN``).
+
+usage: ribharness.py timeline [snapshots [v4_prefixes [v6_prefixes [peers]]]]   (default 24 1000000 200000 4)
 """
 
 import gc
@@ -26,11 +34,16 @@ import resource
 import sys
 import tempfile
 import time
+from datetime import datetime, timezone
+from ipaddress import ip_address
 
 import mrt_synth as synth
-from wikiv6.ribstore import build_lpm, parse_mrt_rib
+from wikiv6 import ribstore
+from wikiv6.ingest import EditRecord, SiteId
+from wikiv6.ribstore import DecodeStats, RibTimeline, attribute, build_lpm, parse_mrt_rib
 
 TS = 1700000000
+DAY = 86_400
 ORIGIN_ATTR = synth.origin_igp_attr()
 
 
@@ -58,8 +71,8 @@ def _attrs(i: int, peer: int) -> bytes:
     return blob
 
 
-def write_table(sink: io.BufferedIOBase, v4: int, v6: int, peers: int) -> None:
-    sink.write(synth.mrt_record(TS, synth.TABLE_DUMP_V2, synth.PEER_INDEX_TABLE, synth.peer_index_body(peers=peers)))
+def write_table(sink: io.BufferedIOBase, v4: int, v6: int, peers: int, ts: int = TS) -> None:
+    sink.write(synth.mrt_record(ts, synth.TABLE_DUMP_V2, synth.PEER_INDEX_TABLE, synth.peer_index_body(peers=peers)))
     for i in range(v4 + v6):
         if i < v4:
             # odd multiplier: a bijection on 24 bits, so every /24 is distinct
@@ -67,11 +80,64 @@ def write_table(sink: io.BufferedIOBase, v4: int, v6: int, peers: int) -> None:
         else:
             word = ((i - v4) * 0x9E3779B1) & 0xFFFFFFFF
             bits, plen, subtype = b"\x20\x01" + word.to_bytes(4, "big"), 48, synth.RIB_IPV6_UNICAST
-        entries = [synth.rib_entry(peer, TS, _attrs(i, peer)) for peer in range(peers)]
-        sink.write(synth.mrt_record(TS, synth.TABLE_DUMP_V2, subtype, synth.rib_unicast_body(i, bits, plen, entries)))
+        entries = [synth.rib_entry(peer, ts, _attrs(i, peer)) for peer in range(peers)]
+        sink.write(synth.mrt_record(ts, synth.TABLE_DUMP_V2, subtype, synth.rib_unicast_body(i, bits, plen, entries)))
+
+
+def _attribute_s(paths: list, records: list, decode: DecodeStats) -> float:
+    start = time.perf_counter()
+    for _ in attribute(records, RibTimeline.from_files(paths), decode):
+        pass
+    return time.perf_counter() - start
+
+
+def timeline(snapshots: int, v4: int, v6: int, peers: int) -> dict:
+    site = SiteId.from_code("enwiki")
+    ips = [ip_address("0.0.0.1"), ip_address("2001::1"), ip_address("2001:0:1::1")]
+    records = [
+        EditRecord(datetime.fromtimestamp(TS + i * DAY + j * 3600, timezone.utc), site, ip)
+        for i in range(snapshots)
+        for j, ip in enumerate(ips)
+    ]
+    with tempfile.TemporaryDirectory(prefix="ribharness-") as tmp:
+        paths = [os.path.join(tmp, f"rib{i:04d}.mrt") for i in range(snapshots)]
+        t0 = time.perf_counter()
+        for i, path in enumerate(paths):
+            with open(path, "wb") as sink:
+                write_table(sink, v4, v6, peers, TS + i * DAY)
+        write_s = time.perf_counter() - t0
+        decode = DecodeStats()
+        children_s = _attribute_s(paths, records, decode)  # first, while this process is small
+        rss_children_run = _maxrss_kb()
+        cpus = ribstore._usable_cpus
+        ribstore._usable_cpus = lambda: 1
+        try:
+            in_process_s = _attribute_s(paths, records, DecodeStats())
+        finally:
+            ribstore._usable_cpus = cpus
+    return {
+        "mode": "timeline",
+        "snapshots": snapshots,
+        "v4_prefixes": v4,
+        "v6_prefixes": v6,
+        "peers": peers,
+        "records": len(records),
+        "write_s": round(write_s, 3),
+        "attribute_children_s": round(children_s, 3),
+        "attribute_in_process_s": round(in_process_s, 3),
+        "decode": decode.as_dict(),
+        "maxrss_kb_after_children_run": rss_children_run,
+        "maxrss_kb_children": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+        "maxrss_kb": _maxrss_kb(),
+    }
 
 
 def main() -> None:
+    if sys.argv[1:2] == ["timeline"]:
+        args = [int(a) for a in sys.argv[2:]]
+        snapshots, v4, v6, peers = args + [24, 1_000_000, 200_000, 4][len(args) :]
+        print(json.dumps(timeline(snapshots, v4, v6, peers)))
+        return
     v4 = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
     v6 = int(sys.argv[2]) if len(sys.argv) > 2 else 200_000
     peers = int(sys.argv[3]) if len(sys.argv) > 3 else 4

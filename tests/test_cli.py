@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import random
+import signal
 import struct
 import subprocess
 import sys
@@ -12,7 +15,7 @@ import pytest
 
 import mrt_synth as synth
 import oracles
-from wikiv6 import analytics, cli, ribstore
+from wikiv6 import analytics, cli, ribfork, ribstore
 from wikiv6.cli import (
     ConfigError,
     PipelineConfig,
@@ -390,6 +393,17 @@ class TestReport:
             got = (out / f"{name}.csv").read_text(encoding="utf-8")
             assert got == want, f"table {name} diverges from oracle"
 
+    def test_cumulative_series_built_once(self, pipeline, monkeypatch):
+        cfg, out = pipeline
+        real, calls = cli.cumulative_by_week, []
+        monkeypatch.setattr(cli, "cumulative_by_week", lambda agg: calls.append(agg) or real(agg))
+        assert run_cli("report", "all", "--config", str(cfg)) == 0
+        assert len(calls) == 1
+        together = {name: (out / f"{name}.csv").read_bytes() for name in ("cumulative_prefixes", "ratio_per_48")}
+        for name, table in together.items():
+            assert run_cli("report", name, "--config", str(cfg)) == 0
+            assert (out / f"{name}.csv").read_bytes() == table
+
     def test_stats_path_is_written(self, pipeline, oui_csv, hitlist_tsv, capsys):
         cfg, out = pipeline
         capsys.readouterr()
@@ -738,6 +752,168 @@ class TestSnapshotStats:
 
         monkeypatch.setattr(cli, "RibTimeline", HandBuilt)
         assert self._run(tmp_path)["snapshots"] == self.EXPECTED
+
+
+DAY = 86_400
+T0 = 1433160000  # 2015-06-01T12:00:00Z
+
+
+def _stamp(epoch: int) -> str:
+    return datetime.fromtimestamp(epoch, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestChildDecodes:
+    """Snapshot files decoded in forked children give what in-process loading gives."""
+
+    @staticmethod
+    def _attribute(tmp_path, monkeypatch, cpus, ribs, days, damage=None):
+        """Run attribute in a fresh directory with `cpus` usable CPUs; `damage(paths)` runs
+        after from_files. Returns (exit code, output directory, stats or None)."""
+        run = tmp_path / f"cpus{cpus}"
+        run.mkdir()
+        paths = []
+        for i, make in enumerate(ribs):
+            path = run / f"rib{i:02d}"
+            path.write_bytes(make(T0 + i * DAY))
+            paths.append(str(path))
+        records = run / "records.tsv"
+        records.write_text(
+            "timestamp\tsite\tip\n"
+            + "".join(
+                f"{_stamp(T0 + int(day * DAY) + n)}\tenwiki\t{ip}\n"
+                for day in days
+                for n, ip in enumerate(["10.1.7.1", "10.0.0.9", "2001:db8:0:2::1", "2001:db8:1::1", "192.0.2.1"])
+            ),
+            encoding="utf-8",
+        )
+        out = run / "out"
+        cfg = run / "p.cfg"
+        cfg.write_text("".join(f"rib = {p}\n" for p in paths) + f"records = {records}\nout = {out}\n", encoding="utf-8")
+        if damage is not None:
+            real = ribstore.RibTimeline.from_files
+
+            class Damaged:
+                @staticmethod
+                def from_files(files):
+                    timeline = real(files)
+                    damage(paths)
+                    return timeline
+
+            monkeypatch.setattr(cli, "RibTimeline", Damaged)
+        monkeypatch.setattr(ribstore, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(ribstore, "_FORK_MIN_BYTES", 0)  # these snapshot files are small
+        stats = run / "a.json"
+        code = run_cli("attribute", "--config", str(cfg), "--stats", str(stats))
+        summary = json.loads(stats.read_text(encoding="utf-8")) if code == 0 else None
+        return code, out, summary
+
+    @staticmethod
+    def _table(seed):
+        return lambda ts: synth.nested_table(ts, random.Random(seed))
+
+    def test_same_rows_and_stats_as_in_process(self, tmp_path, monkeypatch):
+        # Eight snapshots; records reach 0, 1, 3 and 5, skip 2 and 4, and stop before the last two.
+        ribs = [self._table(seed) for seed in range(8)]
+        days = [0, 0.3, 1.1, 2.9, 3.2, 5, 5.4]
+        runs = {cpus: self._attribute(tmp_path, monkeypatch, cpus, ribs, days) for cpus in (2, 1)}
+        (code2, out2, forked), (code1, out1, in_process) = runs[2], runs[1]
+        assert code2 == code1 == 0
+        assert (out2 / "attributed.tsv").read_bytes() == (out1 / "attributed.tsv").read_bytes()
+        assert len((out1 / "attributed.tsv").read_text(encoding="utf-8").splitlines()) == 1 + 5 * len(days)
+        assert [row["captured_at"] for row in forked["snapshots"]] == [_stamp(T0 + d * DAY) for d in (0, 1, 3, 5)]
+        assert forked["decode"]["snapshots_adopted"] == 4
+        # Two children, and one more for each killed with a snapshot no record reached.
+        assert 2 <= forked["decode"]["children_started"] <= len(ribs)
+        assert in_process["decode"] == {"children_started": 0, "snapshots_adopted": 0, "blocked_s": 0, "children_cpu_s": 0}
+        assert {k: v for k, v in forked.items() if k != "decode"} == {k: v for k, v in in_process.items() if k != "decode"}
+        _assert_no_child_process()
+
+    @staticmethod
+    def _truncated(ts):
+        data = synth.nested_table(ts, random.Random(0))
+        return data[:-3]
+
+    @staticmethod
+    def _no_peer_index(ts):
+        data = synth.nested_table(ts, random.Random(0))
+        first = struct.unpack_from(">I", data, 8)[0] + 12  # the PEER_INDEX_TABLE record's length
+        return data[first:]
+
+    @staticmethod
+    def _prefix_table(ts):
+        return f"# captured_at={_stamp(ts)}\n2001:db8::/32\t64500\n".encode()
+
+    @staticmethod
+    def _drop_header(paths):
+        Path(paths[1]).write_text("2001:db8::/32\t64500\n", encoding="utf-8")
+
+    @staticmethod
+    def _remove(paths):
+        os.unlink(paths[1])
+
+    CASES = {
+        "truncated-mrt": (_truncated.__func__, None, "truncated MRT record at byte "),
+        "no-peer-index": (_no_peer_index.__func__, None, "RIB record at byte 0 before PEER_INDEX_TABLE"),
+        "no-header": (_prefix_table.__func__, _drop_header.__func__, "missing '# captured_at=' header"),
+        "removed": (_prefix_table.__func__, _remove.__func__, "No such file or directory"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error_when_a_record_reaches_the_snapshot(self, tmp_path, monkeypatch, capsys, case):
+        make, damage, message = self.CASES[case]
+        ribs = [self._table(0), make, self._table(2)]
+        errors = []
+        for cpus in (2, 1):
+            code, out, _ = self._attribute(tmp_path, monkeypatch, cpus, ribs, [0, 1], damage)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("attribute: ") and err.count("\n") == 1 and message in err
+            assert str(tmp_path / f"cpus{cpus}" / "rib01") in err
+            errors.append(err.replace(f"cpus{cpus}", "cpusN"))
+            assert sorted(p.name for p in out.iterdir()) == []
+            _assert_no_child_process()
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error_of_a_snapshot_no_record_reaches_is_ignored(self, tmp_path, monkeypatch, case):
+        make, damage, _ = self.CASES[case]
+        ribs = [self._table(0), make, self._table(2)]
+        code, out, summary = self._attribute(tmp_path, monkeypatch, 2, ribs, [0, 2], damage)
+        assert code == 0
+        assert [row["captured_at"] for row in summary["snapshots"]] == [_stamp(T0), _stamp(T0 + 2 * DAY)]
+        assert (summary["decode"]["children_started"], summary["decode"]["snapshots_adopted"]) == (2, 2)
+        _assert_no_child_process()
+
+    def test_child_that_dies_without_a_result(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ribfork, "_child_result", lambda loader: os.kill(os.getpid(), signal.SIGKILL))
+        code, out, _ = self._attribute(tmp_path, monkeypatch, 2, [self._table(0)], [0])
+        assert code == 1
+        rib = tmp_path / "cpus2" / "rib00"
+        assert capsys.readouterr().err == (
+            f"attribute: {rib}: snapshot decode ended without a result (exit status -9)\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == []
+        _assert_no_child_process()
+
+    def test_interrupt_leaves_no_child_and_no_output(self, tmp_path, monkeypatch):
+        real = cli.read_records
+
+        def interrupted(fh):
+            for n, record in enumerate(real(fh)):
+                if n == 7:
+                    raise KeyboardInterrupt
+                yield record
+
+        monkeypatch.setattr(cli, "read_records", interrupted)
+        code, out, _ = self._attribute(tmp_path, monkeypatch, 2, [self._table(s) for s in range(4)], [0, 1, 2, 3])
+        assert code == 1
+        assert sorted(p.name for p in out.iterdir()) == []
+        _assert_no_child_process()
 
 
 def test_console_entrypoint_smoke():

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import struct
 import subprocess
@@ -1052,6 +1053,91 @@ class TestSnapshotCounters:
         assert (entry.counters["routes"], entry.counters["bad_rows"], entry.counters["peer_count"]) == (1, 1, 0)
 
 
+def _no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestChildDecodes:
+    """attribute's forked decoders, seen through the ribstore API."""
+
+    T0 = 1433160000
+
+    @pytest.fixture(autouse=True)
+    def _fork_small_files(self, monkeypatch):
+        monkeypatch.setattr(ribstore, "_FORK_MIN_BYTES", 0)
+
+    def _files(self, tmp_path, count, cut=None):
+        """`count` daily MRT snapshots; snapshot `cut` loses its last 3 bytes. Returns
+        (paths, the byte offset of the cut snapshot's last record)."""
+        paths, offset = [], None
+        for i in range(count):
+            data = synth.nested_table(self.T0 + i * 86_400, random.Random(i))
+            if i == cut:
+                pos = 0
+                while pos < len(data):
+                    offset = pos
+                    pos += 12 + struct.unpack_from(">I", data, pos + 8)[0]
+                data = data[:-3]
+            path = tmp_path / f"rib{i}.mrt"
+            path.write_bytes(data)
+            paths.append(str(path))
+        return paths, offset
+
+    def _records(self, days):
+        site = SiteId.from_code("enwiki")
+        stamps = [datetime.fromtimestamp(self.T0 + int(d * 86_400), timezone.utc) for d in days]
+        return [EditRecord(t, site, IPv6Address("2001:db8::1")) for t in stamps]
+
+    def test_error_keeps_its_type_message_and_offset(self, tmp_path, monkeypatch):
+        paths, offset = self._files(tmp_path, 3, cut=1)
+        errors = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(ribstore, "_usable_cpus", lambda: cpus)
+            decode = ribstore.DecodeStats()
+            with pytest.raises(TruncatedRecord) as info:
+                list(attribute(self._records([0, 1]), RibTimeline.from_files(paths), decode))
+            errors.append((str(info.value), info.value.offset))
+            assert decode.children_started == (2 if cpus > 1 else 0)
+            _no_child_process()
+        assert errors[0] == errors[1] == (f"{paths[1]}: truncated MRT record at byte {offset}", offset)
+        assert offset > 0
+
+    def test_closing_early_leaves_no_child(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ribstore, "_usable_cpus", lambda: 2)
+        paths, _ = self._files(tmp_path, 4)
+        timeline = RibTimeline.from_files(paths)
+        _no_child_process()  # from_files starts none
+        decode = ribstore.DecodeStats()
+        out = attribute(self._records([0, 1, 2, 3]), timeline, decode)
+        assert next(out).origin == timeline.entries[0].index().lookup(IPv6Address("2001:db8::1"))
+        assert decode.children_started == 2
+        out.close()
+        _no_child_process()
+
+    def test_hand_built_entries_load_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ribstore, "_usable_cpus", lambda: 2)
+        paths, _ = self._files(tmp_path, 2)
+        built = RibTimeline.from_files(paths)
+        by_hand = RibTimeline([TimelineEntry(e.captured_at, e._loader) for e in built.entries])
+        decode = ribstore.DecodeStats()
+        assert len(list(attribute(self._records([0, 1]), by_hand, decode))) == 2
+        assert decode.as_dict() == ribstore.DecodeStats().as_dict()
+        assert [e.path for e in by_hand.entries] == [None, None]
+        assert [e.path for e in built.entries] == paths
+
+    def test_files_below_the_size_floor_load_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ribstore, "_usable_cpus", lambda: 2)
+        paths, _ = self._files(tmp_path, 3)
+        total = sum(os.path.getsize(p) for p in paths)
+        for floor, forked in ((total + 1, False), (total, True)):
+            monkeypatch.setattr(ribstore, "_FORK_MIN_BYTES", floor)
+            decode = ribstore.DecodeStats()
+            assert len(list(attribute(self._records([0, 1, 2]), RibTimeline.from_files(paths), decode))) == 3
+            assert (decode.children_started, decode.snapshots_adopted) == ((2, 3) if forked else (0, 0))
+            _no_child_process()
+
+
 class TestScaleHarness:
     def test_smoke(self):
         harness = str(Path(__file__).parent / "ribharness.py")
@@ -1065,3 +1151,15 @@ class TestScaleHarness:
         assert report["malformed_attributes"] == 0
         assert report["parse_s"] > 0 and report["build_lpm_s"] > 0 and report["maxrss_kb"] > 0
         assert 0 < report["rss_kb_index"] <= report["maxrss_kb"]
+
+        proc = subprocess.run(
+            [sys.executable, harness, "timeline", "3", "8000", "2000", "2"], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert (report["snapshots"], report["records"], report["v4_prefixes"], report["peers"]) == (3, 9, 8000, 2)
+        assert report["attribute_children_s"] > 0 and report["attribute_in_process_s"] > 0
+        forked = ribstore._usable_cpus() > 1
+        assert report["decode"]["snapshots_adopted"] == (3 if forked else 0)
+        assert 0 < report["maxrss_kb_after_children_run"] <= report["maxrss_kb"]
+        assert (report["maxrss_kb_children"] > 0) == forked
