@@ -16,12 +16,12 @@ import os
 import sys
 import tempfile
 from bisect import bisect_left
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from . import __version__
+from . import __version__, ingest
 from .analytics import (
     TABLE_NAMES,
     aggregate,
@@ -206,6 +206,37 @@ class _DigestReader:
 
 
 @contextmanager
+def _partial(path, binary: bool = False):
+    """Open `path` + ".tmp" for writing; a failed or interrupted write removes it.
+
+    If the temporary file cannot be opened, its error is raised and nothing is removed.
+    """
+    partial = f"{path}.tmp"
+    fh = open(partial, "wb") if binary else open(partial, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        _discard(path)
+        raise
+
+
+def _commit(path) -> None:
+    """Rename a complete `path` + ".tmp" over `path`; if that fails, remove it."""
+    try:
+        os.replace(f"{path}.tmp", path)
+    except BaseException:
+        _discard(path)
+        raise
+
+
+def _discard(path) -> None:
+    """Remove `path` + ".tmp", if there is such a file."""
+    with suppress(OSError):
+        os.unlink(f"{path}.tmp")
+
+
+@contextmanager
 def _replacing(path, binary: bool = False):
     """Open `path` + ".tmp" for writing and rename it over `path` on success.
 
@@ -213,14 +244,9 @@ def _replacing(path, binary: bool = False):
     earlier `path` as it was, so no later stage reads a partial output. If the
     temporary file cannot be opened, its error is raised and nothing is removed.
     """
-    partial = f"{path}.tmp"
-    fh = open(partial, "wb") if binary else open(partial, "w", encoding="utf-8")
-    try:
-        with fh:
-            yield fh
-        os.replace(partial, path)
-    finally:
-        Path(partial).unlink(missing_ok=True)
+    with _partial(path, binary) as fh:
+        yield fh
+    _commit(path)
 
 
 def write_manifest(
@@ -285,47 +311,127 @@ def external_sort_lines(sources: Sequence[str], sink_path: str, header: str, chu
     return total
 
 
+def _parse_dump(cfg: PipelineConfig, dump: str, site: SiteId, out_path: str) -> tuple:
+    """Parse `dump` into `out_path` + ".tmp", which the caller commits.
+
+    Returns ``("ok", stats, digest)`` or ``("failed", error text, digest)``,
+    marshal-able so that a forked child can send it back; the digest is None
+    where the dump was not hashed to its end.
+    """
+    stats = ParseStats()
+    error: Optional[Exception] = None
+    digest = None
+    try:
+        with open(dump, "rb") as raw:
+            xml = _DigestReader(raw) if Path(dump).is_file() else raw
+            try:
+                with _partial(out_path, binary=True) as sink:
+                    write_records(parse_dump_stream(xml, site, namespaces=cfg.namespaces, stats=stats), sink)
+            except StreamMalformed as exc:
+                error = exc
+            if isinstance(xml, _DigestReader) and (error is None or cfg.keep_going):
+                digest = xml.digest_to_end()
+    except OSError as exc:
+        error = exc
+    return ("ok", stats.as_dict(), digest) if error is None else ("failed", str(error), digest)
+
+
+def _parsed_dumps(cfg: PipelineConfig, plans: list, workers: int, stats) -> Iterator[tuple]:
+    """Each planned ``(dump, site, out_path)``'s ``_parse_dump`` outcome, in
+    config order, with its records committed to `out_path` on success.
+
+    With two or more `workers`, dumps parse in forked children and the parent
+    takes whichever result comes first, so that no child idles while an earlier
+    dump is still parsing. A child that ends without a result gives a ``"lost"``
+    outcome. Once an outcome ends the run, no later dump starts and the children
+    parsing later dumps are killed. However the caller stops, every child is
+    reaped and no ``.tmp`` file of a dump is left behind.
+    """
+    from .forkjobs import ChildLost, ForkedJobs
+
+    jobs = ForkedJobs(lambda i: _parse_dump(cfg, *plans[i]), workers, stats) if workers > 1 else None
+    done: dict[int, tuple] = {}
+    upcoming = 0  # the first dump not started
+    last = len(plans)  # no dump from here on starts
+    i = 0
+    try:
+        for i, (_, _, out_path) in enumerate(plans):
+            while i not in done:
+                while jobs is not None and upcoming < last and jobs.can_start() and jobs.start(upcoming):
+                    upcoming += 1
+                if jobs is None or i not in jobs.running:  # in process, or no child could be forked
+                    upcoming = max(upcoming, i + 1)
+                    done[i] = _parse_dump(cfg, *plans[i])
+                    continue
+                j = jobs.ready()
+                try:
+                    done[j] = jobs.result(j)
+                except ChildLost as exc:
+                    _discard(plans[j][2])
+                    done[j] = ("lost", f"parse {exc}", None)
+                if done[j][0] == "lost" or (done[j][0] == "failed" and not cfg.keep_going):
+                    last = min(last, j + 1)
+                    for k in [k for k in jobs.running if k > j]:
+                        jobs.cancel(k)
+                        _discard(plans[k][2])
+            outcome = done.pop(i)
+            if outcome[0] == "ok":
+                try:
+                    _commit(out_path)
+                except OSError as exc:
+                    outcome = ("failed", str(exc), outcome[2])
+            yield outcome
+    finally:
+        if jobs is not None:
+            jobs.close()
+        for _, _, out_path in plans[i:upcoming]:
+            _discard(out_path)
+
+
 def cmd_extract(cfg: PipelineConfig) -> int:
     if not cfg.dumps:
         print("extract: no inputs (configure 'dump =' lines or pass dump paths)", file=sys.stderr)
         return EXIT_USAGE
+    # Imported here, as ribstore imports it: the other stages do not compile it.
+    from .forkjobs import WorkerStats, fork_workers
+
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    per_file: dict[str, dict] = {}
-    merged_sources: list[str] = []
-    digests: dict[str, str] = {}
-    failed = 0
+    plans: list[tuple[str, SiteId, str]] = []
+    writers: dict[str, str] = {}  # per-dump output name -> the dump it is written for
     for dump in cfg.dumps:
+        name = Path(dump).stem + ".records.tsv"
         try:
             site = infer_site(dump, cfg.site_overrides)
         except ValueError as exc:
             print(f"extract: {dump}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        out_path = outdir / (Path(dump).stem + ".records.tsv")
-        stats = ParseStats()
-        error: Optional[Exception] = None
-        try:
-            with open(dump, "rb") as raw:
-                xml = _DigestReader(raw) if Path(dump).is_file() else raw
-                try:
-                    with _replacing(out_path, binary=True) as sink:
-                        write_records(
-                            parse_dump_stream(xml, site, namespaces=cfg.namespaces, stats=stats), sink
-                        )
-                except StreamMalformed as exc:
-                    error = exc
-                if isinstance(xml, _DigestReader) and (error is None or cfg.keep_going):
-                    digests[dump] = xml.digest_to_end()
-        except OSError as exc:
-            error = exc
-        if error is not None:
-            failed += 1
-            print(f"extract: {dump}: {error}", file=sys.stderr)
-            if not cfg.keep_going:
-                return EXIT_RUNTIME
-            continue
-        per_file[Path(dump).name] = stats.as_dict()
-        merged_sources.append(str(out_path))
+        if name in writers:
+            print(f"extract: {dump}: its records would overwrite {name}, written for {writers[name]}", file=sys.stderr)
+            return EXIT_USAGE
+        writers[name] = dump
+        plans.append((dump, site, str(outdir / name)))
+    outdir.mkdir(parents=True, exist_ok=True)
+    # Spans a tracer records in a child would be lost: patched runs parse in process.
+    patched = parse_dump_stream is not ingest.parse_dump_stream or write_records is not ingest.write_records
+    size = sum(os.path.getsize(dump) for dump in cfg.dumps if os.path.isfile(dump))
+    workers = 0 if patched else min(fork_workers(size), len(plans))
+    worker_stats = WorkerStats()
+    per_file: dict[str, dict] = {}
+    merged_sources: list[str] = []
+    digests: dict[str, str] = {}
+    failed = 0
+    with closing(_parsed_dumps(cfg, plans, workers, worker_stats)) as outcomes:
+        for (dump, _, out_path), (kind, detail, digest) in zip(plans, outcomes):
+            if digest is not None:
+                digests[dump] = digest
+            if kind != "ok":
+                failed += 1
+                print(f"extract: {dump}: {detail}", file=sys.stderr)
+                if kind == "lost" or not cfg.keep_going:
+                    return EXIT_RUNTIME
+                continue
+            per_file[Path(dump).name] = detail
+            merged_sources.append(out_path)
 
     merged_path = cfg.records_path()
     external_sort_lines(merged_sources, merged_path, RECORD_HEADER)
@@ -334,7 +440,7 @@ def cmd_extract(cfg: PipelineConfig) -> int:
     for stats_dict in per_file.values():
         for key, value in stats_dict.items():
             totals[key] = totals.get(key, 0) + value
-    summary = {"files": per_file, "totals": totals}
+    summary = {"files": per_file, "totals": totals, "workers": worker_stats.as_dict()}
     _write_stats(cfg, summary)
     write_manifest(
         cfg,

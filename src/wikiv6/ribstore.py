@@ -618,7 +618,9 @@ def _sniff(path: str) -> tuple[bool, datetime]:
     with _naming(path), open(path, "rb") as fh:
         if fh.peek(1)[:1] == b"#":
             # Decoded as the loader reads it: UTF-8 with surrogateescape, universal newlines.
-            first = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape").readline().rstrip("\n")
+            text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
+            first = text.readline().rstrip("\n")
+            text.detach()  # so that only `fh` closes the file
             if not first.startswith(CAPTURED_AT_PREFIX):
                 raise BadPrefixTable("missing '# captured_at=' header")
             return True, parse_timestamp(first[len(CAPTURED_AT_PREFIX) :])
@@ -648,7 +650,8 @@ class DecodeStats:
 
     Children forked, snapshots adopted from them (a decode no record reaches is
     discarded), the seconds the caller spent blocked on them, and their CPU
-    seconds from ``os.wait4``. All stay zero when snapshots load in process.
+    seconds from ``os.wait4``: a ``forkjobs.WorkerStats`` plus
+    ``snapshots_adopted``. All stay zero when snapshots load in process.
     """
 
     __slots__ = ("children_started", "snapshots_adopted", "blocked_s", "children_cpu_s")
@@ -661,31 +664,23 @@ class DecodeStats:
         return {name: round(getattr(self, name), 6) for name in self.__slots__}
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-# Starting two children (fork, copy-on-write faults, a cold heap) costs about
-# as much as decoding 150 KiB of MRT; below this many bytes of snapshot files
-# the overlap does not repay it.
-_FORK_MIN_BYTES = 1 << 20
-
-
 def _child_decodes(entries: list[TimelineEntry], stats: DecodeStats):
     """A ``ribfork.ChildDecodes`` for the timeline's snapshot files, or None where
-    snapshots load in process: one usable CPU, no ``os.fork``, or too few bytes."""
-    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    ``forkjobs.fork_workers`` says they load in process."""
+    # Imported here: every stage imports this module, and compiles what it imports
+    # when there is no bytecode cache.
+    from .forkjobs import fork_workers
+
     try:
         size = sum(os.path.getsize(e.path) for e in entries if e.path is not None)
     except OSError:  # a file gone since from_files: its load reports that
         size = 0
-    if cpus < 2 or size < _FORK_MIN_BYTES:
+    workers = fork_workers(size)
+    if not workers:
         return None
-    # Imported here: every stage imports this module, and compiles what it imports
-    # when there is no bytecode cache.
     from .ribfork import ChildDecodes
 
-    return ChildDecodes(entries, min(2, cpus), stats)
+    return ChildDecodes(entries, workers, stats)
 
 
 class AttributedRecord(Record):
@@ -731,11 +726,11 @@ def attribute(
     timestamp regressions and EmptyTimeline when there are no snapshots. Each
     record's canonical row text, when it has one, is carried over.
 
-    With more than one usable CPU, ``os.fork`` and at least ``_FORK_MIN_BYTES``
-    of snapshot files, the files of a ``from_files`` timeline decode in up to two
-    child processes ahead of the records; `decode` collects what they cost. A child still decoding a snapshot
-    no record reaches is killed, and every child is reaped however the
-    generator ends.
+    Where ``forkjobs.fork_workers`` allows it for the size of the snapshot files,
+    the files of a ``from_files`` timeline decode in up to two child processes
+    ahead of the records; `decode` collects what they cost. A child still
+    decoding a snapshot no record reaches is killed, and every child is reaped
+    however the generator ends.
     """
     if not len(timeline):
         raise EmptyTimeline("timeline has no snapshots")

@@ -38,7 +38,7 @@ from datetime import datetime, timezone
 from ipaddress import ip_address
 
 import mrt_synth as synth
-from wikiv6 import ribstore
+from wikiv6 import forkjobs
 from wikiv6.ingest import EditRecord, SiteId
 from wikiv6.ribstore import DecodeStats, RibTimeline, attribute, build_lpm, parse_mrt_rib
 
@@ -109,12 +109,12 @@ def timeline(snapshots: int, v4: int, v6: int, peers: int) -> dict:
         decode = DecodeStats()
         children_s = _attribute_s(paths, records, decode)  # first, while this process is small
         rss_children_run = _maxrss_kb()
-        cpus = ribstore._usable_cpus
-        ribstore._usable_cpus = lambda: 1
+        cpus = forkjobs._usable_cpus
+        forkjobs._usable_cpus = lambda: 1
         try:
             in_process_s = _attribute_s(paths, records, DecodeStats())
         finally:
-            ribstore._usable_cpus = cpus
+            forkjobs._usable_cpus = cpus
     return {
         "mode": "timeline",
         "snapshots": snapshots,

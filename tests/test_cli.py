@@ -15,7 +15,7 @@ import pytest
 
 import mrt_synth as synth
 import oracles
-from wikiv6 import analytics, cli, ribfork, ribstore
+from wikiv6 import analytics, cli, forkjobs, ribfork, ribstore
 from wikiv6.cli import (
     ConfigError,
     PipelineConfig,
@@ -181,6 +181,18 @@ class TestExtract:
         assert len(merged) == 38  # header + fixture records
         assert not (out / "npwiki-bad.records.tsv").exists()
         assert not list(out.glob("*.tmp"))
+
+    def test_dumps_that_share_an_output_name_are_a_usage_error(self, tmp_path, fixture_dump, capsys):
+        other = tmp_path / "elsewhere" / fixture_dump.name
+        other.parent.mkdir()
+        other.write_bytes(fixture_dump.read_bytes())
+        out = tmp_path / "out"
+        assert run_cli("extract", str(fixture_dump), str(other), "--out", str(out)) == 2
+        name = fixture_dump.stem + ".records.tsv"
+        assert capsys.readouterr().err == (
+            f"extract: {other}: its records would overwrite {name}, written for {fixture_dump}\n"
+        )
+        assert not out.exists()
 
     def test_manifest_digests_read_each_dump_once(self, tmp_path, fixture_dump, dewiki_dump, monkeypatch):
         bad = tmp_path / "npwiki-bad.xml"
@@ -805,8 +817,8 @@ class TestChildDecodes:
                     return timeline
 
             monkeypatch.setattr(cli, "RibTimeline", Damaged)
-        monkeypatch.setattr(ribstore, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(ribstore, "_FORK_MIN_BYTES", 0)  # these snapshot files are small
+        monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forkjobs, "_FORK_MIN_BYTES", 0)  # these snapshot files are small
         stats = run / "a.json"
         code = run_cli("attribute", "--config", str(cfg), "--stats", str(stats))
         summary = json.loads(stats.read_text(encoding="utf-8")) if code == 0 else None
@@ -914,6 +926,178 @@ class TestChildDecodes:
         assert code == 1
         assert sorted(p.name for p in out.iterdir()) == []
         _assert_no_child_process()
+
+
+def _dump_xml(site: str, pages: int, seed: int, tail: str = "</mediawiki>\n") -> str:
+    """A dump of `pages` pages with three anonymous revisions each; `tail` ends it."""
+    rng = random.Random(seed)
+    parts = [f"<mediawiki><siteinfo><dbname>{site}</dbname></siteinfo>\n"]
+    for page in range(pages):
+        parts.append(f"<page><title>P{page}</title><ns>0</ns><id>{page + 1}</id>\n")
+        for rev in range(3):
+            ip = f"2001:db8:{rng.randrange(1 << 16):x}::{rng.randrange(1, 1 << 16):x}" if rev else f"192.0.2.{rng.randrange(256)}"
+            parts.append(
+                f"<revision><id>{page * 3 + rev + 1}</id><timestamp>{_stamp(T0 + rng.randrange(400 * DAY))}</timestamp>"
+                f"<contributor><ip>{ip}</ip></contributor><text>x</text></revision>\n"
+            )
+        parts.append("</page>\n")
+    return "".join(parts) + tail
+
+
+class TestChildParses:
+    """Dumps parsed in forked children give what parsing them in process gives."""
+
+    @pytest.fixture
+    def dumps(self, tmp_path, fixture_dump, dewiki_dump):
+        """A large dump first, so that later dumps finish before it, then small ones."""
+        folder = tmp_path / "dumps"
+        folder.mkdir()
+        (folder / "enwiki-20241201-pages-meta-history1.xml").write_text(_dump_xml("enwiki", 1500, 1), encoding="utf-8")
+        (folder / "frwiki-20241201-pages-meta-history1.xml").write_text(_dump_xml("frwiki", 20, 2), encoding="utf-8")
+        (folder / fixture_dump.name).write_bytes(fixture_dump.read_bytes())
+        (folder / dewiki_dump.name).write_bytes(dewiki_dump.read_bytes())
+        return sorted(str(p) for p in folder.iterdir())[::-1]  # frwiki, fixturewiki, enwiki, dewiki
+
+    @staticmethod
+    def _extract(tmp_path, monkeypatch, cpus, dumps, *flags, tag=""):
+        """Run extract in a fresh directory with `cpus` usable CPUs. Returns
+        (exit code, output directory, stats or None)."""
+        run = tmp_path / f"cpus{cpus}{tag}"
+        run.mkdir()
+        monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forkjobs, "_FORK_MIN_BYTES", 0)  # these dumps are small
+        stats = run / "x.json"
+        code = run_cli("extract", *dumps, *flags, "--out", str(run / "out"), "--stats", str(stats))
+        summary = json.loads(stats.read_text(encoding="utf-8")) if stats.exists() else None
+        return code, run / "out", summary
+
+    @staticmethod
+    def _outputs(out):
+        """Every output file's bytes, and the manifest's inputs and outputs."""
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        manifest = out / "manifest.json"
+        if manifest.exists():
+            data = json.loads(manifest.read_text(encoding="utf-8"))
+            files["manifest.json"] = (data["inputs"], data["outputs"])
+        return files
+
+    @staticmethod
+    def _clean(out):
+        _assert_no_child_process()
+        assert not list(out.glob("*.tmp"))
+
+    def test_same_outputs_and_stats_as_in_process(self, tmp_path, monkeypatch, dumps):
+        runs = {cpus: self._extract(tmp_path, monkeypatch, cpus, dumps) for cpus in (2, 1)}
+        (code2, out2, forked), (code1, out1, in_process) = runs[2], runs[1]
+        assert code2 == code1 == 0
+        assert self._outputs(out2) == self._outputs(out1)
+        assert len(self._outputs(out1)) == len(dumps) + 2
+        assert {k: forked[k] for k in ("files", "totals")} == {k: in_process[k] for k in ("files", "totals")}
+        assert forked["workers"]["children_started"] == 2 and forked["workers"]["children_cpu_s"] > 0
+        assert in_process["workers"] == {"children_started": 0, "blocked_s": 0, "children_cpu_s": 0}
+        self._clean(out2)
+
+    def test_one_dump_parses_in_process(self, tmp_path, monkeypatch, dumps):
+        code, out, summary = self._extract(tmp_path, monkeypatch, 2, dumps[:1])
+        assert code == 0 and summary["workers"]["children_started"] == 0
+        self._clean(out)
+
+    def test_dumps_below_the_size_floor_parse_in_process(self, tmp_path, monkeypatch, fixture_dump, dewiki_dump):
+        monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: 2)
+        dumps = [str(fixture_dump), str(dewiki_dump)]
+        total = sum(os.path.getsize(d) for d in dumps)
+        for floor, children in ((total + 1, 0), (total, 2)):
+            monkeypatch.setattr(forkjobs, "_FORK_MIN_BYTES", floor)
+            stats = tmp_path / f"x{floor}.json"
+            assert run_cli("extract", *dumps, "--out", str(tmp_path / f"out{floor}"), "--stats", str(stats)) == 0
+            assert json.loads(stats.read_text(encoding="utf-8"))["workers"]["children_started"] == children
+            self._clean(tmp_path / f"out{floor}")
+
+    @pytest.mark.parametrize("keep_going", [False, True])
+    @pytest.mark.parametrize("late", [False, True])
+    def test_malformed_dump(self, tmp_path, monkeypatch, capsys, dumps, keep_going, late):
+        # A malformed dump fails at once, or only after 1000 good pages.
+        bad = Path(dumps[0]).parent / "npwiki-bad.xml"
+        broken = "<page><revision></page>"
+        bad.write_text(_dump_xml("npwiki", 1000, 3, tail=broken) if late else "<mediawiki>" + broken, encoding="utf-8")
+        order = [dumps[1], str(bad), dumps[0], dumps[3], dumps[2]]
+        flags = ["--keep-going"] if keep_going else []
+        results = []
+        for cpus in (2, 1):
+            code, out, summary = self._extract(tmp_path, monkeypatch, cpus, order, *flags)
+            err = capsys.readouterr().err
+            assert code == 1 and err.count("\n") == 1 and err.startswith(f"extract: {bad}: ")
+            results.append((code, err, self._outputs(out), summary and {k: summary[k] for k in ("files", "totals")}))
+            self._clean(out)
+        assert results[0] == results[1]
+        names = set(results[0][2])
+        if keep_going:
+            assert "records.tsv" in names and "npwiki-bad.records.tsv" not in names
+        else:
+            assert names == {Path(order[0]).stem + ".records.tsv"}
+
+    @pytest.mark.parametrize("keep_going", [False, True])
+    def test_child_killed_mid_parse(self, tmp_path, monkeypatch, capsys, dumps, keep_going):
+        real = cli._parse_dump
+        victim = dumps[2]
+
+        def dying(cfg, dump, site, out_path):
+            if dump == victim:
+                Path(f"{out_path}.tmp").write_text("timestamp\tsite\tip\n", encoding="utf-8")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(cfg, dump, site, out_path)
+
+        monkeypatch.setattr(cli, "_parse_dump", dying)
+        flags = ["--keep-going"] if keep_going else []
+        code, out, summary = self._extract(tmp_path, monkeypatch, 2, dumps, *flags)
+        assert code == 1 and summary is None
+        assert capsys.readouterr().err == f"extract: {victim}: parse ended without a result (exit status -9)\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(Path(d).stem + ".records.tsv" for d in dumps[:2])
+        self._clean(out)
+
+    def test_interrupt_leaves_no_child_and_no_output(self, tmp_path, monkeypatch, dumps):
+        calls = []
+
+        class Interrupted(forkjobs.ForkedJobs):
+            def ready(self):
+                calls.append(len(self.running))
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+                return super().ready()
+
+        monkeypatch.setattr(forkjobs, "ForkedJobs", Interrupted)
+        code, out, summary = self._extract(tmp_path, monkeypatch, 2, dumps)
+        assert code == 1 and summary is None and calls == [2, 2]
+        assert "records.tsv" not in {p.name for p in out.iterdir()}
+        self._clean(out)
+
+
+class TestResourceWarnings:
+    """Stages under ``python -X dev`` leave no file unclosed."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from wikiv6 import cli, forkjobs\n"
+        "forkjobs._FORK_MIN_BYTES = 0\n"
+        "forkjobs._usable_cpus = lambda: int(sys.argv[1])\n"
+        "sys.exit(cli.main(sys.argv[2:]))\n"
+    )
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_extract_and_attribute(self, tmp_path, fixture_dump, dewiki_dump, cpus):
+        out = tmp_path / "out"
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("".join(f"rib = {rib}\n" for rib in _write_ribs(tmp_path)), encoding="utf-8")
+        for stage, args in (("extract", [str(fixture_dump), str(dewiki_dump)]), ("attribute", ["--config", str(cfg)])):
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "always::ResourceWarning", "-c", self.SCRIPT, str(cpus), stage,
+                 *args, "--out", str(out), "--stats", str(tmp_path / f"{stage}.json")],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "ResourceWarning" not in proc.stderr, proc.stderr
+        workers = json.loads((tmp_path / "extract.json").read_text(encoding="utf-8"))["workers"]
+        assert workers["children_started"] == (2 if cpus > 1 else 0)
 
 
 def test_console_entrypoint_smoke():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import mrt_synth as synth
 import oracles
-from wikiv6 import netaddr, ribstore
+from wikiv6 import forkjobs, netaddr, ribstore
 from wikiv6.ingest import EditRecord, SiteId, parse_timestamp
 from wikiv6.ribstore import (
     BadPrefixTable,
@@ -1065,7 +1065,7 @@ class TestChildDecodes:
 
     @pytest.fixture(autouse=True)
     def _fork_small_files(self, monkeypatch):
-        monkeypatch.setattr(ribstore, "_FORK_MIN_BYTES", 0)
+        monkeypatch.setattr(forkjobs, "_FORK_MIN_BYTES", 0)
 
     def _files(self, tmp_path, count, cut=None):
         """`count` daily MRT snapshots; snapshot `cut` loses its last 3 bytes. Returns
@@ -1093,7 +1093,7 @@ class TestChildDecodes:
         paths, offset = self._files(tmp_path, 3, cut=1)
         errors = []
         for cpus in (2, 1):
-            monkeypatch.setattr(ribstore, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: cpus)
             decode = ribstore.DecodeStats()
             with pytest.raises(TruncatedRecord) as info:
                 list(attribute(self._records([0, 1]), RibTimeline.from_files(paths), decode))
@@ -1104,7 +1104,7 @@ class TestChildDecodes:
         assert offset > 0
 
     def test_closing_early_leaves_no_child(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ribstore, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: 2)
         paths, _ = self._files(tmp_path, 4)
         timeline = RibTimeline.from_files(paths)
         _no_child_process()  # from_files starts none
@@ -1116,7 +1116,7 @@ class TestChildDecodes:
         _no_child_process()
 
     def test_hand_built_entries_load_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ribstore, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: 2)
         paths, _ = self._files(tmp_path, 2)
         built = RibTimeline.from_files(paths)
         by_hand = RibTimeline([TimelineEntry(e.captured_at, e._loader) for e in built.entries])
@@ -1127,11 +1127,11 @@ class TestChildDecodes:
         assert [e.path for e in built.entries] == paths
 
     def test_files_below_the_size_floor_load_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ribstore, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: 2)
         paths, _ = self._files(tmp_path, 3)
         total = sum(os.path.getsize(p) for p in paths)
         for floor, forked in ((total + 1, False), (total, True)):
-            monkeypatch.setattr(ribstore, "_FORK_MIN_BYTES", floor)
+            monkeypatch.setattr(forkjobs, "_FORK_MIN_BYTES", floor)
             decode = ribstore.DecodeStats()
             assert len(list(attribute(self._records([0, 1, 2]), RibTimeline.from_files(paths), decode))) == 3
             assert (decode.children_started, decode.snapshots_adopted) == ((2, 3) if forked else (0, 0))
@@ -1159,7 +1159,7 @@ class TestScaleHarness:
         report = json.loads(proc.stdout)
         assert (report["snapshots"], report["records"], report["v4_prefixes"], report["peers"]) == (3, 9, 8000, 2)
         assert report["attribute_children_s"] > 0 and report["attribute_in_process_s"] > 0
-        forked = ribstore._usable_cpus() > 1
+        forked = forkjobs._usable_cpus() > 1
         assert report["decode"]["snapshots_adopted"] == (3 if forked else 0)
         assert 0 < report["maxrss_kb_after_children_run"] <= report["maxrss_kb"]
         assert (report["maxrss_kb_children"] > 0) == forked
