@@ -20,12 +20,11 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from ipaddress import ip_network
 from itertools import accumulate, chain, repeat
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .ingest import EditRecord
-from .netaddr import V6_KEY as _V6, OuiDatabase, UNLISTED, eui64_mac, key_text, parse_ip
+from .netaddr import V6_KEY as _V6, OuiDatabase, UNLISTED, eui64_mac, key_text, parse_key, prefix_key
 from .ribstore import AttributedRecord, OriginAs
 
 V4 = "v4"
@@ -446,8 +445,7 @@ def table_vendor_counts(agg: PartialAggregate, db: OuiDatabase) -> ReportTable:
     )
 
 
-@dataclass(frozen=True)
-class HitlistEntry:
+class HitlistEntry(NamedTuple):
     month: int  # _month of the row's date, in UTC when it has an offset
     prefix_int: int
     length: int
@@ -472,14 +470,13 @@ def parse_hitlist_line(line: str) -> Optional[HitlistEntry]:
             # OverflowError when the offset moves year 1 or 9999 out of range.
             when = when.astimezone(timezone.utc)
         if "/" in target:
-            net = ip_network(target, strict=False)
-            value, length = int(net.network_address), net.prefixlen
+            version, value, length = prefix_key(target, strict=False)
         else:
-            net = parse_ip(target)
-            value, length = int(net), 128
+            key = parse_key(target)
+            version, value, length = (6, key ^ _V6, 128) if key >> 128 else (4, key, 32)
     except (ValueError, OverflowError) as exc:
         raise BadHitlistRow(line) from exc
-    if net.version != 6:
+    if version != 6:
         raise BadHitlistRow(line)
     return HitlistEntry(_month(when), value, length)
 
@@ -499,13 +496,17 @@ def read_hitlist(lines: Iterable[str]) -> tuple[list[HitlistEntry], int]:
     return entries, bad
 
 
-def table_hitlist_overlap(agg: PartialAggregate, hitlist: Iterable[HitlistEntry]) -> ReportTable:
+def table_hitlist_overlap(agg: PartialAggregate, hitlist: Iterable[tuple[int, int, int]]) -> ReportTable:
+    """Per month, the corpus /48s and those inside a prefix `hitlist` lists that month.
+
+    `hitlist` holds ``HitlistEntry`` rows or plain ``(month, prefix_int, length)`` tuples.
+    """
     # Per month and shift, the listed prefixes' tops: a /48 is in a /L entry
     # (L <= 48) iff its top >> (48 - L) is; /48 and longer entries are shift 0.
     listed: dict[int, dict[int, set[int]]] = {}
-    for entry in hitlist:
-        shift = 48 - min(entry.length, 48)
-        listed.setdefault(entry.month, {}).setdefault(shift, set()).add(entry.prefix_int >> (80 + shift))
+    for month, prefix_int, length in hitlist:
+        shift = 48 - min(length, 48)
+        listed.setdefault(month, {}).setdefault(shift, set()).add(prefix_int >> (80 + shift))
 
     rows = []
     for month, tops in sorted(agg.month_48s.items()):

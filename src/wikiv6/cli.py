@@ -11,6 +11,7 @@ import argparse
 import functools
 import hashlib
 import heapq
+import io
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from . import __version__, ingest
+from . import __version__, analytics, ingest, netaddr
 from .analytics import (
     TABLE_NAMES,
     aggregate,
@@ -47,7 +48,7 @@ from .ingest import (
     read_records,
     write_records,
 )
-from .netaddr import EMPTY_OUI_DATABASE, BadCsv, load_oui_database
+from .netaddr import EMPTY_OUI_DATABASE, BadCsv, OuiDatabase, load_oui_database
 from .ribstore import (
     BadPrefixTable,
     DecodeStats,
@@ -185,22 +186,29 @@ def _sha256(path: str) -> str:
         return _DigestReader(fh).digest_to_end()
 
 
-class _DigestReader:
+class _DigestReader(io.BufferedIOBase):
     """A binary reader that hashes what passes through it, so a parsed input
-    needs no second read for its manifest digest."""
+    needs no second read for its manifest digest. A ``TextIOWrapper`` can read
+    through it; detach the wrapper, as closing it closes no file."""
 
     def __init__(self, raw):
         self._raw = raw
         self._sha = hashlib.sha256()
 
-    def read(self, size: int = -1) -> bytes:
+    def readable(self) -> bool:
+        return True
+
+    def read(self, size: Optional[int] = -1) -> bytes:
         data = self._raw.read(size)
         self._sha.update(data)
         return data
 
+    read1 = read
+
     def digest_to_end(self) -> str:
         """Hash whatever is left unread, then return the manifest digest."""
-        while self.read(1 << 20):
+        # In 64 KiB reads: a 1 MiB buffer, taken at the end of a stage, raised its peak RSS by as much.
+        while self.read(1 << 16):
             pass
         return "sha256:" + self._sha.hexdigest()
 
@@ -311,6 +319,32 @@ def external_sort_lines(sources: Sequence[str], sink_path: str, header: str, chu
     return total
 
 
+# Below these many bytes of input a stage's work stays in process, where it costs
+# less than children do, as measured on a shared 2-vCPU host.
+# Dumps parse at about 78 ms per MB in process and 45 with two children, which
+# cost about 16 ms more to start: even near 1.8 MB.
+_PARSE_MIN_BYTES = 2 << 20
+# The OUI CSV loads at about 22 ms per MB plus 5 ms; a child costs the parent
+# about 12 ms (fork, reap, copy-on-write faults while it aggregates) plus 4 ms
+# per MB to take its result: even near 0.4 MB.
+_LOAD_MIN_BYTES = 512 << 10
+
+# The workers block of a stage's stats when it forks no child, as forkjobs.WorkerStats writes it.
+_NO_WORKERS = {"children_started": 0, "blocked_s": 0.0, "children_cpu_s": 0.0}
+
+
+def _forked_jobs(run, input_bytes: int, min_bytes: int, most: int):
+    """A ``forkjobs.ForkedJobs`` that runs `run` in up to `most` children, or None
+    where the work stays in process. Input under `min_bytes` is turned away
+    before ``forkjobs`` is imported, so that such runs never compile it."""
+    if input_bytes < min_bytes:
+        return None
+    from .forkjobs import ForkedJobs, WorkerStats, fork_workers
+
+    workers = min(fork_workers(input_bytes, min_bytes), most)
+    return ForkedJobs(run, workers, WorkerStats()) if workers else None
+
+
 def _parse_dump(cfg: PipelineConfig, dump: str, site: SiteId, out_path: str) -> tuple:
     """Parse `dump` into `out_path` + ".tmp", which the caller commits.
 
@@ -336,20 +370,20 @@ def _parse_dump(cfg: PipelineConfig, dump: str, site: SiteId, out_path: str) -> 
     return ("ok", stats.as_dict(), digest) if error is None else ("failed", str(error), digest)
 
 
-def _parsed_dumps(cfg: PipelineConfig, plans: list, workers: int, stats) -> Iterator[tuple]:
+def _parsed_dumps(cfg: PipelineConfig, plans: list, jobs) -> Iterator[tuple]:
     """Each planned ``(dump, site, out_path)``'s ``_parse_dump`` outcome, in
     config order, with its records committed to `out_path` on success.
 
-    With two or more `workers`, dumps parse in forked children and the parent
-    takes whichever result comes first, so that no child idles while an earlier
-    dump is still parsing. A child that ends without a result gives a ``"lost"``
-    outcome. Once an outcome ends the run, no later dump starts and the children
-    parsing later dumps are killed. However the caller stops, every child is
-    reaped and no ``.tmp`` file of a dump is left behind.
+    With `jobs`, a ``forkjobs.ForkedJobs`` whose job i parses dump i, dumps
+    parse in forked children and the parent takes whichever result comes first,
+    so that no child idles while an earlier dump is still parsing. A child that
+    ends without a result gives a ``"lost"`` outcome. Once an outcome ends the
+    run, no later dump starts and the children parsing later dumps are killed.
+    However the caller stops, every child is reaped and no ``.tmp`` file of a
+    dump is left behind. Without `jobs`, dumps parse in process.
     """
-    from .forkjobs import ChildLost, ForkedJobs
-
-    jobs = ForkedJobs(lambda i: _parse_dump(cfg, *plans[i]), workers, stats) if workers > 1 else None
+    if jobs is not None:
+        from .forkjobs import ChildLost
     done: dict[int, tuple] = {}
     upcoming = 0  # the first dump not started
     last = len(plans)  # no dump from here on starts
@@ -392,9 +426,6 @@ def cmd_extract(cfg: PipelineConfig) -> int:
     if not cfg.dumps:
         print("extract: no inputs (configure 'dump =' lines or pass dump paths)", file=sys.stderr)
         return EXIT_USAGE
-    # Imported here, as ribstore imports it: the other stages do not compile it.
-    from .forkjobs import WorkerStats, fork_workers
-
     outdir = Path(cfg.out)
     plans: list[tuple[str, SiteId, str]] = []
     writers: dict[str, str] = {}  # per-dump output name -> the dump it is written for
@@ -414,13 +445,14 @@ def cmd_extract(cfg: PipelineConfig) -> int:
     # Spans a tracer records in a child would be lost: patched runs parse in process.
     patched = parse_dump_stream is not ingest.parse_dump_stream or write_records is not ingest.write_records
     size = sum(os.path.getsize(dump) for dump in cfg.dumps if os.path.isfile(dump))
-    workers = 0 if patched else min(fork_workers(size), len(plans))
-    worker_stats = WorkerStats()
+    jobs = None
+    if not patched and len(plans) > 1:
+        jobs = _forked_jobs(lambda i: _parse_dump(cfg, *plans[i]), size, _PARSE_MIN_BYTES, len(plans))
     per_file: dict[str, dict] = {}
     merged_sources: list[str] = []
     digests: dict[str, str] = {}
     failed = 0
-    with closing(_parsed_dumps(cfg, plans, workers, worker_stats)) as outcomes:
+    with closing(_parsed_dumps(cfg, plans, jobs)) as outcomes:
         for (dump, _, out_path), (kind, detail, digest) in zip(plans, outcomes):
             if digest is not None:
                 digests[dump] = digest
@@ -440,7 +472,7 @@ def cmd_extract(cfg: PipelineConfig) -> int:
     for stats_dict in per_file.values():
         for key, value in stats_dict.items():
             totals[key] = totals.get(key, 0) + value
-    summary = {"files": per_file, "totals": totals, "workers": worker_stats.as_dict()}
+    summary = {"files": per_file, "totals": totals, "workers": _NO_WORKERS if jobs is None else jobs.stats.as_dict()}
     _write_stats(cfg, summary)
     write_manifest(
         cfg,
@@ -555,6 +587,62 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
+def _read_hashed(path: str, load) -> tuple:
+    """``(load(stream), digest)`` for `path` opened for binary reading; the
+    digest is None where `path` is not a regular file."""
+    with open(path, "rb") as raw:
+        if not Path(path).is_file():
+            return load(raw), None
+        reader = _DigestReader(raw)
+        return load(reader), reader.digest_to_end()
+
+
+def _read_hitlist_bytes(stream) -> tuple:
+    # Decoded as a text-mode open does: UTF-8 with surrogateescape, universal newlines.
+    text = io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape")
+    try:
+        return read_hitlist(text)
+    finally:
+        text.detach()  # so that only the caller closes the file
+
+
+def _load_side_inputs(cfg: PipelineConfig, oui: bool, hitlist: bool) -> tuple:
+    """Load the OUI database if `oui` and the hitlist if `hitlist`, each with its digest.
+
+    Returns ``("ok", oui part, hitlist part)`` or ``("failed", error line)``,
+    marshal-able so that a forked child can send it back. The OUI part is
+    ``(entries, duplicate_rows, bad_rows, digest)`` and the hitlist part
+    ``(rows as plain tuples, skipped rows, digest)``; either is None where not
+    asked for. An OUI error is returned before the hitlist is read.
+    """
+    oui_part = hitlist_part = None
+    if oui:
+        try:
+            db, digest = _read_hashed(cfg.oui, load_oui_database)
+        except (BadCsv, UnicodeDecodeError, OSError) as exc:
+            return ("failed", f"report: {cfg.oui}: {exc}")
+        oui_part = (db.entries, db.duplicate_rows, db.bad_rows, digest)
+    if hitlist:
+        try:
+            (entries, bad), digest = _read_hashed(cfg.hitlist, _read_hitlist_bytes)
+        except OSError as exc:
+            return ("failed", f"report: {cfg.hitlist}: {exc}")
+        hitlist_part = (list(map(tuple, entries)), bad, digest)
+    return ("ok", oui_part, hitlist_part)
+
+
+def _loading_child(paths: list, load):
+    """A ``forkjobs.ForkedJobs`` whose one child runs `load` as job 0, or None
+    where the side inputs at `paths` load in process: none are needed, a tracer
+    has patched a loader (its spans would be lost in a child), they are under
+    the floor, or no child can be forked."""
+    if not paths or load_oui_database is not netaddr.load_oui_database or read_hitlist is not analytics.read_hitlist:
+        return None
+    size = sum(os.path.getsize(p) for p in paths if os.path.isfile(p))
+    jobs = _forked_jobs(lambda _: load(), size, _LOAD_MIN_BYTES, 1)
+    return jobs if jobs is not None and jobs.start(0) else None
+
+
 def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
     requested = list(TABLE_NAMES) if "all" in names else list(dict.fromkeys(names))
     unknown = [n for n in requested if n not in TABLE_NAMES]
@@ -584,42 +672,61 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
         return EXIT_USAGE
 
     inputs = [source]
+    digests: dict[str, str] = {}
     summary: dict = {"records": 0}
-    db = EMPTY_OUI_DATABASE
-    if cfg.oui and any(n in requested for n in ("eui64_weekly", "eui64_fraction", "vendor_counts")):
-        try:
-            with open(cfg.oui, "rb") as fh:
-                db = load_oui_database(fh)
-        except (BadCsv, UnicodeDecodeError, OSError) as exc:
-            print(f"report: {cfg.oui}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        inputs.append(cfg.oui)
-        summary["oui"] = {"entries": len(db), "bad_rows": db.bad_rows, "duplicate_rows": db.duplicate_rows}
-
-    entries = []
-    if "hitlist_overlap" in requested:
-        try:
-            with open(cfg.hitlist, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                entries, bad = read_hitlist(fh)
-        except OSError as exc:
-            print(f"report: {cfg.hitlist}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        if bad:
-            print(f"report: skipped {bad} malformed hitlist row(s)", file=sys.stderr)
-        inputs.append(cfg.hitlist)
-        summary["hitlist"] = {"entries": len(entries), "skipped_rows": bad}
+    need_oui = bool(cfg.oui) and any(n in requested for n in ("eui64_weekly", "eui64_fraction", "vendor_counts"))
+    need_hitlist = "hitlist_overlap" in requested
+    side = [path for path, needed in ((cfg.oui, need_oui), (cfg.hitlist, need_hitlist)) if needed]
+    load = functools.partial(_load_side_inputs, cfg, need_oui, need_hitlist)
+    jobs = _loading_child(side, load)
 
     def counted(records):
         for record in records:
             summary["records"] += 1
             yield record
 
+    # The side inputs' errors come before the TSV's, as the in-process order
+    # (OUI, hitlist, TSV) gives them; a child's result is taken before either.
+    error = None
     try:
-        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            agg = aggregate(counted(read_attributed(fh) if have_attributed else read_records(fh)))
-    except (BadRow, OSError) as exc:
-        print(f"report: {source}: {exc}", file=sys.stderr)
+        loaded = load() if jobs is None else None
+        if loaded is None or loaded[0] == "ok":
+            try:
+                with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
+                    agg = aggregate(counted(read_attributed(fh) if have_attributed else read_records(fh)))
+            except (BadRow, OSError) as exc:
+                error = f"report: {source}: {exc}"
+        if jobs is not None:
+            from .forkjobs import ChildLost
+
+            try:
+                loaded = jobs.result(0)
+            except ChildLost as exc:
+                loaded = ("failed", f"report: {', '.join(side)}: load {exc}")
+    finally:
+        if jobs is not None:
+            jobs.close()
+    if loaded[0] == "failed":
+        print(loaded[1], file=sys.stderr)
         return EXIT_RUNTIME
+    _, oui, hitlist = loaded
+    db = EMPTY_OUI_DATABASE
+    if oui is not None:
+        entries, duplicates, bad, digests[cfg.oui] = oui
+        db = OuiDatabase(entries, duplicates, bad)
+        inputs.append(cfg.oui)
+        summary["oui"] = {"entries": len(db), "bad_rows": bad, "duplicate_rows": duplicates}
+    rows = []
+    if hitlist is not None:
+        rows, bad, digests[cfg.hitlist] = hitlist
+        if bad:
+            print(f"report: skipped {bad} malformed hitlist row(s)", file=sys.stderr)
+        inputs.append(cfg.hitlist)
+        summary["hitlist"] = {"entries": len(rows), "skipped_rows": bad}
+    if error is not None:
+        print(error, file=sys.stderr)
+        return EXIT_RUNTIME
+    summary["workers"] = _NO_WORKERS if jobs is None else jobs.stats.as_dict()
 
     # Builders are looked up by name when called, so a patched cli.table_<name> is the one run.
     eui64_pair = functools.cache(lambda: table_eui64_weekly(agg, db, cfg.top_vendors))
@@ -635,7 +742,7 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
         "eui64_weekly": lambda: eui64_pair()[0],
         "eui64_fraction": lambda: eui64_pair()[1],
         "vendor_counts": lambda: table_vendor_counts(agg, db),
-        "hitlist_overlap": lambda: table_hitlist_overlap(agg, entries),
+        "hitlist_overlap": lambda: table_hitlist_overlap(agg, rows),
     }
     tables = {name: builders[name]() for name in requested}
 
@@ -651,7 +758,7 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
             fh.write(table.to_json())
         outputs.extend([csv_path.name, json_path.name])
     _write_stats(cfg, summary)
-    write_manifest(cfg, "report", inputs=inputs, outputs=outputs)
+    write_manifest(cfg, "report", inputs=inputs, outputs=outputs, digests=digests)
     return EXIT_OK
 
 

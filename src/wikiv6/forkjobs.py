@@ -12,10 +12,13 @@ of the parent's cleanup runs in it a second time. The parent kills and reaps a
 child in ``cancel`` and ``close``.
 
 ``fork_workers`` says how many children a stage should start: none with one
-usable CPU, without ``os.fork``, or for less input than ``_FORK_MIN_BYTES``.
-Attribute's snapshot decodes (``ribfork``) and extract's dump parses
-(``cli.cmd_extract``) run on this module. They import it only where they ask
-``fork_workers``, so that ``report`` never compiles it.
+usable CPU, without ``os.fork``, or for less input than the floor its caller
+passes. Each kind of job has its own floor, measured where the work moved to
+a child repays what the children cost the parent (fork, copy-on-write
+faults, reaping, taking the result): attribute's snapshot decodes
+(``ribstore``, ``ribfork``), extract's dump parses and the OUI database and
+hitlist that report loads while it aggregates (both ``cli``). Callers check
+their floor before they import this module, so runs under it never compile it.
 """
 
 from __future__ import annotations
@@ -34,20 +37,16 @@ from typing import BinaryIO, Callable, Optional
 _LENGTH = struct.Struct(">Q")  # the length of a child's result, ahead of it
 _JOB = struct.Struct(">I")  # a job number sent to a child
 
-# Starting two children (fork, copy-on-write faults, a cold heap) costs about
-# as much as decoding 150 KiB of MRT; below this many bytes of input the
-# overlap does not repay it.
-_FORK_MIN_BYTES = 1 << 20
-
 
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def fork_workers(input_bytes: int) -> int:
-    """The children to run jobs over `input_bytes` of input files in; 0 means in process."""
+def fork_workers(input_bytes: int, min_bytes: int) -> int:
+    """The children to run jobs over `input_bytes` of input files in, given the
+    floor `min_bytes` for such jobs; 0 means in process."""
     cpus = _usable_cpus() if hasattr(os, "fork") else 1
-    return 0 if cpus < 2 or input_bytes < _FORK_MIN_BYTES else min(2, cpus)
+    return 0 if cpus < 2 or input_bytes < min_bytes else min(2, cpus)
 
 
 class WorkerStats:
@@ -85,6 +84,7 @@ class _Child:
 class ForkedJobs:
     """``run(job)`` for numbered jobs, in at most `workers` forked children.
 
+    ``stats`` is the `stats` object given, which counts what the children cost.
     ``running`` maps each job given to a child to that child until its result
     is taken. A fork that fails (no memory or process slot) leaves ``start``
     returning False and caps the children at those already running, so the
@@ -94,7 +94,7 @@ class ForkedJobs:
     def __init__(self, run: Callable[[int], object], workers: int, stats: WorkerStats):
         self._run = run
         self._workers = workers
-        self._stats = stats
+        self.stats = stats
         self._children: dict[int, _Child] = {}  # pid -> every child not yet reaped
         self._idle: list[_Child] = []
         self.running: dict[int, _Child] = {}
@@ -122,7 +122,7 @@ class ForkedJobs:
         fds = {child.results.fileno(): job for job, child in self.running.items()}
         start = perf_counter()
         readable, _, _ = select.select(list(fds), [], [])
-        self._stats.blocked_s += perf_counter() - start
+        self.stats.blocked_s += perf_counter() - start
         return min(fds[fd] for fd in readable)
 
     def result(self, job: int):
@@ -134,7 +134,7 @@ class ForkedJobs:
         start = perf_counter()
         header = child.results.read(_LENGTH.size)
         data = child.results.read(_LENGTH.unpack(header)[0]) if len(header) == _LENGTH.size else b""
-        self._stats.blocked_s += perf_counter() - start
+        self.stats.blocked_s += perf_counter() - start
         try:
             result = marshal.loads(data)
         except (EOFError, ValueError, TypeError):
@@ -193,7 +193,7 @@ class ForkedJobs:
         os.close(job_read)
         os.close(result_write)
         child = self._children[pid] = _Child(pid, job_write, open(result_read, "rb"))
-        self._stats.children_started += 1
+        self.stats.children_started += 1
         return child
 
     def _reap(self, child: _Child) -> int:
@@ -210,5 +210,5 @@ class ForkedJobs:
         del self._children[child.pid]
         if child in self._idle:
             self._idle.remove(child)
-        self._stats.children_cpu_s += usage.ru_utime + usage.ru_stime
+        self.stats.children_cpu_s += usage.ru_utime + usage.ru_stime
         return status

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network
+from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network, ip_network
 from typing import BinaryIO, Optional, TextIO, Union
 
 # The same functions socket re-exports, without the import cost of its enums.
@@ -155,6 +155,35 @@ def ip_key(ip: IpAddress) -> int:
     return int(ip) | V6_KEY if ip.version == 6 else int(ip)
 
 
+def prefix_key(text: str, strict: bool = True) -> tuple[int, int, int]:
+    """(IP version, network int, prefix length) of prefix text, as ``ip_network(text, strict)`` reads it.
+
+    Canonical ``address/length`` text is decoded with the address codec: a
+    length past the address width raises ValueError, and so do host bits when
+    `strict`; without it they are masked off. Any other spelling (a bare
+    address, a netmask, a non-canonical or scoped address) is left to
+    ``ip_network``.
+    """
+    address, slash, length = text.partition("/")
+    if slash and length.isascii() and length.isdigit():
+        try:
+            key, canonical = canonical_key(address)
+        except NotAnIp:
+            canonical = False
+        if canonical:
+            version, width = (6, 128) if key >> 128 else (4, 32)
+            plen = int(length)
+            if plen > width:
+                raise ValueError(f"not a {width}-bit network: {text!r}")
+            network = key & (V6_KEY - 1)
+            host = network & ((1 << (width - plen)) - 1)
+            if host and strict:
+                raise ValueError(f"host bits set: {text!r}")
+            return version, network ^ host, plen
+    net = ip_network(text, strict)
+    return net.version, int(net.network_address), net.prefixlen
+
+
 def parse_ip(text: str) -> IpAddress:
     """Parse an IPv4/IPv6 address in any case or compression style (see ``parse_key``)."""
     return key_ip(parse_key(text))
@@ -236,19 +265,21 @@ def embed_mac(mac: Mac48, prefix64: Prefix) -> IPv6Address:
 class OuiDatabase:
     """Read-only map from 3-byte OUI to organization name.
 
-    Lookups are total: anything unmapped resolves to ``UNLISTED``.
+    Lookups are total: anything unmapped resolves to ``UNLISTED``. ``entries``
+    is the map given, kept without a copy: neither the database nor its
+    caller changes it afterwards.
     """
 
     def __init__(self, entries: dict[bytes, str], duplicate_rows: int = 0, bad_rows: int = 0):
-        self._entries = dict(entries)
+        self.entries = entries
         self.duplicate_rows = duplicate_rows
         self.bad_rows = bad_rows
 
     def vendor(self, oui: bytes) -> str:
-        return self._entries.get(oui, UNLISTED)
+        return self.entries.get(oui, UNLISTED)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
 
 EMPTY_OUI_DATABASE = OuiDatabase({})
@@ -271,9 +302,8 @@ def load_oui_database(stream: Union[BinaryIO, TextIO]) -> OuiDatabase:
     counted and skipped. A missing header, or a line the csv module cannot
     parse (such as a field over its size limit), is a file-level error.
     """
-    if isinstance(stream.read(0), bytes):
-        stream = io.TextIOWrapper(stream, encoding="utf-8", newline="")
-    reader = csv.reader(stream)
+    wrapper = io.TextIOWrapper(stream, encoding="utf-8", newline="") if isinstance(stream.read(0), bytes) else None
+    reader = csv.reader(wrapper or stream)
     try:
         header = next(reader, None)
         if header is None:
@@ -303,4 +333,7 @@ def load_oui_database(stream: Union[BinaryIO, TextIO]) -> OuiDatabase:
             entries[oui] = row[org_col].strip()
     except csv.Error as exc:
         raise BadCsv(f"line {reader.line_num}: {exc}") from None
+    finally:
+        if wrapper is not None:
+            wrapper.detach()  # so that only the caller closes `stream`
     return OuiDatabase(entries, duplicate_rows=duplicates, bad_rows=bad)

@@ -32,12 +32,12 @@ from dataclasses import InitVar, dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from itertools import chain
-from ipaddress import IPv4Network, IPv6Network, ip_network
+from ipaddress import IPv4Network, IPv6Network
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
 
 from .ingest import EditRecord, Record, SiteId, format_record, format_timestamp, parse_timestamp, read_rows
-from .netaddr import V6_KEY, IpAddress, NotAnIp, Prefix, canonical_key, ip_key, parse_key
+from .netaddr import V6_KEY, IpAddress, Prefix, ip_key, parse_key, prefix_key
 
 MRT_TABLE_DUMP_V2 = 13
 TD2_PEER_INDEX_TABLE = 1
@@ -129,30 +129,6 @@ def _prefix_key(prefix: Prefix) -> RouteKey:
 
 
 _ADDRESS = V6_KEY - 1  # the address bits of a key
-
-
-def _route_key(text: str) -> RouteKey:
-    """The route key of a prefix table's prefix text, as ``_prefix_key(ip_network(text))``.
-
-    Canonical ``address/length`` text is decoded with the address codec; a
-    length past the address width or host bits set raise ValueError, as
-    ``ip_network`` does. Any other spelling (a bare address, a netmask, a
-    non-canonical address) is left to ``ip_network``.
-    """
-    address, slash, length = text.partition("/")
-    if slash and length.isascii() and length.isdigit():
-        try:
-            key, canonical = canonical_key(address)
-        except NotAnIp:
-            canonical = False
-        if canonical:
-            version, width = (6, 128) if key >> 128 else (4, 32)
-            network = key & _ADDRESS
-            plen = int(length)
-            if plen > width or network & ((1 << (width - plen)) - 1):
-                raise ValueError(f"not a {width}-bit network: {text!r}")
-            return (version, network, plen)
-    return _prefix_key(ip_network(text))
 
 
 def _entry(route: Route) -> tuple[Prefix, OriginAs]:
@@ -418,7 +394,7 @@ def load_prefix_table(lines: Iterable[str]) -> RibSnapshot:
             bad_rows += 1
             continue
         try:
-            key = _route_key(parts[0])
+            key = prefix_key(parts[0])
             origin = origins.get(parts[1]) or origins.setdefault(parts[1], OriginAs.parse(parts[1]))
         except ValueError:
             bad_rows += 1
@@ -664,18 +640,26 @@ class DecodeStats:
         return {name: round(getattr(self, name), 6) for name in self.__slots__}
 
 
+# Starting two decoders (fork, copy-on-write faults, a cold heap) costs about as
+# much as decoding 150 KiB of MRT; below this many bytes of snapshot files the
+# overlap does not repay it.
+_DECODE_MIN_BYTES = 1 << 20
+
+
 def _child_decodes(entries: list[TimelineEntry], stats: DecodeStats):
     """A ``ribfork.ChildDecodes`` for the timeline's snapshot files, or None where
-    ``forkjobs.fork_workers`` says they load in process."""
-    # Imported here: every stage imports this module, and compiles what it imports
-    # when there is no bytecode cache.
-    from .forkjobs import fork_workers
-
+    they are under the floor or ``forkjobs.fork_workers`` says they load in process."""
     try:
         size = sum(os.path.getsize(e.path) for e in entries if e.path is not None)
     except OSError:  # a file gone since from_files: its load reports that
         size = 0
-    workers = fork_workers(size)
+    if size < _DECODE_MIN_BYTES:
+        return None
+    # Imported here: every stage imports this module, and compiles what it imports
+    # when there is no bytecode cache.
+    from .forkjobs import fork_workers
+
+    workers = fork_workers(size, _DECODE_MIN_BYTES)
     if not workers:
         return None
     from .ribfork import ChildDecodes

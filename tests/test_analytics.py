@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from datetime import date, datetime, timedelta, timezone
-from ipaddress import IPv4Address, IPv6Address, ip_address
+from ipaddress import IPv4Address, IPv6Address, ip_address, ip_network
 from pathlib import Path
 
 import pytest
@@ -16,11 +16,13 @@ from conftest import DATA
 from corpus import synth_corpus, synth_hitlist
 from wikiv6.analytics import (
     TABLE_NAMES,
+    BadHitlistRow,
     PartialAggregate,
     ReportTable,
     aggregate,
     merge,
     month_label,
+    parse_hitlist_line,
     read_hitlist,
     round_fraction,
     round_percent,
@@ -418,6 +420,48 @@ class TestHitlistOverlap:
         for entry in entries:
             assert 0 <= entry.length <= 128 and 0 <= entry.prefix_int < 1 << 128
             assert len(month_label(entry.month)) == 7
+
+    # Spellings the address-key codec must read as ip_network(strict=False) does, or hand to it.
+    PREFIX_SPELLINGS = [
+        "2001:db8::/32", "2001:db8::1/32", "2001:db8:77:1::/48", "2001:DB8::/32", "2001:Db8::1/64",
+        "2001:0db8:0000:0000:0000:0000:0000:0000/32", "2001:db8:0:0:0:0:0:1/128", "::/0", "::1/0", "::/128",
+        "::ffff:1.2.3.4/96", "::1.2.3.4/120", "::ffff:102:304/96", "10.0.0.0/8", "10.1.2.3/8", "0.0.0.0/0",
+        "2001:db8::/129", "2001:db8::/200", "10.0.0.0/33", "2001:db8::/048", "2001:db8::/0048", "2001:db8::/+48",
+        "2001:db8::/-1", "2001:db8::/ 48", "2001:db8::/48 ", " 2001:db8::/48", "2001:db8::/4 8", "2001:db8::/",
+        "/48", "2001:db8::/48/48", "2001:db8::/0x30", "2001:db8::/\u0664\u0668", "fe80::1%eth0/64",
+        "fe80::%eth0/10", "fe80::1%/64", "1.2.3.4/255.0.0.0", "2001:db8::/ffff::", "2001:db8:::/48",
+        "02001:db8::/48", "2001:db8::\udcff/48", "\udc80/48",
+    ]
+
+    @staticmethod
+    def _reference(target):
+        """(prefix int, length) as ip_network(strict=False) reads `target`, or BadHitlistRow."""
+        try:
+            net = ip_network(target, strict=False)
+        except ValueError:
+            return BadHitlistRow
+        return (int(net.network_address), net.prefixlen) if net.version == 6 else BadHitlistRow
+
+    @staticmethod
+    def _parsed(target):
+        try:
+            entry = parse_hitlist_line(f"2015-06-01\t{target}\n")
+        except BadHitlistRow:
+            return BadHitlistRow
+        return entry.prefix_int, entry.length
+
+    @pytest.mark.parametrize("target", PREFIX_SPELLINGS)
+    def test_prefix_rows_match_ip_network(self, target):
+        assert self._parsed(target) == self._reference(target)
+
+    def test_random_prefix_rows_match_ip_network(self):
+        rng = random.Random(48)
+        for _ in range(2000):
+            v6 = rng.random() < 0.8
+            address = IPv6Address(rng.getrandbits(128) >> rng.choice([0, 16, 64, 100])) if v6 else IPv4Address(rng.getrandbits(32))
+            text = str(address) if rng.random() < 0.7 else address.exploded.upper()
+            target = f"{text}/{rng.randrange(0, 134 if v6 else 36)}"
+            assert self._parsed(target) == self._reference(target), target
 
     def test_matches_naive_oracle(self):
         records = synth_corpus(2000, seed=91)

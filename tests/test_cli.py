@@ -15,7 +15,8 @@ import pytest
 
 import mrt_synth as synth
 import oracles
-from wikiv6 import analytics, cli, forkjobs, ribfork, ribstore
+from corpus import synth_corpus, synth_hitlist
+from wikiv6 import analytics, cli, forkjobs, netaddr, ribfork, ribstore
 from wikiv6.cli import (
     ConfigError,
     PipelineConfig,
@@ -27,6 +28,10 @@ from wikiv6.cli import (
     validate_config,
 )
 from wikiv6.netaddr import load_oui_database
+
+
+# The workers block of a stage's stats when no child was started.
+IN_PROCESS = {"children_started": 0, "blocked_s": 0, "children_cpu_s": 0}
 
 
 def run_cli(*argv):
@@ -433,6 +438,7 @@ class TestReport:
             "records": len(rows),
             "oui": {"entries": len(db), "bad_rows": db.bad_rows, "duplicate_rows": db.duplicate_rows},
             "hitlist": {"entries": len(entries), "skipped_rows": skipped},
+            "workers": IN_PROCESS,
         }
         assert summary["records"] > 0 and summary["oui"]["entries"] > 0 and summary["hitlist"]["entries"] > 0
 
@@ -622,7 +628,7 @@ class TestMalformedInput:
         )
         assert run_cli("report", "weekly_by_version", "--config", str(cfg)) == 0
         # stderr holds only the stage stats, and they show no OUI database was loaded.
-        assert json.loads(capsys.readouterr().err) == {"records": 1}
+        assert json.loads(capsys.readouterr().err) == {"records": 1, "workers": IN_PROCESS}
         assert (tmp_path / "out" / "weekly_by_version.csv").read_text(encoding="utf-8").startswith("week,")
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
         assert str(oui) not in manifest["inputs"]
@@ -663,7 +669,7 @@ class TestMalformedInput:
         assert run_cli("report", "hitlist_overlap", "--config", str(cfg)) == 0
         message, _, stats = capsys.readouterr().err.partition("\n")
         assert message == "report: skipped 1 malformed hitlist row(s)"
-        assert json.loads(stats) == {"records": 1, "hitlist": {"entries": 1, "skipped_rows": 1}}
+        assert json.loads(stats) == {"records": 1, "hitlist": {"entries": 1, "skipped_rows": 1}, "workers": IN_PROCESS}
         assert (tmp_path / "out" / "hitlist_overlap.csv").read_text(encoding="utf-8") == (
             "month,wikimedia_48s,overlap_48s\n2015-06,1,1\n"
         )
@@ -818,7 +824,7 @@ class TestChildDecodes:
 
             monkeypatch.setattr(cli, "RibTimeline", Damaged)
         monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(forkjobs, "_FORK_MIN_BYTES", 0)  # these snapshot files are small
+        monkeypatch.setattr(ribstore, "_DECODE_MIN_BYTES", 0)  # these snapshot files are small
         stats = run / "a.json"
         code = run_cli("attribute", "--config", str(cfg), "--stats", str(stats))
         summary = json.loads(stats.read_text(encoding="utf-8")) if code == 0 else None
@@ -965,7 +971,7 @@ class TestChildParses:
         run = tmp_path / f"cpus{cpus}{tag}"
         run.mkdir()
         monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(forkjobs, "_FORK_MIN_BYTES", 0)  # these dumps are small
+        monkeypatch.setattr(cli, "_PARSE_MIN_BYTES", 0)  # these dumps are small
         stats = run / "x.json"
         code = run_cli("extract", *dumps, *flags, "--out", str(run / "out"), "--stats", str(stats))
         summary = json.loads(stats.read_text(encoding="utf-8")) if stats.exists() else None
@@ -994,7 +1000,7 @@ class TestChildParses:
         assert len(self._outputs(out1)) == len(dumps) + 2
         assert {k: forked[k] for k in ("files", "totals")} == {k: in_process[k] for k in ("files", "totals")}
         assert forked["workers"]["children_started"] == 2 and forked["workers"]["children_cpu_s"] > 0
-        assert in_process["workers"] == {"children_started": 0, "blocked_s": 0, "children_cpu_s": 0}
+        assert in_process["workers"] == IN_PROCESS
         self._clean(out2)
 
     def test_one_dump_parses_in_process(self, tmp_path, monkeypatch, dumps):
@@ -1007,7 +1013,7 @@ class TestChildParses:
         dumps = [str(fixture_dump), str(dewiki_dump)]
         total = sum(os.path.getsize(d) for d in dumps)
         for floor, children in ((total + 1, 0), (total, 2)):
-            monkeypatch.setattr(forkjobs, "_FORK_MIN_BYTES", floor)
+            monkeypatch.setattr(cli, "_PARSE_MIN_BYTES", floor)
             stats = tmp_path / f"x{floor}.json"
             assert run_cli("extract", *dumps, "--out", str(tmp_path / f"out{floor}"), "--stats", str(stats)) == 0
             assert json.loads(stats.read_text(encoding="utf-8"))["workers"]["children_started"] == children
@@ -1072,32 +1078,191 @@ class TestChildParses:
         self._clean(out)
 
 
+class TestChildLoads:
+    """The OUI CSV and the hitlist loaded in a forked child, while report
+    aggregates the records, give what loading them in process gives."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path, oui_csv):
+        """(config path, OUI path, hitlist path) for a synthetic attributed corpus."""
+        records = sorted(synth_corpus(3000, seed=17), key=lambda r: (r.timestamp, r.site.code, str(r.ip)))
+        attributed = tmp_path / "attributed.tsv"
+        with open(attributed, "w", encoding="utf-8") as sink:
+            ribstore.write_attributed(records, sink)
+        hitlist = tmp_path / "hitlist.tsv"
+        hitlist.write_text("".join(synth_hitlist(records)), encoding="utf-8")
+        oui = tmp_path / "oui.csv"
+        oui.write_bytes(oui_csv.read_bytes())
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"attributed = {attributed}\noui = {oui}\nhitlist = {hitlist}\n", encoding="utf-8")
+        return cfg, oui, hitlist
+
+    @staticmethod
+    def _report(tmp_path, monkeypatch, capsys, cpus, cfg, *tables, floor=0, tag=""):
+        """Run report in a fresh directory with `cpus` usable CPUs and a size floor
+        of `floor` bytes (these files are small). Returns (exit code, stderr,
+        output directory, stats or None)."""
+        run = tmp_path / f"cpus{cpus}{tag}"
+        run.mkdir()
+        monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "_LOAD_MIN_BYTES", floor)
+        stats = run / "r.json"
+        capsys.readouterr()
+        code = run_cli("report", *tables, "--config", str(cfg), "--out", str(run / "out"), "--stats", str(stats))
+        summary = json.loads(stats.read_text(encoding="utf-8")) if stats.exists() else None
+        _assert_no_child_process()
+        return code, capsys.readouterr().err, run / "out", summary
+
+    def test_same_outputs_stderr_and_manifest_as_in_process(self, tmp_path, monkeypatch, capsys, corpus):
+        cfg, oui, hitlist = corpus
+        runs = {cpus: self._report(tmp_path, monkeypatch, capsys, cpus, cfg, "all") for cpus in (2, 1)}
+        (code2, err2, out2, forked), (code1, err1, out1, in_process) = runs[2], runs[1]
+        assert code2 == code1 == 0
+        assert err2 == err1 == "report: skipped 3 malformed hitlist row(s)\n"
+        files = {name: (out2 / name).read_bytes() for name in os.listdir(out2) if name != "manifest.json"}
+        assert files == {name: (out1 / name).read_bytes() for name in os.listdir(out1) if name != "manifest.json"}
+        assert len(files) == 2 * len(analytics.TABLE_NAMES)
+        manifests = [json.loads((out / "manifest.json").read_text(encoding="utf-8")) for out in (out2, out1)]
+        assert manifests[0]["inputs"] == manifests[1]["inputs"] and manifests[0]["outputs"] == manifests[1]["outputs"]
+        for path in (oui, hitlist):
+            assert manifests[0]["inputs"][str(path)] == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+        assert forked.pop("workers")["children_started"] == 1
+        assert in_process.pop("workers") == IN_PROCESS
+        assert forked == in_process and forked["oui"]["entries"] > 0 and forked["hitlist"]["entries"] > 0
+
+    @pytest.mark.parametrize("bad", ["oui", "hitlist", "oui+hitlist"])
+    def test_side_input_error_comes_before_a_bad_tsv(self, tmp_path, monkeypatch, capsys, corpus, bad):
+        cfg, oui, hitlist = corpus
+        if "oui" in bad:
+            oui.write_text("foo,bar\n1,2\n", encoding="utf-8")
+        if "hitlist" in bad:
+            hitlist.unlink()
+            hitlist.mkdir()
+        attributed = tmp_path / "attributed.tsv"
+        with open(attributed, "ab") as fh:
+            fh.write(b"not a row\n")
+        first = oui if "oui" in bad else hitlist
+        errors = []
+        for cpus in (2, 1):
+            code, err, out, summary = self._report(tmp_path, monkeypatch, capsys, cpus, cfg, "all")
+            assert code == 1 and summary is None and not list(out.glob("*"))
+            assert err.count("\n") == 1 and err.startswith(f"report: {first}: "), err
+            errors.append(err)
+        assert errors[0] == errors[1]
+
+    def test_bad_tsv_after_good_side_inputs(self, tmp_path, monkeypatch, capsys, corpus):
+        cfg, _, _ = corpus
+        with open(tmp_path / "attributed.tsv", "ab") as fh:
+            fh.write(b"not a row\n")
+        errors = []
+        for cpus in (2, 1):
+            code, err, _, _ = self._report(tmp_path, monkeypatch, capsys, cpus, cfg, "all")
+            skipped, tsv_line, rest = err.split("\n")
+            assert code == 1 and skipped == "report: skipped 3 malformed hitlist row(s)" and rest == ""
+            assert tsv_line.startswith(f"report: {tmp_path / 'attributed.tsv'}: ")
+            errors.append(err)
+        assert errors[0] == errors[1]
+
+    def test_hitlist_directory(self, tmp_path, monkeypatch, capsys, corpus):
+        cfg, _, hitlist = corpus
+        hitlist.unlink()
+        hitlist.mkdir()
+        code, err, _, _ = self._report(tmp_path, monkeypatch, capsys, 2, cfg, "hitlist_overlap")
+        assert code == 1 and err == f"report: {hitlist}: [Errno 21] Is a directory: '{hitlist}'\n"
+
+    @pytest.mark.parametrize(
+        "tables, victim", [(["vendor_counts"], "oui"), (["hitlist_overlap"], "hitlist"), (["all"], "both")]
+    )
+    def test_child_killed_mid_load(self, tmp_path, monkeypatch, capsys, corpus, tables, victim):
+        cfg, oui, hitlist = corpus
+
+        def dying(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        # Only the child runs these: the parent aggregates meanwhile.
+        monkeypatch.setattr(netaddr, "_normalize_assignment", dying)
+        monkeypatch.setattr(analytics, "parse_hitlist_line", dying)
+        code, err, out, summary = self._report(tmp_path, monkeypatch, capsys, 2, cfg, *tables)
+        named = {"oui": f"{oui}", "hitlist": f"{hitlist}", "both": f"{oui}, {hitlist}"}[victim]
+        assert code == 1 and summary is None and not list(out.glob("*"))
+        assert err == f"report: {named}: load ended without a result (exit status -9)\n"
+
+    def test_interrupt_leaves_no_child(self, tmp_path, monkeypatch, capsys, corpus):
+        cfg, _, _ = corpus
+        seen = []
+
+        def interrupted(records):
+            seen.append(os.waitpid(-1, os.WNOHANG))  # (0, 0): a child is running
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "aggregate", interrupted)
+        code, _, out, summary = self._report(tmp_path, monkeypatch, capsys, 2, cfg, "all")
+        assert code == 1 and summary is None and seen == [(0, 0)] and not list(out.glob("*"))
+
+    def test_patched_loader_loads_in_process(self, tmp_path, monkeypatch, capsys, corpus):
+        cfg, _, _ = corpus
+        calls = []
+        real = cli.load_oui_database
+        monkeypatch.setattr(cli, "load_oui_database", lambda stream: calls.append(os.getpid()) or real(stream))
+        code, _, _, summary = self._report(tmp_path, monkeypatch, capsys, 2, cfg, "all")
+        assert code == 0 and summary["workers"] == IN_PROCESS and calls == [os.getpid()]
+
+    def test_side_inputs_below_the_size_floor_load_in_process(self, tmp_path, monkeypatch, capsys, corpus):
+        cfg, oui, hitlist = corpus
+        total = os.path.getsize(oui) + os.path.getsize(hitlist)
+        for floor, children in ((total + 1, 0), (total, 1)):
+            code, _, _, summary = self._report(tmp_path, monkeypatch, capsys, 2, cfg, "all", floor=floor, tag=f"f{floor}")
+            assert code == 0 and summary["workers"]["children_started"] == children
+
+
 class TestResourceWarnings:
     """Stages under ``python -X dev`` leave no file unclosed."""
 
     SCRIPT = (
         "import sys\n"
-        "from wikiv6 import cli, forkjobs\n"
-        "forkjobs._FORK_MIN_BYTES = 0\n"
+        "from wikiv6 import cli, forkjobs, ribstore\n"
+        "ribstore._DECODE_MIN_BYTES = cli._PARSE_MIN_BYTES = cli._LOAD_MIN_BYTES = 0\n"
         "forkjobs._usable_cpus = lambda: int(sys.argv[1])\n"
         "sys.exit(cli.main(sys.argv[2:]))\n"
     )
 
+    def _run(self, tmp_path, cpus, stage, *args):
+        """Run `stage` under ``python -X dev`` with `cpus` usable CPUs and no size floors; returns its stats."""
+        stats = tmp_path / f"{stage}.json"
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "always::ResourceWarning", "-c", self.SCRIPT, str(cpus), stage,
+             *args, "--out", str(tmp_path / "out"), "--stats", str(stats)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr, proc.stderr
+        return json.loads(stats.read_text(encoding="utf-8"))
+
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_extract_and_attribute(self, tmp_path, fixture_dump, dewiki_dump, cpus):
-        out = tmp_path / "out"
         cfg = tmp_path / "p.cfg"
         cfg.write_text("".join(f"rib = {rib}\n" for rib in _write_ribs(tmp_path)), encoding="utf-8")
-        for stage, args in (("extract", [str(fixture_dump), str(dewiki_dump)]), ("attribute", ["--config", str(cfg)])):
-            proc = subprocess.run(
-                [sys.executable, "-X", "dev", "-W", "always::ResourceWarning", "-c", self.SCRIPT, str(cpus), stage,
-                 *args, "--out", str(out), "--stats", str(tmp_path / f"{stage}.json")],
-                capture_output=True, text=True, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert "ResourceWarning" not in proc.stderr, proc.stderr
-        workers = json.loads((tmp_path / "extract.json").read_text(encoding="utf-8"))["workers"]
+        workers = self._run(tmp_path, cpus, "extract", str(fixture_dump), str(dewiki_dump))["workers"]
         assert workers["children_started"] == (2 if cpus > 1 else 0)
+        self._run(tmp_path, cpus, "attribute", "--config", str(cfg))
+
+    def test_side_input_readers_leave_the_stream_open(self, oui_csv, hitlist_tsv):
+        # A text wrapper collected without detach would close the caller's file.
+        for path, read in ((oui_csv, load_oui_database), (hitlist_tsv, cli._read_hitlist_bytes)):
+            with open(path, "rb") as fh:
+                read(fh)
+                assert not fh.closed and fh.read() == b""
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_report_all(self, tmp_path, fixture_dump, dewiki_dump, oui_csv, hitlist_tsv, cpus):
+        out = tmp_path / "out"
+        cfg = tmp_path / "p.cfg"
+        ribs = "".join(f"rib = {rib}\n" for rib in _write_ribs(tmp_path))
+        cfg.write_text(ribs + f"oui = {oui_csv}\nhitlist = {hitlist_tsv}\n", encoding="utf-8")
+        assert run_cli("extract", str(fixture_dump), str(dewiki_dump), "--out", str(out), "--stats", str(tmp_path / "x")) == 0
+        assert run_cli("attribute", "--config", str(cfg), "--out", str(out), "--stats", str(tmp_path / "a")) == 0
+        workers = self._run(tmp_path, cpus, "report", "all", "--config", str(cfg))["workers"]
+        assert workers["children_started"] == (1 if cpus > 1 else 0)
 
 
 def test_console_entrypoint_smoke():

@@ -289,16 +289,16 @@ class TestPrefixTable:
         assert twice.getvalue() == sink.getvalue()
 
 
-def _route_key_via_ip_network(text):
+def _route_key_via_ip_network(text, strict=True):
     try:
-        return ribstore._prefix_key(ip_network(text))
+        return ribstore._prefix_key(ip_network(text, strict))
     except ValueError:
         return None
 
 
-def _route_key_or_none(text):
+def _route_key_or_none(text, strict=True):
     try:
-        return ribstore._route_key(text)
+        return netaddr.prefix_key(text, strict)
     except ValueError:
         return None
 
@@ -330,7 +330,8 @@ def _spell_prefix(value: int, v6: bool, plen: int, spelling: str) -> str:
 
 
 class TestRouteKey:
-    """load_prefix_table's prefix decoder gives ip_network's key, or fails where ip_network does."""
+    """load_prefix_table's prefix decoder, ``netaddr.prefix_key``, gives ip_network's key, or
+    fails where ip_network does; without `strict` too, as the hitlist reader calls it."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -345,6 +346,7 @@ class TestRouteKey:
     def test_matches_ip_network(self, value, v6, plen, spelling):
         text = _spell_prefix(value, v6, plen, spelling)
         assert _route_key_or_none(text) == _route_key_via_ip_network(text)
+        assert _route_key_or_none(text, strict=False) == _route_key_via_ip_network(text, strict=False)
 
     @pytest.mark.parametrize("text", [
         "10.0.0.0/8", "10.0.0.0/08", "10.0.0.0/255.0.0.0", "10.0.0.0/0.255.255.255", "10.0.0.1", "2001:db8::1",
@@ -354,6 +356,7 @@ class TestRouteKey:
     ])
     def test_spellings(self, text):
         assert _route_key_or_none(text) == _route_key_via_ip_network(text)
+        assert _route_key_or_none(text, strict=False) == _route_key_via_ip_network(text, strict=False)
 
     def test_bad_rows_count_as_before(self):
         rows = ["10.0.0.0/08\t1", "10.0.0.0/255.0.0.0\t2", "10.0.0.1\t3", "10.0.0.1/8\t4", "10.0.0.0/33\t5",
@@ -1065,7 +1068,7 @@ class TestChildDecodes:
 
     @pytest.fixture(autouse=True)
     def _fork_small_files(self, monkeypatch):
-        monkeypatch.setattr(forkjobs, "_FORK_MIN_BYTES", 0)
+        monkeypatch.setattr(ribstore, "_DECODE_MIN_BYTES", 0)
 
     def _files(self, tmp_path, count, cut=None):
         """`count` daily MRT snapshots; snapshot `cut` loses its last 3 bytes. Returns
@@ -1131,7 +1134,7 @@ class TestChildDecodes:
         paths, _ = self._files(tmp_path, 3)
         total = sum(os.path.getsize(p) for p in paths)
         for floor, forked in ((total + 1, False), (total, True)):
-            monkeypatch.setattr(forkjobs, "_FORK_MIN_BYTES", floor)
+            monkeypatch.setattr(ribstore, "_DECODE_MIN_BYTES", floor)
             decode = ribstore.DecodeStats()
             assert len(list(attribute(self._records([0, 1, 2]), RibTimeline.from_files(paths), decode))) == 3
             assert (decode.children_started, decode.snapshots_adopted) == ((2, 3) if forked else (0, 0))
