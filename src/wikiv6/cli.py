@@ -22,22 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from . import __version__, analytics, ingest, netaddr
-from .analytics import (
-    TABLE_NAMES,
-    aggregate,
-    cumulative_by_week,
-    read_hitlist,
-    table_cumulative_prefixes,
-    table_eui64_weekly,
-    table_hitlist_overlap,
-    table_lifetimes,
-    table_ratio_per_48,
-    table_site_fraction,
-    table_vendor_counts,
-    table_weekly_by_as,
-    table_weekly_by_version,
-)
+from . import __version__, ingest, netaddr, ribstore
 from .ingest import (
     BadRow,
     ParseStats,
@@ -51,7 +36,6 @@ from .ingest import (
 from .netaddr import EMPTY_OUI_DATABASE, BadCsv, OuiDatabase, load_oui_database
 from .ribstore import (
     BadPrefixTable,
-    DecodeStats,
     MissingPeerIndex,
     RibTimeline,
     TruncatedRecord,
@@ -67,6 +51,44 @@ EXIT_USAGE = 2
 
 MERGED_RECORDS = "records.tsv"
 ATTRIBUTED_RECORDS = "attributed.tsv"
+
+
+# The names report takes from ``analytics``. They are bound here by ``_analytics``
+# on first use, or when read from outside (a tracer reads them to wrap them), so
+# that extract and attribute never compile that module.
+_ANALYTICS = (
+    "TABLE_NAMES",
+    "aggregate",
+    "cumulative_by_week",
+    "read_hitlist",
+    "table_cumulative_prefixes",
+    "table_eui64_weekly",
+    "table_hitlist_overlap",
+    "table_lifetimes",
+    "table_ratio_per_48",
+    "table_site_fraction",
+    "table_vendor_counts",
+    "table_weekly_by_as",
+    "table_weekly_by_version",
+)
+
+
+def _analytics() -> None:
+    """Import ``analytics`` and bind it and its report names here; a name
+    already bound (replaced by a tracer, say) is kept."""
+    from . import analytics
+
+    bound = globals()
+    bound.setdefault("analytics", analytics)
+    for name in _ANALYTICS:
+        bound.setdefault(name, getattr(analytics, name))
+
+
+def __getattr__(name: str):
+    if name == "analytics" or name in _ANALYTICS:
+        _analytics()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(Exception):
@@ -328,6 +350,9 @@ _PARSE_MIN_BYTES = 2 << 20
 # about 12 ms (fork, reap, copy-on-write faults while it aggregates) plus 4 ms
 # per MB to take its result: even near 0.4 MB.
 _LOAD_MIN_BYTES = 512 << 10
+# Attribute's record TSV plus snapshot files: slicing them over two children
+# lost 17-19 ms at 250-330 KB and 7 ms at 500 KB, and won 12-13 ms at 660-830 KB.
+_SLICE_MIN_BYTES = 512 << 10
 
 # The workers block of a stage's stats when it forks no child, as forkjobs.WorkerStats writes it.
 _NO_WORKERS = {"children_started": 0, "blocked_s": 0.0, "children_cpu_s": 0.0}
@@ -370,56 +395,83 @@ def _parse_dump(cfg: PipelineConfig, dump: str, site: SiteId, out_path: str) -> 
     return ("ok", stats.as_dict(), digest) if error is None else ("failed", str(error), digest)
 
 
-def _parsed_dumps(cfg: PipelineConfig, plans: list, jobs) -> Iterator[tuple]:
-    """Each planned ``(dump, site, out_path)``'s ``_parse_dump`` outcome, in
-    config order, with its records committed to `out_path` on success.
+def _job_outcomes(jobs, count: int, run, stops, lost, discard, meanwhile=None) -> Iterator:
+    """The outcome ``run(i)`` of each job i below `count`, in job order.
 
-    With `jobs`, a ``forkjobs.ForkedJobs`` whose job i parses dump i, dumps
-    parse in forked children and the parent takes whichever result comes first,
-    so that no child idles while an earlier dump is still parsing. A child that
-    ends without a result gives a ``"lost"`` outcome. Once an outcome ends the
-    run, no later dump starts and the children parsing later dumps are killed.
-    However the caller stops, every child is reaped and no ``.tmp`` file of a
-    dump is left behind. Without `jobs`, dumps parse in process.
+    With `jobs`, a ``forkjobs.ForkedJobs`` whose job i is ``run(i)``, jobs run in
+    forked children and the parent takes whichever result comes first, so that
+    no child idles while an earlier job is still running; a job no child could
+    be forked for runs in process. `meanwhile`, if given, runs once, after the
+    first jobs start and before the parent first waits for a result. A child
+    that ends without a result gives the outcome ``lost(job, ChildLost)``. Once
+    an outcome `stops` the run, no later job starts and the children running
+    later jobs are killed. However the caller stops, every child is reaped and
+    ``discard(job)`` runs for each job from the one last yielded on that was
+    started. Without `jobs`, jobs run in process.
     """
     if jobs is not None:
         from .forkjobs import ChildLost
-    done: dict[int, tuple] = {}
-    upcoming = 0  # the first dump not started
-    last = len(plans)  # no dump from here on starts
+    done: dict[int, object] = {}
+    upcoming = 0  # the first job not started
+    last = count  # no job from here on starts
     i = 0
     try:
-        for i, (_, _, out_path) in enumerate(plans):
+        for i in range(count):
             while i not in done:
                 while jobs is not None and upcoming < last and jobs.can_start() and jobs.start(upcoming):
                     upcoming += 1
                 if jobs is None or i not in jobs.running:  # in process, or no child could be forked
                     upcoming = max(upcoming, i + 1)
-                    done[i] = _parse_dump(cfg, *plans[i])
+                    done[i] = run(i)
                     continue
+                if meanwhile is not None:
+                    meanwhile()
+                    meanwhile = None
                 j = jobs.ready()
                 try:
-                    done[j] = jobs.result(j)
+                    # A child with no job left to start is reaped at once.
+                    done[j] = jobs.result(j, keep=upcoming < last)
                 except ChildLost as exc:
-                    _discard(plans[j][2])
-                    done[j] = ("lost", f"parse {exc}", None)
-                if done[j][0] == "lost" or (done[j][0] == "failed" and not cfg.keep_going):
+                    discard(j)
+                    done[j] = lost(j, exc)
+                if stops(done[j]):
                     last = min(last, j + 1)
                     for k in [k for k in jobs.running if k > j]:
                         jobs.cancel(k)
-                        _discard(plans[k][2])
-            outcome = done.pop(i)
+                        discard(k)
+            yield done.pop(i)
+    finally:
+        if jobs is not None:
+            jobs.close()
+        for k in range(i, upcoming):
+            discard(k)
+
+
+def _parsed_dumps(cfg: PipelineConfig, plans: list, jobs) -> Iterator[tuple]:
+    """Each planned ``(dump, site, out_path)``'s ``_parse_dump`` outcome, in
+    config order, with its records committed to `out_path` on success.
+
+    With `jobs`, a ``forkjobs.ForkedJobs`` whose job i parses dump i, dumps
+    parse in forked children (see ``_job_outcomes``). A child that ends without
+    a result gives a ``"lost"`` outcome, which ends the run, as a failed dump
+    does without ``--keep-going``. No ``.tmp`` file of a dump is left behind.
+    """
+    outcomes = _job_outcomes(
+        jobs,
+        len(plans),
+        lambda i: _parse_dump(cfg, *plans[i]),
+        stops=lambda outcome: outcome[0] == "lost" or (outcome[0] == "failed" and not cfg.keep_going),
+        lost=lambda i, exc: ("lost", f"parse {exc}", None),
+        discard=lambda i: _discard(plans[i][2]),
+    )
+    with closing(outcomes):
+        for (_, _, out_path), outcome in zip(plans, outcomes):
             if outcome[0] == "ok":
                 try:
                     _commit(out_path)
                 except OSError as exc:
                     outcome = ("failed", str(exc), outcome[2])
             yield outcome
-    finally:
-        if jobs is not None:
-            jobs.close()
-        for _, _, out_path in plans[i:upcoming]:
-            _discard(out_path)
 
 
 def cmd_extract(cfg: PipelineConfig) -> int:
@@ -518,6 +570,57 @@ def _counter_median(counts: dict[int, int]) -> Optional[int]:
     return max(counts)
 
 
+class _Tally:
+    """Records attributed, those unrouted, and records per |delta| in seconds."""
+
+    __slots__ = ("count", "unrouted", "deltas")
+
+    def __init__(self) -> None:
+        self.count = self.unrouted = 0
+        self.deltas: dict[int, int] = {}
+
+    def counted(self, records):
+        deltas = self.deltas
+        count = unrouted = 0
+        try:
+            for rec in records:
+                d = abs(rec.snapshot_delta_s)
+                deltas[d] = deltas.get(d, 0) + 1
+                count += 1
+                if rec.origin.kind == "unrouted":
+                    unrouted += 1
+                yield rec
+        finally:
+            self.count += count
+            self.unrouted += unrouted
+
+
+def _attribute_lines(lines, timeline, sink, tally: _Tally) -> None:
+    """Attribute the record TSV `lines` against `timeline` into `sink`, counting into `tally`."""
+    write_attributed(tally.counted(attribute(read_records(lines), timeline)), sink)
+
+
+def _snapshot_rows(timeline) -> dict[int, dict]:
+    """The counters row of each snapshot loaded, by timeline position."""
+    return {pos: e.counters for pos, e in enumerate(timeline.entries) if e.counters is not None}
+
+
+def _slicing_bytes(records_path: str, inputs: list) -> int:
+    """The bytes of input the stage may slice (``slices``) over, or 0 where it runs
+    in process: a tracer has patched a name it calls (its spans would be lost in a
+    child), the records are not a regular file, or the inputs are under the floor."""
+    patched = (
+        read_records is not ingest.read_records
+        or attribute is not ribstore.attribute
+        or write_attributed is not ribstore.write_attributed
+        or RibTimeline is not ribstore.RibTimeline
+    )
+    if patched or not os.path.isfile(records_path):
+        return 0
+    size = sum(os.path.getsize(p) for p in inputs if os.path.isfile(p))
+    return size if size >= _SLICE_MIN_BYTES else 0
+
+
 def cmd_attribute(cfg: PipelineConfig) -> int:
     records_path = cfg.records_path()
     if not Path(records_path).exists():
@@ -535,25 +638,31 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
         return EXIT_RUNTIME
 
     attributed_path = cfg.attributed_path()
-    decode = DecodeStats()
-    delta_counts: dict[int, int] = {}
-    unrouted = 0
-    count = 0
+    inputs = [records_path, *cfg.ribs]
+    tally = _Tally()
+    rows: dict[int, dict] = {}
+    digests: dict[str, str] = {}
 
-    def annotated():
-        nonlocal unrouted, count
-        with open(records_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for rec in attribute(read_records(fh), timeline, decode):
-                d = abs(rec.snapshot_delta_s)
-                delta_counts[d] = delta_counts.get(d, 0) + 1
-                count += 1
-                if rec.origin.kind == "unrouted":
-                    unrouted += 1
-                yield rec
+    def hash_inputs() -> None:
+        # While the children work. An input that cannot be read is hashed again
+        # by write_manifest, which then reports it where the in-process run does.
+        for path in inputs:
+            with suppress(OSError):
+                digests[path] = _sha256(path)
 
     try:
-        with _replacing(attributed_path) as sink:
-            write_attributed(annotated(), sink)
+        decode = None
+        size = _slicing_bytes(records_path, inputs)
+        if size:
+            from .slices import attribute_sliced
+
+            decode = attribute_sliced(records_path, attributed_path, timeline, size, tally, rows, hash_inputs)
+        if decode is None:
+            with _replacing(attributed_path) as sink:
+                with open(records_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+                    _attribute_lines(fh, timeline, sink, tally)
+            rows = _snapshot_rows(timeline)
+            decode = {**_NO_WORKERS, "snapshots_adopted": 0}
     except UnsortedInput as exc:
         print(f"attribute: {records_path}: {exc}; run extract's merge step first", file=sys.stderr)
         return EXIT_RUNTIME
@@ -564,26 +673,22 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
         print(f"attribute: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
+    deltas, count = tally.deltas, tally.count
     summary = {
         "records": count,
-        "unrouted": unrouted,
-        "unrouted_fraction": (unrouted / count) if count else 0.0,
+        "unrouted": tally.unrouted,
+        "unrouted_fraction": (tally.unrouted / count) if count else 0.0,
         "abs_delta_s": {
-            "min": min(delta_counts) if delta_counts else None,
-            "median": _counter_median(delta_counts),
-            "max": max(delta_counts) if delta_counts else None,
-            "buckets": _delta_buckets(delta_counts),
+            "min": min(deltas) if deltas else None,
+            "median": _counter_median(deltas),
+            "max": max(deltas) if deltas else None,
+            "buckets": _delta_buckets(deltas),
         },
-        "snapshots": [e.counters for e in timeline.entries if e.counters is not None],
-        "decode": decode.as_dict(),
+        "snapshots": [rows[pos] for pos in sorted(rows)],
+        "decode": decode,
     }
     _write_stats(cfg, summary)
-    write_manifest(
-        cfg,
-        "attribute",
-        inputs=[records_path, *cfg.ribs],
-        outputs=[Path(attributed_path).name],
-    )
+    write_manifest(cfg, "attribute", inputs=inputs, outputs=[Path(attributed_path).name], digests=digests)
     return EXIT_OK
 
 
@@ -598,6 +703,7 @@ def _read_hashed(path: str, load) -> tuple:
 
 
 def _read_hitlist_bytes(stream) -> tuple:
+    _analytics()
     # Decoded as a text-mode open does: UTF-8 with surrogateescape, universal newlines.
     text = io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape")
     try:
@@ -644,6 +750,7 @@ def _loading_child(paths: list, load):
 
 
 def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
+    _analytics()
     requested = list(TABLE_NAMES) if "all" in names else list(dict.fromkeys(names))
     unknown = [n for n in requested if n not in TABLE_NAMES]
     if unknown:

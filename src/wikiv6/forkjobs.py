@@ -9,15 +9,16 @@ next, so the parent pays for copy-on-write pages only once per child. Plain
 import alone costs a stage tens of milliseconds. A child ignores Ctrl-C, which
 the parent handles, and leaves through ``os._exit`` whatever happens, so none
 of the parent's cleanup runs in it a second time. The parent kills and reaps a
-child in ``cancel`` and ``close``.
+child in ``cancel`` and ``close``, and as soon as it takes the child's result
+when no job is left to start.
 
 ``fork_workers`` says how many children a stage should start: none with one
 usable CPU, without ``os.fork``, or for less input than the floor its caller
 passes. Each kind of job has its own floor, measured where the work moved to
 a child repays what the children cost the parent (fork, copy-on-write
-faults, reaping, taking the result): attribute's snapshot decodes
-(``ribstore``, ``ribfork``), extract's dump parses and the OUI database and
-hitlist that report loads while it aggregates (both ``cli``). Callers check
+faults, reaping, taking the result): extract's dump parses, attribute's
+per-snapshot slices of the records (``slices``) and the OUI database and
+hitlist that report loads while it aggregates. Callers check
 their floor before they import this module, so runs under it never compile it.
 """
 
@@ -52,8 +53,7 @@ def fork_workers(input_bytes: int, min_bytes: int) -> int:
 class WorkerStats:
     """What a stage spent on forked children: children forked, the seconds the
     parent blocked on their results, and their CPU seconds from ``os.wait4``.
-    All stay zero when the work runs in process. ``ribstore.DecodeStats`` has
-    these fields too, and any object with them can be passed to ``ForkedJobs``."""
+    All stay zero when the work runs in process."""
 
     __slots__ = ("children_started", "blocked_s", "children_cpu_s")
 
@@ -125,8 +125,10 @@ class ForkedJobs:
         self.stats.blocked_s += perf_counter() - start
         return min(fds[fd] for fd in readable)
 
-    def result(self, job: int):
-        """The result of `job`, waiting for it; its child is then idle.
+    def result(self, job: int, keep: bool = True):
+        """The result of `job`, waiting for it; its child is then idle, or reaped
+        unless `keep`. Callers pass False once no job is left to start, so that
+        no idle child holds its heap until ``close``.
 
         Raises ChildLost, with the child reaped, if the child ended first.
         """
@@ -139,7 +141,10 @@ class ForkedJobs:
             result = marshal.loads(data)
         except (EOFError, ValueError, TypeError):
             raise ChildLost(self._reap(child)) from None
-        self._idle.append(child)
+        if keep:
+            self._idle.append(child)
+        else:
+            self._reap(child)
         return result
 
     def cancel(self, job: int) -> None:

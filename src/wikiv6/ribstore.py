@@ -14,16 +14,15 @@ decode nor the index build makes an address object. ``RibSnapshot.entries``
 is a read-only view that builds ``(ip_network, OriginAs)`` pairs as they are
 read.
 
-``attribute`` decodes the snapshot files of a ``RibTimeline.from_files``
-timeline ahead of the records in forked child processes (``ribfork``) when
-there is a second CPU and enough bytes to repay starting them; every other
-snapshot loads in process, when a record needs it.
+``attribute`` loads each snapshot in process when the first record reaches it.
+The ``attribute`` stage puts a second CPU to work by running each snapshot's
+slice of the time-sorted records through ``attribute`` in a forked child
+(``slices``), so a child loads only the snapshots its slice reaches.
 """
 
 from __future__ import annotations
 
 import io
-import os
 import struct
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
@@ -504,17 +503,14 @@ class TimelineEntry:
     """One snapshot in a timeline; the LPM index is built on first use.
 
     ``counters`` is the loaded snapshot's ``RibSnapshot.counters()`` row, None
-    until the first load. ``path`` is the snapshot file of an entry that
-    ``RibTimeline.from_files`` made, whose load ``attribute`` may run in a
-    child process; None for any other entry.
+    until the first load.
     """
 
-    __slots__ = ("captured_at", "counters", "path", "_loader", "_index")
+    __slots__ = ("captured_at", "counters", "_loader", "_index")
 
     def __init__(self, captured_at: datetime, loader: Callable[[], RibSnapshot]):
         self.captured_at = captured_at
         self.counters: Optional[dict] = None
-        self.path: Optional[str] = None
         self._loader = loader
         self._index: Optional[LpmIndex] = None
 
@@ -532,7 +528,8 @@ class TimelineEntry:
 class RibTimeline:
     """Snapshots ordered by capture time, supporting nearest-time queries. Snapshot i
     serves the times up to and including ``_handovers[i]``, its midpoint with snapshot
-    i + 1 floored to the microsecond, so a tie goes to the earlier snapshot."""
+    i + 1 floored to the microsecond, so a tie goes to the earlier snapshot: the times
+    before ``ends[i]``, and at or after ``ends[i - 1]``. The last one serves every later time."""
 
     def __init__(self, entries: Sequence[TimelineEntry]):
         self.entries = sorted(entries, key=lambda e: e.captured_at)
@@ -540,6 +537,9 @@ class RibTimeline:
         if any(a >= b for a, b in zip(times, times[1:])):
             raise ValueError("snapshot capture times must be strictly increasing")
         self._handovers = [a + (b - a) // 2 for a, b in zip(times, times[1:])]
+        self.ends = [h + timedelta(microseconds=1) for h in self._handovers]
+        if times:
+            self.ends.append(datetime.max.replace(tzinfo=times[-1].tzinfo))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -565,9 +565,7 @@ class RibTimeline:
                     f"and {path} are both captured at {format_timestamp(captured_at)}"
                 )
             by_time[captured_at] = path
-            entry = TimelineEntry(captured_at, _file_loader(path, is_table))
-            entry.path = path
-            entries.append(entry)
+            entries.append(TimelineEntry(captured_at, _file_loader(path, is_table)))
         return cls(entries)
 
     def nearest_position(self, t: datetime) -> int:
@@ -621,52 +619,6 @@ def _file_loader(path: str, is_table: bool) -> Callable[[], RibSnapshot]:
     return load
 
 
-class DecodeStats:
-    """What ``attribute`` spent on snapshots decoded in child processes.
-
-    Children forked, snapshots adopted from them (a decode no record reaches is
-    discarded), the seconds the caller spent blocked on them, and their CPU
-    seconds from ``os.wait4``: a ``forkjobs.WorkerStats`` plus
-    ``snapshots_adopted``. All stay zero when snapshots load in process.
-    """
-
-    __slots__ = ("children_started", "snapshots_adopted", "blocked_s", "children_cpu_s")
-
-    def __init__(self) -> None:
-        self.children_started = self.snapshots_adopted = 0
-        self.blocked_s = self.children_cpu_s = 0.0
-
-    def as_dict(self) -> dict:
-        return {name: round(getattr(self, name), 6) for name in self.__slots__}
-
-
-# Starting two decoders (fork, copy-on-write faults, a cold heap) costs about as
-# much as decoding 150 KiB of MRT; below this many bytes of snapshot files the
-# overlap does not repay it.
-_DECODE_MIN_BYTES = 1 << 20
-
-
-def _child_decodes(entries: list[TimelineEntry], stats: DecodeStats):
-    """A ``ribfork.ChildDecodes`` for the timeline's snapshot files, or None where
-    they are under the floor or ``forkjobs.fork_workers`` says they load in process."""
-    try:
-        size = sum(os.path.getsize(e.path) for e in entries if e.path is not None)
-    except OSError:  # a file gone since from_files: its load reports that
-        size = 0
-    if size < _DECODE_MIN_BYTES:
-        return None
-    # Imported here: every stage imports this module, and compiles what it imports
-    # when there is no bytecode cache.
-    from .forkjobs import fork_workers
-
-    workers = fork_workers(size, _DECODE_MIN_BYTES)
-    if not workers:
-        return None
-    from .ribfork import ChildDecodes
-
-    return ChildDecodes(entries, workers, stats)
-
-
 class AttributedRecord(Record):
     """An EditRecord plus the origin AS at the nearest snapshot."""
 
@@ -699,9 +651,7 @@ def _attributed_record(
     return record
 
 
-def attribute(
-    records: Iterable[EditRecord], timeline: RibTimeline, decode: Optional[DecodeStats] = None
-) -> Iterator[AttributedRecord]:
+def attribute(records: Iterable[EditRecord], timeline: RibTimeline) -> Iterator[AttributedRecord]:
     """Annotate time-sorted records with origin AS and snapshot delta.
 
     Sorted input lets the timeline advance monotonically: only a record past the
@@ -709,49 +659,33 @@ def attribute(
     and snapshots no record falls to are never adopted. Raises UnsortedInput on
     timestamp regressions and EmptyTimeline when there are no snapshots. Each
     record's canonical row text, when it has one, is carried over.
-
-    Where ``forkjobs.fork_workers`` allows it for the size of the snapshot files,
-    the files of a ``from_files`` timeline decode in up to two child processes
-    ahead of the records; `decode` collects what they cost. A child still
-    decoding a snapshot no record reaches is killed, and every child is reaped
-    however the generator ends.
     """
     if not len(timeline):
         raise EmptyTimeline("timeline has no snapshots")
-    entries, handovers = timeline.entries, timeline._handovers
-    # Snapshot i serves the times before ends[i]; the last one serves every later time.
-    ends = [h + timedelta(microseconds=1) for h in handovers]
-    ends.append(datetime.max.replace(tzinfo=entries[-1].captured_at.tzinfo))
+    entries, handovers, ends = timeline.entries, timeline._handovers, timeline.ends
     records = iter(records)
     first = next(records, None)
     if first is None:
         return
     end = first._timestamp  # so the first record moves to its snapshot
     pos = 0  # the snapshot whose index `lookup` and `captured_at` belong to
-    decodes = _child_decodes(entries, decode if decode is not None else DecodeStats())
-    try:
-        for record in chain((first,), records):
-            ts = record._timestamp
-            if ts >= end:
-                lookup = None  # so the evicted index is freed before the next one loads
-                nearest = bisect_left(handovers, ts, pos)
-                for stale in range(pos, nearest):
-                    entries[stale].evict()
-                pos = nearest
-                if decodes is not None:
-                    decodes.serve(pos)
-                lookup = entries[pos].index().lookup_key
-                captured_at = entries[pos].captured_at
-                end = ends[pos]
-            elif ts < prev:
-                raise UnsortedInput(f"record at {format_timestamp(ts)} after {format_timestamp(prev)}")
-            prev = ts
-            key = record._key
-            delta = int((ts - captured_at).total_seconds())
-            yield _attributed_record(ts, record._site, key, lookup(key), delta, record._text)
-    finally:
-        if decodes is not None:
-            decodes.close()
+    for record in chain((first,), records):
+        ts = record._timestamp
+        if ts >= end:
+            lookup = None  # so the evicted index is freed before the next one loads
+            nearest = bisect_left(handovers, ts, pos)
+            for stale in range(pos, nearest):
+                entries[stale].evict()
+            pos = nearest
+            lookup = entries[pos].index().lookup_key
+            captured_at = entries[pos].captured_at
+            end = ends[pos]
+        elif ts < prev:
+            raise UnsortedInput(f"record at {format_timestamp(ts)} after {format_timestamp(prev)}")
+        prev = ts
+        key = record._key
+        delta = int((ts - captured_at).total_seconds())
+        yield _attributed_record(ts, record._site, key, lookup(key), delta, record._text)
 
 
 ATTRIBUTED_COLUMNS = ("timestamp", "site", "ip", "origin", "delta_s")

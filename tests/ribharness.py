@@ -17,11 +17,13 @@ other prefix carries a MED, so nearly every peer's attribute blob is distinct.
 
 usage: ribharness.py [v4_prefixes [v6_prefixes [peers]]]   (default 1000000 200000 4)
 
-Timeline mode writes ``snapshots`` such tables a day apart and attributes
-time-sorted records (three per snapshot) across them, once with the snapshots
-decoded in child processes and once loaded in process, and reports the wall
-seconds of each run, the ``decode`` stats of the first, and peak RSS: this
-process's after each run and its children's (``RUSAGE_CHILDREN``).
+Timeline mode writes ``snapshots`` such tables a day apart and a record TSV of
+time-sorted records (three per snapshot), and runs the ``attribute`` stage
+(``cli.cmd_attribute``) over them twice: once as it runs here, where with a
+second CPU each snapshot's slice of the records runs in a forked child, and
+once with one usable CPU, in process. It reports the wall seconds of each run, the ``decode`` stats of
+the first, and peak RSS: this process's after each run and its children's
+(``RUSAGE_CHILDREN``).
 
 usage: ribharness.py timeline [snapshots [v4_prefixes [v6_prefixes [peers]]]]   (default 24 1000000 200000 4)
 """
@@ -38,9 +40,9 @@ from datetime import datetime, timezone
 from ipaddress import ip_address
 
 import mrt_synth as synth
-from wikiv6 import forkjobs
-from wikiv6.ingest import EditRecord, SiteId
-from wikiv6.ribstore import DecodeStats, RibTimeline, attribute, build_lpm, parse_mrt_rib
+from wikiv6 import cli, forkjobs
+from wikiv6.ingest import EditRecord, SiteId, write_records
+from wikiv6.ribstore import build_lpm, parse_mrt_rib
 
 TS = 1700000000
 DAY = 86_400
@@ -84,11 +86,17 @@ def write_table(sink: io.BufferedIOBase, v4: int, v6: int, peers: int, ts: int =
         sink.write(synth.mrt_record(ts, synth.TABLE_DUMP_V2, subtype, synth.rib_unicast_body(i, bits, plen, entries)))
 
 
-def _attribute_s(paths: list, records: list, decode: DecodeStats) -> float:
-    start = time.perf_counter()
-    for _ in attribute(records, RibTimeline.from_files(paths), decode):
-        pass
-    return time.perf_counter() - start
+def _attribute_s(cfg: cli.PipelineConfig, cpus: int) -> float:
+    """Wall seconds of the attribute stage with `cpus` usable CPUs."""
+    usable = forkjobs._usable_cpus
+    forkjobs._usable_cpus = lambda: cpus
+    try:
+        start = time.perf_counter()
+        if cli.cmd_attribute(cfg) != cli.EXIT_OK:
+            raise SystemExit("ribharness: the attribute stage failed")
+        return time.perf_counter() - start
+    finally:
+        forkjobs._usable_cpus = usable
 
 
 def timeline(snapshots: int, v4: int, v6: int, peers: int) -> dict:
@@ -105,16 +113,17 @@ def timeline(snapshots: int, v4: int, v6: int, peers: int) -> dict:
         for i, path in enumerate(paths):
             with open(path, "wb") as sink:
                 write_table(sink, v4, v6, peers, TS + i * DAY)
+        records_path = os.path.join(tmp, "records.tsv")
+        with open(records_path, "wb") as sink:
+            write_records(records, sink)
         write_s = time.perf_counter() - t0
-        decode = DecodeStats()
-        children_s = _attribute_s(paths, records, decode)  # first, while this process is small
+        stats = os.path.join(tmp, "attribute.json")
+        cfg = cli.PipelineConfig(ribs=paths, records=records_path, out=os.path.join(tmp, "out"), stats_path=stats)
+        children_s = _attribute_s(cfg, forkjobs._usable_cpus())  # first, while this process is small
+        with open(stats) as fh:
+            decode = json.load(fh)["decode"]
         rss_children_run = _maxrss_kb()
-        cpus = forkjobs._usable_cpus
-        forkjobs._usable_cpus = lambda: 1
-        try:
-            in_process_s = _attribute_s(paths, records, DecodeStats())
-        finally:
-            forkjobs._usable_cpus = cpus
+        in_process_s = _attribute_s(cfg, 1)
     return {
         "mode": "timeline",
         "snapshots": snapshots,
@@ -125,7 +134,7 @@ def timeline(snapshots: int, v4: int, v6: int, peers: int) -> dict:
         "write_s": round(write_s, 3),
         "attribute_children_s": round(children_s, 3),
         "attribute_in_process_s": round(in_process_s, 3),
-        "decode": decode.as_dict(),
+        "decode": decode,
         "maxrss_kb_after_children_run": rss_children_run,
         "maxrss_kb_children": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
         "maxrss_kb": _maxrss_kb(),

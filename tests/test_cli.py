@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import datetime, timedelta, timezone
 from ipaddress import ip_address, ip_network
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 import mrt_synth as synth
 import oracles
 from corpus import synth_corpus, synth_hitlist
-from wikiv6 import analytics, cli, forkjobs, netaddr, ribfork, ribstore
+from wikiv6 import analytics, cli, forkjobs, netaddr, ribstore, slices
 from wikiv6.cli import (
     ConfigError,
     PipelineConfig,
@@ -255,7 +256,7 @@ class TestAttribute:
 
         snapshots = []
         for rib in ribs:
-            lines = open(rib, encoding="utf-8").read().splitlines()
+            lines = Path(rib).read_text(encoding="utf-8").splitlines()
             captured = datetime.strptime(lines[0].split("=")[1], "%Y-%m-%dT%H:%M:%SZ").replace(
                 tzinfo=timezone.utc
             )
@@ -785,50 +786,95 @@ def _assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
-class TestChildDecodes:
-    """Snapshot files decoded in forked children give what in-process loading gives."""
+def _records_text(days, ips=("10.1.7.1", "10.0.0.9", "2001:db8:0:2::1", "2001:db8:1::1", "192.0.2.1")) -> str:
+    """A record TSV with one row per address in `ips` on each of `days`, seconds apart."""
+    return "timestamp\tsite\tip\n" + "".join(
+        f"{_stamp(T0 + int(day * DAY) + n)}\tenwiki\t{ip}\n" for day in days for n, ip in enumerate(ips)
+    )
+
+
+class TestJobOutcomes:
+    """Jobs in forked children through ``cli._job_outcomes``, as extract and attribute run them."""
+
+    def test_results_in_job_order_and_no_idle_child(self):
+        def run(job):
+            time.sleep(0.05 * (3 - job))  # later jobs end first
+            return sum(range(200_000)) + job
+
+        jobs = forkjobs.ForkedJobs(run, 2, forkjobs.WorkerStats())
+        outcomes = cli._job_outcomes(jobs, 3, run, lambda outcome: False, None, lambda job: None)
+        got = []
+        for outcome in outcomes:
+            got.append(outcome)
+            if len(got) == 3:  # every result taken, before close: no child is left idle
+                _assert_no_child_process()
+        assert got == [sum(range(200_000)) + job for job in range(3)]
+        assert jobs.stats.children_started == 2 and jobs.stats.children_cpu_s > 0
+
+
+_FROM_FILES = ribstore.RibTimeline.from_files
+
+
+class TestChildSlices:
+    """Each snapshot's slice of the records attributed in a forked child gives what the
+    in-process run gives: rows, stats but the decode block, stderr, exit code and manifest."""
 
     @staticmethod
-    def _attribute(tmp_path, monkeypatch, cpus, ribs, days, damage=None):
-        """Run attribute in a fresh directory with `cpus` usable CPUs; `damage(paths)` runs
-        after from_files. Returns (exit code, output directory, stats or None)."""
-        run = tmp_path / f"cpus{cpus}"
+    def _attribute(tmp_path, monkeypatch, cpus, ribs, days=None, damage=None, records=None, floor=0, tag=""):
+        """Run attribute in a fresh directory with `cpus` usable CPUs and a size floor of
+        `floor` bytes; `damage(paths)` runs after from_files, and `records` (bytes) replaces
+        the TSV of `days`. Returns (exit code, output directory, stats or None, children forked)."""
+        run = tmp_path / f"cpus{cpus}{tag}"
         run.mkdir()
         paths = []
         for i, make in enumerate(ribs):
             path = run / f"rib{i:02d}"
             path.write_bytes(make(T0 + i * DAY))
             paths.append(str(path))
-        records = run / "records.tsv"
-        records.write_text(
-            "timestamp\tsite\tip\n"
-            + "".join(
-                f"{_stamp(T0 + int(day * DAY) + n)}\tenwiki\t{ip}\n"
-                for day in days
-                for n, ip in enumerate(["10.1.7.1", "10.0.0.9", "2001:db8:0:2::1", "2001:db8:1::1", "192.0.2.1"])
-            ),
-            encoding="utf-8",
-        )
+        (run / "records.tsv").write_bytes(records if records is not None else _records_text(days).encode())
         out = run / "out"
         cfg = run / "p.cfg"
-        cfg.write_text("".join(f"rib = {p}\n" for p in paths) + f"records = {records}\nout = {out}\n", encoding="utf-8")
+        cfg.write_text("".join(f"rib = {p}\n" for p in paths) + f"records = {run / 'records.tsv'}\nout = {out}\n", encoding="utf-8")
         if damage is not None:
-            real = ribstore.RibTimeline.from_files
+            # On the class, so that cli.RibTimeline stays unpatched and the stage may slice.
+            def damaged(cls, files):
+                timeline = _FROM_FILES(files)
+                damage(paths)
+                return timeline
 
-            class Damaged:
-                @staticmethod
-                def from_files(files):
-                    timeline = real(files)
-                    damage(paths)
-                    return timeline
-
-            monkeypatch.setattr(cli, "RibTimeline", Damaged)
+            monkeypatch.setattr(ribstore.RibTimeline, "from_files", classmethod(damaged))
         monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(ribstore, "_DECODE_MIN_BYTES", 0)  # these snapshot files are small
+        monkeypatch.setattr(cli, "_SLICE_MIN_BYTES", floor)
+        forked = []
+        real_jobs = cli._forked_jobs
+
+        def jobs_seen(*args):
+            forked.append(real_jobs(*args))
+            return forked[-1]
+
+        monkeypatch.setattr(cli, "_forked_jobs", jobs_seen)
         stats = run / "a.json"
         code = run_cli("attribute", "--config", str(cfg), "--stats", str(stats))
         summary = json.loads(stats.read_text(encoding="utf-8")) if code == 0 else None
-        return code, out, summary
+        return code, out, summary, sum(jobs.stats.children_started for jobs in forked if jobs is not None)
+
+    def _both(self, tmp_path, monkeypatch, capsys, ribs, days=None, records=None, children=2, tag=""):
+        """Run at 2 and at 1 CPUs and check that the runs agree: exit code, stderr, stats
+        but the decode block, and the bytes of every output, the manifest's too. Returns
+        (exit code, stderr, stats); `children` are expected to be forked at 2 CPUs."""
+        runs = []
+        for cpus in (2, 1):
+            code, out, summary, started = self._attribute(tmp_path, monkeypatch, cpus, ribs, days, records=records, tag=tag)
+            assert started == (children if cpus == 2 else 0)
+            name = f"cpus{cpus}{tag}"
+            err = capsys.readouterr().err.replace(name, "cpusN")
+            outputs = {p.name: p.read_bytes().replace(name.encode(), b"cpusN") for p in out.iterdir()}
+            if summary is not None:
+                summary.pop("decode")
+            runs.append((code, err, summary, outputs))
+        assert runs[0] == runs[1]
+        _assert_no_child_process()
+        return runs[0][:3]
 
     @staticmethod
     def _table(seed):
@@ -839,16 +885,19 @@ class TestChildDecodes:
         ribs = [self._table(seed) for seed in range(8)]
         days = [0, 0.3, 1.1, 2.9, 3.2, 5, 5.4]
         runs = {cpus: self._attribute(tmp_path, monkeypatch, cpus, ribs, days) for cpus in (2, 1)}
-        (code2, out2, forked), (code1, out1, in_process) = runs[2], runs[1]
+        (code2, out2, forked, started), (code1, out1, in_process, _) = runs[2], runs[1]
         assert code2 == code1 == 0
         assert (out2 / "attributed.tsv").read_bytes() == (out1 / "attributed.tsv").read_bytes()
         assert len((out1 / "attributed.tsv").read_text(encoding="utf-8").splitlines()) == 1 + 5 * len(days)
         assert [row["captured_at"] for row in forked["snapshots"]] == [_stamp(T0 + d * DAY) for d in (0, 1, 3, 5)]
-        assert forked["decode"]["snapshots_adopted"] == 4
-        # Two children, and one more for each killed with a snapshot no record reached.
-        assert 2 <= forked["decode"]["children_started"] <= len(ribs)
+        # Four slices in two children, each loading its own snapshot.
+        assert (started, forked["decode"]["children_started"], forked["decode"]["snapshots_adopted"]) == (2, 2, 4)
+        assert forked["decode"]["children_cpu_s"] > 0
         assert in_process["decode"] == {"children_started": 0, "snapshots_adopted": 0, "blocked_s": 0, "children_cpu_s": 0}
         assert {k: v for k, v in forked.items() if k != "decode"} == {k: v for k, v in in_process.items() if k != "decode"}
+        manifests = [(out / "manifest.json").read_text(encoding="utf-8").replace(f"cpus{c}", "cpusN") for c, out in ((2, out2), (1, out1))]
+        assert manifests[0] == manifests[1]
+        assert sorted(p.name for p in out2.iterdir()) == ["attributed.tsv", "manifest.json"]
         _assert_no_child_process()
 
     @staticmethod
@@ -887,8 +936,8 @@ class TestChildDecodes:
         ribs = [self._table(0), make, self._table(2)]
         errors = []
         for cpus in (2, 1):
-            code, out, _ = self._attribute(tmp_path, monkeypatch, cpus, ribs, [0, 1], damage)
-            assert code == 1
+            code, out, _, started = self._attribute(tmp_path, monkeypatch, cpus, ribs, [0, 1], damage)
+            assert code == 1 and started == (2 if cpus > 1 else 0)
             err = capsys.readouterr().err
             assert err.startswith("attribute: ") and err.count("\n") == 1 and message in err
             assert str(tmp_path / f"cpus{cpus}" / "rib01") in err
@@ -901,37 +950,109 @@ class TestChildDecodes:
     def test_error_of_a_snapshot_no_record_reaches_is_ignored(self, tmp_path, monkeypatch, case):
         make, damage, _ = self.CASES[case]
         ribs = [self._table(0), make, self._table(2)]
-        code, out, summary = self._attribute(tmp_path, monkeypatch, 2, ribs, [0, 2], damage)
+        code, out, summary, _ = self._attribute(tmp_path, monkeypatch, 2, ribs, [0, 2], damage)
         assert code == 0
         assert [row["captured_at"] for row in summary["snapshots"]] == [_stamp(T0), _stamp(T0 + 2 * DAY)]
         assert (summary["decode"]["children_started"], summary["decode"]["snapshots_adopted"]) == (2, 2)
         _assert_no_child_process()
 
     def test_child_that_dies_without_a_result(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(ribfork, "_child_result", lambda loader: os.kill(os.getpid(), signal.SIGKILL))
-        code, out, _ = self._attribute(tmp_path, monkeypatch, 2, [self._table(0)], [0])
-        assert code == 1
-        rib = tmp_path / "cpus2" / "rib00"
+        monkeypatch.setattr(slices, "attribute_slice", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+        code, out, _, started = self._attribute(tmp_path, monkeypatch, 2, [self._table(0), self._table(1)], [0, 1])
+        assert code == 1 and started == 2
+        records = tmp_path / "cpus2" / "records.tsv"
         assert capsys.readouterr().err == (
-            f"attribute: {rib}: snapshot decode ended without a result (exit status -9)\n"
+            f"attribute: {records}: the slice from byte 0 ended without a result (exit status -9)\n"
         )
         assert sorted(p.name for p in out.iterdir()) == []
         _assert_no_child_process()
 
     def test_interrupt_leaves_no_child_and_no_output(self, tmp_path, monkeypatch):
-        real = cli.read_records
+        out = tmp_path / "cpus2" / "out"
+        real = slices.attribute_slice
 
-        def interrupted(fh):
-            for n, record in enumerate(real(fh)):
-                if n == 7:
-                    raise KeyboardInterrupt
-                yield record
+        def slow(*args):
+            outcome = real(*args)
+            time.sleep(60)  # until the parent kills this child
+            return outcome
 
-        monkeypatch.setattr(cli, "read_records", interrupted)
-        code, out, _ = self._attribute(tmp_path, monkeypatch, 2, [self._table(s) for s in range(4)], [0, 1, 2, 3])
-        assert code == 1
+        def interrupted(path):
+            # Ctrl-C while the children work, once both have written their part files.
+            deadline = time.monotonic() + 30
+            while len(list(out.glob("attributed.tsv.*.tmp"))) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(slices, "attribute_slice", slow)
+        monkeypatch.setattr(cli, "_sha256", interrupted)
+        code, out, _, started = self._attribute(tmp_path, monkeypatch, 2, [self._table(s) for s in range(4)], [0, 1, 2, 3])
+        assert code == 1 and started == 2
         assert sorted(p.name for p in out.iterdir()) == []
         _assert_no_child_process()
+
+    @pytest.mark.parametrize("lineno", [14, 12], ids=["inside-a-slice", "first-row-of-a-slice"])
+    def test_bad_row_in_a_later_slice_keeps_its_line_number(self, tmp_path, monkeypatch, capsys, lineno):
+        # Rows 2-6, 7-11 and 12-16 are the three slices; a blank line after row 8 moves the later ones down.
+        lines = _records_text([0, 1, 2]).splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1].rsplit("\t", 1)[0] + "\tnot-an-ip\n"
+        lines.insert(8, "\n")
+        code, err, _ = self._both(tmp_path, monkeypatch, capsys, [self._table(s) for s in range(3)], records="".join(lines).encode())
+        records = tmp_path / "cpusN" / "records.tsv"
+        assert (code, err) == (1, f"attribute: {records}: line {lineno + 1}: not an IPv4 or IPv6 address: 'not-an-ip'\n")
+
+    @pytest.mark.parametrize("where", ["inside-a-slice", "across-a-boundary"])
+    def test_regression(self, tmp_path, monkeypatch, capsys, where):
+        ribs = [self._table(s) for s in range(3)]
+        lines = _records_text([0, 1, 2]).splitlines(keepends=True)
+        if where == "inside-a-slice":
+            lines[7], lines[8] = lines[8], lines[7]  # two rows of the second slice
+        else:
+            lines.insert(9, lines[13])  # a third-slice row among the second slice's rows
+        code, err, _ = self._both(tmp_path, monkeypatch, capsys, ribs, records="".join(lines).encode())
+        assert code == 1 and "record at " in err and err.endswith("; run extract's merge step first\n")
+
+    def test_header_only_records(self, tmp_path, monkeypatch, capsys):
+        code, _, summary = self._both(
+            tmp_path, monkeypatch, capsys, [self._table(0), self._table(1)], records=b"timestamp\tsite\tip\n", children=0
+        )
+        assert code == 0 and summary["records"] == 0 and summary["snapshots"] == []
+
+    def test_records_of_one_snapshot_run_in_process(self, tmp_path, monkeypatch, capsys):
+        code, _, summary = self._both(tmp_path, monkeypatch, capsys, [self._table(0), self._table(1)], [1, 1.2], children=0)
+        assert code == 0 and summary["records"] == 10
+
+    def test_crlf_blank_lines_and_spellings(self, tmp_path, monkeypatch, capsys):
+        lines = _records_text([0, 1, 2]).splitlines(keepends=True)
+        lines[11] = lines[11].replace("Z\t", "+00:00\t", 1)  # the first row of the third slice
+        text = "".join(line.replace("\n", "\r\n") if n % 2 else line + "\r\n" * (n % 4 == 0) for n, line in enumerate(lines))
+        code, _, summary = self._both(tmp_path, monkeypatch, capsys, [self._table(s) for s in range(3)], records=text.encode())
+        assert code == 0 and summary["records"] == 15
+
+    def test_patched_attribute_runs_in_process(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = cli.attribute
+        monkeypatch.setattr(cli, "attribute", lambda records, timeline: calls.append(os.getpid()) or real(records, timeline))
+        code, _, summary, started = self._attribute(tmp_path, monkeypatch, 2, [self._table(0), self._table(1)], [0, 1])
+        assert code == 0 and started == 0 and calls == [os.getpid()]
+        assert summary["decode"]["children_started"] == 0
+
+    def test_hand_built_timeline_runs_in_process(self, tmp_path, monkeypatch):
+        # As a tracer builds it: entries made by hand, through a replaced cli.RibTimeline.
+        class HandBuilt:
+            @staticmethod
+            def from_files(paths):
+                return ribstore.RibTimeline([ribstore.TimelineEntry(e.captured_at, e._loader) for e in _FROM_FILES(paths).entries])
+
+        monkeypatch.setattr(cli, "RibTimeline", HandBuilt)
+        code, _, summary, started = self._attribute(tmp_path, monkeypatch, 2, [self._table(0), self._table(1)], [0, 1])
+        assert code == 0 and started == 0 and len(summary["snapshots"]) == 2
+
+    def test_inputs_below_the_size_floor_run_in_process(self, tmp_path, monkeypatch):
+        ribs = [self._table(0), self._table(1)]
+        size = len(_records_text([0, 1])) + sum(len(make(T0 + i * DAY)) for i, make in enumerate(ribs))
+        for floor, children in ((size + 1, 0), (size, 2)):
+            code, _, summary, started = self._attribute(tmp_path, monkeypatch, 2, ribs, [0, 1], floor=floor, tag=f"-{floor}")
+            assert code == 0 and started == summary["decode"]["children_started"] == children
 
 
 def _dump_xml(site: str, pages: int, seed: int, tail: str = "</mediawiki>\n") -> str:
@@ -1221,7 +1342,7 @@ class TestResourceWarnings:
     SCRIPT = (
         "import sys\n"
         "from wikiv6 import cli, forkjobs, ribstore\n"
-        "ribstore._DECODE_MIN_BYTES = cli._PARSE_MIN_BYTES = cli._LOAD_MIN_BYTES = 0\n"
+        "cli._SLICE_MIN_BYTES = cli._PARSE_MIN_BYTES = cli._LOAD_MIN_BYTES = 0\n"
         "forkjobs._usable_cpus = lambda: int(sys.argv[1])\n"
         "sys.exit(cli.main(sys.argv[2:]))\n"
     )
@@ -1244,7 +1365,8 @@ class TestResourceWarnings:
         cfg.write_text("".join(f"rib = {rib}\n" for rib in _write_ribs(tmp_path)), encoding="utf-8")
         workers = self._run(tmp_path, cpus, "extract", str(fixture_dump), str(dewiki_dump))["workers"]
         assert workers["children_started"] == (2 if cpus > 1 else 0)
-        self._run(tmp_path, cpus, "attribute", "--config", str(cfg))
+        decode = self._run(tmp_path, cpus, "attribute", "--config", str(cfg))["decode"]
+        assert decode["children_started"] == (2 if cpus > 1 else 0)  # one slice per snapshot
 
     def test_side_input_readers_leave_the_stream_open(self, oui_csv, hitlist_tsv):
         # A text wrapper collected without detach would close the caller's file.

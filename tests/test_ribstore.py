@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import mrt_synth as synth
 import oracles
-from wikiv6 import forkjobs, netaddr, ribstore
+from wikiv6 import cli, forkjobs, netaddr, ribstore, slices
 from wikiv6.ingest import EditRecord, SiteId, parse_timestamp
 from wikiv6.ribstore import (
     BadPrefixTable,
@@ -1061,14 +1061,90 @@ def _no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
-class TestChildDecodes:
-    """attribute's forked decoders, seen through the ribstore API."""
+def _spelled(ts: datetime, rng: random.Random) -> str:
+    """`ts` as the record TSV may spell it: canonical, with a fraction, an offset or a lower-case z."""
+    if not ts.microsecond and rng.random() < 0.5:
+        return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+    kind = rng.randrange(3)
+    if kind == 0:
+        return ts.astimezone(timezone(timedelta(hours=rng.randrange(-12, 13)))).isoformat()
+    return ts.isoformat()[:-6] + ("Z" if kind == 1 else "z")
+
+
+def _linear_slices(data: bytes, ends: list) -> list:
+    """What ``slices.record_slices`` finds, by a linear scan of every line."""
+    rows = []  # (offset, time) of each non-blank line after the first
+    pos = data.find(b"\n") + 1 if b"\n" in data else len(data)
+    while pos < len(data):
+        stop = data.find(b"\n", pos) + 1 or len(data)
+        text = data[pos:stop].rstrip(b"\n").rstrip(b"\r")
+        if text:
+            rows.append((pos, parse_timestamp(text.split(b"\t")[0].decode())))
+        pos = stop
+    starts = [0]
+    for end in ends[:-1]:
+        offset = next((o for o, ts in rows if ts >= end), len(data))
+        if rows and rows[0][0] < offset < len(data) and offset > starts[-1]:
+            starts.append(offset)
+    return list(zip(starts, starts[1:] + [len(data)]))
+
+
+class TestChildSlices:
+    """The slices of the record TSV that attribute's forked children run, and what
+    a child sends back, seen through the ribstore API."""
 
     T0 = 1433160000
 
-    @pytest.fixture(autouse=True)
-    def _fork_small_files(self, monkeypatch):
-        monkeypatch.setattr(ribstore, "_DECODE_MIN_BYTES", 0)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_bisected_offsets_match_a_linear_scan(self, tmp_path_factory, seed):
+        rng = random.Random(seed)
+        base = datetime.fromtimestamp(self.T0, timezone.utc)
+        # Capture times two seconds or more apart, so that some hand-overs fall on whole seconds.
+        captured, span = [], 0
+        for _ in range(rng.randrange(1, 7)):
+            span += rng.choice((2, 3, 10, 3600))
+            captured.append(base + timedelta(seconds=span))
+        timeline = RibTimeline([TimelineEntry(c, None) for c in captured])
+        for when in [c - timedelta(seconds=1) for c in captured] + timeline.ends[:-1]:
+            assert timeline.nearest_position(when) == bisect_left(timeline.ends, when + timedelta(microseconds=1))
+        # Sorted times, some equal to a boundary or just before it, some repeated.
+        times = [base + timedelta(seconds=rng.uniform(0, span + 5)) for _ in range(rng.randrange(0, 40))]
+        for end in timeline.ends[:-1]:
+            times += [end] * rng.randrange(3) + [end - timedelta(microseconds=1)] * rng.randrange(2)
+        lines = [b"timestamp\tsite\tip"] if rng.random() < 0.8 else []
+        for ts in sorted(times):
+            lines.append(f"{_spelled(ts, rng)}\tenwiki\t10.0.0.1".encode())
+            if rng.random() < 0.2:
+                lines.append(b"")
+        data = b"".join(line + rng.choice((b"\n", b"\r\n")) for line in lines)
+        if data and rng.random() < 0.3:
+            data = data.rstrip(b"\r\n")  # no newline at the end
+        path = tmp_path_factory.mktemp("slices") / "records.tsv"
+        path.write_bytes(data)
+
+        ranges = slices.record_slices(str(path), timeline.ends)
+        assert ranges == _linear_slices(data, timeline.ends)
+        # Read slice by slice, the lines are those of one text-mode read of the whole file.
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            whole = list(fh)
+        pieces = []
+        for start, stop in ranges:
+            assert slices.count_lines(str(path), start) == len(pieces)
+            with slices.slice_lines(str(path), start, stop) as text:
+                pieces += list(text)
+        assert pieces == whole
+
+    def test_a_bare_carriage_return_or_an_unreadable_time_is_not_sliced(self, tmp_path):
+        timeline = RibTimeline([TimelineEntry(datetime.fromtimestamp(self.T0 + i * 86_400, timezone.utc), None) for i in range(2)])
+        rows = [f"{datetime.fromtimestamp(self.T0 + i * 3600, timezone.utc):%Y-%m-%dT%H:%M:%SZ}\tenwiki\t10.0.0.1\n" for i in range(24)]
+        path = tmp_path / "records.tsv"
+        path.write_text("timestamp\tsite\tip\n" + "".join(rows), encoding="utf-8", newline="")
+        assert len(slices.record_slices(str(path), timeline.ends)) == 2
+        for bad in ("\r", "x"):
+            # Every row falls to the first snapshot, so the bisect probes the last one.
+            path.write_text("timestamp\tsite\tip\n" + "".join(rows[:5]) + bad + rows[5], encoding="utf-8", newline="")
+            assert slices.record_slices(str(path), timeline.ends) is None
 
     def _files(self, tmp_path, count, cut=None):
         """`count` daily MRT snapshots; snapshot `cut` loses its last 3 bytes. Returns
@@ -1087,58 +1163,71 @@ class TestChildDecodes:
             paths.append(str(path))
         return paths, offset
 
-    def _records(self, days):
-        site = SiteId.from_code("enwiki")
+    def _records(self, tmp_path, days):
+        path = tmp_path / "records.tsv"
         stamps = [datetime.fromtimestamp(self.T0 + int(d * 86_400), timezone.utc) for d in days]
-        return [EditRecord(t, site, IPv6Address("2001:db8::1")) for t in stamps]
+        path.write_text("timestamp\tsite\tip\n" + "".join(f"{t:%Y-%m-%dT%H:%M:%SZ}\tenwiki\t2001:db8::1\n" for t in stamps))
+        return str(path)
 
     def test_error_keeps_its_type_message_and_offset(self, tmp_path, monkeypatch):
         paths, offset = self._files(tmp_path, 3, cut=1)
+        records = self._records(tmp_path, [0, 1])
+        timeline = RibTimeline.from_files(paths)
+        ranges = slices.record_slices(records, timeline.ends)
+        assert len(ranges) == 2
         errors = []
-        for cpus in (2, 1):
-            monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: cpus)
-            decode = ribstore.DecodeStats()
-            with pytest.raises(TruncatedRecord) as info:
-                list(attribute(self._records([0, 1]), RibTimeline.from_files(paths), decode))
-            errors.append((str(info.value), info.value.offset))
-            assert decode.children_started == (2 if cpus > 1 else 0)
-            _no_child_process()
-        assert errors[0] == errors[1] == (f"{paths[1]}: truncated MRT record at byte {offset}", offset)
+        # In a forked child, and in process.
+        jobs = forkjobs.ForkedJobs(lambda k: slices.attribute_slice(records, str(tmp_path / "part"), *ranges[k], timeline), 1, forkjobs.WorkerStats())
+        assert jobs.start(1)
+        outcomes = [jobs.result(1, keep=False), slices.attribute_slice(records, str(tmp_path / "part"), *ranges[1], timeline)]
+        assert jobs.stats.children_started == 1
+        _no_child_process()
+        for outcome in outcomes:
+            error = slices.slice_error(outcome, lambda: 2)
+            assert type(error) is TruncatedRecord
+            errors.append((str(error), error.offset))
+        with pytest.raises(TruncatedRecord) as info, open(records, encoding="utf-8") as lines:
+            list(attribute(cli.read_records(lines), RibTimeline.from_files(paths)))
+        assert errors[0] == errors[1] == (str(info.value), info.value.offset) == (f"{paths[1]}: truncated MRT record at byte {offset}", offset)
         assert offset > 0
+
+    def test_a_slice_leaves_its_snapshots_unloaded(self, tmp_path):
+        # A child keeps its heap from one slice to the next, so each slice starts from none loaded.
+        paths, _ = self._files(tmp_path, 3)
+        records = self._records(tmp_path, [0, 0.2, 1, 2])
+        timeline = RibTimeline.from_files(paths)
+        ranges = slices.record_slices(records, timeline.ends)
+        assert len(ranges) == 3
+        outcome = slices.attribute_slice(records, str(tmp_path / "part"), *ranges[1], timeline)
+        assert outcome[:3] == ("ok", 1, 0) and list(outcome[4]) == [1]
+        assert [(e.counters, e._index) for e in timeline.entries] == [(None, None)] * 3
 
     def test_closing_early_leaves_no_child(self, tmp_path, monkeypatch):
         monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: 2)
         paths, _ = self._files(tmp_path, 4)
+        records = self._records(tmp_path, [0, 1, 2, 3])
         timeline = RibTimeline.from_files(paths)
         _no_child_process()  # from_files starts none
-        decode = ribstore.DecodeStats()
-        out = attribute(self._records([0, 1, 2, 3]), timeline, decode)
-        assert next(out).origin == timeline.entries[0].index().lookup(IPv6Address("2001:db8::1"))
-        assert decode.children_started == 2
-        out.close()
+        ranges = slices.record_slices(records, timeline.ends)
+        parts = [str(tmp_path / f"part{k}") for k in range(len(ranges))]
+        run = lambda k: slices.attribute_slice(records, parts[k], *ranges[k], timeline)  # noqa: E731
+        jobs = forkjobs.ForkedJobs(run, 2, forkjobs.WorkerStats())
+        outcomes = cli._job_outcomes(jobs, len(ranges), run, lambda o: o[0] != "ok", None, lambda k: cli._discard(parts[k]))
+        assert next(outcomes)[:2] == ("ok", 1)
+        assert jobs.stats.children_started == 2
+        outcomes.close()
         _no_child_process()
+        assert list(tmp_path.glob("part*")) == []
 
-    def test_hand_built_entries_load_in_process(self, tmp_path, monkeypatch):
+    def test_attribute_alone_starts_no_child(self, tmp_path, monkeypatch):
         monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: 2)
         paths, _ = self._files(tmp_path, 2)
-        built = RibTimeline.from_files(paths)
-        by_hand = RibTimeline([TimelineEntry(e.captured_at, e._loader) for e in built.entries])
-        decode = ribstore.DecodeStats()
-        assert len(list(attribute(self._records([0, 1]), by_hand, decode))) == 2
-        assert decode.as_dict() == ribstore.DecodeStats().as_dict()
-        assert [e.path for e in by_hand.entries] == [None, None]
-        assert [e.path for e in built.entries] == paths
-
-    def test_files_below_the_size_floor_load_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: 2)
-        paths, _ = self._files(tmp_path, 3)
-        total = sum(os.path.getsize(p) for p in paths)
-        for floor, forked in ((total + 1, False), (total, True)):
-            monkeypatch.setattr(ribstore, "_DECODE_MIN_BYTES", floor)
-            decode = ribstore.DecodeStats()
-            assert len(list(attribute(self._records([0, 1, 2]), RibTimeline.from_files(paths), decode))) == 3
-            assert (decode.children_started, decode.snapshots_adopted) == ((2, 3) if forked else (0, 0))
-            _no_child_process()
+        site = SiteId.from_code("enwiki")
+        records = [EditRecord(datetime.fromtimestamp(self.T0 + d * 86_400, timezone.utc), site, IPv6Address("2001:db8::1")) for d in (0, 1)]
+        out = attribute(records, RibTimeline.from_files(paths))
+        next(out)
+        _no_child_process()
+        assert len(list(out)) == 1
 
 
 class TestScaleHarness:
