@@ -1146,6 +1146,13 @@ class TestChildSlices:
             path.write_text("timestamp\tsite\tip\n" + "".join(rows[:5]) + bad + rows[5], encoding="utf-8", newline="")
             assert slices.record_slices(str(path), timeline.ends) is None
 
+
+class TestChildDecodes:
+    """The snapshot each slice's forked child decodes for itself, and what the child
+    sends back, seen through the ribstore API."""
+
+    T0 = 1433160000
+
     def _files(self, tmp_path, count, cut=None):
         """`count` daily MRT snapshots; snapshot `cut` loses its last 3 bytes. Returns
         (paths, the byte offset of the cut snapshot's last record)."""
@@ -1228,6 +1235,17 @@ class TestChildSlices:
         next(out)
         _no_child_process()
         assert len(list(out)) == 1
+
+    def test_hand_built_entries_load_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: 2)
+        paths, _ = self._files(tmp_path, 2)
+        built = RibTimeline.from_files(paths)
+        by_hand = RibTimeline([TimelineEntry(e.captured_at, e._loader) for e in built.entries])
+        site = SiteId.from_code("enwiki")
+        records = [EditRecord(datetime.fromtimestamp(self.T0 + d * 86_400, timezone.utc), site, IPv6Address("2001:db8::1")) for d in (0, 1)]
+        assert [r.origin for r in attribute(records, by_hand)] == [r.origin for r in attribute(records, built)]
+        _no_child_process()
+        assert all(e.counters is not None for e in by_hand.entries)
 
 
 class TestScaleHarness:
