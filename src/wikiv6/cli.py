@@ -14,6 +14,7 @@ import heapq
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from bisect import bisect_left
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from . import __version__, ingest, netaddr, ribstore
+from . import __version__
 from .ingest import (
     BadRow,
     ParseStats,
@@ -35,6 +36,7 @@ from .ingest import (
 )
 from .netaddr import EMPTY_OUI_DATABASE, BadCsv, OuiDatabase, load_oui_database
 from .ribstore import (
+    ATTRIBUTED_HEADER,
     BadPrefixTable,
     MissingPeerIndex,
     RibTimeline,
@@ -357,16 +359,36 @@ _SLICE_MIN_BYTES = 512 << 10
 # The workers block of a stage's stats when it forks no child, as forkjobs.WorkerStats writes it.
 _NO_WORKERS = {"children_started": 0, "blocked_s": 0.0, "children_cpu_s": 0.0}
 
+# The names a forked child calls, by home module. A tracer replaces them here to
+# time them, and the spans it would record in a child are lost, so while any of
+# them is replaced every stage stays in process.
+_CHILD_CALLS = (
+    ("ingest", "parse_dump_stream"),
+    ("ingest", "write_records"),
+    ("ingest", "read_records"),
+    ("ribstore", "attribute"),
+    ("ribstore", "write_attributed"),
+    ("ribstore", "RibTimeline"),
+    ("netaddr", "load_oui_database"),
+    ("analytics", "read_hitlist"),
+)
 
-def _forked_jobs(run, input_bytes: int, min_bytes: int, most: int):
+
+def _forked_jobs(run, paths: Sequence[str], min_bytes: int, most: int):
     """A ``forkjobs.ForkedJobs`` that runs `run` in up to `most` children, or None
-    where the work stays in process. Input under `min_bytes` is turned away
-    before ``forkjobs`` is imported, so that such runs never compile it."""
-    if input_bytes < min_bytes:
+    where the work stays in process: a name of ``_CHILD_CALLS`` is replaced, the
+    regular files among `paths` hold fewer than `min_bytes`, or no child can be
+    forked. ``forkjobs`` is imported only above the floor, so that runs under it
+    never compile it, and ``analytics`` never: its name counts once bound here."""
+    bound = globals()
+    for home, name in _CHILD_CALLS:
+        if name in bound and bound[name] is not getattr(sys.modules.get(f"{__package__}.{home}"), name, None):
+            return None
+    if sum(os.path.getsize(p) for p in paths if os.path.isfile(p)) < min_bytes:
         return None
     from .forkjobs import ForkedJobs, WorkerStats, fork_workers
 
-    workers = min(fork_workers(input_bytes, min_bytes), most)
+    workers = min(fork_workers(), most)
     return ForkedJobs(run, workers, WorkerStats()) if workers else None
 
 
@@ -405,9 +427,9 @@ def _job_outcomes(jobs, count: int, run, stops, lost, discard, meanwhile=None) -
     first jobs start and before the parent first waits for a result. A child
     that ends without a result gives the outcome ``lost(job, ChildLost)``. Once
     an outcome `stops` the run, no later job starts and the children running
-    later jobs are killed. However the caller stops, every child is reaped and
-    ``discard(job)`` runs for each job from the one last yielded on that was
-    started. Without `jobs`, jobs run in process.
+    later jobs are killed. However the caller stops, every child is reaped, and
+    if it stops before the end ``discard(job)`` runs for each job from the one
+    last yielded on that was started. Without `jobs`, jobs run in process.
     """
     if jobs is not None:
         from .forkjobs import ChildLost
@@ -440,6 +462,7 @@ def _job_outcomes(jobs, count: int, run, stops, lost, discard, meanwhile=None) -
                         jobs.cancel(k)
                         discard(k)
             yield done.pop(i)
+        i = count  # every outcome was taken
     finally:
         if jobs is not None:
             jobs.close()
@@ -494,12 +517,9 @@ def cmd_extract(cfg: PipelineConfig) -> int:
         writers[name] = dump
         plans.append((dump, site, str(outdir / name)))
     outdir.mkdir(parents=True, exist_ok=True)
-    # Spans a tracer records in a child would be lost: patched runs parse in process.
-    patched = parse_dump_stream is not ingest.parse_dump_stream or write_records is not ingest.write_records
-    size = sum(os.path.getsize(dump) for dump in cfg.dumps if os.path.isfile(dump))
     jobs = None
-    if not patched and len(plans) > 1:
-        jobs = _forked_jobs(lambda i: _parse_dump(cfg, *plans[i]), size, _PARSE_MIN_BYTES, len(plans))
+    if len(plans) > 1:
+        jobs = _forked_jobs(lambda i: _parse_dump(cfg, *plans[i]), cfg.dumps, _PARSE_MIN_BYTES, len(plans))
     per_file: dict[str, dict] = {}
     merged_sources: list[str] = []
     digests: dict[str, str] = {}
@@ -567,7 +587,6 @@ def _counter_median(counts: dict[int, int]) -> Optional[int]:
         seen += counts[value]
         if seen > total // 2:
             return value
-    return max(counts)
 
 
 class _Tally:
@@ -595,30 +614,53 @@ class _Tally:
             self.unrouted += unrouted
 
 
-def _attribute_lines(lines, timeline, sink, tally: _Tally) -> None:
-    """Attribute the record TSV `lines` against `timeline` into `sink`, counting into `tally`."""
-    write_attributed(tally.counted(attribute(read_records(lines), timeline)), sink)
+def _attribute_failure(records_path: str, exc: Exception, lines_before: int = 0) -> str:
+    """The stderr line that ends the attribute stage on `exc`; a BadRow read
+    after `lines_before` lines of `records_path` counts them in its line number."""
+    if isinstance(exc, UnsortedInput):
+        return f"attribute: {records_path}: {exc}; run extract's merge step first"
+    if isinstance(exc, BadRow):
+        return f"attribute: {records_path}: line {exc.lineno + lines_before}: {str(exc).partition(': ')[2]}"
+    return f"attribute: {exc}"
 
 
-def _snapshot_rows(timeline) -> dict[int, dict]:
-    """The counters row of each snapshot loaded, by timeline position."""
-    return {pos: e.counters for pos, e in enumerate(timeline.entries) if e.counters is not None}
+def _record_lines(path: str, start: int, stop: Optional[int]):
+    """The text lines of bytes `start` up to `stop` of `path`, or of the whole
+    file, opened once and never sought, where `stop` is None."""
+    if stop is None:
+        return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    from .slices import slice_lines
+
+    return slice_lines(path, start, stop)
 
 
-def _slicing_bytes(records_path: str, inputs: list) -> int:
-    """The bytes of input the stage may slice (``slices``) over, or 0 where it runs
-    in process: a tracer has patched a name it calls (its spans would be lost in a
-    child), the records are not a regular file, or the inputs are under the floor."""
-    patched = (
-        read_records is not ingest.read_records
-        or attribute is not ribstore.attribute
-        or write_attributed is not ribstore.write_attributed
-        or RibTimeline is not ribstore.RibTimeline
-    )
-    if patched or not os.path.isfile(records_path):
-        return 0
-    size = sum(os.path.getsize(p) for p in inputs if os.path.isfile(p))
-    return size if size >= _SLICE_MIN_BYTES else 0
+def _attribute_range(records_path: str, part: str, start: int, stop: Optional[int], timeline) -> tuple:
+    """Attribute the records in bytes `start` up to `stop` of `records_path`, or
+    the whole file read once from its start where `stop` is None, into `part` +
+    ".tmp", in a forked child or in process.
+
+    Returns ``("ok", records, unrouted, |delta| counts, {position: counters
+    row})`` or ``("failed", the stage's stderr line)``, marshal-able. The
+    timeline's snapshots are unloaded again afterwards, so that the next range a
+    child runs starts from none.
+    """
+    tally = _Tally()
+    try:
+        with open(f"{part}.tmp", "w", encoding="utf-8") as sink, _record_lines(records_path, start, stop) as lines:
+            write_attributed(tally.counted(attribute(read_records(lines), timeline)), sink)
+    except (UnsortedInput, TruncatedRecord, MissingPeerIndex, BadPrefixTable, ValueError, OSError) as exc:
+        before = 0
+        if isinstance(exc, BadRow) and start:
+            from .slices import count_lines
+
+            before = count_lines(records_path, start)
+        return ("failed", _attribute_failure(records_path, exc, before))
+    finally:
+        rows = {pos: e.counters for pos, e in enumerate(timeline.entries) if e.counters is not None}
+        for entry in timeline.entries:
+            entry.counters = None
+            entry.evict()
+    return ("ok", tally.count, tally.unrouted, tally.deltas, rows)
 
 
 def cmd_attribute(cfg: PipelineConfig) -> int:
@@ -634,13 +676,11 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     try:
         timeline = RibTimeline.from_files(cfg.ribs)
     except (TruncatedRecord, BadPrefixTable, ValueError, OSError) as exc:
-        print(f"attribute: {exc}", file=sys.stderr)
+        print(_attribute_failure(records_path, exc), file=sys.stderr)
         return EXIT_RUNTIME
 
     attributed_path = cfg.attributed_path()
     inputs = [records_path, *cfg.ribs]
-    tally = _Tally()
-    rows: dict[int, dict] = {}
     digests: dict[str, str] = {}
 
     def hash_inputs() -> None:
@@ -650,34 +690,61 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
             with suppress(OSError):
                 digests[path] = _sha256(path)
 
+    # Snapshot i serves one byte range of the time-sorted records (see slices),
+    # and each range is a job. One range, the whole file, runs in process: the
+    # records cannot be forked over, are not a regular file (no seek), cannot be
+    # sliced, or fall to one snapshot. Range 0 is written straight to the output.
+    def run(k: int) -> tuple:
+        return _attribute_range(records_path, parts[k], *ranges[k], timeline)
+
+    ranges = jobs = None
+    if len(timeline.entries) > 1 and os.path.isfile(records_path):
+        jobs = _forked_jobs(run, inputs, _SLICE_MIN_BYTES, len(timeline.entries))
+    if jobs is not None:
+        from .slices import record_slices
+
+        with suppress(OSError):  # the in-process run reports it
+            ranges = record_slices(records_path, timeline.ends)
+    if ranges is None or len(ranges) < 2:
+        ranges, jobs = [(0, None)], None
+    parts = [attributed_path] + [f"{attributed_path}.{k}" for k in range(1, len(ranges))]
+    outcomes = _job_outcomes(
+        jobs,
+        len(ranges),
+        run,
+        stops=lambda outcome: outcome[0] != "ok",
+        lost=lambda k, exc: ("failed", f"attribute: {records_path}: the slice from byte {ranges[k][0]} {exc}"),
+        discard=lambda k: _discard(parts[k]),
+        meanwhile=hash_inputs,
+    )
+    header = len(ATTRIBUTED_HEADER.encode()) + 1
+    count = unrouted = 0
+    deltas: dict[int, int] = {}
+    rows: dict[int, dict] = {}
     try:
-        decode = None
-        size = _slicing_bytes(records_path, inputs)
-        if size:
-            from .slices import attribute_sliced
+        with closing(outcomes):
+            for k, outcome in enumerate(outcomes):
+                if outcome[0] != "ok":
+                    print(outcome[1], file=sys.stderr)
+                    return EXIT_RUNTIME
+                count += outcome[1]
+                unrouted += outcome[2]
+                for d, n in outcome[3].items():
+                    deltas[d] = deltas.get(d, 0) + n
+                rows.update(outcome[4])
+                if k:  # after range 0's header and rows, skipping this part's header
+                    with open(f"{parts[k]}.tmp", "rb") as part, open(f"{attributed_path}.tmp", "ab") as sink:
+                        part.seek(header)
+                        shutil.copyfileobj(part, sink)
+                    _discard(parts[k])
+        _commit(attributed_path)
+    finally:
+        _discard(attributed_path)
 
-            decode = attribute_sliced(records_path, attributed_path, timeline, size, tally, rows, hash_inputs)
-        if decode is None:
-            with _replacing(attributed_path) as sink:
-                with open(records_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                    _attribute_lines(fh, timeline, sink, tally)
-            rows = _snapshot_rows(timeline)
-            decode = {**_NO_WORKERS, "snapshots_adopted": 0}
-    except UnsortedInput as exc:
-        print(f"attribute: {records_path}: {exc}; run extract's merge step first", file=sys.stderr)
-        return EXIT_RUNTIME
-    except BadRow as exc:
-        print(f"attribute: {records_path}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (TruncatedRecord, MissingPeerIndex, BadPrefixTable, OSError) as exc:
-        print(f"attribute: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-
-    deltas, count = tally.deltas, tally.count
     summary = {
         "records": count,
-        "unrouted": tally.unrouted,
-        "unrouted_fraction": (tally.unrouted / count) if count else 0.0,
+        "unrouted": unrouted,
+        "unrouted_fraction": (unrouted / count) if count else 0.0,
         "abs_delta_s": {
             "min": min(deltas) if deltas else None,
             "median": _counter_median(deltas),
@@ -685,7 +752,10 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
             "buckets": _delta_buckets(deltas),
         },
         "snapshots": [rows[pos] for pos in sorted(rows)],
-        "decode": decode,
+        "decode": {
+            **(_NO_WORKERS if jobs is None else jobs.stats.as_dict()),
+            "snapshots_adopted": 0 if jobs is None else len(rows),
+        },
     }
     _write_stats(cfg, summary)
     write_manifest(cfg, "attribute", inputs=inputs, outputs=[Path(attributed_path).name], digests=digests)
@@ -737,18 +807,6 @@ def _load_side_inputs(cfg: PipelineConfig, oui: bool, hitlist: bool) -> tuple:
     return ("ok", oui_part, hitlist_part)
 
 
-def _loading_child(paths: list, load):
-    """A ``forkjobs.ForkedJobs`` whose one child runs `load` as job 0, or None
-    where the side inputs at `paths` load in process: none are needed, a tracer
-    has patched a loader (its spans would be lost in a child), they are under
-    the floor, or no child can be forked."""
-    if not paths or load_oui_database is not netaddr.load_oui_database or read_hitlist is not analytics.read_hitlist:
-        return None
-    size = sum(os.path.getsize(p) for p in paths if os.path.isfile(p))
-    jobs = _forked_jobs(lambda _: load(), size, _LOAD_MIN_BYTES, 1)
-    return jobs if jobs is not None and jobs.start(0) else None
-
-
 def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
     _analytics()
     requested = list(TABLE_NAMES) if "all" in names else list(dict.fromkeys(names))
@@ -785,7 +843,9 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
     need_hitlist = "hitlist_overlap" in requested
     side = [path for path, needed in ((cfg.oui, need_oui), (cfg.hitlist, need_hitlist)) if needed]
     load = functools.partial(_load_side_inputs, cfg, need_oui, need_hitlist)
-    jobs = _loading_child(side, load)
+    jobs = _forked_jobs(lambda _: load(), side, _LOAD_MIN_BYTES, 1) if side else None
+    if jobs is not None and not jobs.start(0):
+        jobs = None
 
     def counted(records):
         for record in records:

@@ -13,13 +13,11 @@ child in ``cancel`` and ``close``, and as soon as it takes the child's result
 when no job is left to start.
 
 ``fork_workers`` says how many children a stage should start: none with one
-usable CPU, without ``os.fork``, or for less input than the floor its caller
-passes. Each kind of job has its own floor, measured where the work moved to
-a child repays what the children cost the parent (fork, copy-on-write
-faults, reaping, taking the result): extract's dump parses, attribute's
-per-snapshot slices of the records (``slices``) and the OUI database and
-hitlist that report loads while it aggregates. Callers check
-their floor before they import this module, so runs under it never compile it.
+usable CPU or without ``os.fork``, else two. Whether a stage's work is worth
+children at all is decided before, by ``cli._forked_jobs``: it keeps the work
+in process while a tracer has replaced a name a child would call, or under the
+floor of input bytes measured for that kind of job, and imports this module
+only above that floor, so runs under it never compile it.
 """
 
 from __future__ import annotations
@@ -43,11 +41,10 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def fork_workers(input_bytes: int, min_bytes: int) -> int:
-    """The children to run jobs over `input_bytes` of input files in, given the
-    floor `min_bytes` for such jobs; 0 means in process."""
+def fork_workers() -> int:
+    """The children to run a stage's jobs in; 0 means in process."""
     cpus = _usable_cpus() if hasattr(os, "fork") else 1
-    return 0 if cpus < 2 or input_bytes < min_bytes else min(2, cpus)
+    return 0 if cpus < 2 else 2
 
 
 class WorkerStats:

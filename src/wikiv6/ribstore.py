@@ -15,9 +15,10 @@ is a read-only view that builds ``(ip_network, OriginAs)`` pairs as they are
 read.
 
 ``attribute`` loads each snapshot in process when the first record reaches it.
-The ``attribute`` stage puts a second CPU to work by running each snapshot's
-slice of the time-sorted records through ``attribute`` in a forked child
-(``slices``), so a child loads only the snapshots its slice reaches.
+The ``attribute`` stage runs the time-sorted records as byte ranges, one per
+snapshot that some record falls to (``slices``), each through ``attribute`` in
+a forked child that loads only the snapshots its range reaches. A run that
+forks no child is the one-range case: the whole file, in process.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from datetime import datetime, timedelta, timezone
 from ipaddress import ip_address, ip_network
@@ -17,7 +18,7 @@ import pytest
 import mrt_synth as synth
 import oracles
 from corpus import synth_corpus, synth_hitlist
-from wikiv6 import analytics, cli, forkjobs, netaddr, ribstore, slices
+from wikiv6 import analytics, cli, forkjobs, netaddr, ribstore
 from wikiv6.cli import (
     ConfigError,
     PipelineConfig,
@@ -820,10 +821,11 @@ class TestChildSlices:
     in-process run gives: rows, stats but the decode block, stderr, exit code and manifest."""
 
     @staticmethod
-    def _attribute(tmp_path, monkeypatch, cpus, ribs, days=None, damage=None, records=None, floor=0, tag=""):
+    def _attribute(tmp_path, monkeypatch, cpus, ribs, days=None, damage=None, records=None, floor=0, tag="", fifo=False):
         """Run attribute in a fresh directory with `cpus` usable CPUs and a size floor of
-        `floor` bytes; `damage(paths)` runs after from_files, and `records` (bytes) replaces
-        the TSV of `days`. Returns (exit code, output directory, stats or None, children forked)."""
+        `floor` bytes; `damage(paths)` runs after from_files, `records` (bytes) replaces
+        the TSV of `days`, and with `fifo` the TSV is a FIFO a thread writes it to.
+        Returns (exit code, output directory, stats or None, children forked)."""
         run = tmp_path / f"cpus{cpus}{tag}"
         run.mkdir()
         paths = []
@@ -831,7 +833,14 @@ class TestChildSlices:
             path = run / f"rib{i:02d}"
             path.write_bytes(make(T0 + i * DAY))
             paths.append(str(path))
-        (run / "records.tsv").write_bytes(records if records is not None else _records_text(days).encode())
+        data = records if records is not None else _records_text(days).encode()
+        writer = None
+        if fifo:
+            os.mkfifo(run / "records.tsv")
+            writer = threading.Thread(target=(run / "records.tsv").write_bytes, args=(data,), daemon=True)
+            writer.start()
+        else:
+            (run / "records.tsv").write_bytes(data)
         out = run / "out"
         cfg = run / "p.cfg"
         cfg.write_text("".join(f"rib = {p}\n" for p in paths) + f"records = {run / 'records.tsv'}\nout = {out}\n", encoding="utf-8")
@@ -855,6 +864,9 @@ class TestChildSlices:
         monkeypatch.setattr(cli, "_forked_jobs", jobs_seen)
         stats = run / "a.json"
         code = run_cli("attribute", "--config", str(cfg), "--stats", str(stats))
+        if writer is not None:
+            writer.join(timeout=30)
+            assert not writer.is_alive()
         summary = json.loads(stats.read_text(encoding="utf-8")) if code == 0 else None
         return code, out, summary, sum(jobs.stats.children_started for jobs in forked if jobs is not None)
 
@@ -923,11 +935,16 @@ class TestChildSlices:
     def _remove(paths):
         os.unlink(paths[1])
 
+    @staticmethod
+    def _garble_header(paths):
+        Path(paths[1]).write_text("# captured_at=garbage\n2001:db8::/32\t64500\n", encoding="utf-8")
+
     CASES = {
         "truncated-mrt": (_truncated.__func__, None, "truncated MRT record at byte "),
         "no-peer-index": (_no_peer_index.__func__, None, "RIB record at byte 0 before PEER_INDEX_TABLE"),
         "no-header": (_prefix_table.__func__, _drop_header.__func__, "missing '# captured_at=' header"),
         "removed": (_prefix_table.__func__, _remove.__func__, "No such file or directory"),
+        "bad-header-time": (_prefix_table.__func__, _garble_header.__func__, "Invalid isoformat string: 'garbage'"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -957,7 +974,7 @@ class TestChildSlices:
         _assert_no_child_process()
 
     def test_child_that_dies_without_a_result(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(slices, "attribute_slice", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+        monkeypatch.setattr(cli, "_attribute_range", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
         code, out, _, started = self._attribute(tmp_path, monkeypatch, 2, [self._table(0), self._table(1)], [0, 1])
         assert code == 1 and started == 2
         records = tmp_path / "cpus2" / "records.tsv"
@@ -969,7 +986,7 @@ class TestChildSlices:
 
     def test_interrupt_leaves_no_child_and_no_output(self, tmp_path, monkeypatch):
         out = tmp_path / "cpus2" / "out"
-        real = slices.attribute_slice
+        real = cli._attribute_range
 
         def slow(*args):
             outcome = real(*args)
@@ -979,11 +996,11 @@ class TestChildSlices:
         def interrupted(path):
             # Ctrl-C while the children work, once both have written their part files.
             deadline = time.monotonic() + 30
-            while len(list(out.glob("attributed.tsv.*.tmp"))) < 2 and time.monotonic() < deadline:
+            while len(list(out.glob("attributed.tsv*.tmp"))) < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(slices, "attribute_slice", slow)
+        monkeypatch.setattr(cli, "_attribute_range", slow)
         monkeypatch.setattr(cli, "_sha256", interrupted)
         code, out, _, started = self._attribute(tmp_path, monkeypatch, 2, [self._table(s) for s in range(4)], [0, 1, 2, 3])
         assert code == 1 and started == 2
@@ -1027,6 +1044,18 @@ class TestChildSlices:
         text = "".join(line.replace("\n", "\r\n") if n % 2 else line + "\r\n" * (n % 4 == 0) for n, line in enumerate(lines))
         code, _, summary = self._both(tmp_path, monkeypatch, capsys, [self._table(s) for s in range(3)], records=text.encode())
         assert code == 0 and summary["records"] == 15
+
+    def test_fifo_records_are_read_once_in_process(self, tmp_path, monkeypatch):
+        # Above the floor at 2 CPUs, but a FIFO cannot seek: one range, read from its start.
+        ribs = [self._table(s) for s in range(3)]
+        runs = [self._attribute(tmp_path, monkeypatch, 2, ribs, [0, 1, 2], fifo=fifo, tag=f"-{fifo}") for fifo in (False, True)]
+        (code, out, sliced, started), (fifo_code, fifo_out, in_process, fifo_started) = runs
+        assert (code, fifo_code, started, fifo_started) == (0, 0, 2, 0)
+        assert (fifo_out / "attributed.tsv").read_bytes() == (out / "attributed.tsv").read_bytes()
+        assert in_process.pop("decode") == {**IN_PROCESS, "snapshots_adopted": 0}
+        assert sliced.pop("decode")["snapshots_adopted"] == 3
+        assert in_process == sliced and in_process["records"] == 15
+        _assert_no_child_process()
 
     def test_patched_attribute_runs_in_process(self, tmp_path, monkeypatch, capsys):
         calls = []
@@ -1334,6 +1363,32 @@ class TestChildLoads:
         for floor, children in ((total + 1, 0), (total, 1)):
             code, _, _, summary = self._report(tmp_path, monkeypatch, capsys, 2, cfg, "all", floor=floor, tag=f"f{floor}")
             assert code == 0 and summary["workers"]["children_started"] == children
+
+
+@pytest.mark.parametrize("name", [None] + [name for _, name in cli._CHILD_CALLS])
+def test_a_replaced_child_call_keeps_every_stage_in_process(tmp_path, monkeypatch, fixture_dump, dewiki_dump, oui_csv, hitlist_tsv, name):
+    # As a tracer replaces it: a wrapper around the real one, bound on cli.
+    if name is not None:
+        real = getattr(cli, name)
+        replaced = type(name, (real,), {}) if isinstance(real, type) else lambda *args, **kwargs: real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, replaced)
+    monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: 2)
+    for floor in ("_PARSE_MIN_BYTES", "_SLICE_MIN_BYTES", "_LOAD_MIN_BYTES"):
+        monkeypatch.setattr(cli, floor, 0)
+    cfg = tmp_path / "p.cfg"
+    ribs = "".join(f"rib = {rib}\n" for rib in _write_ribs(tmp_path))
+    cfg.write_text(ribs + f"oui = {oui_csv}\nhitlist = {hitlist_tsv}\nout = {tmp_path / 'out'}\n", encoding="utf-8")
+    started = []
+    for stage, args, block in (
+        ("extract", [str(fixture_dump), str(dewiki_dump)], "workers"),
+        ("attribute", [], "decode"),
+        ("report", ["all"], "workers"),
+    ):
+        stats = tmp_path / f"{stage}.json"
+        assert run_cli(stage, *args, "--config", str(cfg), "--stats", str(stats)) == 0
+        started.append(json.loads(stats.read_text(encoding="utf-8"))[block]["children_started"])
+    assert started == ([2, 2, 1] if name is None else [0, 0, 0])
+    _assert_no_child_process()
 
 
 class TestResourceWarnings:

@@ -1182,20 +1182,20 @@ class TestChildDecodes:
         timeline = RibTimeline.from_files(paths)
         ranges = slices.record_slices(records, timeline.ends)
         assert len(ranges) == 2
-        errors = []
         # In a forked child, and in process.
-        jobs = forkjobs.ForkedJobs(lambda k: slices.attribute_slice(records, str(tmp_path / "part"), *ranges[k], timeline), 1, forkjobs.WorkerStats())
+        part = str(tmp_path / "part")
+        jobs = forkjobs.ForkedJobs(lambda k: cli._attribute_range(records, part, *ranges[k], timeline), 1, forkjobs.WorkerStats())
         assert jobs.start(1)
-        outcomes = [jobs.result(1, keep=False), slices.attribute_slice(records, str(tmp_path / "part"), *ranges[1], timeline)]
+        outcomes = [jobs.result(1, keep=False), cli._attribute_range(records, part, *ranges[1], timeline)]
         assert jobs.stats.children_started == 1
         _no_child_process()
-        for outcome in outcomes:
-            error = slices.slice_error(outcome, lambda: 2)
-            assert type(error) is TruncatedRecord
-            errors.append((str(error), error.offset))
+        # The line the in-process stage prints: the whole file as one range.
+        stage = cli._attribute_range(records, part, 0, None, RibTimeline.from_files(paths))
         with pytest.raises(TruncatedRecord) as info, open(records, encoding="utf-8") as lines:
             list(attribute(cli.read_records(lines), RibTimeline.from_files(paths)))
-        assert errors[0] == errors[1] == (str(info.value), info.value.offset) == (f"{paths[1]}: truncated MRT record at byte {offset}", offset)
+        line = f"attribute: {paths[1]}: truncated MRT record at byte {offset}"
+        assert outcomes == [stage, stage] == [("failed", line)] * 2
+        assert (str(info.value), info.value.offset) == (f"{paths[1]}: truncated MRT record at byte {offset}", offset)
         assert offset > 0
 
     def test_a_slice_leaves_its_snapshots_unloaded(self, tmp_path):
@@ -1205,7 +1205,7 @@ class TestChildDecodes:
         timeline = RibTimeline.from_files(paths)
         ranges = slices.record_slices(records, timeline.ends)
         assert len(ranges) == 3
-        outcome = slices.attribute_slice(records, str(tmp_path / "part"), *ranges[1], timeline)
+        outcome = cli._attribute_range(records, str(tmp_path / "part"), *ranges[1], timeline)
         assert outcome[:3] == ("ok", 1, 0) and list(outcome[4]) == [1]
         assert [(e.counters, e._index) for e in timeline.entries] == [(None, None)] * 3
 
@@ -1217,7 +1217,7 @@ class TestChildDecodes:
         _no_child_process()  # from_files starts none
         ranges = slices.record_slices(records, timeline.ends)
         parts = [str(tmp_path / f"part{k}") for k in range(len(ranges))]
-        run = lambda k: slices.attribute_slice(records, parts[k], *ranges[k], timeline)  # noqa: E731
+        run = lambda k: cli._attribute_range(records, parts[k], *ranges[k], timeline)  # noqa: E731
         jobs = forkjobs.ForkedJobs(run, 2, forkjobs.WorkerStats())
         outcomes = cli._job_outcomes(jobs, len(ranges), run, lambda o: o[0] != "ok", None, lambda k: cli._discard(parts[k]))
         assert next(outcomes)[:2] == ("ok", 1)
