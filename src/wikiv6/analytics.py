@@ -4,23 +4,34 @@ All metrics reduce to distinct-key sets and first/last-seen maps, so partial
 aggregates built per input shard merge losslessly (union / min / max) and any
 merge order yields byte-identical tables. Distinct counting is exact.
 
-The aggregate holds ints, not objects, wherever a table can decode them: an
-address is one int key, a week or month is one int key (its ``YYYY-Www`` or
-``YYYY-MM`` text is built only when a table row is written), the AS series is
-one set per week of packed ``origin code << 129 | v6 key`` ints, and first and
-last seen are packed into one int of UTC microseconds per address (see
-``PartialAggregate``).
+The aggregate holds ints and packed bytes, not objects, wherever a table can
+decode them: an address is one int key, a week or month is one int key (its
+``YYYY-Www`` or ``YYYY-MM`` text is built only when a table row is written),
+the AS series is one bin per week of ``origin code << 128 | v6 address``
+members, and each address's sites, first and last sighting are packed into
+one int (see ``PartialAggregate``).
+
+Records are expected in time order, as ``extract`` writes them and
+``attribute`` requires. A week or month bin is then final once a later one
+arrives, so it is sealed into sorted packed bytes, and only the open bins are
+hash sets. Input out of time order gives the same tables, but from then on the
+aggregate keeps every bin as a hash set, at a higher memory cost.
 """
 
 from __future__ import annotations
 
-import json
+import heapq
 import math
+from array import array
 from bisect import bisect_left
+from calendar import monthrange
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from struct import iter_unpack
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .ingest import EditRecord
@@ -70,10 +81,19 @@ def round_percent(x: float) -> float:
     return round(x, 1 - math.floor(math.log10(abs(x))))
 
 
-def _csv_cell(text: str) -> str:
-    if any(c in text for c in ',"\n\r'):
+def _csv_text(value: object) -> str:
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+_CSV_CELLS: dict[str, Callable[[object], str]] = {
+    "s": _csv_text,
+    "d": str,
+    "f2": lambda value: f"{round(value, 2):.2f}",
+    "g": lambda value: repr(float(value)),
+}
 
 
 @dataclass
@@ -90,50 +110,65 @@ class ReportTable:
     rows: list[tuple]
 
     def to_csv(self) -> str:
+        cells = [_CSV_CELLS[fmt] for fmt in self.formats]
         out = [",".join(self.columns)]
-        for row in self.rows:
-            cells = []
-            for value, fmt in zip(row, self.formats):
-                if fmt == "s":
-                    cells.append(_csv_cell(str(value)))
-                elif fmt == "d":
-                    cells.append(str(value))
-                elif fmt == "f2":
-                    cells.append(f"{round(value, 2):.2f}")
-                else:  # "g"
-                    cells.append(repr(float(value)))
-            out.append(",".join(cells))
+        out += [",".join([cell(value) for cell, value in zip(cells, row)]) for row in self.rows]
         return "\n".join(out) + "\n"
 
     def to_json(self) -> str:
-        rows = []
-        for row in self.rows:
-            obj = {}
-            for col, value, fmt in zip(self.columns, row, self.formats):
-                if fmt == "s":
-                    obj[col] = str(value)
-                elif fmt == "d":
-                    obj[col] = int(value)
-                elif fmt == "f2":
-                    obj[col] = round(value, 2)
-                else:
-                    obj[col] = float(value)
-            rows.append(obj)
-        return json.dumps(rows, indent=2) + "\n"
+        """The rows as a JSON list of objects, byte for byte what
+        ``json.dumps(rows, indent=2) + "\\n"`` writes, built without its
+        pure-Python indenting encoder."""
+        if not self.rows:
+            return "[]\n"
+        keys = [f"    {encode_basestring_ascii(column)}: " for column in self.columns]
+        cells = [_JSON_CELLS[fmt] for fmt in self.formats]
+        objects = [
+            "  {\n" + ",\n".join([key + cell(value) for key, cell, value in zip(keys, cells, row)]) + "\n  }"
+            for row in self.rows
+        ]
+        return "[\n" + ",\n".join(objects) + "\n]\n"
+
+
+def _json_number(value: Union[int, float]) -> str:
+    """A number as ``json`` writes it: ``NaN``, ``Infinity`` and ``-Infinity``
+    for the non-finite floats, else the float's or int's ``repr``."""
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return int.__repr__(value)
+
+
+_JSON_CELLS: dict[str, Callable[[object], str]] = {
+    "s": lambda value: encode_basestring_ascii(str(value)),
+    "d": lambda value: int.__repr__(int(value)),
+    "f2": lambda value: _json_number(round(value, 2)),
+    "g": lambda value: _json_number(float(value)),
+}
 
 
 # Timestamps are packed as UTC microseconds since 0001-01-01, which fit in 64
-# bits up to year 9999: first/last seen is ``first << 64 | last``.
+# bits up to year 9999: an address's span is ``sites << 128 | first << 64 | last``.
 _EPOCH = datetime(1, 1, 1, tzinfo=timezone.utc)
 _US = timedelta(microseconds=1)
 _DAY_US = 86_400_000_000
 _WEEK_US = 7 * _DAY_US
 _LAST = (1 << 64) - 1
+_SITE_SHIFT = 128
+_SPAN = (1 << _SITE_SHIFT) - 1
 
 # Origin codes of the AS series: 0 unrouted, 1 any AS_SET, ASN + 1 for one ASN.
 _UNROUTED_CODE = 0
 _SET_CODE = 1
-_CODE_SHIFT = 129  # above a v6 key's bit 128
+_CODE_SHIFT = 128  # above a v6 address's 128 bits
+
+# Bytes per member in a sealed bin's packed column.
+_V4_BYTES = 4
+_V6_BYTES = 16  # a v6 key without its bit 128
+_MEMBER_BYTES = 21  # an origin code (at most 2**32, 5 bytes) << 128 | v6 address
 
 
 def _datetime(us: int) -> datetime:
@@ -176,15 +211,88 @@ def _version(key: int) -> str:
     return V6 if key >> 128 else V4
 
 
+class _SealedWeek(NamedTuple):
+    """A closed ``weekly_ips`` bin: its v4 and its v6 keys, each sorted and packed."""
+
+    v4: bytes
+    v6: bytes
+
+
+def _pack(keys: Iterable[int], width: int) -> bytes:
+    return b"".join([key.to_bytes(width, "big") for key in keys])
+
+
+def _unpack(column: bytes, width: int) -> Iterator[int]:
+    return map(int.from_bytes, map(itemgetter(0), iter_unpack(f"{width}s", column)), repeat("big"))
+
+
+def _seal_week(keys: set[int]) -> _SealedWeek:
+    ordered = sorted(keys)
+    split = bisect_left(ordered, _V6)
+    v6 = (key ^ _V6 for key in islice(ordered, split, None))
+    return _SealedWeek(_pack(islice(ordered, split), _V4_BYTES), _pack(v6, _V6_BYTES))
+
+
+def _seal_members(members: set[int]) -> bytes:
+    return _pack(sorted(members), _MEMBER_BYTES)
+
+
+def _seal_tops(tops: set[int]) -> array:
+    return array("Q", sorted(tops))
+
+
+_Bin = Union[set[int], _SealedWeek, bytes, array]
+
+
+def _members(bin: _Bin) -> Iterable[int]:
+    """The members of any aggregate bin, sealed or open, in ascending order."""
+    if isinstance(bin, set):
+        return sorted(bin)
+    if isinstance(bin, _SealedWeek):
+        return chain(_unpack(bin.v4, _V4_BYTES), _v6_members(bin))
+    if isinstance(bin, bytes):
+        return _unpack(bin, _MEMBER_BYTES)
+    return bin
+
+
+def _code_counts(bin: Union[set[int], bytes]) -> Counter:
+    """Members per origin code of a ``weekly_as_ips`` bin, sealed or open."""
+    if isinstance(bin, set):
+        return Counter(member >> _CODE_SHIFT for member in bin)
+    # A sealed member's first five bytes are its code.
+    codes = map(itemgetter(0), iter_unpack(f"5s{_MEMBER_BYTES - 5}s", bin))
+    return Counter(map(int.from_bytes, codes, repeat("big")))
+
+
+def _v6_members(bin: Union[set[int], _SealedWeek]) -> Iterable[int]:
+    """The v6 keys of a ``weekly_ips`` bin, sealed or open."""
+    if isinstance(bin, _SealedWeek):
+        return map(_V6.__or__, _unpack(bin.v6, _V6_BYTES))
+    return filter(_V6.__le__, bin)
+
+
+def _week_counts(bin: Union[set[int], _SealedWeek]) -> tuple[int, int]:
+    """The distinct v4 and v6 addresses of a ``weekly_ips`` bin, sealed or open."""
+    if isinstance(bin, _SealedWeek):
+        return len(bin.v4) // _V4_BYTES, len(bin.v6) // _V6_BYTES
+    n_v6 = sum(key >> 128 for key in bin)
+    return len(bin) - n_v6, n_v6
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class PartialAggregate:
-    """Mergeable per-shard aggregation state (sets and min/max maps only).
+    """Mergeable per-shard aggregation state: bins of distinct keys and per-address spans.
 
     An address is one int, the record's ``key`` (``netaddr.ip_key``):
     ``int(ip)``, with bit 128 set for IPv6, so that ``10.0.0.1`` and
     ``::ffff:10.0.0.1`` stay two addresses. Text is built only for output.
-    Each set is stored under the bin its table groups by. The bin maps are
-    ``defaultdict(set)``, so readers iterate them and never index a bin that
-    may be missing: that would insert an empty bin.
 
     Bins are int keys of the record's UTC date, in time order; tables turn
     them into text with ``week_label`` and ``month_label``.
@@ -192,23 +300,45 @@ class PartialAggregate:
     - week: UTC days since 0001-01-01 ``// 7``; 0001-01-01 is a Monday, so
       each key is one ISO week.
     - month: ``year * 12 + month - 1``.
-    - ``month_48s``: one set per month of the top 48 bits of each v6 address.
-    - ``weekly_as_ips``: one set per week of ``origin code << 129 | v6 key``,
-      where the code is 0 for unrouted, 1 for any AS_SET and ASN + 1 for one
-      ASN, so a week pays for one set however many origins it has.
-    - ``first_last``: address key -> ``first << 64 | last``, each a UTC
-      microsecond count since 0001-01-01 (years 1 to 9999 fit in 64 bits).
+    - ``weekly_ips``: per week, the address keys.
+    - ``month_48s``: per month, the top 48 bits of each v6 address.
+    - ``weekly_as_ips``: per week, ``origin code << 128 | v6 address``, where
+      the code is 0 for unrouted, 1 for any AS_SET and ASN + 1 for one ASN,
+      so a week pays for one bin however many origins it has.
+    - ``first_last``: address key -> ``sites << 128 | first << 64 | last``.
+      ``first`` and ``last`` are UTC microsecond counts since 0001-01-01
+      (years 1 to 9999 fit in 64 bits), and ``sites`` has one bit per site
+      the address was seen on.
+    - ``sites``: site code -> its bit in ``first_last``, ``1 << 128 + i`` for
+      the i-th site this aggregate saw.
+
+    Records are expected in time order, so a bin is final once a record of a
+    later bin arrives, and ``add`` then seals it: a week into a
+    ``_SealedWeek`` of sorted packed v4 and v6 keys, an AS week into its
+    sorted members packed in 21 bytes each, and a month into an
+    ``array('Q')`` of sorted tops. Only the latest week and month are sets. A
+    record older than the open bin stops the sealing: every sealed bin turns
+    back into a set, once, and all bins stay sets. Tables read a week or AS
+    bin, sealed or open, only through ``_members``, ``_v6_members``,
+    ``_week_counts`` and ``_code_counts``; a month's tops, set or array, are
+    iterated as they are. The bin maps are ``defaultdict(set)``, so readers
+    iterate them and never index a bin that may be missing: that would insert
+    an empty bin.
 
     Record timestamps must be timezone-aware (``parse_timestamp`` returns
     UTC; ``add`` raises ``ValueError`` on a naive one).
     """
 
     def __init__(self):
-        self.site_ips: defaultdict[str, set[int]] = defaultdict(set)
-        self.weekly_ips: defaultdict[int, set[int]] = defaultdict(set)
-        self.weekly_as_ips: defaultdict[int, set[int]] = defaultdict(set)
+        self.sites: dict[str, int] = {}
+        self.weekly_ips: defaultdict[int, Union[set[int], _SealedWeek]] = defaultdict(set)
+        self.weekly_as_ips: defaultdict[int, Union[set[int], bytes]] = defaultdict(set)
         self.first_last: dict[int, int] = {}
-        self.month_48s: defaultdict[int, set[int]] = defaultdict(set)
+        self.month_48s: defaultdict[int, Union[set[int], array]] = defaultdict(set)
+        # The open week and month: while sealing, every earlier bin is sealed.
+        self._week = self._month = -1
+        self._month_days = (0, 0)  # the open month's first UTC day, and the next month's
+        self._sealing = True
 
     def add(self, record: Union[EditRecord, AttributedRecord]) -> None:
         try:
@@ -217,21 +347,71 @@ class PartialAggregate:
             raise ValueError(f"record timestamp is not timezone-aware: {record.timestamp!r}") from None
         day = us // _DAY_US
         week = day // 7
+        if week != self._week:
+            self._enter_week(week)
         key = record.key
-        self.site_ips[record.site.code].add(key)
         self.weekly_ips[week].add(key)
+        site = self.sites.get(record.site.code) or self._new_site(record.site.code)
+        # Few operations touch the whole span: with many sites it is long.
         seen = self.first_last.get(key)
         if seen is None:
-            self.first_last[key] = us << 64 | us
-        elif us > seen & _LAST:
-            self.first_last[key] = seen >> 64 << 64 | us
-        elif us < seen >> 64:
-            self.first_last[key] = us << 64 | seen & _LAST
+            self.first_last[key] = site | (us << 64 | us)
+        elif us > (last := seen & _LAST):
+            self.first_last[key] = (seen | site) ^ (last ^ us)
+        elif us < (first := seen >> 64 & _LAST):
+            self.first_last[key] = (seen | site) ^ (first ^ us) << 64
+        elif not seen & site:
+            self.first_last[key] = seen | site
         if key >> 128:
-            self.month_48s[_month(date.fromordinal(day + 1))].add((key ^ _V6) >> 80)
+            if not self._month_days[0] <= day < self._month_days[1]:
+                self._enter_month(day)
+            address = key ^ _V6
+            self.month_48s[self._month].add(address >> 80)
             origin = getattr(record, "origin", None)
             if origin is not None:
-                self.weekly_as_ips[week].add(_origin_code(origin) << _CODE_SHIFT | key)
+                self.weekly_as_ips[week].add(_origin_code(origin) << _CODE_SHIFT | address)
+
+    def _new_site(self, code: str) -> int:
+        bit = self.sites[code] = 1 << _SITE_SHIFT + len(self.sites)
+        return bit
+
+    def _enter_week(self, week: int) -> None:
+        """Make `week` the open week: seal the open one if `week` is later, or
+        stop sealing if it is earlier."""
+        if self._sealing:
+            if week > self._week:
+                _seal(self.weekly_ips, self._week, _seal_week)
+                _seal(self.weekly_as_ips, self._week, _seal_members)
+            else:
+                self._unseal()
+        self._week = week
+
+    def _enter_month(self, day: int) -> None:
+        """Make the month of UTC day `day` the open month, as ``_enter_week`` does weeks."""
+        d = date.fromordinal(day + 1)
+        month = _month(d)
+        first = day + 1 - d.day
+        self._month_days = (first, first + monthrange(d.year, d.month)[1])
+        if self._sealing and month != self._month:
+            if month > self._month:
+                _seal(self.month_48s, self._month, _seal_tops)
+            else:
+                self._unseal()
+        self._month = month
+
+    def _unseal(self) -> None:
+        """A record went back in time: hold every bin as a set from now on."""
+        self._sealing = False
+        for bins in (self.weekly_ips, self.weekly_as_ips, self.month_48s):
+            for bin_key, bin in bins.items():
+                if not isinstance(bin, set):
+                    bins[bin_key] = set(_members(bin))
+
+
+def _seal(bins: dict, bin_key: int, seal: Callable[[set[int]], _Bin]) -> None:
+    keys = bins.get(bin_key)
+    if keys is not None:
+        bins[bin_key] = seal(keys)
 
 
 def aggregate(records: Iterable[Union[EditRecord, AttributedRecord]]) -> PartialAggregate:
@@ -241,49 +421,71 @@ def aggregate(records: Iterable[Union[EditRecord, AttributedRecord]]) -> Partial
     return agg
 
 
-def _union(a: dict, b: dict) -> defaultdict:
-    """Bin-wise union into fresh sets; neither input is aliased or changed."""
+def _merged_bins(a: dict, b: dict, seal: Callable[[set[int]], _Bin], open_key: int) -> defaultdict:
+    """Bin-wise union into fresh bins, each sealed but `open_key`'s."""
     out = defaultdict(set)
-    for bins in (a, b):
-        for bin_key, keys in bins.items():
-            out[bin_key] |= keys
+    for bin_key in sorted(a.keys() | b.keys()):
+        keys = set(_members(a[bin_key])) if bin_key in a else set()
+        if bin_key in b:
+            keys.update(_members(b[bin_key]))
+        out[bin_key] = keys if bin_key == open_key else seal(keys)
     return out
 
 
 def merge(a: PartialAggregate, b: PartialAggregate) -> PartialAggregate:
-    """Combine two shard aggregates; commutative, associative, idempotent."""
+    """Combine two shard aggregates; commutative, associative, idempotent.
+
+    ``b``'s site bits are moved to their sites' positions in the result, which
+    lists ``a``'s sites and then ``b``'s new ones. Neither input is changed.
+    """
     out = PartialAggregate()
-    out.site_ips = _union(a.site_ips, b.site_ips)
-    out.weekly_ips = _union(a.weekly_ips, b.weekly_ips)
-    out.weekly_as_ips = _union(a.weekly_as_ips, b.weekly_as_ips)
+    out.sites = dict(a.sites)
+    for code in b.sites:
+        if code not in out.sites:
+            out._new_site(code)
+    bits = [out.sites[code] for code in b.sites]
+    moved: dict[int, int] = {}  # b's site bits -> the result's, per combination seen
     out.first_last = dict(a.first_last)
     for key, span in b.first_last.items():
+        sites = span >> _SITE_SHIFT
+        if sites not in moved:
+            moved[sites] = sum(bits[i] for i in _bits(sites))
+        span = moved[sites] | span & _SPAN
         seen = out.first_last.get(key)
-        if seen is None:
-            out.first_last[key] = span
-        else:
-            out.first_last[key] = min(seen >> 64, span >> 64) << 64 | max(seen & _LAST, span & _LAST)
-    out.month_48s = _union(a.month_48s, b.month_48s)
+        if seen is not None:
+            first = min(seen >> 64 & _LAST, span >> 64 & _LAST)
+            span = (seen | span) >> _SITE_SHIFT << _SITE_SHIFT | first << 64 | max(seen & _LAST, span & _LAST)
+        out.first_last[key] = span
+    out._week = max(chain(a.weekly_ips, b.weekly_ips), default=-1)
+    out._month = max(chain(a.month_48s, b.month_48s), default=-1)
+    out.weekly_ips = _merged_bins(a.weekly_ips, b.weekly_ips, _seal_week, out._week)
+    out.weekly_as_ips = _merged_bins(a.weekly_as_ips, b.weekly_as_ips, _seal_members, out._week)
+    out.month_48s = _merged_bins(a.month_48s, b.month_48s, _seal_tops, out._month)
     return out
 
 
 def table_weekly_by_version(agg: PartialAggregate) -> ReportTable:
     rows = []
-    for week, keys in sorted(agg.weekly_ips.items()):
-        n_v6 = sum(key >> 128 for key in keys)
+    for week, bin in sorted(agg.weekly_ips.items()):
         label = week_label(week)
-        for version, n in ((V4, len(keys) - n_v6), (V6, n_v6)):
+        for version, n in zip((V4, V6), _week_counts(bin)):
             if n:
                 rows.append((label, version, n))
     return ReportTable("weekly_by_version", ("week", "version", "distinct_ips"), ("s", "s", "d"), rows)
 
 
 def table_site_fraction(agg: PartialAggregate) -> ReportTable:
+    # Addresses per combination of sites and IP version, then per site.
+    combinations = Counter(span >> _SITE_SHIFT << 1 | key >> 128 for key, span in agg.first_last.items())
+    codes = list(agg.sites)
+    counts = {code: [0, 0] for code in codes}
+    for combination, n in combinations.items():
+        for i in _bits(combination >> 1):
+            counts[codes[i]][combination & 1] += n
     rows = []
-    for site, keys in sorted(agg.site_ips.items()):
-        n_v6 = sum(key >> 128 for key in keys)
-        frac = n_v6 / len(keys)
-        rows.append((site, len(keys) - n_v6, n_v6, frac, frac))
+    for site, (n_v4, n_v6) in sorted(counts.items()):
+        frac = n_v6 / (n_v4 + n_v6)
+        rows.append((site, n_v4, n_v6, frac, frac))
     return ReportTable(
         "site_fraction",
         ("site", "n_v4", "n_v6", "frac_v6", "frac_v6_raw"),
@@ -299,18 +501,28 @@ def cumulative_by_week(agg: PartialAggregate, lengths: tuple[int, ...] = PREFIX_
     """Per prefix length, the running distinct count at each observed v6 week.
 
     A prefix is born in the week of the earliest first sighting, read from
-    ``first_last``, among its v6 keys; each series is a running sum of births.
+    ``first_last``, among its v6 keys. In address order those keys are one
+    run, so one pass per length finds each run's birth week; each series is a
+    running sum of births.
     """
-    weeks = sorted(week for week, keys in agg.weekly_ips.items() if any(key >> 128 for key in keys))
-    # In first-sighting order, the keys first seen in one week are one run.
-    v6 = sorted(filter(_V6.__le__, agg.first_last), key=agg.first_last.__getitem__)
-    ends = [bisect_left(v6, (week + 1) * _WEEK_US << 64, key=agg.first_last.__getitem__) for week in weeks]
-    born = list(chain.from_iterable(repeat(week, end - start) for week, start, end in zip(weeks, [0, *ends], ends)))
+    weeks = sorted(week for week, bin in agg.weekly_ips.items() if _week_counts(bin)[1])
+    position = {week: i for i, week in enumerate(weeks)}
+    first_last = agg.first_last
+    v6 = sorted(filter(_V6.__le__, first_last))
+    born = array("i", (position[(first_last[key] >> 64 & _LAST) // _WEEK_US] for key in v6))
     series = {}
     for length in lengths:
-        # Latest first, so each prefix's earliest birth week is written last.
-        births = Counter(dict(zip(map((128 - length).__rrshift__, reversed(v6)), reversed(born))).values())
-        series[length] = list(accumulate(births[week] for week in weeks))
+        # The last slot counts the empty run before the first key.
+        births = [0] * (len(weeks) + 1)
+        run, low = None, len(weeks)
+        for prefix, week in zip(map((128 - length).__rrshift__, v6), born):
+            if prefix != run:
+                births[low] += 1
+                run, low = prefix, week
+            elif week < low:
+                low = week
+        births[low] += 1
+        series[length] = list(accumulate(births[: len(weeks)]))
     return weeks, series
 
 
@@ -348,7 +560,7 @@ def table_ratio_per_48(agg: PartialAggregate, cumulative: Optional[Callable[[], 
 def _lifetime_stats(first_last: dict[int, int]) -> Iterator[LifetimeStat]:
     for key in sorted(first_last):
         span = first_last[key]
-        first, last = span >> 64, span & _LAST
+        first, last = span >> 64 & _LAST, span & _LAST
         yield LifetimeStat(key_text(key), _datetime(first), _datetime(last), (last - first) // _DAY_US)
 
 
@@ -356,7 +568,7 @@ def table_lifetimes(agg: PartialAggregate) -> tuple[ReportTable, Iterator[Lifeti
     """The lifetime histogram, and a lazy per-address stat stream in address order."""
     histogram: dict[tuple[str, int], int] = {}
     for key, span in agg.first_last.items():
-        bucket = (_version(key), ((span & _LAST) - (span >> 64)) // _DAY_US)
+        bucket = (_version(key), ((span & _LAST) - (span >> 64 & _LAST)) // _DAY_US)
         histogram[bucket] = histogram.get(bucket, 0) + 1
     rows = [(version, days, n) for (version, days), n in sorted(histogram.items())]
     table = ReportTable("lifetimes", ("version", "lifetime_days", "count"), ("s", "d", "d"), rows)
@@ -364,13 +576,16 @@ def table_lifetimes(agg: PartialAggregate) -> tuple[ReportTable, Iterator[Lifeti
 
 
 def table_weekly_by_as(agg: PartialAggregate, top_k: int) -> ReportTable:
-    all_time = Counter(member >> _CODE_SHIFT for member in set().union(*agg.weekly_as_ips.values()))
+    # Each bin is sorted, so a k-way merge yields the weeks' members in order,
+    # a member seen in several weeks as one run.
+    members = heapq.merge(*map(_members, agg.weekly_as_ips.values()))
+    all_time = Counter(member >> _CODE_SHIFT for member, _ in groupby(members))
     asns = sorted((code for code in all_time if code > _SET_CODE), key=lambda code: (-all_time[code], code))
     shown = {_UNROUTED_CODE, _SET_CODE, *asns[:top_k]}
 
     rows = []
-    for week, members in sorted(agg.weekly_as_ips.items()):
-        counts = Counter(member >> _CODE_SHIFT for member in members)
+    for week, bin in sorted(agg.weekly_as_ips.items()):
+        counts = _code_counts(bin)
         label = week_label(week)
         for code in sorted(counts.keys() & shown, key=_series_order):
             rows.append((label, _series_label(code), counts[code]))
@@ -401,19 +616,19 @@ def table_eui64_weekly(
 
     vendor_rows = []
     fraction_rows = []
-    for week, keys in sorted(agg.weekly_ips.items()):
-        v6 = [key for key in keys if key >> 128]
-        if not v6:
+    for week, bin in sorted(agg.weekly_ips.items()):
+        n_v6 = _week_counts(bin)[1]
+        if not n_v6:
             continue
         series: dict[str, int] = {}
-        for key in v6:
+        for key in _v6_members(bin):
             hit = vendors.get(key)
             if hit is not None:
                 vendor = hit[1] if hit[1] == UNLISTED or hit[1] in top else "other"
                 series[vendor] = series.get(vendor, 0) + 1
         label = week_label(week)
         vendor_rows.extend((label, vendor, n) for vendor, n in sorted(series.items()))
-        frac = sum(series.values()) / len(v6)
+        frac = sum(series.values()) / n_v6
         fraction_rows.append((label, frac, frac))
     vendor_table = ReportTable(
         "eui64_weekly", ("week", "vendor", "distinct_v6"), ("s", "s", "d"), vendor_rows

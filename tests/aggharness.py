@@ -3,7 +3,9 @@
 
 Records are generated one at a time and never held, as ``report`` reads
 them from the attributed TSV, so the process holds the aggregate and little
-else. They are time-sorted and spread evenly over 2004-2024 on eight sites.
+else. They are time-sorted, spread evenly over 2004-2024, and take the sites
+in turn: eight by default, with fixed codes (eight real wiki codes, then
+``site8wiki``, ``site9wiki`` and so on).
 About a third of records repeat one of the last 4,096 addresses; the rest are
 new addresses, seven in ten IPv6 (random /48 in 2001::/16, random /56 and
 interface identifier, one in twenty EUI-64) and the rest IPv4. Each /48 has a
@@ -12,17 +14,17 @@ AS_SET for a few.
 
 After the aggregate is built, every report table is built once, as
 ``report all`` does, so the last peak RSS covers the largest table transient.
-One JSON line reports the distinct addresses, the aggregate's bytes per
-distinct address and per record, the peak RSS before and after each step,
-and per table (``table_s``, ``table_maxrss_kb``) its seconds and the peak RSS
-after it.
+One JSON line reports the arguments, the distinct addresses, the aggregate's
+bytes per distinct address and per record, the peak RSS before and after each
+step, and per table (``table_s``, ``table_maxrss_kb``) its seconds and the
+peak RSS after it.
 The aggregate's bytes are the growth of the resident set (``/proc/self/statm``)
 while it is built, so they include the allocator's overhead; ``tracemalloc``
 would add its own per-block records to the RSS and slow the run several times.
 Linux counts a parent's peak RSS in a child it starts, so the peaks are only
 meaningful when the harness is run from a shell.
 
-usage: aggharness.py [records [seed]]   (default 10000000 1)
+usage: aggharness.py [records [seed [sites]]]   (default 10000000 1 8)
 """
 
 import functools
@@ -41,10 +43,7 @@ from wikiv6.ribstore import UNROUTED, AttributedRecord, OriginAs
 
 START = datetime(2004, 1, 1, tzinfo=timezone.utc)
 SPAN_S = 20 * 365 * 86400
-SITES = [
-    SiteId.from_code(code)
-    for code in ("enwiki", "dewiki", "jawiki", "frwiki", "eswiki", "ruwiki", "enwiktionary", "zhwiki")
-]
+SITE_CODES = ("enwiki", "dewiki", "jawiki", "frwiki", "eswiki", "ruwiki", "enwiktionary", "zhwiki")
 RECENT = 4096
 ASNS = 20_000
 
@@ -73,9 +72,16 @@ def _origin_of(p48: int, origins: dict) -> OriginAs:
     return origins[asn]
 
 
-def records(n: int, seed: int):
-    """`n` time-sorted AttributedRecords, built as they are pulled."""
+def site_ids(n: int) -> list[SiteId]:
+    """`n` sites with fixed codes."""
+    codes = SITE_CODES + tuple(f"site{i}wiki" for i in range(len(SITE_CODES), n))
+    return [SiteId.from_code(code) for code in codes[:n]]
+
+
+def records(n: int, seed: int, sites: int = 8):
+    """`n` time-sorted AttributedRecords on `sites` sites, built as they are pulled."""
     rng = random.Random(seed)
+    site_list = site_ids(sites)
     origins: dict = {}
     recent: list = []
     step = timedelta(seconds=SPAN_S / max(n, 1))
@@ -96,7 +102,7 @@ def records(n: int, seed: int):
             recent.append((ip, origin))
         else:
             recent[i % RECENT] = (ip, origin)
-        yield AttributedRecord(START + step * i, SITES[i % len(SITES)], ip, origin, 0)
+        yield AttributedRecord(START + step * i, site_list[i % sites], ip, origin, 0)
 
 
 def _builders(agg: analytics.PartialAggregate) -> dict:
@@ -130,9 +136,10 @@ def _tables(agg: analytics.PartialAggregate) -> tuple[dict, dict]:
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000_000
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
+    sites = int(sys.argv[3]) if len(sys.argv) > 3 else 8
     rss_before, maxrss_before = _rss_bytes(), _maxrss_kb()
     t0 = time.perf_counter()
-    agg = analytics.aggregate(records(n, seed))
+    agg = analytics.aggregate(records(n, seed, sites))
     aggregate_s = time.perf_counter() - t0
     agg_bytes = _rss_bytes() - rss_before
     maxrss_aggregate = _maxrss_kb()
@@ -146,6 +153,7 @@ def main() -> None:
             {
                 "records": n,
                 "seed": seed,
+                "sites": sites,
                 "distinct_addresses": distinct,
                 "distinct_v6": distinct_v6,
                 "aggregate_rss_bytes": agg_bytes,

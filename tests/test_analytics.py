@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -100,6 +102,41 @@ class TestRounding:
         assert round_percent(0.0) == 0.0
 
 
+def _reference_json(table):
+    """The encoding ``to_json`` must reproduce: per-row dicts through ``json.dumps``."""
+    rows = []
+    for row in table.rows:
+        obj = {}
+        for col, value, fmt in zip(table.columns, row, table.formats):
+            if fmt == "s":
+                obj[col] = str(value)
+            elif fmt == "d":
+                obj[col] = int(value)
+            elif fmt == "f2":
+                obj[col] = round(value, 2)
+            else:
+                obj[col] = float(value)
+        rows.append(obj)
+    return json.dumps(rows, indent=2) + "\n"
+
+
+_floats = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+_JSON_VALUES = {
+    "s": st.text(),
+    "d": st.integers() | st.integers(-(2**200), 2**200),
+    "f2": _floats | st.integers(-(2**70), 2**70),
+    "g": _floats | st.integers(-(2**70), 2**70),
+}
+
+
+@st.composite
+def _json_tables(draw):
+    formats = draw(st.lists(st.sampled_from(sorted(_JSON_VALUES)), min_size=1, max_size=5))
+    columns = draw(st.lists(st.text(max_size=6), min_size=len(formats), max_size=len(formats), unique=True))
+    rows = draw(st.lists(st.tuples(*(_JSON_VALUES[fmt] for fmt in formats)), max_size=5))
+    return ReportTable("t", tuple(columns), tuple(formats), rows)
+
+
 class TestReportTable:
     def test_csv_quoting_and_formats(self):
         table = ReportTable(
@@ -115,6 +152,24 @@ class TestReportTable:
         table = ReportTable("demo", ("name", "n", "frac"), ("s", "d", "f2"), [("x", 2, 0.666666)])
         rows = json.loads(table.to_json())
         assert rows == [{"name": "x", "n": 2, "frac": 0.67}]
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_json_tables())
+    @example(table=ReportTable("t", ("a",), ("s",), []))
+    @example(
+        table=ReportTable(
+            "t",
+            ("s", "d", "f2", "g", 'k"\\\u00e9'),
+            ("s", "d", "f2", "g", "g"),
+            [
+                ('caf\u00e9 "q" \\ \n\t\x00\x1f\u2028\U0001f600', 2**100, -0.0, math.nan, math.inf),
+                ("", -(2**70), math.inf, -math.inf, -0.0),
+                ("x", 0, 1, 0.125, 1e300),
+            ],
+        )
+    )
+    def test_json_equals_indented_json_dumps(self, table):
+        assert table.to_json() == _reference_json(table)
 
 
 class TestWeeklyByVersion:
@@ -649,8 +704,14 @@ class TestPackedLayout:
         single = _all_tables(aggregate(records), db, entries, top_k, 2)
         sharded = _sharded(records, shard_of, merge_rng)
         merged = _all_tables(sharded, db, entries, top_k, 2)
+        # Time-sorted records take the sealed path: closed bins are packed.
+        in_order = sorted(records, key=lambda r: r.timestamp)
+        sealed = _all_tables(aggregate(in_order), db, entries, top_k, 2)
+        sealed_shards = _all_tables(_sharded(in_order, shard_of, merge_rng), db, entries, top_k, 2)
         for name, table in single.items():
-            assert (merged[name].to_csv(), merged[name].to_json()) == (table.to_csv(), table.to_json())
+            expected = (table.to_csv(), table.to_json())
+            for other in (merged, sealed, sealed_shards):
+                assert (other[name].to_csv(), other[name].to_json()) == expected
 
         rows = [(r.timestamp, r.site.code, r.ip, r.origin.text) for r in records]
         assert single["weekly_by_as"].to_csv() == oracles.oracle_weekly_by_as(rows, top_k)
@@ -720,6 +781,49 @@ class TestMerge:
         merge(a, b)
         assert (render(a), render(b)) == before
 
+    def test_sealed_and_shuffled_shards_merge_and_stay_unchanged(self, oui_csv, hitlist_tsv):
+        records = sorted(synth_corpus(2000, seed=181), key=lambda r: r.timestamp)
+        shuffled = records[1::2]
+        random.Random(5).shuffle(shuffled)
+        sealed, unsorted = aggregate(records[::2]), aggregate(shuffled)
+        assert sum(not isinstance(bin, set) for bin in sealed.weekly_ips.values()) == len(sealed.weekly_ips) - 1
+        assert all(isinstance(bin, set) for bin in unsorted.weekly_ips.values())
+        with open(oui_csv, "rb") as fh:
+            db = load_oui_database(fh)
+        entries, _ = read_hitlist(hitlist_tsv.read_text().splitlines())
+
+        def render(agg):
+            return {name: (t.to_csv(), t.to_json()) for name, t in _all_tables(agg, db, entries, 5, 8).items()}
+
+        state = (copy.deepcopy(vars(sealed)), copy.deepcopy(vars(unsorted)))
+        before = (render(sealed), render(unsorted))
+        expected = render(aggregate(records))
+        assert render(merge(sealed, unsorted)) == render(merge(unsorted, sealed)) == expected
+        assert (vars(sealed), vars(unsorted)) == state
+        assert (render(sealed), render(unsorted)) == before
+
+    def test_sites_seen_in_opposite_orders(self):
+        sites = [SiteId.from_code(f"site{i}wiki") for i in range(300)]
+        rng = random.Random(12)
+        pool = [IPv4Address(rng.getrandbits(32)) for _ in range(150)]
+        pool += [IPv6Address(0x2001 << 112 | rng.getrandbits(64)) for _ in range(250)]
+        start = datetime(2015, 6, 1, tzinfo=timezone.utc)
+
+        def shard(order):
+            return [
+                AttributedRecord(start + timedelta(hours=n), sites[i], rng.choice(pool), OriginAs.parse("64500"), 0)
+                for n, i in enumerate(list(order) * 3)
+            ]
+
+        up, down = shard(range(300)), shard(reversed(range(300)))
+        a, b = aggregate(up), aggregate(down)
+        assert list(a.sites) == [site.code for site in sites] == list(reversed(b.sites))
+        records = sorted(up + down, key=lambda r: r.timestamp)
+        expected = oracles.oracle_site_fraction([(r.timestamp, r.site.code, r.ip, r.origin.text) for r in records])
+        assert table_site_fraction(aggregate(records)).to_csv() == expected
+        for merged in (merge(a, b), merge(b, a)):
+            assert table_site_fraction(merged).to_csv() == expected
+
     def test_sharded_equals_single_pass(self, oui_csv, hitlist_tsv):
         records = synth_corpus(4000, seed=131)
         single = aggregate(records)
@@ -783,10 +887,10 @@ class TestDeterminism:
 class TestScaleHarness:
     def test_smoke(self):
         harness = str(Path(__file__).parent / "aggharness.py")
-        proc = subprocess.run([sys.executable, harness, "20000", "3"], capture_output=True, text=True, timeout=300)
+        proc = subprocess.run([sys.executable, harness, "20000", "3", "300"], capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert (report["records"], report["seed"]) == (20000, 3)
+        assert (report["records"], report["seed"], report["sites"]) == (20000, 3, 300)
         assert 0 < report["distinct_v6"] < report["distinct_addresses"] < 20000
         assert report["bytes_per_distinct_address"] > 0 and report["aggregate_s"] > 0
         assert report["maxrss_kb"] >= report["maxrss_kb_after_aggregate"] >= report["maxrss_kb_before"] > 0
