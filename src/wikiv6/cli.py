@@ -158,26 +158,15 @@ def load_config(path: str) -> PipelineConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "dump":
-            cfg.dumps.append(value)
-        elif key == "rib":
-            cfg.ribs.append(value)
-        elif key == "oui":
-            cfg.oui = value
-        elif key == "hitlist":
-            cfg.hitlist = value
-        elif key == "out":
-            cfg.out = value
-        elif key == "records":
-            cfg.records = value
-        elif key == "attributed":
-            cfg.attributed = value
-        elif key == "top_k":
-            cfg.top_k = int(value)
-        elif key == "top_vendors":
-            cfg.top_vendors = int(value)
-        elif key == "namespaces":
-            cfg.namespaces = parse_namespaces(value)
+        if key in ("dump", "rib"):
+            getattr(cfg, f"{key}s").append(value)
+        elif key in ("oui", "hitlist", "out", "records", "attributed"):
+            setattr(cfg, key, value)
+        elif key in ("top_k", "top_vendors", "namespaces"):
+            try:
+                setattr(cfg, key, parse_namespaces(value) if key == "namespaces" else int(value))
+            except (ConfigError, ValueError) as exc:
+                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
         elif key.startswith("site."):
             cfg.site_overrides[key[len("site.") :]] = value
         else:
@@ -374,8 +363,8 @@ _CHILD_CALLS = (
 )
 
 
-def _forked_jobs(run, paths: Sequence[str], min_bytes: int, most: int):
-    """A ``forkjobs.ForkedJobs`` that runs `run` in up to `most` children, or None
+def _forked_jobs(run, paths: Sequence[str], min_bytes: int):
+    """A ``forkjobs.ForkedJobs`` that runs `run` in forked children, or None
     where the work stays in process: a name of ``_CHILD_CALLS`` is replaced, the
     regular files among `paths` hold fewer than `min_bytes`, or no child can be
     forked. ``forkjobs`` is imported only above the floor, so that runs under it
@@ -386,18 +375,18 @@ def _forked_jobs(run, paths: Sequence[str], min_bytes: int, most: int):
             return None
     if sum(os.path.getsize(p) for p in paths if os.path.isfile(p)) < min_bytes:
         return None
-    from .forkjobs import ForkedJobs, WorkerStats, fork_workers
+    from .forkjobs import ForkedJobs, fork_workers
 
-    workers = min(fork_workers(), most)
-    return ForkedJobs(run, workers, WorkerStats()) if workers else None
+    workers = fork_workers()
+    return ForkedJobs(run, workers) if workers else None
 
 
 def _parse_dump(cfg: PipelineConfig, dump: str, site: SiteId, out_path: str) -> tuple:
     """Parse `dump` into `out_path` + ".tmp", which the caller commits.
 
-    Returns ``("ok", stats, digest)`` or ``("failed", error text, digest)``,
-    marshal-able so that a forked child can send it back; the digest is None
-    where the dump was not hashed to its end.
+    Returns ``("ok", stats, digest)`` or ``("failed", the stage's stderr line,
+    digest)``, marshal-able so that a forked child can send it back; the digest
+    is None where the dump was not hashed to its end.
     """
     stats = ParseStats()
     error: Optional[Exception] = None
@@ -414,87 +403,73 @@ def _parse_dump(cfg: PipelineConfig, dump: str, site: SiteId, out_path: str) -> 
                 digest = xml.digest_to_end()
     except OSError as exc:
         error = exc
-    return ("ok", stats.as_dict(), digest) if error is None else ("failed", str(error), digest)
+    return ("ok", stats.as_dict(), digest) if error is None else ("failed", f"extract: {dump}: {error}", digest)
 
 
-def _job_outcomes(jobs, count: int, run, stops, lost, discard, meanwhile=None) -> Iterator:
-    """The outcome ``run(i)`` of each job i below `count`, in job order.
+def _job_outcomes(jobs, parts: Sequence[Optional[str]], run, lost, keep_going=False, meanwhile=None) -> Iterator:
+    """The outcome ``run(k)`` of each job k, one per entry of `parts`, in job order.
 
-    With `jobs`, a ``forkjobs.ForkedJobs`` whose job i is ``run(i)``, jobs run in
+    Every stage's jobs run through here. An outcome is ``("ok", ...)``,
+    ``("failed", the stage's stderr line, ...)`` or, where a child ended without
+    a result, ``("lost", lost(k, ChildLost))``, a stderr line too. A "lost"
+    outcome stops the run, and so does a "failed" one unless `keep_going`: it is
+    the last yielded, no later job starts, and the children running later jobs
+    are killed. Job k writes ``parts[k]`` + ".tmp", if its part is not None; the
+    file is removed when its child is lost or killed, and, for each started job
+    from the one last yielded on, when the caller stops early.
+
+    With `jobs`, a ``forkjobs.ForkedJobs`` whose job k is ``run(k)``, jobs run in
     forked children and the parent takes whichever result comes first, so that
     no child idles while an earlier job is still running; a job no child could
-    be forked for runs in process. `meanwhile`, if given, runs once, after the
-    first jobs start and before the parent first waits for a result. A child
-    that ends without a result gives the outcome ``lost(job, ChildLost)``. Once
-    an outcome `stops` the run, no later job starts and the children running
-    later jobs are killed. However the caller stops, every child is reaped, and
-    if it stops before the end ``discard(job)`` runs for each job from the one
-    last yielded on that was started. Without `jobs`, jobs run in process.
+    be forked for runs in process, as every job does without `jobs`.
+    `meanwhile`, if given, runs once: before the parent first waits for a child,
+    or after the first job run in process. However the caller stops, every child
+    is reaped.
     """
     if jobs is not None:
         from .forkjobs import ChildLost
-    done: dict[int, object] = {}
+
+    def discard(k: int) -> None:
+        if parts[k] is not None:
+            _discard(parts[k])
+
+    running = {} if jobs is None else jobs.running
+    done: dict[int, tuple] = {}
     upcoming = 0  # the first job not started
-    last = count  # no job from here on starts
+    last = len(parts)  # no job from here on starts
     i = 0
     try:
-        for i in range(count):
+        while i < last:
             while i not in done:
                 while jobs is not None and upcoming < last and jobs.can_start() and jobs.start(upcoming):
                     upcoming += 1
-                if jobs is None or i not in jobs.running:  # in process, or no child could be forked
+                if i not in running:  # in process, or no child could be forked
+                    j = i
                     upcoming = max(upcoming, i + 1)
-                    done[i] = run(i)
-                    continue
+                    done[j] = run(j)
                 if meanwhile is not None:
                     meanwhile()
                     meanwhile = None
-                j = jobs.ready()
-                try:
-                    # A child with no job left to start is reaped at once.
-                    done[j] = jobs.result(j, keep=upcoming < last)
-                except ChildLost as exc:
-                    discard(j)
-                    done[j] = lost(j, exc)
-                if stops(done[j]):
+                if i in running:
+                    j = jobs.ready()
+                    try:
+                        # A child with no job left to start is reaped at once.
+                        done[j] = jobs.result(j, keep=upcoming < last)
+                    except ChildLost as exc:
+                        discard(j)
+                        done[j] = ("lost", lost(j, exc))
+                if done[j][0] == "lost" or (done[j][0] == "failed" and not keep_going):
                     last = min(last, j + 1)
-                    for k in [k for k in jobs.running if k > j]:
+                    for k in [k for k in running if k > j]:
                         jobs.cancel(k)
                         discard(k)
             yield done.pop(i)
-        i = count  # every outcome was taken
+            i += 1
     finally:
         if jobs is not None:
             jobs.close()
         for k in range(i, upcoming):
             discard(k)
-
-
-def _parsed_dumps(cfg: PipelineConfig, plans: list, jobs) -> Iterator[tuple]:
-    """Each planned ``(dump, site, out_path)``'s ``_parse_dump`` outcome, in
-    config order, with its records committed to `out_path` on success.
-
-    With `jobs`, a ``forkjobs.ForkedJobs`` whose job i parses dump i, dumps
-    parse in forked children (see ``_job_outcomes``). A child that ends without
-    a result gives a ``"lost"`` outcome, which ends the run, as a failed dump
-    does without ``--keep-going``. No ``.tmp`` file of a dump is left behind.
-    """
-    outcomes = _job_outcomes(
-        jobs,
-        len(plans),
-        lambda i: _parse_dump(cfg, *plans[i]),
-        stops=lambda outcome: outcome[0] == "lost" or (outcome[0] == "failed" and not cfg.keep_going),
-        lost=lambda i, exc: ("lost", f"parse {exc}", None),
-        discard=lambda i: _discard(plans[i][2]),
-    )
-    with closing(outcomes):
-        for (_, _, out_path), outcome in zip(plans, outcomes):
-            if outcome[0] == "ok":
-                try:
-                    _commit(out_path)
-                except OSError as exc:
-                    outcome = ("failed", str(exc), outcome[2])
-            yield outcome
 
 
 def cmd_extract(cfg: PipelineConfig) -> int:
@@ -517,20 +492,35 @@ def cmd_extract(cfg: PipelineConfig) -> int:
         writers[name] = dump
         plans.append((dump, site, str(outdir / name)))
     outdir.mkdir(parents=True, exist_ok=True)
-    jobs = None
-    if len(plans) > 1:
-        jobs = _forked_jobs(lambda i: _parse_dump(cfg, *plans[i]), cfg.dumps, _PARSE_MIN_BYTES, len(plans))
+
+    def run(i: int) -> tuple:
+        return _parse_dump(cfg, *plans[i])
+
+    # Dump i is job i, written to its part and committed here in config order.
+    jobs = _forked_jobs(run, cfg.dumps, _PARSE_MIN_BYTES) if len(plans) > 1 else None
+    outcomes = _job_outcomes(
+        jobs,
+        [out_path for _, _, out_path in plans],
+        run,
+        lambda i, exc: f"extract: {plans[i][0]}: parse {exc}",
+        cfg.keep_going,
+    )
     per_file: dict[str, dict] = {}
     merged_sources: list[str] = []
-    digests: dict[str, str] = {}
+    digests: dict[str, Optional[str]] = {}
     failed = 0
-    with closing(_parsed_dumps(cfg, plans, jobs)) as outcomes:
-        for (dump, _, out_path), (kind, detail, digest) in zip(plans, outcomes):
-            if digest is not None:
-                digests[dump] = digest
+    with closing(outcomes):
+        for (dump, _, out_path), (kind, detail, *digest) in zip(plans, outcomes):
+            if digest:  # none from a lost child
+                digests[dump] = digest[0]
+            if kind == "ok":
+                try:
+                    _commit(out_path)
+                except OSError as exc:
+                    kind, detail = "failed", f"extract: {dump}: {exc}"
             if kind != "ok":
                 failed += 1
-                print(f"extract: {dump}: {detail}", file=sys.stderr)
+                print(detail, file=sys.stderr)
                 if kind == "lost" or not cfg.keep_going:
                     return EXIT_RUNTIME
                 continue
@@ -699,7 +689,7 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
 
     ranges = jobs = None
     if len(timeline.entries) > 1 and os.path.isfile(records_path):
-        jobs = _forked_jobs(run, inputs, _SLICE_MIN_BYTES, len(timeline.entries))
+        jobs = _forked_jobs(run, inputs, _SLICE_MIN_BYTES)
     if jobs is not None:
         from .slices import record_slices
 
@@ -710,12 +700,10 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     parts = [attributed_path] + [f"{attributed_path}.{k}" for k in range(1, len(ranges))]
     outcomes = _job_outcomes(
         jobs,
-        len(ranges),
+        parts,
         run,
-        stops=lambda outcome: outcome[0] != "ok",
-        lost=lambda k, exc: ("failed", f"attribute: {records_path}: the slice from byte {ranges[k][0]} {exc}"),
-        discard=lambda k: _discard(parts[k]),
-        meanwhile=hash_inputs,
+        lambda k, exc: f"attribute: {records_path}: the slice from byte {ranges[k][0]} {exc}",
+        meanwhile=hash_inputs if jobs is not None else None,
     )
     header = len(ATTRIBUTED_HEADER.encode()) + 1
     count = unrouted = 0
@@ -772,14 +760,18 @@ def _read_hashed(path: str, load) -> tuple:
         return load(reader), reader.digest_to_end()
 
 
-def _read_hitlist_bytes(stream) -> tuple:
-    _analytics()
-    # Decoded as a text-mode open does: UTF-8 with surrogateescape, universal newlines.
-    text = io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape")
-    try:
-        return read_hitlist(text)
-    finally:
-        text.detach()  # so that only the caller closes the file
+def _decoded(load):
+    """`load` made to read a binary stream decoded as a text-mode open decodes
+    it: UTF-8 with surrogateescape, universal newlines. The stream stays open."""
+
+    def read(stream):
+        text = io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape")
+        try:
+            return load(text)
+        finally:
+            text.detach()  # so that only the caller closes the file
+
+    return read
 
 
 def _load_side_inputs(cfg: PipelineConfig, oui: bool, hitlist: bool) -> tuple:
@@ -800,7 +792,7 @@ def _load_side_inputs(cfg: PipelineConfig, oui: bool, hitlist: bool) -> tuple:
         oui_part = (db.entries, db.duplicate_rows, db.bad_rows, digest)
     if hitlist:
         try:
-            (entries, bad), digest = _read_hashed(cfg.hitlist, _read_hitlist_bytes)
+            (entries, bad), digest = _read_hashed(cfg.hitlist, _decoded(read_hitlist))
         except OSError as exc:
             return ("failed", f"report: {cfg.hitlist}: {exc}")
         hitlist_part = (list(map(tuple, entries)), bad, digest)
@@ -837,43 +829,38 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
         return EXIT_USAGE
 
     inputs = [source]
-    digests: dict[str, str] = {}
+    digests: dict[str, Optional[str]] = {}
     summary: dict = {"records": 0}
     need_oui = bool(cfg.oui) and any(n in requested for n in ("eui64_weekly", "eui64_fraction", "vendor_counts"))
     need_hitlist = "hitlist_overlap" in requested
     side = [path for path, needed in ((cfg.oui, need_oui), (cfg.hitlist, need_hitlist)) if needed]
-    load = functools.partial(_load_side_inputs, cfg, need_oui, need_hitlist)
-    jobs = _forked_jobs(lambda _: load(), side, _LOAD_MIN_BYTES, 1) if side else None
-    if jobs is not None and not jobs.start(0):
-        jobs = None
+
+    def load(_) -> tuple:
+        return _load_side_inputs(cfg, need_oui, need_hitlist)
 
     def counted(records):
         for record in records:
             summary["records"] += 1
             yield record
 
-    # The side inputs' errors come before the TSV's, as the in-process order
-    # (OUI, hitlist, TSV) gives them; a child's result is taken before either.
-    error = None
-    try:
-        loaded = load() if jobs is None else None
-        if loaded is None or loaded[0] == "ok":
-            try:
-                with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                    agg = aggregate(counted(read_attributed(fh) if have_attributed else read_records(fh)))
-            except (BadRow, OSError) as exc:
-                error = f"report: {source}: {exc}"
-        if jobs is not None:
-            from .forkjobs import ChildLost
+    def aggregated(text):
+        return aggregate(counted(read_attributed(text) if have_attributed else read_records(text)))
 
-            try:
-                loaded = jobs.result(0)
-            except ChildLost as exc:
-                loaded = ("failed", f"report: {', '.join(side)}: load {exc}")
-    finally:
-        if jobs is not None:
-            jobs.close()
-    if loaded[0] == "failed":
+    agg = error = None
+
+    def read_source() -> None:
+        nonlocal agg, error
+        try:
+            agg, digests[source] = _read_hashed(source, _decoded(aggregated))
+        except (BadRow, OSError) as exc:
+            error = f"report: {source}: {exc}"
+
+    # The side inputs load as job 0: in a child while the records are read and
+    # hashed, or in process before them. Errors are reported OUI, hitlist, TSV.
+    jobs = _forked_jobs(load, side, _LOAD_MIN_BYTES) if side else None
+    lost = f"report: {', '.join(side)}: load"
+    (loaded,) = _job_outcomes(jobs, [None], load, lambda _, exc: f"{lost} {exc}", meanwhile=read_source)
+    if loaded[0] != "ok":
         print(loaded[1], file=sys.stderr)
         return EXIT_RUNTIME
     _, oui, hitlist = loaded

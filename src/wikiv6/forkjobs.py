@@ -81,17 +81,17 @@ class _Child:
 class ForkedJobs:
     """``run(job)`` for numbered jobs, in at most `workers` forked children.
 
-    ``stats`` is the `stats` object given, which counts what the children cost.
-    ``running`` maps each job given to a child to that child until its result
-    is taken. A fork that fails (no memory or process slot) leaves ``start``
-    returning False and caps the children at those already running, so the
-    caller runs that job in process.
+    A child is forked only for a job started, so the children never outnumber
+    the jobs. ``stats`` counts what they cost. ``running`` maps each job given
+    to a child to that child until its result is taken. A fork that fails (no
+    memory or process slot) leaves ``start`` returning False and caps the
+    children at those already running, so the caller runs that job in process.
     """
 
-    def __init__(self, run: Callable[[int], object], workers: int, stats: WorkerStats):
+    def __init__(self, run: Callable[[int], object], workers: int):
         self._run = run
         self._workers = workers
-        self.stats = stats
+        self.stats = WorkerStats()
         self._children: dict[int, _Child] = {}  # pid -> every child not yet reaped
         self._idle: list[_Child] = []
         self.running: dict[int, _Child] = {}

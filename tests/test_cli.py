@@ -81,6 +81,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_namespaces("0,x")
 
+    @pytest.mark.parametrize("line", ["top_k = abc", "top_vendors = 1.5", "namespaces = 1,x"])
+    def test_bad_value_names_its_file_and_line(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"# comment\n{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_config(str(cfg_path))
+        key = line.partition(" ")[0]
+        assert str(info.value).startswith(f"{cfg_path}:2: {key}: ") and "invalid literal for int()" in str(info.value)
+        assert run_cli("report", "all", "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"wikiv6: {info.value}\n"
+
     def test_site_inference(self):
         assert infer_site("dumps/enwiki-20241201-pages-meta-history1.xml", {}).code == "enwiki"
         assert infer_site("fixturewiki.xml", {}).code == "fixturewiki"
@@ -411,6 +422,24 @@ class TestReport:
         for name, want in expected.items():
             got = (out / f"{name}.csv").read_text(encoding="utf-8")
             assert got == want, f"table {name} diverges from oracle"
+
+    def test_records_from_a_fifo(self, pipeline, tmp_path):
+        # Read once, as it streams, and left unhashed in the manifest.
+        cfg, out = pipeline
+        assert run_cli("report", "weekly_by_version", "--config", str(cfg)) == 0
+        fifo = tmp_path / "attributed.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=((out / "attributed.tsv").read_bytes(),), daemon=True)
+        writer.start()
+        piped = tmp_path / "piped"
+        fifo_cfg = tmp_path / "fifo.cfg"
+        fifo_cfg.write_text(cfg.read_text(encoding="utf-8") + f"attributed = {fifo}\nout = {piped}\n", encoding="utf-8")
+        assert run_cli("report", "weekly_by_version", "--config", str(fifo_cfg)) == 0
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert (piped / "weekly_by_version.csv").read_bytes() == (out / "weekly_by_version.csv").read_bytes()
+        manifest = json.loads((piped / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"] == {str(fifo): "unhashed:not-a-regular-file"}
 
     def test_cumulative_series_built_once(self, pipeline, monkeypatch):
         cfg, out = pipeline
@@ -795,22 +824,69 @@ def _records_text(days, ips=("10.1.7.1", "10.0.0.9", "2001:db8:0:2::1", "2001:db
 
 
 class TestJobOutcomes:
-    """Jobs in forked children through ``cli._job_outcomes``, as extract and attribute run them."""
+    """Jobs through ``cli._job_outcomes``, as every stage runs them."""
 
     def test_results_in_job_order_and_no_idle_child(self):
         def run(job):
             time.sleep(0.05 * (3 - job))  # later jobs end first
-            return sum(range(200_000)) + job
+            return ("ok", sum(range(200_000)) + job)
 
-        jobs = forkjobs.ForkedJobs(run, 2, forkjobs.WorkerStats())
-        outcomes = cli._job_outcomes(jobs, 3, run, lambda outcome: False, None, lambda job: None)
+        jobs = forkjobs.ForkedJobs(run, 2)
+        outcomes = cli._job_outcomes(jobs, [None] * 3, run, None)
         got = []
         for outcome in outcomes:
             got.append(outcome)
             if len(got) == 3:  # every result taken, before close: no child is left idle
                 _assert_no_child_process()
-        assert got == [sum(range(200_000)) + job for job in range(3)]
+        assert got == [("ok", sum(range(200_000)) + job) for job in range(3)]
         assert jobs.stats.children_started == 2 and jobs.stats.children_cpu_s > 0
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+    @pytest.mark.parametrize("keep_going", [False, True])
+    def test_a_failed_job_stops_the_run_unless_keep_going(self, forked, keep_going):
+        def run(job):
+            return ("failed", f"job {job} failed") if job == 1 else ("ok", job)
+
+        jobs = forkjobs.ForkedJobs(run, 2) if forked else None
+        got = list(cli._job_outcomes(jobs, [None] * 4, run, None, keep_going))
+        assert got == [("ok", 0), ("failed", "job 1 failed")] + ([("ok", 2), ("ok", 3)] if keep_going else [])
+        _assert_no_child_process()
+
+    def test_a_lost_child_stops_the_run_even_with_keep_going(self, tmp_path):
+        parts = [str(tmp_path / f"part{job}") for job in range(4)]
+
+        def run(job):
+            Path(f"{parts[job]}.tmp").write_text("partial", encoding="utf-8")
+            if job == 0:
+                deadline = time.monotonic() + 30
+                while not Path(f"{parts[1]}.tmp").exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(60)  # until the parent kills this child
+            return ("ok", job)
+
+        jobs = forkjobs.ForkedJobs(run, 2)
+        got = list(cli._job_outcomes(jobs, parts, run, lambda job, exc: f"job {job} {exc}", keep_going=True))
+        assert got == [("lost", "job 0 ended without a result (exit status -9)")]
+        assert jobs.stats.children_started == 2  # jobs 0 and 1; jobs 2 and 3 never start
+        _assert_no_child_process()
+        assert list(tmp_path.glob("part*")) == []
+
+    def test_a_none_part_is_never_unlinked(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("None.tmp").write_text("kept", encoding="utf-8")
+
+        def run(job):
+            if job == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(60)  # until the parent kills this child
+            return ("ok", job)
+
+        # Job 0's child is lost, job 1's is killed, and the run stops before job 2.
+        jobs = forkjobs.ForkedJobs(run, 2)
+        assert list(cli._job_outcomes(jobs, [None] * 3, run, lambda job, exc: "lost")) == [("lost", "lost")]
+        _assert_no_child_process()
+        assert Path("None.tmp").read_text(encoding="utf-8") == "kept"
 
 
 _FROM_FILES = ribstore.RibTimeline.from_files
@@ -1274,7 +1350,7 @@ class TestChildLoads:
         assert len(files) == 2 * len(analytics.TABLE_NAMES)
         manifests = [json.loads((out / "manifest.json").read_text(encoding="utf-8")) for out in (out2, out1)]
         assert manifests[0]["inputs"] == manifests[1]["inputs"] and manifests[0]["outputs"] == manifests[1]["outputs"]
-        for path in (oui, hitlist):
+        for path in (oui, hitlist, tmp_path / "attributed.tsv"):  # the TSV hashed in the read that aggregates it
             assert manifests[0]["inputs"][str(path)] == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
         assert forked.pop("workers")["children_started"] == 1
         assert in_process.pop("workers") == IN_PROCESS
@@ -1391,6 +1467,44 @@ def test_a_replaced_child_call_keeps_every_stage_in_process(tmp_path, monkeypatc
     _assert_no_child_process()
 
 
+def test_a_failed_fork_runs_every_stage_in_process(tmp_path, monkeypatch, fixture_dump, dewiki_dump, oui_csv, hitlist_tsv):
+    # No memory or process slot for a child: each stage runs its jobs in process.
+    cfg = tmp_path / "p.cfg"
+    ribs = "".join(f"rib = {rib}\n" for rib in _write_ribs(tmp_path))
+    cfg.write_text(ribs + f"oui = {oui_csv}\nhitlist = {hitlist_tsv}\n", encoding="utf-8")
+    for floor in ("_PARSE_MIN_BYTES", "_SLICE_MIN_BYTES", "_LOAD_MIN_BYTES"):
+        monkeypatch.setattr(cli, floor, 0)
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(forkjobs, "_usable_cpus", lambda: cpus)
+        if cpus == 2:
+            monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / f"out{cpus}"
+        started, outputs = [], {}
+        for stage, args, block in (
+            ("extract", [str(fixture_dump), str(dewiki_dump)], "workers"),
+            ("attribute", [], "decode"),
+            ("report", ["all"], "workers"),
+        ):
+            stats = tmp_path / f"{stage}{cpus}.json"
+            assert run_cli(stage, *args, "--config", str(cfg), "--out", str(out), "--stats", str(stats)) == 0
+            started.append(json.loads(stats.read_text(encoding="utf-8"))[block]["children_started"])
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8").replace(str(out), "out"))
+            outputs[stage] = manifest["inputs"], manifest["outputs"]
+        assert started == [0, 0, 0]
+        outputs.update({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+        runs.append(outputs)
+    assert len(forks) == 3  # one attempt per stage, then its jobs run in process
+    assert runs[0] == runs[1] and len(runs[0]) == 3 + 4 + 2 * len(analytics.TABLE_NAMES)
+    _assert_no_child_process()
+
+
 class TestResourceWarnings:
     """Stages under ``python -X dev`` leave no file unclosed."""
 
@@ -1425,7 +1539,7 @@ class TestResourceWarnings:
 
     def test_side_input_readers_leave_the_stream_open(self, oui_csv, hitlist_tsv):
         # A text wrapper collected without detach would close the caller's file.
-        for path, read in ((oui_csv, load_oui_database), (hitlist_tsv, cli._read_hitlist_bytes)):
+        for path, read in ((oui_csv, load_oui_database), (hitlist_tsv, cli._decoded(cli.read_hitlist))):
             with open(path, "rb") as fh:
                 read(fh)
                 assert not fh.closed and fh.read() == b""

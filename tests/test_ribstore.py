@@ -1184,7 +1184,7 @@ class TestChildDecodes:
         assert len(ranges) == 2
         # In a forked child, and in process.
         part = str(tmp_path / "part")
-        jobs = forkjobs.ForkedJobs(lambda k: cli._attribute_range(records, part, *ranges[k], timeline), 1, forkjobs.WorkerStats())
+        jobs = forkjobs.ForkedJobs(lambda k: cli._attribute_range(records, part, *ranges[k], timeline), 1)
         assert jobs.start(1)
         outcomes = [jobs.result(1, keep=False), cli._attribute_range(records, part, *ranges[1], timeline)]
         assert jobs.stats.children_started == 1
@@ -1218,8 +1218,8 @@ class TestChildDecodes:
         ranges = slices.record_slices(records, timeline.ends)
         parts = [str(tmp_path / f"part{k}") for k in range(len(ranges))]
         run = lambda k: cli._attribute_range(records, parts[k], *ranges[k], timeline)  # noqa: E731
-        jobs = forkjobs.ForkedJobs(run, 2, forkjobs.WorkerStats())
-        outcomes = cli._job_outcomes(jobs, len(ranges), run, lambda o: o[0] != "ok", None, lambda k: cli._discard(parts[k]))
+        jobs = forkjobs.ForkedJobs(run, 2)
+        outcomes = cli._job_outcomes(jobs, parts, run, None)
         assert next(outcomes)[:2] == ("ok", 1)
         assert jobs.stats.children_started == 2
         outcomes.close()
