@@ -11,11 +11,11 @@ the AS series is one bin per week of ``origin code << 128 | v6 address``
 members, and each address's sites, first and last sighting are packed into
 one int (see ``PartialAggregate``).
 
-Records are expected in time order, as ``extract`` writes them and
-``attribute`` requires. A week or month bin is then final once a later one
-arrives, so it is sealed into sorted packed bytes, and only the open bins are
-hash sets. Input out of time order gives the same tables, but from then on the
-aggregate keeps every bin as a hash set, at a higher memory cost.
+``PartialAggregate.add`` takes records in time order, as ``extract`` writes
+them and ``attribute`` requires, so a week or month bin is final once a later
+one arrives and is sealed into sorted packed bytes. ``aggregate`` takes any
+order: it sorts the records from the first late one onwards in memory,
+aggregates them apart and merges them in.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .ingest import EditRecord
 from .netaddr import V6_KEY as _V6, OuiDatabase, UNLISTED, eui64_mac, key_text, parse_key, prefix_key
-from .ribstore import AttributedRecord, OriginAs
+from .ribstore import AttributedRecord, OriginAs, UnsortedInput
 
 V4 = "v4"
 V6 = "v6"
@@ -159,6 +159,7 @@ _WEEK_US = 7 * _DAY_US
 _LAST = (1 << 64) - 1
 _SITE_SHIFT = 128
 _SPAN = (1 << _SITE_SHIFT) - 1
+_SEALED = 1 << 64  # a sealed aggregate's open week and month, later than any record's
 
 # Origin codes of the AS series: 0 unrouted, 1 any AS_SET, ASN + 1 for one ASN.
 _UNROUTED_CODE = 0
@@ -173,6 +174,14 @@ _MEMBER_BYTES = 21  # an origin code (at most 2**32, 5 bytes) << 128 | v6 addres
 
 def _datetime(us: int) -> datetime:
     return _EPOCH + timedelta(microseconds=us)
+
+
+def _utc_us(record: Union[EditRecord, AttributedRecord]) -> int:
+    """A record's time in UTC microseconds since 0001-01-01; it must be timezone-aware."""
+    try:
+        return (record.timestamp - _EPOCH) // _US
+    except TypeError:
+        raise ValueError(f"record timestamp is not timezone-aware: {record.timestamp!r}") from None
 
 
 def week_label(week: int) -> str:
@@ -241,13 +250,11 @@ def _seal_tops(tops: set[int]) -> array:
     return array("Q", sorted(tops))
 
 
-_Bin = Union[set[int], _SealedWeek, bytes, array]
+_Bin = Union[_SealedWeek, bytes, array]
 
 
 def _members(bin: _Bin) -> Iterable[int]:
-    """The members of any aggregate bin, sealed or open, in ascending order."""
-    if isinstance(bin, set):
-        return sorted(bin)
+    """The members of a sealed bin, in ascending order."""
     if isinstance(bin, _SealedWeek):
         return chain(_unpack(bin.v4, _V4_BYTES), _v6_members(bin))
     if isinstance(bin, bytes):
@@ -255,28 +262,20 @@ def _members(bin: _Bin) -> Iterable[int]:
     return bin
 
 
-def _code_counts(bin: Union[set[int], bytes]) -> Counter:
-    """Members per origin code of a ``weekly_as_ips`` bin, sealed or open."""
-    if isinstance(bin, set):
-        return Counter(member >> _CODE_SHIFT for member in bin)
-    # A sealed member's first five bytes are its code.
+def _code_counts(bin: bytes) -> Counter:
+    """Members per origin code of a ``weekly_as_ips`` bin; a member's first five bytes are its code."""
     codes = map(itemgetter(0), iter_unpack(f"5s{_MEMBER_BYTES - 5}s", bin))
     return Counter(map(int.from_bytes, codes, repeat("big")))
 
 
-def _v6_members(bin: Union[set[int], _SealedWeek]) -> Iterable[int]:
-    """The v6 keys of a ``weekly_ips`` bin, sealed or open."""
-    if isinstance(bin, _SealedWeek):
-        return map(_V6.__or__, _unpack(bin.v6, _V6_BYTES))
-    return filter(_V6.__le__, bin)
+def _v6_members(bin: _SealedWeek) -> Iterable[int]:
+    """The v6 keys of a ``weekly_ips`` bin."""
+    return map(_V6.__or__, _unpack(bin.v6, _V6_BYTES))
 
 
-def _week_counts(bin: Union[set[int], _SealedWeek]) -> tuple[int, int]:
-    """The distinct v4 and v6 addresses of a ``weekly_ips`` bin, sealed or open."""
-    if isinstance(bin, _SealedWeek):
-        return len(bin.v4) // _V4_BYTES, len(bin.v6) // _V6_BYTES
-    n_v6 = sum(key >> 128 for key in bin)
-    return len(bin) - n_v6, n_v6
+def _week_counts(bin: _SealedWeek) -> tuple[int, int]:
+    """The distinct v4 and v6 addresses of a ``weekly_ips`` bin."""
+    return len(bin.v4) // _V4_BYTES, len(bin.v6) // _V6_BYTES
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -312,18 +311,17 @@ class PartialAggregate:
     - ``sites``: site code -> its bit in ``first_last``, ``1 << 128 + i`` for
       the i-th site this aggregate saw.
 
-    Records are expected in time order, so a bin is final once a record of a
+    ``add`` takes records in time order, so a bin is final once a record of a
     later bin arrives, and ``add`` then seals it: a week into a
     ``_SealedWeek`` of sorted packed v4 and v6 keys, an AS week into its
     sorted members packed in 21 bytes each, and a month into an
-    ``array('Q')`` of sorted tops. Only the latest week and month are sets. A
-    record older than the open bin stops the sealing: every sealed bin turns
-    back into a set, once, and all bins stay sets. Tables read a week or AS
-    bin, sealed or open, only through ``_members``, ``_v6_members``,
-    ``_week_counts`` and ``_code_counts``; a month's tops, set or array, are
-    iterated as they are. The bin maps are ``defaultdict(set)``, so readers
-    iterate them and never index a bin that may be missing: that would insert
-    an empty bin.
+    ``array('Q')`` of sorted tops. Only the open week and month are sets, and
+    ``seal`` packs them. Before it changes anything, ``add`` raises
+    ``UnsortedInput`` on a record of an earlier week, on a v6 record of an
+    earlier month, and on any record after ``seal``. Tables and ``merge`` read
+    only sealed aggregates, as ``aggregate`` and ``merge`` return them, and
+    never index a bin that may be missing: ``add``'s bin maps are
+    ``defaultdict(set)``, so that would insert an empty bin.
 
     Record timestamps must be timezone-aware (``parse_timestamp`` returns
     UTC; ``add`` raises ``ValueError`` on a naive one).
@@ -331,25 +329,27 @@ class PartialAggregate:
 
     def __init__(self):
         self.sites: dict[str, int] = {}
-        self.weekly_ips: defaultdict[int, Union[set[int], _SealedWeek]] = defaultdict(set)
-        self.weekly_as_ips: defaultdict[int, Union[set[int], bytes]] = defaultdict(set)
+        self.weekly_ips: dict[int, Union[set[int], _SealedWeek]] = defaultdict(set)
+        self.weekly_as_ips: dict[int, Union[set[int], bytes]] = defaultdict(set)
         self.first_last: dict[int, int] = {}
-        self.month_48s: defaultdict[int, Union[set[int], array]] = defaultdict(set)
-        # The open week and month: while sealing, every earlier bin is sealed.
+        self.month_48s: dict[int, Union[set[int], array]] = defaultdict(set)
+        # The open week and month: every earlier bin is sealed.
         self._week = self._month = -1
         self._month_days = (0, 0)  # the open month's first UTC day, and the next month's
-        self._sealing = True
 
     def add(self, record: Union[EditRecord, AttributedRecord]) -> None:
         try:
             us = (record.timestamp - _EPOCH) // _US
         except TypeError:
-            raise ValueError(f"record timestamp is not timezone-aware: {record.timestamp!r}") from None
+            us = _utc_us(record)  # raises the ValueError for a naive timestamp
         day = us // _DAY_US
         week = day // 7
         if week != self._week:
             self._enter_week(week)
         key = record.key
+        v6 = key >> 128
+        if v6 and not self._month_days[0] <= day < self._month_days[1]:
+            self._enter_month(day)
         self.weekly_ips[week].add(key)
         site = self.sites.get(record.site.code) or self._new_site(record.site.code)
         # Few operations touch the whole span: with many sites it is long.
@@ -362,9 +362,7 @@ class PartialAggregate:
             self.first_last[key] = (seen | site) ^ (first ^ us) << 64
         elif not seen & site:
             self.first_last[key] = seen | site
-        if key >> 128:
-            if not self._month_days[0] <= day < self._month_days[1]:
-                self._enter_month(day)
+        if v6:
             address = key ^ _V6
             self.month_48s[self._month].add(address >> 80)
             origin = getattr(record, "origin", None)
@@ -376,36 +374,29 @@ class PartialAggregate:
         return bit
 
     def _enter_week(self, week: int) -> None:
-        """Make `week` the open week: seal the open one if `week` is later, or
-        stop sealing if it is earlier."""
-        if self._sealing:
-            if week > self._week:
-                _seal(self.weekly_ips, self._week, _seal_week)
-                _seal(self.weekly_as_ips, self._week, _seal_members)
-            else:
-                self._unseal()
+        """Seal the open week and make `week`, a later one, the open week."""
+        if week < self._week:
+            raise UnsortedInput(f"record of {week_label(week)} after a later week, or after seal()")
+        _seal(self.weekly_ips, self._week, _seal_week)
+        _seal(self.weekly_as_ips, self._week, _seal_members)
         self._week = week
 
     def _enter_month(self, day: int) -> None:
-        """Make the month of UTC day `day` the open month, as ``_enter_week`` does weeks."""
+        """Seal the open month and make the month of UTC day `day`, a later one, the open month."""
         d = date.fromordinal(day + 1)
         month = _month(d)
+        if month < self._month:
+            raise UnsortedInput(f"v6 record of {month_label(month)} after a later month")
+        _seal(self.month_48s, self._month, _seal_tops)
         first = day + 1 - d.day
         self._month_days = (first, first + monthrange(d.year, d.month)[1])
-        if self._sealing and month != self._month:
-            if month > self._month:
-                _seal(self.month_48s, self._month, _seal_tops)
-            else:
-                self._unseal()
         self._month = month
 
-    def _unseal(self) -> None:
-        """A record went back in time: hold every bin as a set from now on."""
-        self._sealing = False
-        for bins in (self.weekly_ips, self.weekly_as_ips, self.month_48s):
-            for bin_key, bin in bins.items():
-                if not isinstance(bin, set):
-                    bins[bin_key] = set(_members(bin))
+    def seal(self) -> None:
+        """Pack the open week and month. ``add`` then refuses every record."""
+        self._enter_week(_SEALED)
+        _seal(self.month_48s, self._month, _seal_tops)
+        self._month = _SEALED
 
 
 def _seal(bins: dict, bin_key: int, seal: Callable[[set[int]], _Bin]) -> None:
@@ -415,25 +406,32 @@ def _seal(bins: dict, bin_key: int, seal: Callable[[set[int]], _Bin]) -> None:
 
 
 def aggregate(records: Iterable[Union[EditRecord, AttributedRecord]]) -> PartialAggregate:
+    """A sealed aggregate of `records`, in any order: from the first record
+    ``add`` refuses on, the rest are sorted in memory, aggregated apart and merged in."""
     agg = PartialAggregate()
+    records = iter(records)
     for record in records:
-        agg.add(record)
+        try:
+            agg.add(record)
+        except UnsortedInput:
+            agg.seal()
+            late = aggregate(sorted(chain((record,), records), key=_utc_us))
+            # merge shares its first input's spans and rebuilds the second's: put the larger first.
+            return merge(agg, late) if len(agg.first_last) >= len(late.first_last) else merge(late, agg)
+    agg.seal()
     return agg
 
 
-def _merged_bins(a: dict, b: dict, seal: Callable[[set[int]], _Bin], open_key: int) -> defaultdict:
-    """Bin-wise union into fresh bins, each sealed but `open_key`'s."""
-    out = defaultdict(set)
-    for bin_key in sorted(a.keys() | b.keys()):
-        keys = set(_members(a[bin_key])) if bin_key in a else set()
-        if bin_key in b:
-            keys.update(_members(b[bin_key]))
-        out[bin_key] = keys if bin_key == open_key else seal(keys)
-    return out
+def _merged_bins(a: dict, b: dict, seal: Callable[[set[int]], _Bin]) -> dict:
+    """Bin-wise union of sealed bins, in bin order; a bin only one side has is shared, not copied."""
+    out = {**a, **b}
+    for bin_key in a.keys() & b.keys():
+        out[bin_key] = seal({*_members(a[bin_key]), *_members(b[bin_key])})
+    return dict(sorted(out.items()))
 
 
 def merge(a: PartialAggregate, b: PartialAggregate) -> PartialAggregate:
-    """Combine two shard aggregates; commutative, associative, idempotent.
+    """Combine two sealed shard aggregates into a sealed one; commutative, associative, idempotent.
 
     ``b``'s site bits are moved to their sites' positions in the result, which
     lists ``a``'s sites and then ``b``'s new ones. Neither input is changed.
@@ -456,11 +454,10 @@ def merge(a: PartialAggregate, b: PartialAggregate) -> PartialAggregate:
             first = min(seen >> 64 & _LAST, span >> 64 & _LAST)
             span = (seen | span) >> _SITE_SHIFT << _SITE_SHIFT | first << 64 | max(seen & _LAST, span & _LAST)
         out.first_last[key] = span
-    out._week = max(chain(a.weekly_ips, b.weekly_ips), default=-1)
-    out._month = max(chain(a.month_48s, b.month_48s), default=-1)
-    out.weekly_ips = _merged_bins(a.weekly_ips, b.weekly_ips, _seal_week, out._week)
-    out.weekly_as_ips = _merged_bins(a.weekly_as_ips, b.weekly_as_ips, _seal_members, out._week)
-    out.month_48s = _merged_bins(a.month_48s, b.month_48s, _seal_tops, out._month)
+    out.weekly_ips = _merged_bins(a.weekly_ips, b.weekly_ips, _seal_week)
+    out.weekly_as_ips = _merged_bins(a.weekly_as_ips, b.weekly_as_ips, _seal_members)
+    out.month_48s = _merged_bins(a.month_48s, b.month_48s, _seal_tops)
+    out.seal()
     return out
 
 

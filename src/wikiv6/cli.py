@@ -165,6 +165,8 @@ def load_config(path: str) -> PipelineConfig:
         elif key in ("top_k", "top_vendors", "namespaces"):
             try:
                 setattr(cfg, key, parse_namespaces(value) if key == "namespaces" else int(value))
+                if key != "namespaces" and getattr(cfg, key) < 0:
+                    raise ValueError("must be >= 0")
             except (ConfigError, ValueError) as exc:
                 raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
         elif key.startswith("site."):

@@ -528,17 +528,16 @@ class TimelineEntry:
 
 class RibTimeline:
     """Snapshots ordered by capture time, supporting nearest-time queries. Snapshot i
-    serves the times up to and including ``_handovers[i]``, its midpoint with snapshot
-    i + 1 floored to the microsecond, so a tie goes to the earlier snapshot: the times
-    before ``ends[i]``, and at or after ``ends[i - 1]``. The last one serves every later time."""
+    serves the times up to and including its midpoint with snapshot i + 1, floored to the
+    microsecond, so a tie goes to the earlier one: those at or after ``ends[i - 1]`` and
+    before ``ends[i]``, that midpoint plus 1 µs. The last ``ends`` entry is ``datetime.max``."""
 
     def __init__(self, entries: Sequence[TimelineEntry]):
         self.entries = sorted(entries, key=lambda e: e.captured_at)
         times = [e.captured_at for e in self.entries]
         if any(a >= b for a, b in zip(times, times[1:])):
             raise ValueError("snapshot capture times must be strictly increasing")
-        self._handovers = [a + (b - a) // 2 for a, b in zip(times, times[1:])]
-        self.ends = [h + timedelta(microseconds=1) for h in self._handovers]
+        self.ends = [a + (b - a) // 2 + timedelta(microseconds=1) for a, b in zip(times, times[1:])]
         if times:
             self.ends.append(datetime.max.replace(tzinfo=times[-1].tzinfo))
 
@@ -572,7 +571,7 @@ class RibTimeline:
     def nearest_position(self, t: datetime) -> int:
         if not self.entries:
             raise EmptyTimeline("timeline has no snapshots")
-        return bisect_left(self._handovers, t)
+        return bisect_right(self.ends, t, 0, len(self.ends) - 1)
 
 
 @contextmanager
@@ -663,7 +662,8 @@ def attribute(records: Iterable[EditRecord], timeline: RibTimeline) -> Iterator[
     """
     if not len(timeline):
         raise EmptyTimeline("timeline has no snapshots")
-    entries, handovers, ends = timeline.entries, timeline._handovers, timeline.ends
+    entries, ends = timeline.entries, timeline.ends
+    last = len(ends) - 1  # bisect below ends[-1], so datetime.max still goes to the last snapshot
     records = iter(records)
     first = next(records, None)
     if first is None:
@@ -674,7 +674,7 @@ def attribute(records: Iterable[EditRecord], timeline: RibTimeline) -> Iterator[
         ts = record._timestamp
         if ts >= end:
             lookup = None  # so the evicted index is freed before the next one loads
-            nearest = bisect_left(handovers, ts, pos)
+            nearest = bisect_right(ends, ts, pos, last)
             for stale in range(pos, nearest):
                 entries[stale].evict()
             pos = nearest

@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+from array import array
 from datetime import date, datetime, timedelta, timezone
 from ipaddress import IPv4Address, IPv6Address, ip_address, ip_network
 from pathlib import Path
@@ -21,6 +22,7 @@ from wikiv6.analytics import (
     BadHitlistRow,
     PartialAggregate,
     ReportTable,
+    _SealedWeek,
     aggregate,
     merge,
     month_label,
@@ -41,7 +43,7 @@ from wikiv6.analytics import (
 )
 from wikiv6.ingest import EditRecord, SiteId, parse_timestamp
 from wikiv6.netaddr import load_oui_database
-from wikiv6.ribstore import AttributedRecord, OriginAs, write_attributed
+from wikiv6.ribstore import AttributedRecord, OriginAs, UnsortedInput, write_attributed
 
 SITE = SiteId.from_code("enwiki")
 
@@ -704,7 +706,7 @@ class TestPackedLayout:
         single = _all_tables(aggregate(records), db, entries, top_k, 2)
         sharded = _sharded(records, shard_of, merge_rng)
         merged = _all_tables(sharded, db, entries, top_k, 2)
-        # Time-sorted records take the sealed path: closed bins are packed.
+        # Time-sorted records stream through add; shuffled ones are sorted from the first late one on.
         in_order = sorted(records, key=lambda r: r.timestamp)
         sealed = _all_tables(aggregate(in_order), db, entries, top_k, 2)
         sealed_shards = _all_tables(_sharded(in_order, shard_of, merge_rng), db, entries, top_k, 2)
@@ -737,6 +739,41 @@ class TestPackedLayout:
         record = EditRecord(datetime(2016, 2, 1, 1, 30), SITE, ip_address("2001:db8::1"))
         with pytest.raises(ValueError, match="not timezone-aware"):
             aggregate([record])
+
+
+class TestTimeOrder:
+    def test_add_refuses_a_record_of_an_earlier_week(self):
+        agg = PartialAggregate()
+        agg.add(rec("2015-06-08T10:00:00Z", "10.0.0.1"))
+        before = copy.deepcopy(vars(agg))
+        with pytest.raises(UnsortedInput, match="2015-W23"):
+            agg.add(rec("2015-06-01T10:00:00Z", "10.0.0.2"))
+        assert vars(agg) == before
+
+    def test_add_refuses_a_v6_record_of_an_earlier_month_in_the_same_week(self):
+        # 2016-01-01 and 2015-12-31 both fall in week 2015-W53.
+        records = [rec("2016-01-01T10:00:00Z", "2001:db8:1::1"), rec("2015-12-31T10:00:00Z", "2001:db8:2::1")]
+        agg = PartialAggregate()
+        agg.add(records[0])
+        agg.add(rec("2015-12-31T09:00:00Z", "10.0.0.1"))  # a v4 record has no month bin
+        before = copy.deepcopy(vars(agg))
+        with pytest.raises(UnsortedInput, match="2015-12"):
+            agg.add(records[1])
+        assert vars(agg) == before
+
+        rows = [(r.timestamp, r.site.code, r.ip, None) for r in records]
+        hitlist = ["2015-12-01\t2001:db8:2::/48\n", "2016-01-04\t2001:db8::/32\n"]
+        entries, _bad = read_hitlist(hitlist)
+        unsorted = aggregate(records)
+        assert table_weekly_by_version(unsorted).to_csv() == oracles.oracle_weekly_by_version(rows)
+        assert table_hitlist_overlap(unsorted, entries).to_csv() == oracles.oracle_hitlist_overlap(rows, hitlist)
+        assert table_hitlist_overlap(unsorted, entries).rows == [("2015-12", 1, 1), ("2016-01", 1, 1)]
+
+    def test_a_sealed_aggregate_refuses_any_record(self):
+        agg = aggregate([rec("2015-06-01T10:00:00Z", "2001:db8::1")])
+        with pytest.raises(UnsortedInput):
+            agg.add(rec("2015-06-08T10:00:00Z", "2001:db8::2"))
+        assert table_weekly_by_version(agg).rows == [("2015-W23", "v6", 1)]
 
 
 class TestMerge:
@@ -786,8 +823,10 @@ class TestMerge:
         shuffled = records[1::2]
         random.Random(5).shuffle(shuffled)
         sealed, unsorted = aggregate(records[::2]), aggregate(shuffled)
-        assert sum(not isinstance(bin, set) for bin in sealed.weekly_ips.values()) == len(sealed.weekly_ips) - 1
-        assert all(isinstance(bin, set) for bin in unsorted.weekly_ips.values())
+        for agg in (sealed, unsorted):
+            assert agg.weekly_ips and all(isinstance(bin, _SealedWeek) for bin in agg.weekly_ips.values())
+            assert agg.weekly_as_ips and all(isinstance(bin, bytes) for bin in agg.weekly_as_ips.values())
+            assert agg.month_48s and all(isinstance(bin, array) for bin in agg.month_48s.values())
         with open(oui_csv, "rb") as fh:
             db = load_oui_database(fh)
         entries, _ = read_hitlist(hitlist_tsv.read_text().splitlines())

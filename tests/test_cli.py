@@ -81,14 +81,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_namespaces("0,x")
 
-    @pytest.mark.parametrize("line", ["top_k = abc", "top_vendors = 1.5", "namespaces = 1,x"])
+    @pytest.mark.parametrize(
+        "line", ["top_k = abc", "top_vendors = 1.5", "namespaces = 1,x", "top_k = -1", "top_vendors = -3"]
+    )
     def test_bad_value_names_its_file_and_line(self, tmp_path, capsys, line):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(f"# comment\n{line}\n", encoding="utf-8")
         with pytest.raises(ConfigError) as info:
             load_config(str(cfg_path))
-        key = line.partition(" ")[0]
-        assert str(info.value).startswith(f"{cfg_path}:2: {key}: ") and "invalid literal for int()" in str(info.value)
+        key, _, value = line.partition(" = ")
+        message = "must be >= 0" if value.startswith("-") else "invalid literal for int()"
+        assert str(info.value).startswith(f"{cfg_path}:2: {key}: ") and message in str(info.value)
         assert run_cli("report", "all", "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"wikiv6: {info.value}\n"
 
@@ -422,6 +425,24 @@ class TestReport:
         for name, want in expected.items():
             got = (out / f"{name}.csv").read_text(encoding="utf-8")
             assert got == want, f"table {name} diverges from oracle"
+
+    def test_records_out_of_time_order_give_the_same_tables(self, pipeline, tmp_path):
+        cfg, out = pipeline
+        assert run_cli("report", "all", "--config", str(cfg)) == 0
+        header, *rows = (out / "attributed.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(9).shuffle(rows)
+        shuffled = tmp_path / "shuffled.tsv"
+        shuffled.write_text(header + "".join(rows), encoding="utf-8")
+        assert shuffled.read_bytes() != (out / "attributed.tsv").read_bytes()
+        unsorted_out = tmp_path / "unsorted"
+        unsorted_cfg = tmp_path / "unsorted.cfg"
+        unsorted_cfg.write_text(
+            cfg.read_text(encoding="utf-8") + f"attributed = {shuffled}\nout = {unsorted_out}\n", encoding="utf-8"
+        )
+        assert run_cli("report", "all", "--config", str(unsorted_cfg)) == 0
+        for name in analytics.TABLE_NAMES:
+            for suffix in (".csv", ".json"):
+                assert (unsorted_out / f"{name}{suffix}").read_bytes() == (out / f"{name}{suffix}").read_bytes()
 
     def test_records_from_a_fifo(self, pipeline, tmp_path):
         # Read once, as it streams, and left unhashed in the manifest.
