@@ -12,10 +12,13 @@ members, and each address's sites, first and last sighting are packed into
 one int (see ``PartialAggregate``).
 
 ``PartialAggregate.add`` takes records in time order, as ``extract`` writes
-them and ``attribute`` requires, so a week or month bin is final once a later
-one arrives and is sealed into sorted packed bytes. ``aggregate`` takes any
-order: it sorts the records from the first late one onwards in memory,
-aggregates them apart and merges them in.
+them and ``attribute`` requires, and keeps the open week's and month's
+members in sets. A week or month bin is final once a later one arrives, and
+is then packed into one sorted ``bytes`` column; weeks keep their v4 and v6
+addresses in two maps. A sealed aggregate is plain dicts of ints and bytes,
+so ``marshal`` carries it as it is. ``aggregate`` takes any order: it sorts
+the records from the first late one onwards in memory, aggregates them apart
+and merges them in.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from bisect import bisect_left
 from calendar import monthrange
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from itertools import accumulate, chain, groupby, islice, repeat
+from itertools import accumulate, chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from struct import iter_unpack
@@ -170,6 +172,7 @@ _CODE_SHIFT = 128  # above a v6 address's 128 bits
 _V4_BYTES = 4
 _V6_BYTES = 16  # a v6 key without its bit 128
 _MEMBER_BYTES = 21  # an origin code (at most 2**32, 5 bytes) << 128 | v6 address
+_TOP_BYTES = 6  # the top 48 bits of a v6 address
 
 
 def _datetime(us: int) -> datetime:
@@ -220,62 +223,20 @@ def _version(key: int) -> str:
     return V6 if key >> 128 else V4
 
 
-class _SealedWeek(NamedTuple):
-    """A closed ``weekly_ips`` bin: its v4 and its v6 keys, each sorted and packed."""
-
-    v4: bytes
-    v6: bytes
-
-
-def _pack(keys: Iterable[int], width: int) -> bytes:
-    return b"".join([key.to_bytes(width, "big") for key in keys])
+def _pack(members: Iterable[int], width: int) -> bytes:
+    """`members` sorted and packed into one column, `width` big-endian bytes each."""
+    return b"".join([member.to_bytes(width, "big") for member in sorted(members)])
 
 
 def _unpack(column: bytes, width: int) -> Iterator[int]:
+    """The members of a packed column, in ascending order."""
     return map(int.from_bytes, map(itemgetter(0), iter_unpack(f"{width}s", column)), repeat("big"))
-
-
-def _seal_week(keys: set[int]) -> _SealedWeek:
-    ordered = sorted(keys)
-    split = bisect_left(ordered, _V6)
-    v6 = (key ^ _V6 for key in islice(ordered, split, None))
-    return _SealedWeek(_pack(islice(ordered, split), _V4_BYTES), _pack(v6, _V6_BYTES))
-
-
-def _seal_members(members: set[int]) -> bytes:
-    return _pack(sorted(members), _MEMBER_BYTES)
-
-
-def _seal_tops(tops: set[int]) -> array:
-    return array("Q", sorted(tops))
-
-
-_Bin = Union[_SealedWeek, bytes, array]
-
-
-def _members(bin: _Bin) -> Iterable[int]:
-    """The members of a sealed bin, in ascending order."""
-    if isinstance(bin, _SealedWeek):
-        return chain(_unpack(bin.v4, _V4_BYTES), _v6_members(bin))
-    if isinstance(bin, bytes):
-        return _unpack(bin, _MEMBER_BYTES)
-    return bin
 
 
 def _code_counts(bin: bytes) -> Counter:
     """Members per origin code of a ``weekly_as_ips`` bin; a member's first five bytes are its code."""
     codes = map(itemgetter(0), iter_unpack(f"5s{_MEMBER_BYTES - 5}s", bin))
     return Counter(map(int.from_bytes, codes, repeat("big")))
-
-
-def _v6_members(bin: _SealedWeek) -> Iterable[int]:
-    """The v6 keys of a ``weekly_ips`` bin."""
-    return map(_V6.__or__, _unpack(bin.v6, _V6_BYTES))
-
-
-def _week_counts(bin: _SealedWeek) -> tuple[int, int]:
-    """The distinct v4 and v6 addresses of a ``weekly_ips`` bin."""
-    return len(bin.v4) // _V4_BYTES, len(bin.v6) // _V6_BYTES
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -299,11 +260,13 @@ class PartialAggregate:
     - week: UTC days since 0001-01-01 ``// 7``; 0001-01-01 is a Monday, so
       each key is one ISO week.
     - month: ``year * 12 + month - 1``.
-    - ``weekly_ips``: per week, the address keys.
-    - ``month_48s``: per month, the top 48 bits of each v6 address.
-    - ``weekly_as_ips``: per week, ``origin code << 128 | v6 address``, where
-      the code is 0 for unrouted, 1 for any AS_SET and ASN + 1 for one ASN,
-      so a week pays for one bin however many origins it has.
+    - ``weekly_v4``: per week, the v4 addresses, 4 bytes each.
+    - ``weekly_v6``: per week, the v6 addresses (the key without bit 128),
+      16 bytes each.
+    - ``weekly_as_ips``: per week, ``origin code << 128 | v6 address``, 21
+      bytes each, where the code is 0 for unrouted, 1 for any AS_SET and
+      ASN + 1 for one ASN, so a week pays for one bin however many origins it has.
+    - ``month_48s``: per month, the top 48 bits of each v6 address, 6 bytes each.
     - ``first_last``: address key -> ``sites << 128 | first << 64 | last``.
       ``first`` and ``last`` are UTC microsecond counts since 0001-01-01
       (years 1 to 9999 fit in 64 bits), and ``sites`` has one bit per site
@@ -311,17 +274,17 @@ class PartialAggregate:
     - ``sites``: site code -> its bit in ``first_last``, ``1 << 128 + i`` for
       the i-th site this aggregate saw.
 
-    ``add`` takes records in time order, so a bin is final once a record of a
-    later bin arrives, and ``add`` then seals it: a week into a
-    ``_SealedWeek`` of sorted packed v4 and v6 keys, an AS week into its
-    sorted members packed in 21 bytes each, and a month into an
-    ``array('Q')`` of sorted tops. Only the open week and month are sets, and
-    ``seal`` packs them. Before it changes anything, ``add`` raises
-    ``UnsortedInput`` on a record of an earlier week, on a v6 record of an
-    earlier month, and on any record after ``seal``. Tables and ``merge`` read
-    only sealed aggregates, as ``aggregate`` and ``merge`` return them, and
-    never index a bin that may be missing: ``add``'s bin maps are
-    ``defaultdict(set)``, so that would insert an empty bin.
+    Each bin of the four bin maps is one ``bytes`` column of its members,
+    sorted and packed big-endian at its map's width; a week or month with no
+    members has no bin. ``add`` takes records in time order and keeps the
+    open week's and month's members in four sets, so a bin is final once a
+    record of a later bin arrives, and ``add`` then packs the sets into their
+    maps; ``seal`` packs the last ones. Before it changes anything, ``add``
+    raises ``UnsortedInput`` on a record of an earlier week, on a v6 record of
+    an earlier month, and on any record after ``seal``. Tables and ``merge``
+    read only sealed aggregates, as ``aggregate`` and ``merge`` return them;
+    their fields are then plain dicts of ints and bytes, which ``marshal``
+    carries as they are.
 
     Record timestamps must be timezone-aware (``parse_timestamp`` returns
     UTC; ``add`` raises ``ValueError`` on a naive one).
@@ -329,13 +292,18 @@ class PartialAggregate:
 
     def __init__(self):
         self.sites: dict[str, int] = {}
-        self.weekly_ips: dict[int, Union[set[int], _SealedWeek]] = defaultdict(set)
-        self.weekly_as_ips: dict[int, Union[set[int], bytes]] = defaultdict(set)
+        self.weekly_v4: dict[int, bytes] = {}
+        self.weekly_v6: dict[int, bytes] = {}
+        self.weekly_as_ips: dict[int, bytes] = {}
+        self.month_48s: dict[int, bytes] = {}
         self.first_last: dict[int, int] = {}
-        self.month_48s: dict[int, Union[set[int], array]] = defaultdict(set)
-        # The open week and month: every earlier bin is sealed.
+        # The open week and month, and their members: every earlier bin is packed.
         self._week = self._month = -1
         self._month_days = (0, 0)  # the open month's first UTC day, and the next month's
+        self._open_v4: set[int] = set()
+        self._open_v6: set[int] = set()
+        self._open_members: set[int] = set()
+        self._open_tops: set[int] = set()
 
     def add(self, record: Union[EditRecord, AttributedRecord]) -> None:
         try:
@@ -347,10 +315,17 @@ class PartialAggregate:
         if week != self._week:
             self._enter_week(week)
         key = record.key
-        v6 = key >> 128
-        if v6 and not self._month_days[0] <= day < self._month_days[1]:
-            self._enter_month(day)
-        self.weekly_ips[week].add(key)
+        if key >> 128:
+            if not self._month_days[0] <= day < self._month_days[1]:
+                self._enter_month(day)
+            address = key ^ _V6
+            self._open_v6.add(address)
+            self._open_tops.add(address >> 80)
+            origin = getattr(record, "origin", None)
+            if origin is not None:
+                self._open_members.add(_origin_code(origin) << _CODE_SHIFT | address)
+        else:
+            self._open_v4.add(key)
         site = self.sites.get(record.site.code) or self._new_site(record.site.code)
         # Few operations touch the whole span: with many sites it is long.
         seen = self.first_last.get(key)
@@ -362,32 +337,27 @@ class PartialAggregate:
             self.first_last[key] = (seen | site) ^ (first ^ us) << 64
         elif not seen & site:
             self.first_last[key] = seen | site
-        if v6:
-            address = key ^ _V6
-            self.month_48s[self._month].add(address >> 80)
-            origin = getattr(record, "origin", None)
-            if origin is not None:
-                self.weekly_as_ips[week].add(_origin_code(origin) << _CODE_SHIFT | address)
 
     def _new_site(self, code: str) -> int:
         bit = self.sites[code] = 1 << _SITE_SHIFT + len(self.sites)
         return bit
 
     def _enter_week(self, week: int) -> None:
-        """Seal the open week and make `week`, a later one, the open week."""
+        """Pack the open week and make `week`, a later one, the open week."""
         if week < self._week:
             raise UnsortedInput(f"record of {week_label(week)} after a later week, or after seal()")
-        _seal(self.weekly_ips, self._week, _seal_week)
-        _seal(self.weekly_as_ips, self._week, _seal_members)
+        _seal(self.weekly_v4, self._week, self._open_v4, _V4_BYTES)
+        _seal(self.weekly_v6, self._week, self._open_v6, _V6_BYTES)
+        _seal(self.weekly_as_ips, self._week, self._open_members, _MEMBER_BYTES)
         self._week = week
 
     def _enter_month(self, day: int) -> None:
-        """Seal the open month and make the month of UTC day `day`, a later one, the open month."""
+        """Pack the open month and make the month of UTC day `day`, a later one, the open month."""
         d = date.fromordinal(day + 1)
         month = _month(d)
         if month < self._month:
             raise UnsortedInput(f"v6 record of {month_label(month)} after a later month")
-        _seal(self.month_48s, self._month, _seal_tops)
+        _seal(self.month_48s, self._month, self._open_tops, _TOP_BYTES)
         first = day + 1 - d.day
         self._month_days = (first, first + monthrange(d.year, d.month)[1])
         self._month = month
@@ -395,14 +365,15 @@ class PartialAggregate:
     def seal(self) -> None:
         """Pack the open week and month. ``add`` then refuses every record."""
         self._enter_week(_SEALED)
-        _seal(self.month_48s, self._month, _seal_tops)
+        _seal(self.month_48s, self._month, self._open_tops, _TOP_BYTES)
         self._month = _SEALED
 
 
-def _seal(bins: dict, bin_key: int, seal: Callable[[set[int]], _Bin]) -> None:
-    keys = bins.get(bin_key)
-    if keys is not None:
-        bins[bin_key] = seal(keys)
+def _seal(bins: dict[int, bytes], bin_key: int, members: set[int], width: int) -> None:
+    """Pack the open bin's `members`, if any, into ``bins[bin_key]`` and empty the set."""
+    if members:
+        bins[bin_key] = _pack(members, width)
+        members.clear()
 
 
 def aggregate(records: Iterable[Union[EditRecord, AttributedRecord]]) -> PartialAggregate:
@@ -422,11 +393,11 @@ def aggregate(records: Iterable[Union[EditRecord, AttributedRecord]]) -> Partial
     return agg
 
 
-def _merged_bins(a: dict, b: dict, seal: Callable[[set[int]], _Bin]) -> dict:
-    """Bin-wise union of sealed bins, in bin order; a bin only one side has is shared, not copied."""
+def _merged_bins(a: dict[int, bytes], b: dict[int, bytes], width: int) -> dict[int, bytes]:
+    """Bin-wise union of packed bins, in bin order; a bin only one side has is shared, not copied."""
     out = {**a, **b}
     for bin_key in a.keys() & b.keys():
-        out[bin_key] = seal({*_members(a[bin_key]), *_members(b[bin_key])})
+        out[bin_key] = _pack({*_unpack(a[bin_key], width), *_unpack(b[bin_key], width)}, width)
     return dict(sorted(out.items()))
 
 
@@ -436,6 +407,8 @@ def merge(a: PartialAggregate, b: PartialAggregate) -> PartialAggregate:
     ``b``'s site bits are moved to their sites' positions in the result, which
     lists ``a``'s sites and then ``b``'s new ones. Neither input is changed.
     """
+    if a._open_v4 or a._open_v6 or b._open_v4 or b._open_v6:
+        raise ValueError("merge takes sealed aggregates: call seal() after add()")
     out = PartialAggregate()
     out.sites = dict(a.sites)
     for code in b.sites:
@@ -454,20 +427,21 @@ def merge(a: PartialAggregate, b: PartialAggregate) -> PartialAggregate:
             first = min(seen >> 64 & _LAST, span >> 64 & _LAST)
             span = (seen | span) >> _SITE_SHIFT << _SITE_SHIFT | first << 64 | max(seen & _LAST, span & _LAST)
         out.first_last[key] = span
-    out.weekly_ips = _merged_bins(a.weekly_ips, b.weekly_ips, _seal_week)
-    out.weekly_as_ips = _merged_bins(a.weekly_as_ips, b.weekly_as_ips, _seal_members)
-    out.month_48s = _merged_bins(a.month_48s, b.month_48s, _seal_tops)
+    out.weekly_v4 = _merged_bins(a.weekly_v4, b.weekly_v4, _V4_BYTES)
+    out.weekly_v6 = _merged_bins(a.weekly_v6, b.weekly_v6, _V6_BYTES)
+    out.weekly_as_ips = _merged_bins(a.weekly_as_ips, b.weekly_as_ips, _MEMBER_BYTES)
+    out.month_48s = _merged_bins(a.month_48s, b.month_48s, _TOP_BYTES)
     out.seal()
     return out
 
 
 def table_weekly_by_version(agg: PartialAggregate) -> ReportTable:
     rows = []
-    for week, bin in sorted(agg.weekly_ips.items()):
+    for week in sorted(agg.weekly_v4.keys() | agg.weekly_v6.keys()):
         label = week_label(week)
-        for version, n in zip((V4, V6), _week_counts(bin)):
-            if n:
-                rows.append((label, version, n))
+        for version, bins, width in ((V4, agg.weekly_v4, _V4_BYTES), (V6, agg.weekly_v6, _V6_BYTES)):
+            if week in bins:
+                rows.append((label, version, len(bins[week]) // width))
     return ReportTable("weekly_by_version", ("week", "version", "distinct_ips"), ("s", "s", "d"), rows)
 
 
@@ -502,7 +476,7 @@ def cumulative_by_week(agg: PartialAggregate, lengths: tuple[int, ...] = PREFIX_
     run, so one pass per length finds each run's birth week; each series is a
     running sum of births.
     """
-    weeks = sorted(week for week, bin in agg.weekly_ips.items() if _week_counts(bin)[1])
+    weeks = sorted(agg.weekly_v6)
     position = {week: i for i, week in enumerate(weeks)}
     first_last = agg.first_last
     v6 = sorted(filter(_V6.__le__, first_last))
@@ -575,7 +549,7 @@ def table_lifetimes(agg: PartialAggregate) -> tuple[ReportTable, Iterator[Lifeti
 def table_weekly_by_as(agg: PartialAggregate, top_k: int) -> ReportTable:
     # Each bin is sorted, so a k-way merge yields the weeks' members in order,
     # a member seen in several weeks as one run.
-    members = heapq.merge(*map(_members, agg.weekly_as_ips.values()))
+    members = heapq.merge(*[_unpack(bin, _MEMBER_BYTES) for bin in agg.weekly_as_ips.values()])
     all_time = Counter(member >> _CODE_SHIFT for member, _ in groupby(members))
     asns = sorted((code for code in all_time if code > _SET_CODE), key=lambda code: (-all_time[code], code))
     shown = {_UNROUTED_CODE, _SET_CODE, *asns[:top_k]}
@@ -613,19 +587,16 @@ def table_eui64_weekly(
 
     vendor_rows = []
     fraction_rows = []
-    for week, bin in sorted(agg.weekly_ips.items()):
-        n_v6 = _week_counts(bin)[1]
-        if not n_v6:
-            continue
+    for week, bin in sorted(agg.weekly_v6.items()):
         series: dict[str, int] = {}
-        for key in _v6_members(bin):
+        for key in map(_V6.__or__, _unpack(bin, _V6_BYTES)):
             hit = vendors.get(key)
             if hit is not None:
                 vendor = hit[1] if hit[1] == UNLISTED or hit[1] in top else "other"
                 series[vendor] = series.get(vendor, 0) + 1
         label = week_label(week)
         vendor_rows.extend((label, vendor, n) for vendor, n in sorted(series.items()))
-        frac = sum(series.values()) / n_v6
+        frac = sum(series.values()) / (len(bin) // _V6_BYTES)
         fraction_rows.append((label, frac, frac))
     vendor_table = ReportTable(
         "eui64_weekly", ("week", "vendor", "distinct_v6"), ("s", "s", "d"), vendor_rows
@@ -677,7 +648,8 @@ def parse_hitlist_line(line: str) -> Optional[HitlistEntry]:
         raise BadHitlistRow(line)
     date_text, target = parts
     try:
-        when = datetime.fromisoformat(date_text)
+        # fromisoformat accepts a bare Z only from Python 3.11 on, and a "z" on none.
+        when = datetime.fromisoformat(date_text[:-1] + "+00:00" if date_text.endswith(("Z", "z")) else date_text)
         if when.tzinfo is not None:
             # OverflowError when the offset moves year 1 or 9999 out of range.
             when = when.astimezone(timezone.utc)
@@ -721,15 +693,15 @@ def table_hitlist_overlap(agg: PartialAggregate, hitlist: Iterable[tuple[int, in
         listed.setdefault(month, {}).setdefault(shift, set()).add(prefix_int >> (80 + shift))
 
     rows = []
-    for month, tops in sorted(agg.month_48s.items()):
+    for month, bin in sorted(agg.month_48s.items()):
         shifts = list(listed.get(month, {}).items())
         overlap = 0
-        for top in tops:
+        for top in _unpack(bin, _TOP_BYTES) if shifts else ():
             for shift, listed_tops in shifts:
                 if top >> shift in listed_tops:
                     overlap += 1
                     break
-        rows.append((month_label(month), len(tops), overlap))
+        rows.append((month_label(month), len(bin) // _TOP_BYTES, overlap))
     return ReportTable(
         "hitlist_overlap", ("month", "wikimedia_48s", "overlap_48s"), ("s", "d", "d"), rows
     )

@@ -309,20 +309,15 @@ def parse_dump_stream(
             stats.skipped_missing_timestamp += 1
             return
         try:
-            ts = parse_timestamp(rev_timestamp)
-        except ValueError:
-            stats.skipped_missing_timestamp += 1
-            return
-        try:
-            key, canonical = canonical_key(contrib_ip)
+            record = _decode_record(rev_timestamp, site, contrib_ip)
         except NotAnIp:
             stats.skipped_malformed_ip += 1
             return
+        except ValueError:  # the timestamp is decoded first
+            stats.skipped_missing_timestamp += 1
+            return
         stats.emitted += 1
-        text = None
-        if canonical and canonical_timestamp(rev_timestamp):
-            text = f"{rev_timestamp}\t{site.code}\t{contrib_ip}"
-        pending.append(_edit_record(ts, site, key, text))
+        pending.append(record)
 
     parser.StartElementHandler = start_element
     parser.EndElementHandler = end_element
@@ -420,9 +415,12 @@ def read_rows(lines: Iterable[str], columns: Sequence[str], make: Callable[..., 
 
 
 def _decode_record(ts_text: str, site: SiteId, ip_text: str) -> EditRecord:
-    timestamp = parse_timestamp(ts_text)
-    key, canonical = canonical_key(ip_text)
-    text = f"{ts_text}\t{site.code}\t{ip_text}" if canonical and canonical_timestamp(ts_text) else None
+    """The record of a row's timestamp and address texts, decoded in that order;
+    it keeps its row text when both are canonical."""
+    canonical = canonical_timestamp(ts_text)
+    timestamp = _parse_utc(ts_text) if canonical else parse_timestamp(ts_text)
+    key, canonical_ip = canonical_key(ip_text)
+    text = f"{ts_text}\t{site.code}\t{ip_text}" if canonical and canonical_ip else None
     return _edit_record(timestamp, site, key, text)
 
 

@@ -17,7 +17,9 @@ After the aggregate is built, every report table is built once, as
 One JSON line reports the arguments, the distinct addresses, the aggregate's
 bytes per distinct address and per record, the peak RSS before and after each
 step, and per table (``table_s``, ``table_maxrss_kb``) its seconds and the
-peak RSS after it.
+peak RSS after it. ``sealed_bytes`` is the exact payload of the sealed bins:
+per bin map, the summed length of its packed bins, and
+``per_distinct_address``, their total over the distinct addresses.
 The aggregate's bytes are the growth of the resident set (``/proc/self/statm``)
 while it is built, so they include the allocator's overhead; ``tracemalloc``
 would add its own per-block records to the RSS and slow the run several times.
@@ -46,6 +48,7 @@ SPAN_S = 20 * 365 * 86400
 SITE_CODES = ("enwiki", "dewiki", "jawiki", "frwiki", "eswiki", "ruwiki", "enwiktionary", "zhwiki")
 RECENT = 4096
 ASNS = 20_000
+SEALED_MAPS = ("weekly_v4", "weekly_v6", "weekly_as_ips", "month_48s")
 
 
 def _maxrss_kb() -> int:
@@ -122,6 +125,12 @@ def _builders(agg: analytics.PartialAggregate) -> dict:
     }
 
 
+def _sealed_bytes(agg: analytics.PartialAggregate, distinct: int) -> dict:
+    """Per bin map, the bytes of its packed bins, and their total per distinct address."""
+    sizes = {name: sum(map(len, getattr(agg, name).values())) for name in SEALED_MAPS}
+    return {**sizes, "per_distinct_address": round(sum(sizes.values()) / max(distinct, 1), 1)}
+
+
 def _tables(agg: analytics.PartialAggregate) -> tuple[dict, dict]:
     """Seconds per table, and the peak RSS after each."""
     seconds, maxrss = {}, {}
@@ -159,6 +168,7 @@ def main() -> None:
                 "aggregate_rss_bytes": agg_bytes,
                 "bytes_per_distinct_address": round(agg_bytes / max(distinct, 1), 1),
                 "bytes_per_record": round(agg_bytes / max(n, 1), 1),
+                "sealed_bytes": _sealed_bytes(agg, distinct),
                 "aggregate_s": round(aggregate_s, 3),
                 "tables_s": round(tables_s, 3),
                 "table_s": table_s,

@@ -533,7 +533,8 @@ def parse_hitlist_rows(lines):
         if len(parts) != 2:
             continue
         try:
-            when = datetime.fromisoformat(parts[0])
+            text = parts[0][:-1] + "+00:00" if parts[0][-1:] in ("Z", "z") else parts[0]  # RFC 3339 UTC
+            when = datetime.fromisoformat(text)
             if when.utcoffset() is not None:  # binned by its UTC month, as records are
                 when = when.astimezone(timezone.utc)
             net = ip_network(parts[1], strict=False) if "/" in parts[1] else ip_network(

@@ -1,11 +1,11 @@
 import copy
 import io
 import json
+import marshal
 import math
 import random
 import subprocess
 import sys
-from array import array
 from datetime import date, datetime, timedelta, timezone
 from ipaddress import IPv4Address, IPv6Address, ip_address, ip_network
 from pathlib import Path
@@ -22,7 +22,6 @@ from wikiv6.analytics import (
     BadHitlistRow,
     PartialAggregate,
     ReportTable,
-    _SealedWeek,
     aggregate,
     merge,
     month_label,
@@ -61,7 +60,7 @@ def arec(ts_text, ip_text, origin_text, site=SITE):
 def _bins_of(ts):
     """(week label, month label) of the one record `aggregate` bins at `ts`."""
     agg = aggregate([EditRecord(ts, SITE, ip_address("2001:db8::1"))])
-    (week,) = agg.weekly_ips
+    (week,) = agg.weekly_v6
     (month,) = agg.month_48s
     return week_label(week), month_label(month)
 
@@ -432,6 +431,13 @@ class TestHitlistOverlap:
         assert bad == 0
         assert table_hitlist_overlap(aggregate(records), entries).rows == [("2015-07", 1, 1)]
 
+    def test_z_suffix_is_utc(self):
+        for suffix in ("Z", "z"):
+            for when in ("2016-01-01T00:00:00", "2015-12-31T23:30:00"):
+                line = f"{when}{suffix}\t2001:db8::/32\n"
+                assert parse_hitlist_line(line) == parse_hitlist_line(f"{when}+00:00\t2001:db8::/32\n"), line
+        assert read_hitlist(["2016-01-01T00:00:00z\t2001:db8::/32\n"]) == ([(2016 * 12, 0x20010DB8 << 96, 32)], 0)
+
     def test_offset_out_of_range_in_utc_is_a_bad_row(self):
         entries, bad = read_hitlist(["0001-01-01T00:00:00+01:00\t2001:db8::/48\n"])
         assert (entries, bad) == ([], 1)
@@ -733,12 +739,48 @@ class TestPackedLayout:
         as_local = aggregate([EditRecord(local, SITE, ip)])
         as_utc = aggregate([EditRecord(local.astimezone(timezone.utc), SITE, ip)])
         assert table_weekly_by_version(as_local).to_csv() == table_weekly_by_version(as_utc).to_csv()
-        assert week_label(next(iter(as_local.weekly_ips))) == "2016-W05"
+        assert week_label(next(iter(as_local.weekly_v6))) == "2016-W05"
 
     def test_naive_timestamp_is_rejected(self):
         record = EditRecord(datetime(2016, 2, 1, 1, 30), SITE, ip_address("2001:db8::1"))
         with pytest.raises(ValueError, match="not timezone-aware"):
             aggregate([record])
+
+
+class TestSealedBins:
+    def test_sealed_fields_survive_marshal(self):
+        agg = aggregate(sorted(synth_corpus(1000, seed=191), key=lambda r: r.timestamp))
+        for name in ("sites", "weekly_v4", "weekly_v6", "weekly_as_ips", "month_48s", "first_last"):
+            field = getattr(agg, name)
+            assert field and marshal.loads(marshal.dumps(field, 2)) == field, name
+
+    def test_a_week_has_a_bin_only_in_the_maps_of_its_versions(self):
+        v4 = [rec("2015-06-01T10:00:00Z", "10.0.0.2"), rec("2015-06-02T10:00:00Z", "10.0.0.1")]
+        v6 = [rec("2015-06-08T10:00:00Z", "2001:db8::2"), rec("2015-06-09T10:00:00Z", "2001:db8:1::1")]
+        agg = aggregate(v4 + v6)
+        assert {week_label(week): bin for week, bin in agg.weekly_v4.items()} == {
+            "2015-W23": bytes([10, 0, 0, 1, 10, 0, 0, 2])
+        }
+        assert {week_label(week): bin for week, bin in agg.weekly_v6.items()} == {
+            "2015-W24": IPv6Address("2001:db8::2").packed + IPv6Address("2001:db8:1::1").packed
+        }
+        assert {month_label(month): bin for month, bin in agg.month_48s.items()} == {
+            "2015-06": bytes.fromhex("20010db80000" "20010db80001")
+        }
+        assert agg.weekly_as_ips == {}  # plain records have no origin
+        rows = [(r.timestamp, r.site.code, r.ip, None) for r in v4 + v6]
+        assert table_weekly_by_version(agg).to_csv() == oracles.oracle_weekly_by_version(rows)
+        assert table_weekly_by_version(agg).rows == [("2015-W23", "v4", 2), ("2015-W24", "v6", 2)]
+
+    def test_merge_refuses_an_aggregate_with_an_open_bin(self):
+        for ip, version in (("10.0.0.1", "v4"), ("2001:db8::1", "v6")):
+            agg = PartialAggregate()
+            agg.add(rec("2015-06-01T10:00:00Z", ip))
+            for pair in ((agg, PartialAggregate()), (PartialAggregate(), agg)):
+                with pytest.raises(ValueError, match="seal"):
+                    merge(*pair)
+            agg.seal()
+            assert table_weekly_by_version(merge(agg, PartialAggregate())).rows == [("2015-W23", version, 1)]
 
 
 class TestTimeOrder:
@@ -824,9 +866,8 @@ class TestMerge:
         random.Random(5).shuffle(shuffled)
         sealed, unsorted = aggregate(records[::2]), aggregate(shuffled)
         for agg in (sealed, unsorted):
-            assert agg.weekly_ips and all(isinstance(bin, _SealedWeek) for bin in agg.weekly_ips.values())
-            assert agg.weekly_as_ips and all(isinstance(bin, bytes) for bin in agg.weekly_as_ips.values())
-            assert agg.month_48s and all(isinstance(bin, array) for bin in agg.month_48s.values())
+            for bins in (agg.weekly_v4, agg.weekly_v6, agg.weekly_as_ips, agg.month_48s):
+                assert bins and type(bins) is dict and all(type(bin) is bytes for bin in bins.values())
         with open(oui_csv, "rb") as fh:
             db = load_oui_database(fh)
         entries, _ = read_hitlist(hitlist_tsv.read_text().splitlines())
@@ -932,6 +973,13 @@ class TestScaleHarness:
         assert (report["records"], report["seed"], report["sites"]) == (20000, 3, 300)
         assert 0 < report["distinct_v6"] < report["distinct_addresses"] < 20000
         assert report["bytes_per_distinct_address"] > 0 and report["aggregate_s"] > 0
+        sealed = report["sealed_bytes"]
+        maps = ("weekly_v4", "weekly_v6", "weekly_as_ips", "month_48s")
+        assert list(sealed) == [*maps, "per_distinct_address"]
+        for name, width in zip(maps, (4, 16, 21, 6)):
+            assert sealed[name] > 0 and sealed[name] % width == 0, name
+        total = sum(sealed[name] for name in maps)
+        assert sealed["per_distinct_address"] == round(total / report["distinct_addresses"], 1)
         assert report["maxrss_kb"] >= report["maxrss_kb_after_aggregate"] >= report["maxrss_kb_before"] > 0
         builders = [name for name in TABLE_NAMES if name != "eui64_fraction"]  # eui64_weekly builds both
         assert list(report["table_s"]) == list(report["table_maxrss_kb"]) == builders
