@@ -387,7 +387,7 @@ def aggregate(records: Iterable[Union[EditRecord, AttributedRecord]]) -> Partial
         except UnsortedInput:
             agg.seal()
             late = aggregate(sorted(chain((record,), records), key=_utc_us))
-            # merge shares its first input's spans and rebuilds the second's: put the larger first.
+            # merge shares its first input's spans, the second's only where their site bits stay: larger first.
             return merge(agg, late) if len(agg.first_last) >= len(late.first_last) else merge(late, agg)
     agg.seal()
     return agg
@@ -421,7 +421,8 @@ def merge(a: PartialAggregate, b: PartialAggregate) -> PartialAggregate:
         sites = span >> _SITE_SHIFT
         if sites not in moved:
             moved[sites] = sum(bits[i] for i in _bits(sites))
-        span = moved[sites] | span & _SPAN
+        if moved[sites] != sites << _SITE_SHIFT:  # else b's span is kept, not rebuilt
+            span = moved[sites] | span & _SPAN
         seen = out.first_last.get(key)
         if seen is not None:
             first = min(seen >> 64 & _LAST, span >> 64 & _LAST)

@@ -182,6 +182,12 @@ def validate_config(cfg: PipelineConfig) -> None:
     for path in [*cfg.dumps, *cfg.ribs, cfg.oui, cfg.hitlist]:
         if path is not None and not Path(path).exists():
             raise ConfigError(f"configured path does not exist: {path}")
+    # Checked here, as the stats are written after a stage's outputs are committed.
+    # Their directory may be the output directory, which the stage creates.
+    if cfg.stats_path is not None:
+        stats, out = Path(cfg.stats_path).resolve(), Path(cfg.out).resolve()
+        if stats.is_dir() or stats == out or not (stats.parent.is_dir() or stats.parent == out):
+            raise ConfigError(f"--stats must name a file in an existing directory: {cfg.stats_path}")
 
 
 def infer_site(path: str, overrides: dict[str, str]) -> SiteId:
@@ -260,14 +266,14 @@ def _discard(path) -> None:
 
 
 @contextmanager
-def _replacing(path, binary: bool = False):
+def _replacing(path):
     """Open `path` + ".tmp" for writing and rename it over `path` on success.
 
     A failed or interrupted write removes the temporary file and leaves any
     earlier `path` as it was, so no later stage reads a partial output. If the
     temporary file cannot be opened, its error is raised and nothing is removed.
     """
-    with _partial(path, binary) as fh:
+    with _partial(path) as fh:
         yield fh
     _commit(path)
 
@@ -277,10 +283,9 @@ def write_manifest(
     command: str,
     inputs: Sequence[str],
     outputs: Sequence[str],
-    digests: Optional[dict[str, str]] = None,
+    digests: dict[str, Optional[str]],
 ) -> None:
     """Write manifest.json; `digests` holds input digests already computed while reading."""
-    digests = digests or {}
     manifest = {
         "tool": "wikiv6",
         "version": __version__,

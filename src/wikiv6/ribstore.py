@@ -124,10 +124,6 @@ RouteKey = tuple[int, int, int]  # (IP version, network int, prefix length)
 Route = tuple[RouteKey, OriginAs]
 
 
-def _prefix_key(prefix: Prefix) -> RouteKey:
-    return (prefix.version, int(prefix.network_address), prefix.prefixlen)
-
-
 _ADDRESS = V6_KEY - 1  # the address bits of a key
 
 
@@ -139,21 +135,21 @@ def _entry(route: Route) -> tuple[Prefix, OriginAs]:
 class RouteEntries(Sequence):
     """Read-only ``(ip_network, OriginAs)`` view of sorted routes; items are built when read."""
 
-    __slots__ = ("_routes",)
+    __slots__ = ("_pairs",)
 
     def __init__(self, routes: list[Route]):
-        self._routes = routes
+        self._pairs = routes
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return len(self._pairs)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [_entry(route) for route in self._routes[i]]
-        return _entry(self._routes[i])
+            return [_entry(route) for route in self._pairs[i]]
+        return _entry(self._pairs[i])
 
     def __iter__(self) -> Iterator[tuple[Prefix, OriginAs]]:
-        return map(_entry, self._routes)
+        return map(_entry, self._pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
@@ -188,7 +184,7 @@ class RibSnapshot:
     def __post_init__(self, pairs: Iterable[tuple[Prefix, OriginAs]]) -> None:
         votes: dict[RouteKey, list[OriginAs]] = {}
         for prefix, origin in pairs:
-            votes.setdefault(_prefix_key(prefix), []).append(origin)
+            votes.setdefault((prefix.version, int(prefix.network_address), prefix.prefixlen), []).append(origin)
         self.routes = _voted_routes(votes)
 
     @property
@@ -416,40 +412,29 @@ def write_prefix_table(snapshot: RibSnapshot, sink: TextIO) -> int:
 
 
 class LpmIndex:
-    """Longest-prefix match as a search over flat range tables.
+    """Longest-prefix match as a search over flat range tables, built once.
 
     Each IP version's routes are flattened into disjoint address runs: ``starts``
     holds each run's first address in ascending order and ``origins`` the origin
     of the longest prefix covering that run, UNROUTED where none does (the
     range-search form of LPM in Lampson, Srinivasan and Varghese, "IP Lookups
     Using Multiway and Multicolumn Search"). A lookup is one bisect into ``starts``.
-    An index from ``build_lpm`` holds only these tables; ``insert`` on it raises
-    TypeError. ``LpmIndex()`` keeps its routes, a later insert of a prefix replacing
-    its origin, and rebuilds the tables on the first lookup after an insert.
+    The index holds only these tables and cannot change; ``build_lpm`` makes one
+    from a snapshot, whose routes are sorted by key and hold one voted origin per
+    prefix.
     """
 
-    __slots__ = ("_routes", "_tables")
+    __slots__ = ("_tables",)
 
-    def __init__(self) -> None:
-        self._routes: Optional[dict[RouteKey, OriginAs]] = {}  # None on a built index
-        # (v4 (starts, origins), v6 (starts, origins)); None until built, and again after an insert
-        self._tables: Optional[tuple[tuple[list[int], list[OriginAs]], ...]] = None
-
-    def insert(self, prefix: Prefix, origin: OriginAs) -> None:
-        if self._routes is None:
-            raise TypeError("an index from build_lpm is read-only")
-        self._routes[_prefix_key(prefix)] = origin
-        self._tables = None
+    def __init__(self, routes: list[Route]):
+        self._tables = _range_tables(routes)
 
     def lookup(self, ip: IpAddress) -> OriginAs:
         return self.lookup_key(ip_key(ip))
 
     def lookup_key(self, key: int) -> OriginAs:
         """The origin of an address key (``netaddr.ip_key``)."""
-        tables = self._tables
-        if tables is None:
-            tables = self._tables = _range_tables(sorted(self._routes.items()))
-        starts, origins = tables[key >> 128]
+        starts, origins = self._tables[key >> 128]
         return origins[bisect_right(starts, key & _ADDRESS) - 1]
 
 
@@ -490,14 +475,9 @@ def _sweep(routes: list[Route], width: int) -> tuple[list[int], list[OriginAs]]:
 
 
 def build_lpm(snapshot: RibSnapshot) -> LpmIndex:
-    """A read-only index of a snapshot's routes: only their range tables, built here."""
-    return _read_only(_range_tables(snapshot.routes))
-
-
-def _read_only(tables: tuple[tuple[list[int], list[OriginAs]], ...]) -> LpmIndex:
-    index = LpmIndex()
-    index._routes, index._tables = None, tables
-    return index
+    """The index of a snapshot's routes. ``TimelineEntry.index`` looks this name
+    up in the module when it is called, so a replacement set here is used."""
+    return LpmIndex(snapshot.routes)
 
 
 class TimelineEntry:

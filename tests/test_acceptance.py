@@ -39,13 +39,13 @@ from wikiv6.analytics import (
 from wikiv6.ingest import ParseStats, SiteId, parse_dump_stream, write_records
 from wikiv6.netaddr import Mac48, embed_mac, extract_mac, is_eui64, load_oui_database
 from wikiv6.ribstore import (
-    LpmIndex,
     OriginAs,
     RibSnapshot,
     RibTimeline,
     TruncatedRecord,
     UNROUTED,
     attribute,
+    build_lpm,
     parse_mrt_rib,
 )
 
@@ -139,9 +139,7 @@ def test_03_lpm_oracle_equivalence():
                     continue
                 seen.add(prefix)
                 entries.append((prefix, OriginAs.from_asn(rng.randrange(1, 1 << 31))))
-            index = LpmIndex()
-            for prefix, origin in entries:
-                index.insert(prefix, origin)
+            index = build_lpm(RibSnapshot(datetime(2020, 1, 1, tzinfo=timezone.utc), entries))
             oracle = _numpy_linear_scan(entries)
             mismatches = 0
             for _ in range(10_000):

@@ -904,6 +904,26 @@ class TestMerge:
         for merged in (merge(a, b), merge(b, a)):
             assert table_site_fraction(merged).to_csv() == expected
 
+    def test_keys_only_b_has_share_b_spans_when_sites_line_up(self):
+        sites = [SiteId.from_code(code) for code in ("enwiki", "dewiki", "frwiki")]
+        rng = random.Random(31)
+        pool = [IPv6Address(0x2001 << 112 | rng.getrandbits(64)) for _ in range(500)]
+        start = datetime(2015, 6, 1, tzinfo=timezone.utc)
+
+        def shard(ips, hour):
+            # Each address is seen twice, at two different sites, so that spans hold site combinations.
+            return [
+                AttributedRecord(start + timedelta(hours=hour + n), sites[n % 3], ip, OriginAs.parse("64500"), 0)
+                for n, ip in enumerate(ips * 2)
+            ]
+
+        a, b = aggregate(shard(pool[:300], 0)), aggregate(shard(pool[200:], 1000))
+        assert list(a.sites) == list(b.sites)
+        out = merge(a, b)
+        only_b = b.first_last.keys() - a.first_last.keys()
+        assert len(only_b) == 200
+        assert all(out.first_last[key] is b.first_last[key] for key in only_b)
+
     def test_sharded_equals_single_pass(self, oui_csv, hitlist_tsv):
         records = synth_corpus(4000, seed=131)
         single = aggregate(records)

@@ -580,7 +580,9 @@ class TestUnwritableOutput:
     @pytest.mark.parametrize("name", ["records.tsv.tmp", "manifest.json", "st.json"])
     def test_extract(self, tmp_path, fixture_dump, capsys, name):
         out = tmp_path / "out"
-        blocked = (tmp_path if name == "st.json" else out) / name
+        # A stats path that is itself a directory is a usage error (TestStatsPathChecked),
+        # so the stats output is blocked where it is written: at its .tmp.
+        blocked = tmp_path / "st.json.tmp" if name == "st.json" else out / name
         blocked.mkdir(parents=True)
         argv = ["extract", str(fixture_dump), "--out", str(out), "--stats", str(tmp_path / "st.json")]
         self._fails_cleanly(argv, capsys, blocked)
@@ -591,6 +593,40 @@ class TestUnwritableOutput:
         blocked = out / "weekly_by_version.csv.tmp"
         blocked.mkdir()
         self._fails_cleanly(["report", "weekly_by_version", "--out", str(out)], capsys, blocked)
+
+
+class TestStatsPathChecked:
+    """A --stats path that is a directory, or whose directory does not exist, is a
+    usage error found before the stage starts: no output or .tmp is written."""
+
+    STAGES = {"extract": [], "attribute": [], "report": ["weekly_by_version"]}
+
+    @staticmethod
+    def _files(out):
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+
+    @pytest.mark.parametrize("where", ["missing-directory", "output-directory", "other-directory"])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_usage_error_and_outputs_untouched(self, tmp_path, fixture_dump, capsys, stage, where):
+        out = tmp_path / "out"
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"dump = {fixture_dump}\nrib = {_write_ribs(tmp_path)[0]}\nout = {out}\n", encoding="utf-8")
+        for setup, args in self.STAGES.items():
+            assert run_cli(setup, *args, "--config", str(cfg), "--stats", str(tmp_path / f"{setup}.json")) == 0
+        (tmp_path / "other").mkdir()
+        stats = {"missing-directory": tmp_path / "missing" / "s.json", "output-directory": out,
+                 "other-directory": tmp_path / "other"}[where]
+        before = self._files(out)
+        capsys.readouterr()
+        assert run_cli(stage, *self.STAGES[stage], "--config", str(cfg), "--stats", str(stats)) == 2
+        assert capsys.readouterr().err == f"wikiv6: --stats must name a file in an existing directory: {stats}\n"
+        assert self._files(out) == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_file_in_the_output_directory_the_stage_creates(self, tmp_path, fixture_dump):
+        out = tmp_path / "fresh" / "out"
+        assert run_cli("extract", str(fixture_dump), "--out", str(out), "--stats", str(out / "s.json")) == 0
+        assert fixture_dump.name in json.loads((out / "s.json").read_text(encoding="utf-8"))["files"]
 
 
 def _write_records(tmp_path, *extra_rows: bytes):

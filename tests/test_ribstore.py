@@ -21,7 +21,6 @@ from wikiv6.ingest import EditRecord, SiteId, parse_timestamp
 from wikiv6.ribstore import (
     BadPrefixTable,
     EmptyTimeline,
-    LpmIndex,
     MissingPeerIndex,
     OriginAs,
     RibSnapshot,
@@ -291,7 +290,8 @@ class TestPrefixTable:
 
 def _route_key_via_ip_network(text, strict=True):
     try:
-        return ribstore._prefix_key(ip_network(text, strict))
+        prefix = ip_network(text, strict)
+        return (prefix.version, int(prefix.network_address), prefix.prefixlen)
     except ValueError:
         return None
 
@@ -429,14 +429,12 @@ class TestLpm:
         assert index.lookup(IPv6Address("2600::1")) == OriginAs.from_asn(1)
 
     def test_no_default_route_is_unrouted(self):
-        index = LpmIndex()
-        index.insert(ip_network("2001:db8::/32"), OriginAs.from_asn(2))
+        index = build_lpm(_synth_snapshot("2020-01-01T00:00:00Z", [("2001:db8::/32", "2")]))
         assert index.lookup(IPv6Address("2600::1")) == UNROUTED
         assert index.lookup(IPv4Address("10.0.0.1")) == UNROUTED
 
     def test_full_length_prefix(self):
-        index = LpmIndex()
-        index.insert(ip_network("2001:db8::1/128"), OriginAs.from_asn(9))
+        index = build_lpm(_synth_snapshot("2020-01-01T00:00:00Z", [("2001:db8::1/128", "9")]))
         assert index.lookup(IPv6Address("2001:db8::1")) == OriginAs.from_asn(9)
         assert index.lookup(IPv6Address("2001:db8::2")) == UNROUTED
 
@@ -478,35 +476,10 @@ class TestLpm:
     @pytest.mark.parametrize("rows", LPM_EDGE_CASES.values(), ids=LPM_EDGE_CASES.keys())
     def test_matches_linear_scan(self, rows):
         entries = [(ip_network(p), OriginAs.from_asn(asn)) for p, asn in rows]
-        inserted = LpmIndex()
-        for prefix, origin in reversed(entries):
-            inserted.insert(prefix, origin)
         built = build_lpm(RibSnapshot(parse_timestamp("2020-01-01T00:00:00Z"), entries))
         for ip in _edge_probes(entries):
             expected = _linear_scan_lookup(entries, ip)
             assert built.lookup(ip) == expected, ip
-            assert inserted.lookup(ip) == expected, ip
-
-    def test_insert_after_lookup_rebuilds(self):
-        index = LpmIndex()
-        index.insert(ip_network("2001:db8::/32"), OriginAs.from_asn(1))
-        assert index.lookup(IPv6Address("2001:db8:1::1")) == OriginAs.from_asn(1)
-        assert index.lookup(IPv4Address("10.0.0.1")) == UNROUTED
-        index.insert(ip_network("2001:db8:1::/48"), OriginAs.from_asn(2))
-        index.insert(ip_network("10.0.0.0/8"), OriginAs.from_asn(3))
-        assert index.lookup(IPv6Address("2001:db8:1::1")) == OriginAs.from_asn(2)
-        assert index.lookup(IPv6Address("2001:db8:2::1")) == OriginAs.from_asn(1)
-        assert index.lookup(IPv4Address("10.0.0.1")) == OriginAs.from_asn(3)
-
-    def test_reinsert_last_origin_wins(self):
-        index = LpmIndex()
-        prefix = ip_network("2001:db8::/32")
-        index.insert(prefix, OriginAs.from_asn(1))
-        index.insert(prefix, OriginAs.from_asn(2))
-        assert index.lookup(IPv6Address("2001:db8::1")) == OriginAs.from_asn(2)
-        index.insert(prefix, OriginAs.from_asn(3))
-        assert index.lookup(IPv6Address("2001:db8::1")) == OriginAs.from_asn(3)
-        assert index.lookup(IPv6Address("2001:db9::1")) == UNROUTED
 
 
 def _mk_timeline(times):
@@ -553,18 +526,6 @@ def _synth_snapshot(ts_text, rows):
         parse_timestamp(ts_text),
         [(ip_network(p), OriginAs.parse(o)) for p, o in rows],
     )
-
-
-class TestBuiltIndexIsReadOnly:
-    def test_insert_raises_and_lookups_are_unchanged(self):
-        index = build_lpm(_synth_snapshot("2020-01-01T00:00:00Z", [("2001:db8::/32", "64500")]))
-        with pytest.raises(TypeError):
-            index.insert(ip_network("2001:db8:1::/48"), OriginAs.from_asn(64501))
-        assert index.lookup(IPv6Address("2001:db8:1::1")) == OriginAs.from_asn(64500)
-
-    def test_holds_no_route_copy(self):
-        snapshot = _synth_snapshot("2020-01-01T00:00:00Z", [("10.0.0.0/8", "64500")])
-        assert build_lpm(snapshot)._routes is None
 
 
 def _reference_nearest(times, t):
