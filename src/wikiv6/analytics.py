@@ -34,7 +34,7 @@ from itertools import accumulate, chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from struct import iter_unpack
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .ingest import EditRecord
 from .netaddr import V6_KEY as _V6, OuiDatabase, UNLISTED, eui64_mac, key_text, parse_key, prefix_key
@@ -629,17 +629,13 @@ def table_vendor_counts(agg: PartialAggregate, db: OuiDatabase) -> ReportTable:
     )
 
 
-class HitlistEntry(NamedTuple):
-    month: int  # _month of the row's date, in UTC when it has an offset
-    prefix_int: int
-    length: int
+def parse_hitlist_line(line: str) -> Optional[tuple[int, int, int]]:
+    """Parse one ``date<TAB>address-or-prefix`` hitlist row (IPv6 only) into
+    ``(month, prefix_int, length)``, or None for a blank or comment line.
 
-
-def parse_hitlist_line(line: str) -> Optional[HitlistEntry]:
-    """Parse one ``date<TAB>address-or-prefix`` hitlist row (IPv6 only).
-
-    A timestamp with an offset is binned by its UTC month, as records are; a
-    plain date or naive timestamp by its own month.
+    `month` is the ``_month`` of the row's date. A timestamp with an offset is
+    binned by its UTC month, as records are; a plain date or naive timestamp
+    by its own month.
     """
     line = line.rstrip("\n")
     if not line or line.startswith("#"):
@@ -663,10 +659,10 @@ def parse_hitlist_line(line: str) -> Optional[HitlistEntry]:
         raise BadHitlistRow(line) from exc
     if version != 6:
         raise BadHitlistRow(line)
-    return HitlistEntry(_month(when), value, length)
+    return _month(when), value, length
 
 
-def read_hitlist(lines: Iterable[str]) -> tuple[list[HitlistEntry], int]:
+def read_hitlist(lines: Iterable[str]) -> tuple[list[tuple[int, int, int]], int]:
     """Parse a hitlist stream; malformed rows are skipped and counted."""
     entries = []
     bad = 0
@@ -684,7 +680,7 @@ def read_hitlist(lines: Iterable[str]) -> tuple[list[HitlistEntry], int]:
 def table_hitlist_overlap(agg: PartialAggregate, hitlist: Iterable[tuple[int, int, int]]) -> ReportTable:
     """Per month, the corpus /48s and those inside a prefix `hitlist` lists that month.
 
-    `hitlist` holds ``HitlistEntry`` rows or plain ``(month, prefix_int, length)`` tuples.
+    `hitlist` holds ``(month, prefix_int, length)`` rows, as ``read_hitlist`` returns them.
     """
     # Per month and shift, the listed prefixes' tops: a /48 is in a /L entry
     # (L <= 48) iff its top >> (48 - L) is; /48 and longer entries are shift 0.

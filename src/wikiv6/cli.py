@@ -396,20 +396,22 @@ def _parse_dump(cfg: PipelineConfig, dump: str, site: SiteId, out_path: str) -> 
     is None where the dump was not hashed to its end.
     """
     stats = ParseStats()
-    error: Optional[Exception] = None
-    digest = None
+
+    def parse(xml) -> Optional[StreamMalformed]:
+        # With keep_going the dump is still hashed to its end, so the error is returned.
+        try:
+            with _partial(out_path, binary=True) as sink:
+                write_records(parse_dump_stream(xml, site, namespaces=cfg.namespaces, stats=stats), sink)
+        except StreamMalformed as exc:
+            if not cfg.keep_going:
+                raise
+            return exc
+        return None
+
     try:
-        with open(dump, "rb") as raw:
-            xml = _DigestReader(raw) if Path(dump).is_file() else raw
-            try:
-                with _partial(out_path, binary=True) as sink:
-                    write_records(parse_dump_stream(xml, site, namespaces=cfg.namespaces, stats=stats), sink)
-            except StreamMalformed as exc:
-                error = exc
-            if isinstance(xml, _DigestReader) and (error is None or cfg.keep_going):
-                digest = xml.digest_to_end()
-    except OSError as exc:
-        error = exc
+        error, digest = _read_hashed(dump, parse)
+    except (StreamMalformed, OSError) as exc:
+        error, digest = exc, None
     return ("ok", stats.as_dict(), digest) if error is None else ("failed", f"extract: {dump}: {error}", digest)
 
 
@@ -534,15 +536,15 @@ def cmd_extract(cfg: PipelineConfig) -> int:
             per_file[Path(dump).name] = detail
             merged_sources.append(out_path)
 
-    merged_path = cfg.records_path()
-    external_sort_lines(merged_sources, merged_path, RECORD_HEADER)
-
     totals: dict[str, int] = {}
     for stats_dict in per_file.values():
         for key, value in stats_dict.items():
             totals[key] = totals.get(key, 0) + value
     summary = {"files": per_file, "totals": totals, "workers": _NO_WORKERS if jobs is None else jobs.stats.as_dict()}
+    # Before the merge, so that a stats write that fails leaves no fresh records.tsv for attribute.
     _write_stats(cfg, summary)
+    merged_path = cfg.records_path()
+    external_sort_lines(merged_sources, merged_path, RECORD_HEADER)
     write_manifest(
         cfg,
         "extract",
@@ -732,27 +734,28 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
                         part.seek(header)
                         shutil.copyfileobj(part, sink)
                     _discard(parts[k])
+        summary = {
+            "records": count,
+            "unrouted": unrouted,
+            "unrouted_fraction": (unrouted / count) if count else 0.0,
+            "abs_delta_s": {
+                "min": min(deltas) if deltas else None,
+                "median": _counter_median(deltas),
+                "max": max(deltas) if deltas else None,
+                "buckets": _delta_buckets(deltas),
+            },
+            "snapshots": [rows[pos] for pos in sorted(rows)],
+            "decode": {
+                **(_NO_WORKERS if jobs is None else jobs.stats.as_dict()),
+                "snapshots_adopted": 0 if jobs is None else len(rows),
+            },
+        }
+        # Before the commit, so that a stats write that fails leaves no fresh attributed.tsv for report.
+        _write_stats(cfg, summary)
         _commit(attributed_path)
     finally:
         _discard(attributed_path)
 
-    summary = {
-        "records": count,
-        "unrouted": unrouted,
-        "unrouted_fraction": (unrouted / count) if count else 0.0,
-        "abs_delta_s": {
-            "min": min(deltas) if deltas else None,
-            "median": _counter_median(deltas),
-            "max": max(deltas) if deltas else None,
-            "buckets": _delta_buckets(deltas),
-        },
-        "snapshots": [rows[pos] for pos in sorted(rows)],
-        "decode": {
-            **(_NO_WORKERS if jobs is None else jobs.stats.as_dict()),
-            "snapshots_adopted": 0 if jobs is None else len(rows),
-        },
-    }
-    _write_stats(cfg, summary)
     write_manifest(cfg, "attribute", inputs=inputs, outputs=[Path(attributed_path).name], digests=digests)
     return EXIT_OK
 
@@ -787,7 +790,7 @@ def _load_side_inputs(cfg: PipelineConfig, oui: bool, hitlist: bool) -> tuple:
     Returns ``("ok", oui part, hitlist part)`` or ``("failed", error line)``,
     marshal-able so that a forked child can send it back. The OUI part is
     ``(entries, duplicate_rows, bad_rows, digest)`` and the hitlist part
-    ``(rows as plain tuples, skipped rows, digest)``; either is None where not
+    ``(rows, skipped rows, digest)``; either is None where not
     asked for. An OUI error is returned before the hitlist is read.
     """
     oui_part = hitlist_part = None
@@ -799,10 +802,10 @@ def _load_side_inputs(cfg: PipelineConfig, oui: bool, hitlist: bool) -> tuple:
         oui_part = (db.entries, db.duplicate_rows, db.bad_rows, digest)
     if hitlist:
         try:
-            (entries, bad), digest = _read_hashed(cfg.hitlist, _decoded(read_hitlist))
+            (rows, bad), digest = _read_hashed(cfg.hitlist, _decoded(read_hitlist))
         except OSError as exc:
             return ("failed", f"report: {cfg.hitlist}: {exc}")
-        hitlist_part = (list(map(tuple, entries)), bad, digest)
+        hitlist_part = (rows, bad, digest)
     return ("ok", oui_part, hitlist_part)
 
 

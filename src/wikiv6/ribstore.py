@@ -8,11 +8,10 @@ plurality vote. Ties go to the lowest first differing ASN: ``64501`` beats
 ``64502`` and ``set:64501,64502``, and ``set:64501,64502`` beats
 ``set:64501,64503``; an ``unrouted`` prefix-table row loses every tie.
 
-A snapshot holds its routes as sorted ``((version, network int, prefix
-length), OriginAs)`` pairs, the keys ``LpmIndex`` indexes, so neither the MRT
-decode nor the index build makes an address object. ``RibSnapshot.entries``
-is a read-only view that builds ``(ip_network, OriginAs)`` pairs as they are
-read.
+A snapshot's ``entries`` are its routes as sorted ``((version, network int,
+prefix length), OriginAs)`` pairs, the keys ``LpmIndex`` indexes, so neither
+the MRT decode, the index build nor the prefix-table writer makes an address
+object.
 
 ``attribute`` loads each snapshot in process when the first record reaches it.
 The ``attribute`` stage runs the time-sorted records as byte ranges, one per
@@ -32,12 +31,11 @@ from dataclasses import InitVar, dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from itertools import chain
-from ipaddress import IPv4Network, IPv6Network
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
 
 from .ingest import EditRecord, Record, SiteId, format_record, format_timestamp, parse_timestamp, read_rows
-from .netaddr import V6_KEY, IpAddress, Prefix, ip_key, parse_key, prefix_key
+from .netaddr import V6_KEY, IpAddress, Prefix, ip_key, key_text, parse_key, prefix_key
 
 MRT_TABLE_DUMP_V2 = 13
 TD2_PEER_INDEX_TABLE = 1
@@ -127,47 +125,13 @@ Route = tuple[RouteKey, OriginAs]
 _ADDRESS = V6_KEY - 1  # the address bits of a key
 
 
-def _entry(route: Route) -> tuple[Prefix, OriginAs]:
-    (version, network, plen), origin = route
-    return (IPv4Network if version == 4 else IPv6Network)((network, plen)), origin
-
-
-class RouteEntries(Sequence):
-    """Read-only ``(ip_network, OriginAs)`` view of sorted routes; items are built when read."""
-
-    __slots__ = ("_pairs",)
-
-    def __init__(self, routes: list[Route]):
-        self._pairs = routes
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [_entry(route) for route in self._pairs[i]]
-        return _entry(self._pairs[i])
-
-    def __iter__(self) -> Iterator[tuple[Prefix, OriginAs]]:
-        return map(_entry, self._pairs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"RouteEntries({list(self)!r})"
-
-
 @dataclass
 class RibSnapshot:
     """A timestamped prefix -> origin table plus parse counters.
 
-    ``routes`` holds one ``((version, network int, prefix length), origin)``
-    pair per prefix, sorted by key. ``entries`` shows the same routes as
-    ``(ip_network, OriginAs)`` pairs, built when read; its length costs
-    nothing. Constructed from ``(prefix, origin)`` pairs, a prefix given more
+    ``entries`` holds one ``((version, network int, prefix length), origin)``
+    pair per prefix, sorted by key: the routes ``build_lpm`` indexes.
+    Constructed from ``(ip_network, OriginAs)`` pairs, a prefix given more
     than once keeps its voted origin.
     """
 
@@ -179,23 +143,19 @@ class RibSnapshot:
     malformed_attributes: int = 0
     malformed_records: int = 0
     bad_rows: int = 0
-    routes: list[Route] = field(init=False)
+    entries: list[Route] = field(init=False)
 
     def __post_init__(self, pairs: Iterable[tuple[Prefix, OriginAs]]) -> None:
         votes: dict[RouteKey, list[OriginAs]] = {}
         for prefix, origin in pairs:
             votes.setdefault((prefix.version, int(prefix.network_address), prefix.prefixlen), []).append(origin)
-        self.routes = _voted_routes(votes)
-
-    @property
-    def entries(self) -> RouteEntries:
-        return RouteEntries(self.routes)
+        self.entries = _voted_routes(votes)
 
     def counters(self) -> dict:
         """Capture time, route count and parse counters, as one stats row."""
         return {
             "captured_at": format_timestamp(self.captured_at),
-            "routes": len(self.routes),
+            "routes": len(self.entries),
             "peer_count": self.peer_count,
             "malformed_records": self.malformed_records,
             "malformed_attributes": self.malformed_attributes,
@@ -269,7 +229,7 @@ def parse_mrt_rib(stream: BinaryIO) -> RibSnapshot:
         raise MissingPeerIndex("stream contains no PEER_INDEX_TABLE")
     snapshot.captured_at = captured_at
     snapshot.peer_count = peer_count
-    snapshot.routes = _voted_routes(votes)
+    snapshot.entries = _voted_routes(votes)
     return snapshot
 
 
@@ -399,16 +359,16 @@ def load_prefix_table(lines: Iterable[str]) -> RibSnapshot:
     if captured_at is None:
         raise BadPrefixTable("missing '# captured_at=' header")
     snapshot = RibSnapshot(captured_at, bad_rows=bad_rows)
-    snapshot.routes = _voted_routes(votes)
+    snapshot.entries = _voted_routes(votes)
     return snapshot
 
 
 def write_prefix_table(snapshot: RibSnapshot, sink: TextIO) -> int:
     """Dump a snapshot in load_prefix_table's format; returns rows written."""
     sink.write(f"{CAPTURED_AT_PREFIX}{format_timestamp(snapshot.captured_at)}\n")
-    for prefix, origin in snapshot.entries:
-        sink.write(f"{prefix}\t{origin.text}\n")
-    return len(snapshot.routes)
+    for (version, network, plen), origin in snapshot.entries:
+        sink.write(f"{key_text(network | V6_KEY if version == 6 else network)}/{plen}\t{origin.text}\n")
+    return len(snapshot.entries)
 
 
 class LpmIndex:
@@ -477,7 +437,7 @@ def _sweep(routes: list[Route], width: int) -> tuple[list[int], list[OriginAs]]:
 def build_lpm(snapshot: RibSnapshot) -> LpmIndex:
     """The index of a snapshot's routes. ``TimelineEntry.index`` looks this name
     up in the module when it is called, so a replacement set here is used."""
-    return LpmIndex(snapshot.routes)
+    return LpmIndex(snapshot.entries)
 
 
 class TimelineEntry:

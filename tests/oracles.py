@@ -14,7 +14,7 @@ import re
 import struct
 from collections import Counter
 from datetime import datetime, timezone
-from ipaddress import ip_address, ip_network
+from ipaddress import IPv4Network, IPv6Network, ip_address, ip_network
 from xml.parsers import expat
 
 TS_RE = re.compile(r"<timestamp>([^<]*)</timestamp>")
@@ -763,3 +763,8 @@ def _oracle_rib_record(body, bits, votes, out):
         else:
             votes.setdefault(net, []).append(origin)
         i += 8 + attr_len
+
+
+def snapshot_pairs(snapshot):
+    """A snapshot's sorted int-keyed ``entries`` as ``(ip_network, OriginAs)`` pairs, built with ``ipaddress``."""
+    return [((IPv4Network if v == 4 else IPv6Network)((n, l)), origin) for (v, n, l), origin in snapshot.entries]

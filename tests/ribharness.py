@@ -166,7 +166,7 @@ def main() -> None:
     t0 = time.perf_counter()
     index = build_lpm(snapshot)  # alive until rss_kb_index is read
     build_s = time.perf_counter() - t0
-    routes, malformed = len(snapshot.routes), snapshot.malformed_attributes
+    routes, malformed = len(snapshot.entries), snapshot.malformed_attributes
     del snapshot
     gc.collect()
     rss_index = _rss_kb()

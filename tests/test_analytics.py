@@ -438,6 +438,11 @@ class TestHitlistOverlap:
                 assert parse_hitlist_line(line) == parse_hitlist_line(f"{when}+00:00\t2001:db8::/32\n"), line
         assert read_hitlist(["2016-01-01T00:00:00z\t2001:db8::/32\n"]) == ([(2016 * 12, 0x20010DB8 << 96, 32)], 0)
 
+    def test_rows_survive_marshal(self):
+        # A forked report child sends the rows back through marshal.
+        rows, _bad = read_hitlist(["2021-09-01\t2001:db8:77::/48\n", "2021-09-02T10:00:00Z\t2001:db8::1\n"])
+        assert len(rows) == 2 and marshal.loads(marshal.dumps(rows, 2)) == rows
+
     def test_offset_out_of_range_in_utc_is_a_bad_row(self):
         entries, bad = read_hitlist(["0001-01-01T00:00:00+01:00\t2001:db8::/48\n"])
         assert (entries, bad) == ([], 1)
@@ -480,9 +485,9 @@ class TestHitlistOverlap:
     def test_any_lines_give_entries_and_a_bad_count(self, lines):
         entries, bad = read_hitlist(lines)
         assert len(entries) + bad <= len(lines)
-        for entry in entries:
-            assert 0 <= entry.length <= 128 and 0 <= entry.prefix_int < 1 << 128
-            assert len(month_label(entry.month)) == 7
+        for month, prefix_int, length in entries:
+            assert 0 <= length <= 128 and 0 <= prefix_int < 1 << 128
+            assert len(month_label(month)) == 7
 
     # Spellings the address-key codec must read as ip_network(strict=False) does, or hand to it.
     PREFIX_SPELLINGS = [
@@ -508,10 +513,10 @@ class TestHitlistOverlap:
     @staticmethod
     def _parsed(target):
         try:
-            entry = parse_hitlist_line(f"2015-06-01\t{target}\n")
+            _month, prefix_int, length = parse_hitlist_line(f"2015-06-01\t{target}\n")
         except BadHitlistRow:
             return BadHitlistRow
-        return entry.prefix_int, entry.length
+        return prefix_int, length
 
     @pytest.mark.parametrize("target", PREFIX_SPELLINGS)
     def test_prefix_rows_match_ip_network(self, target):

@@ -586,6 +586,19 @@ class TestUnwritableOutput:
         blocked.mkdir(parents=True)
         argv = ["extract", str(fixture_dump), "--out", str(out), "--stats", str(tmp_path / "st.json")]
         self._fails_cleanly(argv, capsys, blocked)
+        if name == "st.json":  # the stats are written before the merged records attribute reads
+            assert not (out / "records.tsv").exists()
+
+    def test_attribute_stats(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"rib = {_write_ribs(tmp_path)[0]}\nrecords = {_write_records(tmp_path)}\nout = {out}\n",
+                       encoding="utf-8")
+        blocked = tmp_path / "st.json.tmp"
+        blocked.mkdir()
+        self._fails_cleanly(["attribute", "--config", str(cfg), "--stats", str(tmp_path / "st.json")], capsys, blocked)
+        # The stats are written before attributed.tsv is committed for report to read.
+        assert list(out.iterdir()) == []
 
     def test_report(self, tmp_path, fixture_dump, capsys):
         out = tmp_path / "out"

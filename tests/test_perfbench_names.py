@@ -77,6 +77,7 @@ def test_instance_surface(monkeypatch):
     origin = ribstore.OriginAs.from_asn(64500)
     snapshot = ribstore.RibSnapshot(t, [(ip_network("2001:db8::/32"), origin), (ip_network("10.0.0.0/8"), origin)])
     assert len(snapshot.entries) == 2
+    assert len(snapshot.entries) == snapshot.counters()["routes"]
     # The tracer counts builds by replacing ribstore.build_lpm: TimelineEntry.index() must call it by name.
     built = []
     build_lpm = ribstore.build_lpm
