@@ -18,7 +18,7 @@ import shutil
 import sys
 import tempfile
 from bisect import bisect_left
-from contextlib import ExitStack, closing, contextmanager, suppress
+from contextlib import ExitStack, closing, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -53,6 +53,7 @@ EXIT_USAGE = 2
 
 MERGED_RECORDS = "records.tsv"
 ATTRIBUTED_RECORDS = "attributed.tsv"
+MANIFEST = "manifest.json"
 
 
 # The names report takes from ``analytics``. They are bound here by ``_analytics``
@@ -182,8 +183,9 @@ def validate_config(cfg: PipelineConfig) -> None:
     for path in [*cfg.dumps, *cfg.ribs, cfg.oui, cfg.hitlist]:
         if path is not None and not Path(path).exists():
             raise ConfigError(f"configured path does not exist: {path}")
-    # Checked here, as the stats are written after a stage's outputs are committed.
-    # Their directory may be the output directory, which the stage creates.
+    # Checked here, not after all the stage's work: the commit writes the stats, then
+    # renames them, the outputs in order and the manifest. Their directory may be the
+    # output directory, which the stage creates.
     if cfg.stats_path is not None:
         stats, out = Path(cfg.stats_path).resolve(), Path(cfg.out).resolve()
         if stats.is_dir() or stats == out or not (stats.parent.is_dir() or stats.parent == out):
@@ -234,48 +236,55 @@ class _DigestReader(io.BufferedIOBase):
         return "sha256:" + self._sha.hexdigest()
 
 
-@contextmanager
-def _partial(path, binary: bool = False):
-    """Open `path` + ".tmp" for writing; a failed or interrupted write removes it.
-
-    If the temporary file cannot be opened, its error is raised and nothing is removed.
-    """
-    partial = f"{path}.tmp"
-    fh = open(partial, "wb") if binary else open(partial, "w", encoding="utf-8")
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        _discard(path)
-        raise
-
-
-def _commit(path) -> None:
-    """Rename a complete `path` + ".tmp" over `path`; if that fails, remove it."""
-    try:
-        os.replace(f"{path}.tmp", path)
-    except BaseException:
-        _discard(path)
-        raise
-
-
 def _discard(path) -> None:
     """Remove `path` + ".tmp", if there is such a file."""
     with suppress(OSError):
         os.unlink(f"{path}.tmp")
 
 
-@contextmanager
-def _replacing(path):
-    """Open `path` + ".tmp" for writing and rename it over `path` on success.
+class _Outputs:
+    """The outputs of one run of a stage, which appear together or not at all.
 
-    A failed or interrupted write removes the temporary file and leaves any
-    earlier `path` as it was, so no later stage reads a partial output. If the
-    temporary file cannot be opened, its error is raised and nothing is removed.
+    The stage registers each output with `add` and writes it to the path that
+    `add` returns, the output's path + ".tmp". `commit` writes the stats and the
+    manifest to their own .tmp, then renames the stats, each output in the order
+    added, and the manifest last. A run that ends without a commit (an error, an
+    early return, Ctrl-C) removes every registered .tmp, so a failed run commits
+    nothing; one cut short among the renames leaves each file whole, old or new,
+    and the earlier manifest.
     """
-    with _partial(path) as fh:
-        yield fh
-    _commit(path)
+
+    def __init__(self, cfg: PipelineConfig, command: str) -> None:
+        self._cfg = cfg
+        self._command = command
+        self.paths: list[str] = []
+
+    def __enter__(self) -> _Outputs:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for path in self.paths:
+            _discard(path)
+
+    def add(self, path) -> str:
+        """Register `path` as the next output; returns the .tmp path to write it to."""
+        self.paths.append(str(path))
+        return f"{path}.tmp"
+
+    def write(self, path, text: str) -> None:
+        Path(self.add(path)).write_text(text, encoding="utf-8")
+
+    def commit(self, stats: dict, inputs: Sequence[str], digests: dict[str, Optional[str]]) -> None:
+        cfg = self._cfg
+        outputs = [Path(path).name for path in self.paths]
+        if cfg.stats_path:
+            self.paths.insert(0, cfg.stats_path)
+        self.paths.append(str(Path(cfg.out) / MANIFEST))
+        _write_stats(cfg, stats)
+        write_manifest(cfg, self._command, inputs, outputs, digests)
+        for path in self.paths:
+            os.replace(f"{path}.tmp", path)
+        self.paths = []
 
 
 def write_manifest(
@@ -285,7 +294,8 @@ def write_manifest(
     outputs: Sequence[str],
     digests: dict[str, Optional[str]],
 ) -> None:
-    """Write manifest.json; `digests` holds input digests already computed while reading."""
+    """Write the manifest to manifest.json + ".tmp", which `_Outputs.commit`
+    renames into place; `digests` holds input digests already computed while reading."""
     manifest = {
         "tool": "wikiv6",
         "version": __version__,
@@ -294,15 +304,16 @@ def write_manifest(
         "inputs": {path: digests.get(path) or _sha256(path) for path in sorted(set(inputs))},
         "outputs": sorted(outputs),
     }
-    with _replacing(Path(cfg.out) / "manifest.json") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (Path(cfg.out) / f"{MANIFEST}.tmp").write_text(text, encoding="utf-8")
 
 
 def external_sort_lines(sources: Sequence[str], sink_path: str, header: str, chunk_lines: int = 500_000) -> int:
     """Merge-sort data lines from `sources` into `sink_path`, bounded memory.
 
-    Full chunks spill to temp files, which are removed however the sort ends;
-    `sink_path` appears only once the merge has been written in full.
+    Full chunks spill to temp files, which are removed however the sort ends.
+    The merge is written straight to `sink_path`, a stage's .tmp output, which
+    a sort that fails leaves partly written for its caller to remove.
     """
     spills: list[str] = []
     chunk: list[str] = []
@@ -327,7 +338,7 @@ def external_sort_lines(sources: Sequence[str], sink_path: str, header: str, chu
         chunk.sort()
         with ExitStack() as stack:
             readers = [stack.enter_context(open(name, "r", encoding="utf-8")) for name in spills]
-            sink = stack.enter_context(_replacing(sink_path))
+            sink = stack.enter_context(open(sink_path, "w", encoding="utf-8"))
             sink.write(header + "\n")
             sink.writelines(heapq.merge(*readers, chunk))
     finally:
@@ -389,7 +400,8 @@ def _forked_jobs(run, paths: Sequence[str], min_bytes: int):
 
 
 def _parse_dump(cfg: PipelineConfig, dump: str, site: SiteId, out_path: str) -> tuple:
-    """Parse `dump` into `out_path` + ".tmp", which the caller commits.
+    """Parse `dump` into `out_path` + ".tmp", which the caller commits with the
+    run's other outputs or, where the parse failed, removes.
 
     Returns ``("ok", stats, digest)`` or ``("failed", the stage's stderr line,
     digest)``, marshal-able so that a forked child can send it back; the digest
@@ -400,7 +412,7 @@ def _parse_dump(cfg: PipelineConfig, dump: str, site: SiteId, out_path: str) -> 
     def parse(xml) -> Optional[StreamMalformed]:
         # With keep_going the dump is still hashed to its end, so the error is returned.
         try:
-            with _partial(out_path, binary=True) as sink:
+            with open(f"{out_path}.tmp", "wb") as sink:
                 write_records(parse_dump_stream(xml, site, namespaces=cfg.namespaces, stats=stats), sink)
         except StreamMalformed as exc:
             if not cfg.keep_going:
@@ -505,7 +517,8 @@ def cmd_extract(cfg: PipelineConfig) -> int:
     def run(i: int) -> tuple:
         return _parse_dump(cfg, *plans[i])
 
-    # Dump i is job i, written to its part and committed here in config order.
+    # Dump i is job i, written to its part; each part that parses is an output,
+    # in config order, and the merge reads the parts before they are committed.
     jobs = _forked_jobs(run, cfg.dumps, _PARSE_MIN_BYTES) if len(plans) > 1 else None
     outcomes = _job_outcomes(
         jobs,
@@ -515,51 +528,45 @@ def cmd_extract(cfg: PipelineConfig) -> int:
         cfg.keep_going,
     )
     per_file: dict[str, dict] = {}
-    merged_sources: list[str] = []
     digests: dict[str, Optional[str]] = {}
     failed = 0
-    with closing(outcomes):
-        for (dump, _, out_path), (kind, detail, *digest) in zip(plans, outcomes):
+    with _Outputs(cfg, "extract") as outputs, closing(outcomes):
+        # To their end: outcomes closed early remove the part of the last one yielded.
+        for i, (kind, detail, *digest) in enumerate(outcomes):
+            dump, _, out_path = plans[i]
             if digest:  # none from a lost child
                 digests[dump] = digest[0]
-            if kind == "ok":
-                try:
-                    _commit(out_path)
-                except OSError as exc:
-                    kind, detail = "failed", f"extract: {dump}: {exc}"
             if kind != "ok":
+                _discard(out_path)
                 failed += 1
                 print(detail, file=sys.stderr)
                 if kind == "lost" or not cfg.keep_going:
                     return EXIT_RUNTIME
                 continue
             per_file[Path(dump).name] = detail
-            merged_sources.append(out_path)
+            outputs.add(out_path)
 
-    totals: dict[str, int] = {}
-    for stats_dict in per_file.values():
-        for key, value in stats_dict.items():
-            totals[key] = totals.get(key, 0) + value
-    summary = {"files": per_file, "totals": totals, "workers": _NO_WORKERS if jobs is None else jobs.stats.as_dict()}
-    # Before the merge, so that a stats write that fails leaves no fresh records.tsv for attribute.
-    _write_stats(cfg, summary)
-    merged_path = cfg.records_path()
-    external_sort_lines(merged_sources, merged_path, RECORD_HEADER)
-    write_manifest(
-        cfg,
-        "extract",
-        inputs=[d for d in cfg.dumps if Path(d).exists()],
-        outputs=[Path(p).name for p in merged_sources] + [Path(merged_path).name],
-        digests=digests,
-    )
+        parts = [f"{path}.tmp" for path in outputs.paths]
+        external_sort_lines(parts, outputs.add(cfg.records_path()), RECORD_HEADER)
+        totals: dict[str, int] = {}
+        for stats_dict in per_file.values():
+            for key, value in stats_dict.items():
+                totals[key] = totals.get(key, 0) + value
+        workers = _NO_WORKERS if jobs is None else jobs.stats.as_dict()
+        outputs.commit(
+            {"files": per_file, "totals": totals, "workers": workers},
+            inputs=[d for d in cfg.dumps if Path(d).exists()],
+            digests=digests,
+        )
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
 def _write_stats(cfg: PipelineConfig, payload: dict) -> None:
+    """Write the stats JSON to the --stats path + ".tmp", which `_Outputs.commit`
+    renames into place, or to stderr where no --stats path is given."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if cfg.stats_path:
-        with _replacing(cfg.stats_path) as fh:
-            fh.write(text)
+        Path(f"{cfg.stats_path}.tmp").write_text(text, encoding="utf-8")
     else:
         sys.stderr.write(text)
 
@@ -692,7 +699,7 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     # Snapshot i serves one byte range of the time-sorted records (see slices),
     # and each range is a job. One range, the whole file, runs in process: the
     # records cannot be forked over, are not a regular file (no seek), cannot be
-    # sliced, or fall to one snapshot. Range 0 is written straight to the output.
+    # sliced, or fall to one snapshot. Range 0 is written straight to the output's .tmp.
     def run(k: int) -> tuple:
         return _attribute_range(records_path, parts[k], *ranges[k], timeline)
 
@@ -718,22 +725,22 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     count = unrouted = 0
     deltas: dict[int, int] = {}
     rows: dict[int, dict] = {}
-    try:
-        with closing(outcomes):
-            for k, outcome in enumerate(outcomes):
-                if outcome[0] != "ok":
-                    print(outcome[1], file=sys.stderr)
-                    return EXIT_RUNTIME
-                count += outcome[1]
-                unrouted += outcome[2]
-                for d, n in outcome[3].items():
-                    deltas[d] = deltas.get(d, 0) + n
-                rows.update(outcome[4])
-                if k:  # after range 0's header and rows, skipping this part's header
-                    with open(f"{parts[k]}.tmp", "rb") as part, open(f"{attributed_path}.tmp", "ab") as sink:
-                        part.seek(header)
-                        shutil.copyfileobj(part, sink)
-                    _discard(parts[k])
+    with _Outputs(cfg, "attribute") as outputs, closing(outcomes):
+        sink_path = outputs.add(attributed_path)
+        for k, outcome in enumerate(outcomes):
+            if outcome[0] != "ok":
+                print(outcome[1], file=sys.stderr)
+                return EXIT_RUNTIME
+            count += outcome[1]
+            unrouted += outcome[2]
+            for d, n in outcome[3].items():
+                deltas[d] = deltas.get(d, 0) + n
+            rows.update(outcome[4])
+            if k:  # after range 0's header and rows, skipping this part's header
+                with open(f"{parts[k]}.tmp", "rb") as part, open(sink_path, "ab") as sink:
+                    part.seek(header)
+                    shutil.copyfileobj(part, sink)
+                _discard(parts[k])
         summary = {
             "records": count,
             "unrouted": unrouted,
@@ -750,13 +757,7 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
                 "snapshots_adopted": 0 if jobs is None else len(rows),
             },
         }
-        # Before the commit, so that a stats write that fails leaves no fresh attributed.tsv for report.
-        _write_stats(cfg, summary)
-        _commit(attributed_path)
-    finally:
-        _discard(attributed_path)
-
-    write_manifest(cfg, "attribute", inputs=inputs, outputs=[Path(attributed_path).name], digests=digests)
+        outputs.commit(summary, inputs, digests)
     return EXIT_OK
 
 
@@ -912,17 +913,11 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
 
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for name, table in tables.items():
-        csv_path = outdir / f"{name}.csv"
-        json_path = outdir / f"{name}.json"
-        with _replacing(csv_path) as fh:
-            fh.write(table.to_csv())
-        with _replacing(json_path) as fh:
-            fh.write(table.to_json())
-        outputs.extend([csv_path.name, json_path.name])
-    _write_stats(cfg, summary)
-    write_manifest(cfg, "report", inputs=inputs, outputs=outputs, digests=digests)
+    with _Outputs(cfg, "report") as outputs:
+        for name, table in tables.items():
+            outputs.write(outdir / f"{name}.csv", table.to_csv())
+            outputs.write(outdir / f"{name}.json", table.to_json())
+        outputs.commit(summary, inputs, digests)
     return EXIT_OK
 
 

@@ -90,3 +90,32 @@ def test_instance_surface(monkeypatch):
     assert built == [snapshot]
     assert index.lookup(netaddr.parse_ip("2001:db8::1")) == origin
     assert index.lookup(netaddr.parse_ip("2001:db9::1")) == ribstore.UNROUTED
+
+
+def test_traced_cli_names_are_called(tmp_path, monkeypatch, fixture_dump, dewiki_dump):
+    # The tracer times these as cli globals; a stage that stopped calling one by that
+    # name would drop its per-layer metric without an error.
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("write_manifest", "external_sort_lines"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    out = tmp_path / "out"
+    rib = tmp_path / "rib.tsv"
+    rib.write_text("# captured_at=2015-01-01T00:00:00Z\n2001:db8::/32\t64500\n", encoding="utf-8")
+    stages = {
+        "extract": ([str(fixture_dump), str(dewiki_dump)], ["external_sort_lines", "write_manifest"]),
+        "attribute": (["--config", str(tmp_path / "p.cfg")], ["write_manifest"]),
+        "report": (["weekly_by_as"], ["write_manifest"]),
+    }
+    (tmp_path / "p.cfg").write_text(f"rib = {rib}\nout = {out}\n", encoding="utf-8")
+    for stage, (args, expected) in stages.items():
+        calls.clear()
+        assert cli.main([stage, *args, "--out", str(out), "--stats", str(tmp_path / f"{stage}.json")]) == 0
+        assert calls == expected, stage
