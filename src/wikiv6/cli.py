@@ -19,7 +19,7 @@ import sys
 import tempfile
 from bisect import bisect_left
 from contextlib import ExitStack, closing, suppress
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -52,28 +52,15 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 MERGED_RECORDS = "records.tsv"
+DUMP_RECORDS = ".records.tsv"  # extract's per-dump TSV is the dump's stem + this
 ATTRIBUTED_RECORDS = "attributed.tsv"
 MANIFEST = "manifest.json"
 
 
-# The names report takes from ``analytics``. They are bound here by ``_analytics``
-# on first use, or when read from outside (a tracer reads them to wrap them), so
-# that extract and attribute never compile that module.
-_ANALYTICS = (
-    "TABLE_NAMES",
-    "aggregate",
-    "cumulative_by_week",
-    "read_hitlist",
-    "table_cumulative_prefixes",
-    "table_eui64_weekly",
-    "table_hitlist_overlap",
-    "table_lifetimes",
-    "table_ratio_per_48",
-    "table_site_fraction",
-    "table_vendor_counts",
-    "table_weekly_by_as",
-    "table_weekly_by_version",
-)
+# The names report takes from ``analytics``, besides its ``table_*`` builders. They
+# are bound here by ``_analytics`` on first use, or when read from outside (a tracer
+# reads them to wrap them), so that extract and attribute never compile that module.
+_ANALYTICS = ("TABLE_NAMES", "aggregate", "cumulative_by_week", "read_hitlist")
 
 
 def _analytics() -> None:
@@ -83,14 +70,15 @@ def _analytics() -> None:
 
     bound = globals()
     bound.setdefault("analytics", analytics)
-    for name in _ANALYTICS:
+    for name in [*_ANALYTICS, *(name for name in vars(analytics) if name.startswith("table_"))]:
         bound.setdefault(name, getattr(analytics, name))
 
 
 def __getattr__(name: str):
-    if name == "analytics" or name in _ANALYTICS:
+    if name == "analytics" or name in _ANALYTICS or name.startswith("table_"):
         _analytics()
-        return globals()[name]
+        if name in globals():
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -115,19 +103,11 @@ class PipelineConfig:
     stats_path: Optional[str] = None
 
     def as_dict(self) -> dict:
-        return {
-            "dumps": list(self.dumps),
-            "ribs": list(self.ribs),
-            "oui": self.oui,
-            "hitlist": self.hitlist,
-            "out": self.out,
-            "records": self.records_path(),
-            "attributed": self.attributed_path(),
-            "top_k": self.top_k,
-            "top_vendors": self.top_vendors,
-            "namespaces": self.namespaces,
-            "site_overrides": dict(sorted(self.site_overrides.items())),
-        }
+        """The manifest's config: each field but keep_going and stats_path, TSV paths resolved."""
+        config = {**asdict(self), "records": self.records_path(), "attributed": self.attributed_path(),
+                  "site_overrides": dict(sorted(self.site_overrides.items()))}
+        del config["keep_going"], config["stats_path"]
+        return config
 
     def records_path(self) -> str:
         return self.records or str(Path(self.out) / MERGED_RECORDS)
@@ -147,9 +127,13 @@ def load_config(path: str) -> PipelineConfig:
     """Read the flat key=value config; repeated dump/rib keys accumulate."""
     cfg = PipelineConfig()
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        data = Path(path).read_bytes()
+        lines = data.decode("utf-8").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # the line is the one splitlines would give the byte
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(f"{path}:{lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -177,19 +161,26 @@ def load_config(path: str) -> PipelineConfig:
     return cfg
 
 
-def validate_config(cfg: PipelineConfig) -> None:
+def validate_config(cfg: PipelineConfig, outputs: Sequence[str] = ()) -> None:
+    """Raise ConfigError where a stage cannot run `cfg`; `outputs` are the names the
+    stage commits to the output directory besides the record TSVs and the manifest."""
     if cfg.top_k < 0 or cfg.top_vendors < 0:
         raise ConfigError("top_k and top_vendors must be >= 0")
-    for path in [*cfg.dumps, *cfg.ribs, cfg.oui, cfg.hitlist]:
-        if path is not None and not Path(path).exists():
+    inputs = [path for path in [*cfg.dumps, *cfg.ribs, cfg.oui, cfg.hitlist] if path is not None]
+    for path in inputs:
+        if not Path(path).exists():
             raise ConfigError(f"configured path does not exist: {path}")
     # Checked here, not after all the stage's work: the commit writes the stats, then
-    # renames them, the outputs in order and the manifest. Their directory may be the
-    # output directory, which the stage creates.
+    # renames them, the outputs in order and the manifest, so stats over an input or
+    # an output would replace it. Their directory may be the output directory, which
+    # the stage creates.
     if cfg.stats_path is not None:
         stats, out = Path(cfg.stats_path).resolve(), Path(cfg.out).resolve()
         if stats.is_dir() or stats == out or not (stats.parent.is_dir() or stats.parent == out):
             raise ConfigError(f"--stats must name a file in an existing directory: {cfg.stats_path}")
+        taken = [*inputs, cfg.records_path(), cfg.attributed_path(), *(out / name for name in (MANIFEST, *outputs))]
+        if stats in {Path(path).resolve() for path in taken}:
+            raise ConfigError(f"--stats names an input or an output of the stage: {cfg.stats_path}")
 
 
 def infer_site(path: str, overrides: dict[str, str]) -> SiteId:
@@ -501,7 +492,7 @@ def cmd_extract(cfg: PipelineConfig) -> int:
     plans: list[tuple[str, SiteId, str]] = []
     writers: dict[str, str] = {}  # per-dump output name -> the dump it is written for
     for dump in cfg.dumps:
-        name = Path(dump).stem + ".records.tsv"
+        name = Path(dump).stem + DUMP_RECORDS
         try:
             site = infer_site(dump, cfg.site_overrides)
         except ValueError as exc:
@@ -798,7 +789,7 @@ def _load_side_inputs(cfg: PipelineConfig, oui: bool, hitlist: bool) -> tuple:
     if oui:
         try:
             db, digest = _read_hashed(cfg.oui, load_oui_database)
-        except (BadCsv, UnicodeDecodeError, OSError) as exc:
+        except (BadCsv, OSError) as exc:
             return ("failed", f"report: {cfg.oui}: {exc}")
         oui_part = (db.entries, db.duplicate_rows, db.bad_rows, digest)
     if hitlist:
@@ -972,7 +963,12 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         cfg.keep_going = True
     if args.stats:
         cfg.stats_path = args.stats
-    validate_config(cfg)
+    outputs = [Path(dump).stem + DUMP_RECORDS for dump in cfg.dumps] if args.command == "extract" else []
+    tables = ["hitlist_overlap"] if args.command == "compare-hitlist" else getattr(args, "tables", [])
+    if cfg.stats_path and "all" in tables:
+        _analytics()
+        tables = TABLE_NAMES
+    validate_config(cfg, [*outputs, *(f"{name}.{ext}" for name in tables for ext in ("csv", "json"))])
     return cfg
 
 

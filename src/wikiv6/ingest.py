@@ -15,7 +15,7 @@ pieces are joined when the leaf closes.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
@@ -138,12 +138,12 @@ class StreamMalformed(Exception):
 class ParseStats:
     """Skip counters for one dump file. Conservation law:
 
-    emitted + registered + deleted + malformed_ip
+    anonymous + registered + deleted + malformed_ip
             + missing_timestamp + namespace_filtered == revisions
     """
 
     revisions: int = 0
-    emitted: int = 0
+    anonymous: int = 0
     skipped_registered: int = 0
     skipped_deleted: int = 0
     skipped_malformed_ip: int = 0
@@ -152,16 +152,7 @@ class ParseStats:
     siteinfo_conflicts: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "revisions": self.revisions,
-            "anonymous": self.emitted,
-            "skipped_registered": self.skipped_registered,
-            "skipped_deleted": self.skipped_deleted,
-            "skipped_malformed_ip": self.skipped_malformed_ip,
-            "skipped_missing_timestamp": self.skipped_missing_timestamp,
-            "skipped_namespace": self.skipped_namespace,
-            "siteinfo_conflicts": self.siteinfo_conflicts,
-        }
+        return asdict(self)
 
 
 def canonical_timestamp(text: str) -> bool:
@@ -316,7 +307,7 @@ def parse_dump_stream(
         except ValueError:  # the timestamp is decoded first
             stats.skipped_missing_timestamp += 1
             return
-        stats.emitted += 1
+        stats.anonymous += 1
         pending.append(record)
 
     parser.StartElementHandler = start_element

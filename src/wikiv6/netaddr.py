@@ -299,8 +299,9 @@ def load_oui_database(stream: Union[BinaryIO, TextIO]) -> OuiDatabase:
     """Load an IEEE MA-L export (Registry,Assignment,Organization Name,...).
 
     Duplicate assignments keep the first occurrence; malformed rows are
-    counted and skipped. A missing header, or a line the csv module cannot
-    parse (such as a field over its size limit), is a file-level error.
+    counted and skipped. A missing header, a line the csv module cannot parse
+    (such as a field over its size limit) or a byte that is not UTF-8 is a
+    file-level error, BadCsv naming the line.
     """
     wrapper = io.TextIOWrapper(stream, encoding="utf-8", newline="") if isinstance(stream.read(0), bytes) else None
     reader = csv.reader(wrapper or stream)
@@ -333,6 +334,9 @@ def load_oui_database(stream: Union[BinaryIO, TextIO]) -> OuiDatabase:
             entries[oui] = row[org_col].strip()
     except csv.Error as exc:
         raise BadCsv(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:  # exc.start is in the decoder's chunk, which goes on from line line_num + 1
+        line = reader.line_num + 1 + exc.object.count(b"\n", 0, exc.start)
+        raise BadCsv(f"line {line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
     finally:
         if wrapper is not None:
             wrapper.detach()  # so that only the caller closes `stream`

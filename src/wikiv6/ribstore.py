@@ -27,14 +27,16 @@ import struct
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
 
-from .ingest import EditRecord, Record, SiteId, format_record, format_timestamp, parse_timestamp, read_rows
+from .ingest import (
+    RECORD_COLUMNS, EditRecord, Record, SiteId, format_record, format_timestamp, parse_timestamp, read_rows
+)
 from .netaddr import V6_KEY, IpAddress, Prefix, ip_key, key_text, parse_key, prefix_key
 
 MRT_TABLE_DUMP_V2 = 13
@@ -153,16 +155,8 @@ class RibSnapshot:
 
     def counters(self) -> dict:
         """Capture time, route count and parse counters, as one stats row."""
-        return {
-            "captured_at": format_timestamp(self.captured_at),
-            "routes": len(self.entries),
-            "peer_count": self.peer_count,
-            "malformed_records": self.malformed_records,
-            "malformed_attributes": self.malformed_attributes,
-            "skipped_types": self.skipped_types,
-            "skipped_subtypes": self.skipped_subtypes,
-            "bad_rows": self.bad_rows,
-        }
+        row = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("captured_at", "entries")}
+        return {"captured_at": format_timestamp(self.captured_at), "routes": len(self.entries), **row}
 
 
 def _vote(candidates: list[OriginAs]) -> OriginAs:
@@ -191,8 +185,11 @@ def parse_mrt_rib(stream: BinaryIO) -> RibSnapshot:
 
     Unknown MRT types/subtypes are skipped and counted. Raises TruncatedRecord
     if the stream ends mid-record and MissingPeerIndex if RIB records appear
-    before a PEER_INDEX_TABLE (or the stream holds no records at all).
+    before a PEER_INDEX_TABLE (or the stream holds no records at all). The
+    stream must be seekable.
     """
+    start = stream.tell()
+    size = stream.seek(0, io.SEEK_END) - stream.seek(start)  # bytes from `start` on
     offset = 0
     captured_at: Optional[datetime] = None
     peer_count: Optional[int] = None
@@ -208,6 +205,9 @@ def parse_mrt_rib(stream: BinaryIO) -> RibSnapshot:
         if len(header) < _HEADER.size:
             raise TruncatedRecord(offset)
         ts, mrt_type, subtype, length = _HEADER.unpack(header)
+        end = offset + _HEADER.size + length
+        if end > size:  # found before the read, as a buffered read allocates `length` first
+            raise TruncatedRecord(offset)
         body = stream.read(length)
         if len(body) < length:
             raise TruncatedRecord(offset)
@@ -223,7 +223,7 @@ def parse_mrt_rib(stream: BinaryIO) -> RibSnapshot:
             _parse_rib_record(body, 4 if subtype == TD2_RIB_IPV4_UNICAST else 6, votes, origins, snapshot)
         else:
             snapshot.skipped_subtypes += 1
-        offset += _HEADER.size + length
+        offset = end
 
     if captured_at is None or peer_count is None:
         raise MissingPeerIndex("stream contains no PEER_INDEX_TABLE")
@@ -629,7 +629,7 @@ def attribute(records: Iterable[EditRecord], timeline: RibTimeline) -> Iterator[
         yield _attributed_record(ts, record._site, key, lookup(key), delta, record._text)
 
 
-ATTRIBUTED_COLUMNS = ("timestamp", "site", "ip", "origin", "delta_s")
+ATTRIBUTED_COLUMNS = (*RECORD_COLUMNS, "origin", "delta_s")
 ATTRIBUTED_HEADER = "\t".join(ATTRIBUTED_COLUMNS)
 
 

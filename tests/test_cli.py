@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import shutil
 import signal
 import struct
@@ -95,6 +96,19 @@ class TestConfig:
         assert str(info.value).startswith(f"{cfg_path}:2: {key}: ") and message in str(info.value)
         assert run_cli("report", "all", "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"wikiv6: {info.value}\n"
+
+    @pytest.mark.parametrize(
+        "text,lineno", [(b"out = o\xff\n", 1), (b"# comment\r\n\ntop_k = 3\nout = o\xff\n", 4)], ids=["first", "fourth"]
+    )
+    def test_non_utf8_byte_names_its_file_and_line(self, tmp_path, capsys, text, lineno):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_bytes(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(str(cfg_path))
+        assert str(info.value) == f"{cfg_path}:{lineno}: byte 0xff is not UTF-8 (invalid start byte)"
+        assert run_cli("extract", "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"wikiv6: {info.value}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_site_inference(self):
         assert infer_site("dumps/enwiki-20241201-pages-meta-history1.xml", {}).code == "enwiki"
@@ -566,6 +580,25 @@ class TestReport:
         assert manifest["command"] == "report"
         assert all(digest.startswith("sha256:") for digest in manifest["inputs"].values())
 
+    def test_manifest_config(self, pipeline, tmp_path):
+        cfg, out = pipeline
+        with cfg.open("a", encoding="utf-8") as fh:
+            fh.write("site.zz.xml = enwiki\nsite.aa.xml = dewiki\n")
+        stats = tmp_path / "r.json"
+        assert run_cli("report", "all", "--config", str(cfg), "--keep-going", "--stats", str(stats)) == 0
+        config = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]
+        assert set(config) == {
+            "dumps", "ribs", "oui", "hitlist", "out", "records", "attributed",
+            "top_k", "top_vendors", "namespaces", "site_overrides",
+        }
+        assert (config["records"], config["attributed"]) == (str(out / "records.tsv"), str(out / "attributed.tsv"))
+        assert config["site_overrides"] == {"aa.xml": "dewiki", "zz.xml": "enwiki"}
+        assert list(config["site_overrides"]) == sorted(config["site_overrides"])
+        assert str(stats) not in json.dumps(config)
+        # The object the manifest is written from is sorted too, not only its JSON.
+        resolved = cli.resolve_config(cli.build_parser().parse_args(["report", "all", "--config", str(cfg)]))
+        assert list(resolved.as_dict()["site_overrides"]) == ["aa.xml", "zz.xml"]
+
     @pytest.mark.parametrize("failing", ["builder", "render"])
     def test_failed_report_leaves_no_partial_output(self, pipeline, monkeypatch, failing):
         cfg, out = pipeline
@@ -660,6 +693,37 @@ class TestStatsPathChecked:
         assert capsys.readouterr().err == f"wikiv6: --stats must name a file in an existing directory: {stats}\n"
         assert self._files(out) == before
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("clash", ["input", "output", "manifest"])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_input_or_output_refused(self, tmp_path, fixture_dump, hitlist_tsv, capsys, stage, clash):
+        dump = tmp_path / fixture_dump.name  # a copy: a stats file written over it must not reach the fixture
+        shutil.copyfile(fixture_dump, dump)
+        rib = _write_ribs(tmp_path)[0]
+        out = tmp_path / "out"
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"dump = {dump}\nrib = {rib}\nhitlist = {hitlist_tsv}\nout = {out}\n", encoding="utf-8")
+        for setup, args in self.STAGES.items():
+            assert run_cli(setup, *args, "--config", str(cfg), "--stats", str(tmp_path / f"{setup}.json")) == 0
+        stats = {
+            "input": {"extract": dump, "attribute": rib, "report": out / "attributed.tsv"},
+            "output": {
+                "extract": out / f"{dump.stem}.records.tsv",
+                "attribute": out / "attributed.tsv",
+                "report": out / "lifetimes.json",  # one of "all"
+            },
+        }.get(clash, {}).get(stage, out / "manifest.json")
+        args = ["all"] if stage == "report" else []
+
+        def files():
+            return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.rglob("*") if p.is_file()}
+
+        before = files()
+        capsys.readouterr()
+        assert run_cli(stage, *args, "--config", str(cfg), "--stats", str(stats)) == 2
+        assert capsys.readouterr().err == f"wikiv6: --stats names an input or an output of the stage: {stats}\n"
+        assert files() == before
+        assert run_cli(stage, *args, "--config", str(cfg), "--stats", str(out / f"{stage}_stats.json")) == 0
 
     def test_file_in_the_output_directory_the_stage_creates(self, tmp_path, fixture_dump):
         out = tmp_path / "fresh" / "out"
@@ -834,6 +898,23 @@ class TestMalformedInput:
         assert run_cli("attribute", "--config", str(cfg), "--stats", str(tmp_path / "a.json")) == 1
         assert capsys.readouterr().err == f"attribute: {rib}: truncated MRT record at byte 0\n"
 
+    def test_overlong_snapshot_record_fails_cleanly(self, tmp_path):
+        rib = tmp_path / "rib.mrt"
+        peer_index = synth.mrt_record(1433160000, 13, 1, synth.peer_index_body(peers=0))  # 20 bytes
+        rib.write_bytes(peer_index + struct.pack(">IHHI", 1433160000, 13, 4, 0xFFFFFFF0))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"rib = {rib}\nrecords = {_write_records(tmp_path)}\nout = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        # Under a 2 GB address space a read that allocates the claimed 4 GiB fails.
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))  # noqa: E731
+        proc = subprocess.run(
+            [sys.executable, "-m", "wikiv6", "attribute", "--config", str(cfg), "--stats", str(tmp_path / "a.json")],
+            capture_output=True, text=True, timeout=120, preexec_fn=limit,
+        )
+        assert (proc.returncode, proc.stderr) == (1, f"attribute: {rib}: truncated MRT record at byte 20\n")
+
     @pytest.mark.parametrize(
         "key,table,make",
         [
@@ -868,6 +949,24 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"report: {bad}: ")
         assert err.count("\n") == 1
+
+    def test_non_utf8_oui_byte_past_64k_names_its_line(self, tmp_path, capsys):
+        # The text decoder reports the byte at its offset in the decoder's chunk;
+        # the error names the file's line instead.
+        rows = [f"MA-L,{i:06X},Vendor number {i:05d} Incorporated\n" for i in range(2999)]
+        data = bytearray(("Registry,Assignment,Organization Name\n" + "".join(rows)).encode())
+        at = data.index(rows[2997].encode()) + 20  # in line 2999
+        assert at > 1 << 16
+        data[at] = 0xFF
+        oui = tmp_path / "oui.csv"
+        oui.write_bytes(data)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"oui = {oui}\nrecords = {_write_records(tmp_path)}\nout = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        assert run_cli("report", "vendor_counts", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == f"report: {oui}: line 2999: byte 0xff is not UTF-8 (invalid start byte)\n"
 
     def test_bad_oui_unread_by_the_requested_table(self, tmp_path, capsys):
         oui = tmp_path / "badoui.csv"
@@ -1782,3 +1881,13 @@ def test_console_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert "wikiv6" in proc.stdout
+
+
+def test_cli_binds_each_table_builder_of_analytics(monkeypatch):
+    builders = [name for name in vars(analytics) if name.startswith("table_")]
+    assert len(builders) >= 9 and all(getattr(cli, name) is getattr(analytics, name) for name in builders)
+    assert not hasattr(cli, "table_nope")
+    # A name replaced on cli, as a tracer does, stays replaced when report binds the rest.
+    monkeypatch.setattr(cli, "table_lifetimes", replaced := object())
+    cli._analytics()
+    assert cli.table_lifetimes is replaced

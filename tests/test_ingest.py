@@ -215,9 +215,9 @@ class TestParseDumpStream:
         stats = ParseStats()
         with open(fixture_dump, "rb") as fh:
             emitted = sum(1 for _ in parse_dump_stream(fh, SiteId.from_code("fixturewiki"), stats=stats))
-        assert emitted == stats.emitted
+        assert emitted == stats.anonymous
         total = (
-            stats.emitted
+            stats.anonymous
             + stats.skipped_registered
             + stats.skipped_deleted
             + stats.skipped_malformed_ip

@@ -141,6 +141,41 @@ class TestParseMrt:
             parse_mrt_rib(io.BytesIO(data[:-1]))
         assert err.value.offset == offsets[-1]
 
+    # A PEER_INDEX_TABLE with no peers (20 bytes), then a RIB header whose length,
+    # 0xFFFFFFF0, runs past the end of the file.
+    OVERLONG = synth.mrt_record(10, 13, 1, synth.peer_index_body(peers=0)) + struct.pack(">IHHI", 10, 13, 4, 0xFFFFFFF0)
+
+    class _Reads:
+        """A seekable binary stream that logs each read(n), and fails one asking
+        for more than the bytes left where `strict`."""
+
+        def __init__(self, data: bytes, strict: bool):
+            self._buf, self._size, self._strict, self.log = io.BytesIO(data), len(data), strict, []
+
+        def read(self, n: int) -> bytes:
+            left = self._size - self._buf.tell()
+            assert not (self._strict and n > left), f"read({n}) with {left} bytes left"
+            self.log.append(n)
+            return self._buf.read(n)
+
+        def tell(self) -> int:
+            return self._buf.tell()
+
+        def seek(self, *args) -> int:
+            return self._buf.seek(*args)
+
+    def test_overlong_record_is_truncated_without_reading_its_length(self):
+        with pytest.raises(TruncatedRecord) as err:
+            parse_mrt_rib(self._Reads(self.OVERLONG, strict=True))
+        assert err.value.offset == 20 == len(self.OVERLONG) - 12
+
+    def test_each_record_costs_one_read_of_its_body(self):
+        data, offsets, _ = synth.acceptance_file()
+        stream = self._Reads(data, strict=False)
+        parse_mrt_rib(stream)
+        bodies = [struct.unpack_from(">I", data, o + 8)[0] for o in offsets]
+        assert stream.log == [n for body in bodies for n in (12, body)] + [12]
+
     def test_rib_before_peer_index_aborts(self):
         body = synth.rib_unicast_body(
             1, bytes.fromhex("20010db8"), 32,
