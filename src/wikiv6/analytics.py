@@ -469,7 +469,7 @@ def table_site_fraction(agg: PartialAggregate) -> ReportTable:
 Cumulative = tuple[list[int], dict[int, list[int]]]
 
 
-def cumulative_by_week(agg: PartialAggregate, lengths: tuple[int, ...] = PREFIX_LENGTHS) -> Cumulative:
+def cumulative_by_week(agg: PartialAggregate) -> Cumulative:
     """Per prefix length, the running distinct count at each observed v6 week.
 
     A prefix is born in the week of the earliest first sighting, read from
@@ -483,7 +483,7 @@ def cumulative_by_week(agg: PartialAggregate, lengths: tuple[int, ...] = PREFIX_
     v6 = sorted(filter(_V6.__le__, first_last))
     born = array("i", (position[(first_last[key] >> 64 & _LAST) // _WEEK_US] for key in v6))
     series = {}
-    for length in lengths:
+    for length in PREFIX_LENGTHS:
         # The last slot counts the empty run before the first key.
         births = [0] * (len(weeks) + 1)
         run, low = None, len(weeks)
@@ -519,7 +519,7 @@ def table_cumulative_prefixes(
 
 def table_ratio_per_48(agg: PartialAggregate, cumulative: Optional[Callable[[], Cumulative]] = None) -> ReportTable:
     """``cumulative`` as for ``table_cumulative_prefixes``."""
-    weeks, series = cumulative() if cumulative else cumulative_by_week(agg, (48, 56, 64))
+    weeks, series = cumulative() if cumulative else cumulative_by_week(agg)
     rows = []
     for i, week in enumerate(weeks):
         base = series[48][i]

@@ -8,9 +8,11 @@ and input digests; equal manifests imply byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import functools
 import hashlib
 import heapq
+import importlib
 import io
 import json
 import os
@@ -35,17 +37,6 @@ from .ingest import (
     write_records,
 )
 from .netaddr import EMPTY_OUI_DATABASE, BadCsv, OuiDatabase, load_oui_database
-from .ribstore import (
-    ATTRIBUTED_HEADER,
-    BadPrefixTable,
-    MissingPeerIndex,
-    RibTimeline,
-    TruncatedRecord,
-    UnsortedInput,
-    attribute,
-    read_attributed,
-    write_attributed,
-)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -57,28 +48,34 @@ ATTRIBUTED_RECORDS = "attributed.tsv"
 MANIFEST = "manifest.json"
 
 
-# The names report takes from ``analytics``, besides its ``table_*`` builders. They
-# are bound here by ``_analytics`` on first use, or when read from outside (a tracer
-# reads them to wrap them), so that extract and attribute never compile that module.
-_ANALYTICS = ("TABLE_NAMES", "aggregate", "cumulative_by_week", "read_hitlist")
+# The names taken from the modules that only some stages run, as fnmatch patterns.
+# ``_bind`` binds them here when a stage first uses their module, or when one is
+# read from outside (a tracer reads them to wrap them), so that extract never
+# compiles ``ribstore`` and only report compiles ``analytics``.
+_BOUND_ON_USE = {
+    "ribstore": ("ATTRIBUTED_HEADER", "BadPrefixTable", "MissingPeerIndex", "RibTimeline", "TruncatedRecord",
+                 "UnsortedInput", "attribute", "read_attributed", "write_attributed"),
+    "analytics": ("TABLE_NAMES", "aggregate", "cumulative_by_week", "read_hitlist", "table_*"),
+}
 
 
-def _analytics() -> None:
-    """Import ``analytics`` and bind it and its report names here; a name
-    already bound (replaced by a tracer, say) is kept."""
-    from . import analytics
-
+def _bind(*modules: str) -> None:
+    """Import each of `modules` and bind its names of ``_BOUND_ON_USE`` here; a
+    name already bound (replaced by a tracer, say) is kept."""
     bound = globals()
-    bound.setdefault("analytics", analytics)
-    for name in [*_ANALYTICS, *(name for name in vars(analytics) if name.startswith("table_"))]:
-        bound.setdefault(name, getattr(analytics, name))
+    for module in modules:
+        home = importlib.import_module(f".{module}", __package__)
+        for pattern in _BOUND_ON_USE[module]:
+            for name in fnmatch.filter(vars(home), pattern) if "*" in pattern else [pattern]:
+                bound.setdefault(name, getattr(home, name))
 
 
 def __getattr__(name: str):
-    if name == "analytics" or name in _ANALYTICS or name.startswith("table_"):
-        _analytics()
-        if name in globals():
-            return globals()[name]
+    for module, patterns in _BOUND_ON_USE.items():
+        if any(fnmatch.fnmatchcase(name, pattern) for pattern in patterns):
+            _bind(module)
+            if name in globals():
+                return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -118,9 +115,12 @@ class PipelineConfig:
 
 def parse_namespaces(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        namespaces = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad namespace list {text!r}: {exc}") from None
+    if not namespaces:  # it would keep no revision
+        raise ConfigError(f"bad namespace list {text!r}: it names no namespace")
+    return namespaces
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -377,7 +377,8 @@ def _forked_jobs(run, paths: Sequence[str], min_bytes: int):
     where the work stays in process: a name of ``_CHILD_CALLS`` is replaced, the
     regular files among `paths` hold fewer than `min_bytes`, or no child can be
     forked. ``forkjobs`` is imported only above the floor, so that runs under it
-    never compile it, and ``analytics`` never: its name counts once bound here."""
+    never compile it, and ``ribstore`` and ``analytics`` never: a name of theirs
+    not yet bound here counts as unpatched."""
     bound = globals()
     for home, name in _CHILD_CALLS:
         if name in bound and bound[name] is not getattr(sys.modules.get(f"{__package__}.{home}"), name, None):
@@ -536,6 +537,8 @@ def cmd_extract(cfg: PipelineConfig) -> int:
                 continue
             per_file[Path(dump).name] = detail
             outputs.add(out_path)
+        if not per_file:  # with keep_going, every dump failed: commit nothing
+            return EXIT_RUNTIME
 
         parts = [f"{path}.tmp" for path in outputs.paths]
         external_sort_lines(parts, outputs.add(cfg.records_path()), RECORD_HEADER)
@@ -641,6 +644,7 @@ def _attribute_range(records_path: str, part: str, start: int, stop: Optional[in
     timeline's snapshots are unloaded again afterwards, so that the next range a
     child runs starts from none.
     """
+    _bind("ribstore")  # it may run as a job without cmd_attribute
     tally = _Tally()
     try:
         with open(f"{part}.tmp", "w", encoding="utf-8") as sink, _record_lines(records_path, start, stop) as lines:
@@ -661,6 +665,7 @@ def _attribute_range(records_path: str, part: str, start: int, stop: Optional[in
 
 
 def cmd_attribute(cfg: PipelineConfig) -> int:
+    _bind("ribstore")
     records_path = cfg.records_path()
     if not Path(records_path).exists():
         print(f"attribute: records TSV not found: {records_path} (run extract first)", file=sys.stderr)
@@ -802,7 +807,7 @@ def _load_side_inputs(cfg: PipelineConfig, oui: bool, hitlist: bool) -> tuple:
 
 
 def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
-    _analytics()
+    _bind("ribstore", "analytics")
     requested = list(TABLE_NAMES) if "all" in names else list(dict.fromkeys(names))
     unknown = [n for n in requested if n not in TABLE_NAMES]
     if unknown:
@@ -966,7 +971,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     outputs = [Path(dump).stem + DUMP_RECORDS for dump in cfg.dumps] if args.command == "extract" else []
     tables = ["hitlist_overlap"] if args.command == "compare-hitlist" else getattr(args, "tables", [])
     if cfg.stats_path and "all" in tables:
-        _analytics()
+        _bind("analytics")
         tables = TABLE_NAMES
     validate_config(cfg, [*outputs, *(f"{name}.{ext}" for name in tables for ext in ("csv", "json"))])
     return cfg

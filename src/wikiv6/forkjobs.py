@@ -17,7 +17,9 @@ usable CPU or without ``os.fork``, else two. Whether a stage's work is worth
 children at all is decided before, by ``cli._forked_jobs``: it keeps the work
 in process while a tracer has replaced a name a child would call, or under the
 floor of input bytes measured for that kind of job, and imports this module
-only above that floor, so runs under it never compile it.
+only above that floor, so runs under it never compile it. A name of
+``ribstore`` or ``analytics`` that ``cli`` has not yet bound counts as not
+replaced, so the gate imports neither module.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import resource
 import shutil
 import signal
@@ -80,8 +81,23 @@ class TestConfig:
 
     def test_namespace_parse(self):
         assert parse_namespaces("0,1,2") == [0, 1, 2]
-        with pytest.raises(ConfigError):
-            parse_namespaces("0,x")
+        for text in ("0,x", "", ","):
+            with pytest.raises(ConfigError):
+                parse_namespaces(text)
+
+    @pytest.mark.parametrize(
+        "line,flag", [("", ""), ("", ","), ("namespaces =", None)], ids=["flag-empty", "flag-comma", "config-line"]
+    )
+    def test_empty_namespace_list_is_a_usage_error(self, tmp_path, capsys, fixture_dump, line, flag):
+        # It would keep no revision, so the stage ends before it creates anything.
+        cfg_path = tmp_path / "p.cfg"
+        cfg_path.write_text(f"{line}\n", encoding="utf-8")
+        argv = ["extract", str(fixture_dump), "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                "--stats", str(tmp_path / "s.json"), *(["--namespaces", flag] if flag is not None else [])]
+        assert run_cli(*argv) == 2
+        where = "" if flag is not None else f"{cfg_path}:1: namespaces: "
+        assert capsys.readouterr().err == f"wikiv6: {where}bad namespace list {flag or ''!r}: it names no namespace\n"
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     @pytest.mark.parametrize(
         "line", ["top_k = abc", "top_vendors = 1.5", "namespaces = 1,x", "top_k = -1", "top_vendors = -3"]
@@ -217,6 +233,23 @@ class TestExtract:
         assert len(merged) == 38  # header + fixture records
         assert not (out / "npwiki-bad.records.tsv").exists()
         assert not list(out.glob("*.tmp"))
+
+    def test_keep_going_commits_nothing_when_no_dump_parses(self, tmp_path, fixture_dump, capsys):
+        out = tmp_path / "out"
+        stats = tmp_path / "s.json"
+        assert run_cli("extract", str(fixture_dump), "--out", str(out), "--stats", str(stats)) == 0
+        good = {p.name: p.read_bytes() for p in out.iterdir()}
+        good_stats = stats.read_bytes()
+        assert len(good["records.tsv"].splitlines()) == 38
+        bad = tmp_path / "bad" / "fixturewiki-x.xml"
+        bad.parent.mkdir()
+        bad.write_text("<mediawiki><page><revision>", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("extract", str(bad), "--keep-going", "--out", str(out), "--stats", str(stats)) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == good
+        assert stats.read_bytes() == good_stats
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_dumps_that_share_an_output_name_are_a_usage_error(self, tmp_path, fixture_dump, capsys):
         other = tmp_path / "elsewhere" / fixture_dump.name
@@ -1889,5 +1922,48 @@ def test_cli_binds_each_table_builder_of_analytics(monkeypatch):
     assert not hasattr(cli, "table_nope")
     # A name replaced on cli, as a tracer does, stays replaced when report binds the rest.
     monkeypatch.setattr(cli, "table_lifetimes", replaced := object())
-    cli._analytics()
+    cli._bind("analytics")
     assert cli.table_lifetimes is replaced
+    # So does a ribstore name replaced before any of that module's names is bound here.
+    for name in cli._BOUND_ON_USE["ribstore"]:
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    monkeypatch.setitem(vars(cli), "attribute", replaced)
+    cli._bind("ribstore")
+    assert cli.attribute is replaced and cli.RibTimeline is ribstore.RibTimeline
+
+
+# Runs a stage, then prints its exit code and the package modules it loaded.
+STAGE_MODULES = (
+    "import json, sys\n"
+    "from wikiv6 import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(name for name in sys.modules if name.partition('.')[0] == 'wikiv6')]))\n"
+)
+
+
+def test_each_stage_loads_only_the_modules_it_runs(tmp_path, fixture_dump):
+    # Every input is under its fork floor, so no stage loads forkjobs or slices.
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"rib = {_write_ribs(tmp_path)[1]}\n", encoding="utf-8")
+    common = ["wikiv6", "wikiv6.cli", "wikiv6.ingest", "wikiv6.netaddr"]
+    stages = [
+        (["extract", str(fixture_dump)], common),
+        (["attribute", "--config", str(cfg)], [*common, "wikiv6.ribstore"]),
+        (["report", "weekly_by_version"], [*common, "wikiv6.analytics", "wikiv6.ribstore"]),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv, modules in stages:
+        stats = tmp_path / f"{argv[0]}.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", STAGE_MODULES, *argv, "--out", str(tmp_path / "out"), "--stats", str(stats)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, sorted(modules)], argv[0]
+    # The README's examples import from the package's modules, never from names it no longer has.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    imports = [line for block in blocks for line in block.splitlines() if re.match(r"from wikiv6\S* import ", line)]
+    assert imports
+    for line in imports:
+        exec(line, {})
