@@ -93,7 +93,7 @@ def _csv_text(value: object) -> str:
 _CSV_CELLS: dict[str, Callable[[object], str]] = {
     "s": _csv_text,
     "d": str,
-    "f2": lambda value: f"{round(value, 2):.2f}",
+    "f2": lambda value: f"{round_fraction(value):.2f}",
     "g": lambda value: repr(float(value)),
 }
 
@@ -147,7 +147,7 @@ def _json_number(value: Union[int, float]) -> str:
 _JSON_CELLS: dict[str, Callable[[object], str]] = {
     "s": lambda value: encode_basestring_ascii(str(value)),
     "d": lambda value: int.__repr__(int(value)),
-    "f2": lambda value: _json_number(round(value, 2)),
+    "f2": lambda value: _json_number(round_fraction(value)),
     "g": lambda value: _json_number(float(value)),
 }
 

@@ -227,76 +227,86 @@ class _DigestReader(io.BufferedIOBase):
         return "sha256:" + self._sha.hexdigest()
 
 
-def _discard(path) -> None:
-    """Remove `path` + ".tmp", if there is such a file."""
-    with suppress(OSError):
-        os.unlink(f"{path}.tmp")
+class StageFailed(Exception):
+    """The stderr line that ends a stage run, which `main` prints, and the run's exit code."""
+
+    def __init__(self, line: str, code: int = EXIT_RUNTIME) -> None:
+        super().__init__(line)
+        self.code = code
 
 
 class _Outputs:
-    """The outputs of one run of a stage, which appear together or not at all.
+    """Every file one run of a stage writes; its outputs appear together or not at all.
 
-    The stage registers each output with `add` and writes it to the path that
-    `add` returns, the output's path + ".tmp". `commit` writes the stats and the
-    manifest to their own .tmp, then renames the stats, each output in the order
-    added, and the manifest last. A run that ends without a commit (an error, an
-    early return, Ctrl-C) removes every registered .tmp, so a failed run commits
-    nothing; one cut short among the renames leaves each file whole, old or new,
-    and the earlier manifest.
+    The stage registers each job part with `part` and each output with `add`;
+    both return the path to write, the registered path + ".tmp". `commit` writes
+    the stats and the manifest to their own .tmp, then renames the stats, each
+    output in the order added, and the manifest last. Leaving the run removes
+    every registered .tmp left over, so a run that ends without a commit (an
+    error, an early return, Ctrl-C) commits nothing, and one that commits keeps
+    only what it committed; one cut short among the renames leaves each file
+    whole, old or new, and the earlier manifest.
     """
 
     def __init__(self, cfg: PipelineConfig, command: str) -> None:
         self._cfg = cfg
         self._command = command
-        self.paths: list[str] = []
+        self._outputs: list[str] = []
+        self._tmps: list[str] = []
 
     def __enter__(self) -> _Outputs:
         return self
 
     def __exit__(self, *exc) -> None:
-        for path in self.paths:
-            _discard(path)
+        for tmp in self._tmps:
+            with suppress(OSError):
+                os.unlink(tmp)
+
+    def part(self, path) -> str:
+        """Register `path` as a file the run writes, such as a job's part; returns
+        the .tmp path to write it to. Only what `add` registers is committed."""
+        self._tmps.append(f"{path}.tmp")
+        return self._tmps[-1]
 
     def add(self, path) -> str:
         """Register `path` as the next output; returns the .tmp path to write it to."""
-        self.paths.append(str(path))
-        return f"{path}.tmp"
+        self._outputs.append(str(path))
+        return self.part(path)
 
     def write(self, path, text: str) -> None:
         Path(self.add(path)).write_text(text, encoding="utf-8")
 
     def commit(self, stats: dict, inputs: Sequence[str], digests: dict[str, Optional[str]]) -> None:
         cfg = self._cfg
-        outputs = [Path(path).name for path in self.paths]
+        names = [Path(path).name for path in self._outputs]
         if cfg.stats_path:
-            self.paths.insert(0, cfg.stats_path)
-        self.paths.append(str(Path(cfg.out) / MANIFEST))
-        _write_stats(cfg, stats)
-        write_manifest(cfg, self._command, inputs, outputs, digests)
-        for path in self.paths:
+            self._outputs.insert(0, cfg.stats_path)
+        _write_stats(self.part(cfg.stats_path) if cfg.stats_path else None, stats)
+        write_manifest(self.add(Path(cfg.out) / MANIFEST), cfg, self._command, inputs, names, digests)
+        for path in self._outputs:
             os.replace(f"{path}.tmp", path)
-        self.paths = []
 
 
 def write_manifest(
+    path: str,
     cfg: PipelineConfig,
     command: str,
     inputs: Sequence[str],
     outputs: Sequence[str],
     digests: dict[str, Optional[str]],
 ) -> None:
-    """Write the manifest to manifest.json + ".tmp", which `_Outputs.commit`
-    renames into place; `digests` holds input digests already computed while reading."""
+    """Write the manifest to `path`, the .tmp that `_Outputs.commit` renames
+    into place; `digests` holds input digests already computed while reading."""
     manifest = {
         "tool": "wikiv6",
         "version": __version__,
         "command": command,
         "config": cfg.as_dict(),
-        "inputs": {path: digests.get(path) or _sha256(path) for path in sorted(set(inputs))},
+        "inputs": {source: digests.get(source) or _sha256(source) for source in sorted(set(inputs))},
         "outputs": sorted(outputs),
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (Path(cfg.out) / f"{MANIFEST}.tmp").write_text(text, encoding="utf-8")
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def external_sort_lines(sources: Sequence[str], sink_path: str, header: str, chunk_lines: int = 500_000) -> int:
@@ -391,9 +401,8 @@ def _forked_jobs(run, paths: Sequence[str], min_bytes: int):
     return ForkedJobs(run, workers) if workers else None
 
 
-def _parse_dump(cfg: PipelineConfig, dump: str, site: SiteId, out_path: str) -> tuple:
-    """Parse `dump` into `out_path` + ".tmp", which the caller commits with the
-    run's other outputs or, where the parse failed, removes.
+def _parse_dump(cfg: PipelineConfig, dump: str, site: SiteId, part: str) -> tuple:
+    """Parse `dump` into `part`, a .tmp path of the run's `_Outputs`.
 
     Returns ``("ok", stats, digest)`` or ``("failed", the stage's stderr line,
     digest)``, marshal-able so that a forked child can send it back; the digest
@@ -404,7 +413,7 @@ def _parse_dump(cfg: PipelineConfig, dump: str, site: SiteId, out_path: str) -> 
     def parse(xml) -> Optional[StreamMalformed]:
         # With keep_going the dump is still hashed to its end, so the error is returned.
         try:
-            with open(f"{out_path}.tmp", "wb") as sink:
+            with open(part, "wb") as sink:
                 write_records(parse_dump_stream(xml, site, namespaces=cfg.namespaces, stats=stats), sink)
         except StreamMalformed as exc:
             if not cfg.keep_going:
@@ -419,17 +428,16 @@ def _parse_dump(cfg: PipelineConfig, dump: str, site: SiteId, out_path: str) -> 
     return ("ok", stats.as_dict(), digest) if error is None else ("failed", f"extract: {dump}: {error}", digest)
 
 
-def _job_outcomes(jobs, parts: Sequence[Optional[str]], run, lost, keep_going=False, meanwhile=None) -> Iterator:
-    """The outcome ``run(k)`` of each job k, one per entry of `parts`, in job order.
+def _job_outcomes(jobs, count: int, run, lost, keep_going=False, meanwhile=None) -> Iterator:
+    """The outcome ``run(k)`` of each job k below `count`, in job order.
 
-    Every stage's jobs run through here. An outcome is ``("ok", ...)``,
-    ``("failed", the stage's stderr line, ...)`` or, where a child ended without
-    a result, ``("lost", lost(k, ChildLost))``, a stderr line too. A "lost"
-    outcome stops the run, and so does a "failed" one unless `keep_going`: it is
-    the last yielded, no later job starts, and the children running later jobs
-    are killed. Job k writes ``parts[k]`` + ".tmp", if its part is not None; the
-    file is removed when its child is lost or killed, and, for each started job
-    from the one last yielded on, when the caller stops early.
+    Every stage's jobs run through here. An outcome is ``("ok", ...)`` or
+    ``("failed", the stage's stderr line, ...)``. A child that ends without a
+    result stops the run, and so does a failed job unless `keep_going`: no later
+    job starts, the children running later jobs are killed, and once the
+    outcomes before it are yielded, StageFailed is raised with the job's line,
+    ``lost(k, ChildLost)`` for a lost child. No file is touched here: the
+    stage's `_Outputs` removes what the jobs wrote.
 
     With `jobs`, a ``forkjobs.ForkedJobs`` whose job k is ``run(k)``, jobs run in
     forked children and the parent takes whichever result comes first, so that
@@ -442,14 +450,10 @@ def _job_outcomes(jobs, parts: Sequence[Optional[str]], run, lost, keep_going=Fa
     if jobs is not None:
         from .forkjobs import ChildLost
 
-    def discard(k: int) -> None:
-        if parts[k] is not None:
-            _discard(parts[k])
-
     running = {} if jobs is None else jobs.running
-    done: dict[int, tuple] = {}
+    done: dict = {}  # job -> its outcome, or the StageFailed that ends the run
     upcoming = 0  # the first job not started
-    last = len(parts)  # no job from here on starts
+    last = count  # no job from here on starts
     i = 0
     try:
         while i < last:
@@ -469,26 +473,25 @@ def _job_outcomes(jobs, parts: Sequence[Optional[str]], run, lost, keep_going=Fa
                         # A child with no job left to start is reaped at once.
                         done[j] = jobs.result(j, keep=upcoming < last)
                     except ChildLost as exc:
-                        discard(j)
                         done[j] = ("lost", lost(j, exc))
                 if done[j][0] == "lost" or (done[j][0] == "failed" and not keep_going):
+                    done[j] = StageFailed(done[j][1])
                     last = min(last, j + 1)
                     for k in [k for k in running if k > j]:
                         jobs.cancel(k)
-                        discard(k)
-            yield done.pop(i)
+            outcome = done.pop(i)
+            if isinstance(outcome, StageFailed):
+                raise outcome
+            yield outcome
             i += 1
     finally:
         if jobs is not None:
             jobs.close()
-        for k in range(i, upcoming):
-            discard(k)
 
 
 def cmd_extract(cfg: PipelineConfig) -> int:
     if not cfg.dumps:
-        print("extract: no inputs (configure 'dump =' lines or pass dump paths)", file=sys.stderr)
-        return EXIT_USAGE
+        raise StageFailed("extract: no inputs (configure 'dump =' lines or pass dump paths)", EXIT_USAGE)
     outdir = Path(cfg.out)
     plans: list[tuple[str, SiteId, str]] = []
     writers: dict[str, str] = {}  # per-dump output name -> the dump it is written for
@@ -497,51 +500,41 @@ def cmd_extract(cfg: PipelineConfig) -> int:
         try:
             site = infer_site(dump, cfg.site_overrides)
         except ValueError as exc:
-            print(f"extract: {dump}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise StageFailed(f"extract: {dump}: {exc}", EXIT_USAGE) from None
         if name in writers:
-            print(f"extract: {dump}: its records would overwrite {name}, written for {writers[name]}", file=sys.stderr)
-            return EXIT_USAGE
+            line = f"extract: {dump}: its records would overwrite {name}, written for {writers[name]}"
+            raise StageFailed(line, EXIT_USAGE)
         writers[name] = dump
         plans.append((dump, site, str(outdir / name)))
     outdir.mkdir(parents=True, exist_ok=True)
 
     def run(i: int) -> tuple:
-        return _parse_dump(cfg, *plans[i])
+        dump, site, _ = plans[i]
+        return _parse_dump(cfg, dump, site, parts[i])
 
-    # Dump i is job i, written to its part; each part that parses is an output,
+    # Dump i is job i, written to parts[i]; each part that parses is an output,
     # in config order, and the merge reads the parts before they are committed.
     jobs = _forked_jobs(run, cfg.dumps, _PARSE_MIN_BYTES) if len(plans) > 1 else None
     outcomes = _job_outcomes(
-        jobs,
-        [out_path for _, _, out_path in plans],
-        run,
-        lambda i, exc: f"extract: {plans[i][0]}: parse {exc}",
-        cfg.keep_going,
+        jobs, len(plans), run, lambda i, exc: f"extract: {plans[i][0]}: parse {exc}", cfg.keep_going
     )
     per_file: dict[str, dict] = {}
     digests: dict[str, Optional[str]] = {}
-    failed = 0
+    merged: list[str] = []
     with _Outputs(cfg, "extract") as outputs, closing(outcomes):
-        # To their end: outcomes closed early remove the part of the last one yielded.
-        for i, (kind, detail, *digest) in enumerate(outcomes):
+        parts = [outputs.part(out_path) for _, _, out_path in plans]
+        for i, (kind, detail, digest) in enumerate(outcomes):
             dump, _, out_path = plans[i]
-            if digest:  # none from a lost child
-                digests[dump] = digest[0]
-            if kind != "ok":
-                _discard(out_path)
-                failed += 1
+            digests[dump] = digest
+            if kind == "failed":  # with keep_going
                 print(detail, file=sys.stderr)
-                if kind == "lost" or not cfg.keep_going:
-                    return EXIT_RUNTIME
                 continue
             per_file[Path(dump).name] = detail
-            outputs.add(out_path)
+            merged.append(outputs.add(out_path))
         if not per_file:  # with keep_going, every dump failed: commit nothing
             return EXIT_RUNTIME
 
-        parts = [f"{path}.tmp" for path in outputs.paths]
-        external_sort_lines(parts, outputs.add(cfg.records_path()), RECORD_HEADER)
+        external_sort_lines(merged, outputs.add(cfg.records_path()), RECORD_HEADER)
         totals: dict[str, int] = {}
         for stats_dict in per_file.values():
             for key, value in stats_dict.items():
@@ -552,15 +545,15 @@ def cmd_extract(cfg: PipelineConfig) -> int:
             inputs=[d for d in cfg.dumps if Path(d).exists()],
             digests=digests,
         )
-    return EXIT_RUNTIME if failed else EXIT_OK
+    return EXIT_OK if len(merged) == len(plans) else EXIT_RUNTIME
 
 
-def _write_stats(cfg: PipelineConfig, payload: dict) -> None:
-    """Write the stats JSON to the --stats path + ".tmp", which `_Outputs.commit`
-    renames into place, or to stderr where no --stats path is given."""
+def _write_stats(path: Optional[str], payload: dict) -> None:
+    """Write the stats JSON to `path`, the .tmp of the --stats path that
+    `_Outputs.commit` renames into place, or to stderr where `path` is None."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg.stats_path:
-        Path(f"{cfg.stats_path}.tmp").write_text(text, encoding="utf-8")
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stderr.write(text)
 
@@ -636,8 +629,8 @@ def _record_lines(path: str, start: int, stop: Optional[int]):
 
 def _attribute_range(records_path: str, part: str, start: int, stop: Optional[int], timeline) -> tuple:
     """Attribute the records in bytes `start` up to `stop` of `records_path`, or
-    the whole file read once from its start where `stop` is None, into `part` +
-    ".tmp", in a forked child or in process.
+    the whole file read once from its start where `stop` is None, into `part`,
+    a .tmp path of the run's `_Outputs`, in a forked child or in process.
 
     Returns ``("ok", records, unrouted, |delta| counts, {position: counters
     row})`` or ``("failed", the stage's stderr line)``, marshal-able. The
@@ -647,7 +640,7 @@ def _attribute_range(records_path: str, part: str, start: int, stop: Optional[in
     _bind("ribstore")  # it may run as a job without cmd_attribute
     tally = _Tally()
     try:
-        with open(f"{part}.tmp", "w", encoding="utf-8") as sink, _record_lines(records_path, start, stop) as lines:
+        with open(part, "w", encoding="utf-8") as sink, _record_lines(records_path, start, stop) as lines:
             write_attributed(tally.counted(attribute(read_records(lines), timeline)), sink)
     except (UnsortedInput, TruncatedRecord, MissingPeerIndex, BadPrefixTable, ValueError, OSError) as exc:
         before = 0
@@ -668,18 +661,15 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     _bind("ribstore")
     records_path = cfg.records_path()
     if not Path(records_path).exists():
-        print(f"attribute: records TSV not found: {records_path} (run extract first)", file=sys.stderr)
-        return EXIT_USAGE
+        raise StageFailed(f"attribute: records TSV not found: {records_path} (run extract first)", EXIT_USAGE)
     if not cfg.ribs:
-        print("attribute: empty timeline, configure at least one 'rib =' source", file=sys.stderr)
-        return EXIT_USAGE
+        raise StageFailed("attribute: empty timeline, configure at least one 'rib =' source", EXIT_USAGE)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         timeline = RibTimeline.from_files(cfg.ribs)
     except (TruncatedRecord, BadPrefixTable, ValueError, OSError) as exc:
-        print(_attribute_failure(records_path, exc), file=sys.stderr)
-        return EXIT_RUNTIME
+        raise StageFailed(_attribute_failure(records_path, exc)) from None
 
     attributed_path = cfg.attributed_path()
     inputs = [records_path, *cfg.ribs]
@@ -695,7 +685,8 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     # Snapshot i serves one byte range of the time-sorted records (see slices),
     # and each range is a job. One range, the whole file, runs in process: the
     # records cannot be forked over, are not a regular file (no seek), cannot be
-    # sliced, or fall to one snapshot. Range 0 is written straight to the output's .tmp.
+    # sliced, or fall to one snapshot. Range k writes parts[k], handed out below
+    # by the run's _Outputs: range 0 writes the output's .tmp itself.
     def run(k: int) -> tuple:
         return _attribute_range(records_path, parts[k], *ranges[k], timeline)
 
@@ -709,10 +700,9 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
             ranges = record_slices(records_path, timeline.ends)
     if ranges is None or len(ranges) < 2:
         ranges, jobs = [(0, None)], None
-    parts = [attributed_path] + [f"{attributed_path}.{k}" for k in range(1, len(ranges))]
     outcomes = _job_outcomes(
         jobs,
-        parts,
+        len(ranges),
         run,
         lambda k, exc: f"attribute: {records_path}: the slice from byte {ranges[k][0]} {exc}",
         meanwhile=hash_inputs if jobs is not None else None,
@@ -722,21 +712,19 @@ def cmd_attribute(cfg: PipelineConfig) -> int:
     deltas: dict[int, int] = {}
     rows: dict[int, dict] = {}
     with _Outputs(cfg, "attribute") as outputs, closing(outcomes):
-        sink_path = outputs.add(attributed_path)
+        parts = [outputs.add(attributed_path)]
+        parts += [outputs.part(f"{attributed_path}.{k}") for k in range(1, len(ranges))]
         for k, outcome in enumerate(outcomes):
-            if outcome[0] != "ok":
-                print(outcome[1], file=sys.stderr)
-                return EXIT_RUNTIME
             count += outcome[1]
             unrouted += outcome[2]
             for d, n in outcome[3].items():
                 deltas[d] = deltas.get(d, 0) + n
             rows.update(outcome[4])
             if k:  # after range 0's header and rows, skipping this part's header
-                with open(f"{parts[k]}.tmp", "rb") as part, open(sink_path, "ab") as sink:
+                with open(parts[k], "rb") as part, open(parts[0], "ab") as sink:
                     part.seek(header)
                     shutil.copyfileobj(part, sink)
-                _discard(parts[k])
+                os.unlink(parts[k])  # at once: together the parts are most of the output's size
         summary = {
             "records": count,
             "unrouted": unrouted,
@@ -811,29 +799,20 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
     requested = list(TABLE_NAMES) if "all" in names else list(dict.fromkeys(names))
     unknown = [n for n in requested if n not in TABLE_NAMES]
     if unknown:
-        print(
-            f"report: unknown table name(s) {', '.join(unknown)}; valid names: "
-            + ", ".join(TABLE_NAMES),
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        line = f"report: unknown table name(s) {', '.join(unknown)}; valid names: " + ", ".join(TABLE_NAMES)
+        raise StageFailed(line, EXIT_USAGE)
 
     attributed_path = cfg.attributed_path()
     records_path = cfg.records_path()
     have_attributed = Path(attributed_path).exists()
     if "weekly_by_as" in requested and not have_attributed:
-        print(
-            f"report: weekly_by_as needs the attributed TSV ({attributed_path}); run attribute first",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        line = f"report: weekly_by_as needs the attributed TSV ({attributed_path}); run attribute first"
+        raise StageFailed(line, EXIT_USAGE)
     if "hitlist_overlap" in requested and not cfg.hitlist:
-        print("report: hitlist_overlap needs a configured hitlist path", file=sys.stderr)
-        return EXIT_USAGE
+        raise StageFailed("report: hitlist_overlap needs a configured hitlist path", EXIT_USAGE)
     source = attributed_path if have_attributed else records_path
     if not Path(source).exists():
-        print(f"report: no record TSV found at {source}; run extract first", file=sys.stderr)
-        return EXIT_USAGE
+        raise StageFailed(f"report: no record TSV found at {source}; run extract first", EXIT_USAGE)
 
     inputs = [source]
     digests: dict[str, Optional[str]] = {}
@@ -866,11 +845,7 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
     # hashed, or in process before them. Errors are reported OUI, hitlist, TSV.
     jobs = _forked_jobs(load, side, _LOAD_MIN_BYTES) if side else None
     lost = f"report: {', '.join(side)}: load"
-    (loaded,) = _job_outcomes(jobs, [None], load, lambda _, exc: f"{lost} {exc}", meanwhile=read_source)
-    if loaded[0] != "ok":
-        print(loaded[1], file=sys.stderr)
-        return EXIT_RUNTIME
-    _, oui, hitlist = loaded
+    ((_, oui, hitlist),) = _job_outcomes(jobs, 1, load, lambda _, exc: f"{lost} {exc}", meanwhile=read_source)
     db = EMPTY_OUI_DATABASE
     if oui is not None:
         entries, duplicates, bad, digests[cfg.oui] = oui
@@ -885,8 +860,7 @@ def cmd_report(cfg: PipelineConfig, names: Sequence[str]) -> int:
         inputs.append(cfg.hitlist)
         summary["hitlist"] = {"entries": len(rows), "skipped_rows": bad}
     if error is not None:
-        print(error, file=sys.stderr)
-        return EXIT_RUNTIME
+        raise StageFailed(error)
     summary["workers"] = _NO_WORKERS if jobs is None else jobs.stats.as_dict()
 
     # Builders are looked up by name when called, so a patched cli.table_<name> is the one run.
@@ -933,11 +907,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--top-vendors", type=int, dest="top_vendors", help="vendor series to keep (default 8)"
         )
         p.add_argument("--namespaces", help="comma-separated page namespaces to keep (default: all)")
-        p.add_argument("--keep-going", action="store_true", help="continue past failing input files")
         p.add_argument("--stats", dest="stats", help="write the stage stats JSON here instead of stderr")
 
     p_extract = sub.add_parser("extract", help="parse dumps into record TSVs")
     common(p_extract)
+    p_extract.add_argument("--keep-going", action="store_true", help="continue past failing input files")
     p_extract.add_argument("dumps", nargs="*", help="decompressed MediaWiki XML dump files")
 
     p_attr = sub.add_parser("attribute", help="annotate records with origin AS from RIB snapshots")
@@ -964,8 +938,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         cfg.top_vendors = args.top_vendors
     if args.namespaces is not None:
         cfg.namespaces = parse_namespaces(args.namespaces)
-    if args.keep_going:
-        cfg.keep_going = True
+    cfg.keep_going = getattr(args, "keep_going", False)  # extract's alone
     if args.stats:
         cfg.stats_path = args.stats
     outputs = [Path(dump).stem + DUMP_RECORDS for dump in cfg.dumps] if args.command == "extract" else []
@@ -994,6 +967,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_report(cfg, args.tables)
         if args.command == "compare-hitlist":
             return cmd_report(cfg, ["hitlist_overlap"])
+    except StageFailed as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except OSError as exc:
         # Any I/O error a stage does not report itself, such as an output that
         # cannot be written (a directory in its place, a full disk).

@@ -251,6 +251,15 @@ class TestExtract:
         assert stats.read_bytes() == good_stats
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("stage", [["attribute"], ["report", "all"], ["compare-hitlist"]])
+    def test_keep_going_is_extract_only(self, tmp_path, monkeypatch, stage, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            run_cli(*stage, "--keep-going", "--out", str(tmp_path / "out"))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --keep-going" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_dumps_that_share_an_output_name_are_a_usage_error(self, tmp_path, fixture_dump, capsys):
         other = tmp_path / "elsewhere" / fixture_dump.name
         other.parent.mkdir()
@@ -618,7 +627,7 @@ class TestReport:
         with cfg.open("a", encoding="utf-8") as fh:
             fh.write("site.zz.xml = enwiki\nsite.aa.xml = dewiki\n")
         stats = tmp_path / "r.json"
-        assert run_cli("report", "all", "--config", str(cfg), "--keep-going", "--stats", str(stats)) == 0
+        assert run_cli("report", "all", "--config", str(cfg), "--stats", str(stats)) == 0
         config = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]
         assert set(config) == {
             "dumps", "ribs", "oui", "hitlist", "out", "records", "attributed",
@@ -762,6 +771,67 @@ class TestStatsPathChecked:
         out = tmp_path / "fresh" / "out"
         assert run_cli("extract", str(fixture_dump), "--out", str(out), "--stats", str(out / "s.json")) == 0
         assert fixture_dump.name in json.loads((out / "s.json").read_text(encoding="utf-8"))["files"]
+
+
+class TestOutputs:
+    """``cli._Outputs`` owns every .tmp of a stage run, and ``main`` every line that ends one."""
+
+    def _register(self, outputs, out):
+        parts = [outputs.part(out / f"x.records.tsv.{k}") for k in range(2)]
+        added = [outputs.add(out / name) for name in ("a.tsv", "b.csv")]
+        for path in [*parts, *added]:
+            Path(path).write_text("rows\n", encoding="utf-8")
+        assert [Path(path).name for path in [*parts, *added]] == [
+            "x.records.tsv.0.tmp", "x.records.tsv.1.tmp", "a.tsv.tmp", "b.csv.tmp",
+        ]
+
+    def test_a_failed_run_leaves_no_tmp_and_a_commit_only_its_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = PipelineConfig(out=str(out), stats_path=str(tmp_path / "s.json"))
+        with pytest.raises(RuntimeError), cli._Outputs(cfg, "report") as outputs:
+            self._register(outputs, out)
+            raise RuntimeError
+        assert list(tmp_path.rglob("*")) == [out]
+        with cli._Outputs(cfg, "report") as outputs:
+            self._register(outputs, out)
+            outputs.commit({"records": 0}, [], {})
+        assert sorted(p.name for p in out.iterdir()) == ["a.tsv", "b.csv", "manifest.json"]
+        assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["outputs"] == ["a.tsv", "b.csv"]
+        assert json.loads((tmp_path / "s.json").read_text(encoding="utf-8")) == {"records": 0}
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("code", [1, 2])
+    def test_main_prints_a_stage_failure_and_returns_its_code(self, tmp_path, monkeypatch, capsys, code):
+        def failing(cfg):
+            raise cli.StageFailed(f"attribute: failed with {code}", code)
+
+        monkeypatch.setattr(cli, "cmd_attribute", failing)
+        assert run_cli("attribute", "--out", str(tmp_path / "out")) == code
+        assert capsys.readouterr() == ("", f"attribute: failed with {code}\n")
+        assert cli.StageFailed("line").code == 1
+
+    def test_only_outputs_builds_a_tmp_name(self):
+        # Docstrings name .tmp files, and external_sort_lines' spill files take
+        # the suffix from mkstemp; no other string of cli builds a .tmp name
+        # outside _Outputs.
+        import ast
+
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        skipped = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None:
+                skipped.add(id(node.body[0].value))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "mkstemp":
+                skipped.update(id(keyword.value) for keyword in node.keywords if keyword.arg == "suffix")
+        inside = {id(n) for c in tree.body if getattr(c, "name", None) == "_Outputs" for n in ast.walk(c)}
+        sites = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".tmp" in node.value
+            and id(node) not in skipped and id(node) not in inside
+        ]
+        assert sites == []
 
 
 class _Renames:
@@ -1184,7 +1254,7 @@ class TestJobOutcomes:
             return ("ok", sum(range(200_000)) + job)
 
         jobs = forkjobs.ForkedJobs(run, 2)
-        outcomes = cli._job_outcomes(jobs, [None] * 3, run, None)
+        outcomes = cli._job_outcomes(jobs, 3, run, None)
         got = []
         for outcome in outcomes:
             got.append(outcome)
@@ -1200,26 +1270,35 @@ class TestJobOutcomes:
             return ("failed", f"job {job} failed") if job == 1 else ("ok", job)
 
         jobs = forkjobs.ForkedJobs(run, 2) if forked else None
-        got = list(cli._job_outcomes(jobs, [None] * 4, run, None, keep_going))
-        assert got == [("ok", 0), ("failed", "job 1 failed")] + ([("ok", 2), ("ok", 3)] if keep_going else [])
+        got = []
+        if keep_going:
+            got = list(cli._job_outcomes(jobs, 4, run, None, keep_going))
+            assert got == [("ok", 0), ("failed", "job 1 failed"), ("ok", 2), ("ok", 3)]
+        else:
+            with pytest.raises(cli.StageFailed) as info:
+                got.extend(cli._job_outcomes(jobs, 4, run, None, keep_going))
+            assert got == [("ok", 0)] and (str(info.value), info.value.code) == ("job 1 failed", 1)
         _assert_no_child_process()
 
     def test_a_lost_child_stops_the_run_even_with_keep_going(self, tmp_path):
-        parts = [str(tmp_path / f"part{job}") for job in range(4)]
-
         def run(job):
-            Path(f"{parts[job]}.tmp").write_text("partial", encoding="utf-8")
+            Path(parts[job]).write_text("partial", encoding="utf-8")
             if job == 0:
                 deadline = time.monotonic() + 30
-                while not Path(f"{parts[1]}.tmp").exists() and time.monotonic() < deadline:
+                while not Path(parts[1]).exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
                 os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(60)  # until the parent kills this child
             return ("ok", job)
 
         jobs = forkjobs.ForkedJobs(run, 2)
-        got = list(cli._job_outcomes(jobs, parts, run, lambda job, exc: f"job {job} {exc}", keep_going=True))
-        assert got == [("lost", "job 0 ended without a result (exit status -9)")]
+        got = []
+        # The parts the killed children wrote are removed by the run's _Outputs.
+        with pytest.raises(cli.StageFailed) as info, cli._Outputs(PipelineConfig(), "extract") as outputs:
+            parts = [outputs.part(tmp_path / f"part{job}") for job in range(4)]
+            got.extend(cli._job_outcomes(jobs, 4, run, lambda job, exc: f"job {job} {exc}", keep_going=True))
+        assert got == [] and str(info.value) == "job 0 ended without a result (exit status -9)"
+        assert info.value.code == 1
         assert jobs.stats.children_started == 2  # jobs 0 and 1; jobs 2 and 3 never start
         _assert_no_child_process()
         assert list(tmp_path.glob("part*")) == []
@@ -1236,8 +1315,10 @@ class TestJobOutcomes:
 
         # Job 0's child is lost, job 1's is killed, and the run stops before job 2.
         jobs = forkjobs.ForkedJobs(run, 2)
-        assert list(cli._job_outcomes(jobs, [None] * 3, run, lambda job, exc: "lost")) == [("lost", "lost")]
+        with pytest.raises(cli.StageFailed, match="^lost$"):
+            list(cli._job_outcomes(jobs, 3, run, lambda job, exc: "lost"))
         _assert_no_child_process()
+        assert [p.name for p in tmp_path.iterdir()] == ["None.tmp"]  # the loop touches no file
         assert Path("None.tmp").read_text(encoding="utf-8") == "kept"
 
 
@@ -1627,7 +1708,7 @@ class TestChildParses:
 
         def dying(cfg, dump, site, out_path):
             if dump == victim:
-                Path(f"{out_path}.tmp").write_text("timestamp\tsite\tip\n", encoding="utf-8")
+                Path(out_path).write_text("timestamp\tsite\tip\n", encoding="utf-8")
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(cfg, dump, site, out_path)
 

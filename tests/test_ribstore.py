@@ -1227,14 +1227,16 @@ class TestChildDecodes:
         timeline = RibTimeline.from_files(paths)
         _no_child_process()  # from_files starts none
         ranges = slices.record_slices(records, timeline.ends)
-        parts = [str(tmp_path / f"part{k}") for k in range(len(ranges))]
         run = lambda k: cli._attribute_range(records, parts[k], *ranges[k], timeline)  # noqa: E731
         jobs = forkjobs.ForkedJobs(run, 2)
-        outcomes = cli._job_outcomes(jobs, parts, run, None)
-        assert next(outcomes)[:2] == ("ok", 1)
-        assert jobs.stats.children_started == 2
-        outcomes.close()
-        _no_child_process()
+        # The parts written before the close, and by the killed children, are removed by the run's _Outputs.
+        with cli._Outputs(cli.PipelineConfig(), "attribute") as outputs:
+            parts = [outputs.part(tmp_path / f"part{k}") for k in range(len(ranges))]
+            outcomes = cli._job_outcomes(jobs, len(ranges), run, None)
+            assert next(outcomes)[:2] == ("ok", 1)
+            assert jobs.stats.children_started == 2
+            outcomes.close()
+            _no_child_process()
         assert list(tmp_path.glob("part*")) == []
 
     def test_attribute_alone_starts_no_child(self, tmp_path, monkeypatch):
